@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 sys.path.insert(0, "src")
 
 from surfbound.surface import SurfaceModel
-from surfbound import bounds, cycles, zariski
+from surfbound import bounds, cycles, surface_io, zariski
 
 f2 = SurfaceModel.create(
     name="hirzebruch_f2",
@@ -73,6 +73,16 @@ assert cy.divisor == bounds.separating_divisor(a2, h).divisor
 orc = cycles.cycle_bruteforce_oracle(a2, (0, 1))
 assert orc.coefficients == cy.coefficients
 print("a2 ok")
+
+# E8 with A = h, T = 0: the level-two obstructions are the 120 positive
+# roots. A bounding-box enumeration visits 907,200 points here and takes
+# over a minute; the search takes a fraction of a second.
+e8 = surface_io.load_fixture("ade_e8")
+he8 = e8.curve_divisor(e8.curve_index("h"))
+z8 = e8.zero_divisor()
+assert len(bounds.enumerate_obstructions(e8, he8, z8, 2).entries) == 120
+assert bounds.obstruction_minimum(e8, he8, z8) == 2
+print("e8 ok")
 
 # double covers: rank one, H^2 = 2, K = (d - 3) H
 for d, (want_m, want_ring) in {

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import floor
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from . import lattice
@@ -304,6 +304,133 @@ class ObstructionSet:
         return min(self.entries, key=lambda e: (e.value, e.coefficients))
 
 
+def _obstruction_setup(
+    model: SurfaceModel, a: DivisorClass, t: DivisorClass
+) -> tuple[tuple[int, ...], list[list[int]], list[Fraction]]:
+    """Support, Q = -Gram on it and linear term (T - K).C_i of the
+    obstruction form n'Qn + linear.n, whose value is T.D - K.D - D^2 for
+    D = sum n_i C_i."""
+    support = model.exceptional_curves(a)
+    q_matrix = [[-x for x in row] for row in model.curve_gram(support)]
+    w = t - model.canonical_class
+    linear = [model.pair_curve(w, i) for i in support]
+    return support, q_matrix, linear
+
+
+def _obstruction_set(
+    model: SurfaceModel,
+    support: tuple[int, ...],
+    bound: Fraction,
+    hits: Sequence[tuple[tuple[int, ...], Fraction]],
+) -> ObstructionSet:
+    entries = [
+        ObstructionEntry(coeffs, model.divisor_from_curves(dict(zip(support, coeffs))), value)
+        for coeffs, value in sorted(hits)
+    ]
+    return ObstructionSet(support=support, bound=bound, entries=tuple(entries))
+
+
+def _ldl(q_matrix: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact Q = L D L' with L unit lower triangular; every pivot of D must
+    be positive, as Q = -Gram of a negative definite block is."""
+    r = len(q_matrix)
+    lower = [[Q(int(i == j)) for j in range(r)] for i in range(r)]
+    diag: list[Fraction] = []
+    for j in range(r):
+        pivot = q_matrix[j][j] - sum((lower[j][m] ** 2 * diag[m] for m in range(j)), Q(0))
+        if pivot <= 0:
+            raise ModelInconsistent("obstruction form is not positive definite")
+        diag.append(pivot)
+        for i in range(j + 1, r):
+            lower[i][j] = (
+                q_matrix[i][j]
+                - sum((lower[i][m] * lower[j][m] * diag[m] for m in range(j)), Q(0))
+            ) / pivot
+    return lower, diag
+
+
+def _fincke_pohst(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """All nonzero n >= 0 with n'Qn + linear.n <= bound, by the depth-first
+    short-vector search of Fincke and Pohst (Math. Comp. 44, 1985).
+
+    With c = Q^-1 linear / 2 the condition reads (n + c)'Q(n + c) <= R for
+    R = bound + c'Qc = bound + linear.c / 2. Writing Q = L D L' splits the
+    left side into sum_j d_j y_j^2 with y_j = n_j + c_j + sum_{i>j} L_ij
+    (n_i + c_i), so once n_{j+1..r-1} are fixed, the radius left bounds n_j
+    to an interval. The search fixes coordinates from last to first; the
+    interval is rounded outward and every leaf is checked exactly.
+    """
+    r = len(linear)
+    lower, diag = _ldl(q_matrix)
+    # c from L D L' c = linear / 2: forward, diagonal, then back substitution
+    z: list[Fraction] = []
+    for i in range(r):
+        z.append(linear[i] / 2 - sum(lower[i][m] * z[m] for m in range(i)))
+    center = [zi / di for zi, di in zip(z, diag)]
+    for i in reversed(range(r)):
+        center[i] -= sum(lower[m][i] * center[m] for m in range(i + 1, r))
+    radius = bound + sum(x * c for x, c in zip(linear, center)) / 2
+    hits: list[tuple[tuple[int, ...], Fraction]] = []
+    if radius < 0:
+        return hits
+    point = [0] * r
+    # y_j = n_j + shift_j; the part of shift_j that does not depend on n
+    offset = [
+        center[j] + sum(lower[i][j] * center[i] for i in range(j + 1, r)) for j in range(r)
+    ]
+
+    def descend(j: int, left: Fraction) -> None:
+        shift = offset[j] + sum(lower[i][j] * point[i] for i in range(j + 1, r) if point[i])
+        half = lattice.sqrt_upper(left / diag[j])
+        for v in range(max(0, ceil(-shift - half)), floor(half - shift) + 1):
+            y = v + shift
+            rest = left - diag[j] * y * y
+            if rest < 0:
+                continue
+            point[j] = v
+            if j:
+                descend(j - 1, rest)
+            elif any(point):
+                nonzero = [i for i in range(r) if point[i]]
+                quad = sum(q_matrix[i][m] * point[i] * point[m] for i in nonzero for m in nonzero)
+                value = quad + sum(linear[i] * point[i] for i in nonzero)
+                if value <= bound:
+                    hits.append((tuple(point), value))
+        point[j] = 0
+
+    descend(r - 1, radius)
+    return hits
+
+
+def _enumerate_box(model: SurfaceModel, a: DivisorClass, t: DivisorClass, k) -> ObstructionSet:
+    """Production obstruction enumeration, by the search of _fincke_pohst.
+
+    The name is older than the search: the benchmark's tracer
+    (perfbench/tracing.py) wraps this function by name to count
+    enumerations and their entries, so it keeps the name of the box loop
+    it replaced and the search lives in a private helper it calls.
+    """
+    bound = Q(k)
+    support, q_matrix, linear = _obstruction_setup(model, a, t)
+    hits = _fincke_pohst(q_matrix, linear, bound) if support else []
+    return _obstruction_set(model, support, bound, hits)
+
+
+def enumerate_obstructions(
+    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k
+) -> ObstructionSet:
+    """All effective nonzero D supported on the curves orthogonal to A with
+    T.D - K.D - D^2 <= k, sorted lexicographically by coefficients.
+
+    The depth-first Fincke-Pohst search drops a partial point as soon as the
+    radius left for its remaining coordinates is negative, so its work
+    grows with the number of lattice points near the sublevel ellipsoid,
+    not with the volume of the ellipsoid's bounding box."""
+    return _enumerate_box(model, a, t, k)
+
+
 def _sublevel_box(
     q_matrix: Sequence[Sequence], linear: Sequence[Fraction], bound: Fraction,
     margin: Fraction,
@@ -311,7 +438,7 @@ def _sublevel_box(
     """Integer bounding box for {n >= 0 : n'Qn + linear.n <= bound} with Q
     positive definite. Completing the square gives the ellipsoid radius R;
     the per-coordinate half-width is sqrt(R * (Q^-1)_ii). Outward rounding
-    keeps the box sound; margin >= 1 inflates it (oracle use)."""
+    keeps the box sound; margin >= 1 inflates it."""
     r = len(linear)
     inv = lattice.matrix_inverse(q_matrix)
     center = [sum(inv[i][j] * linear[j] for j in range(r)) / 2 for i in range(r)]
@@ -329,58 +456,45 @@ def _sublevel_box(
     return box
 
 
-def _enumerate_box(
-    model: SurfaceModel,
-    a: DivisorClass,
-    t: DivisorClass,
-    k,
+def _box_product(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction,
     margin: Fraction,
-) -> ObstructionSet:
-    bound = Q(k)
-    support = model.exceptional_curves(a)
-    if not support:
-        return ObstructionSet(support=support, bound=bound, entries=())
-    r = len(support)
-    gram = model.curve_gram(support)
-    q_matrix = [[-x for x in row] for row in gram]
-    w = t - model.canonical_class
-    linear = [model.intersect(w, model.curve_divisor(i)) for i in support]
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Every point of the (inflated) bounding box, tested one by one."""
     box = _sublevel_box(q_matrix, linear, bound, margin)
-    entries = []
-    if box is not None:
-        ranges = [range(lo, hi + 1) for lo, hi in box]
-        for coeffs in product(*ranges):
-            if not any(coeffs):
-                continue
-            quad = sum(
-                coeffs[i] * q_matrix[i][j] * coeffs[j]
-                for i in range(r)
-                for j in range(r)
-            )
-            value = quad + sum(linear[i] * coeffs[i] for i in range(r))
-            if value <= bound:
-                divisor = model.divisor_from_curves(dict(zip(support, coeffs)))
-                entries.append(ObstructionEntry(coeffs, divisor, value))
-    entries.sort(key=lambda e: e.coefficients)
-    return ObstructionSet(support=support, bound=bound, entries=tuple(entries))
-
-
-def enumerate_obstructions(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k
-) -> ObstructionSet:
-    """All effective nonzero D supported on the curves orthogonal to A with
-    T.D - K.D - D^2 <= k, sorted lexicographically by coefficients."""
-    return _enumerate_box(model, a, t, k, margin=Q(1))
+    if box is None:
+        return []
+    hits = []
+    r = len(box)
+    for coeffs in product(*(range(lo, hi + 1) for lo, hi in box)):
+        if not any(coeffs):
+            continue
+        quad = sum(
+            coeffs[i] * q_matrix[i][j] * coeffs[j]
+            for i in range(r)
+            for j in range(r)
+        )
+        value = quad + sum(linear[i] * coeffs[i] for i in range(r))
+        if value <= bound:
+            hits.append((coeffs, value))
+    return hits
 
 
 def obstruction_oracle(
     model: SurfaceModel, a: DivisorClass, t: DivisorClass, k, margin=Q(2)
 ) -> ObstructionSet:
-    """Same enumeration over an inflated bounding box; must agree exactly."""
+    """Brute-force cross-check of enumerate_obstructions: every point of the
+    ellipsoid's bounding box, inflated by margin >= 1, is tested. With the
+    search it shares only the set-up of the form (support, Q and linear
+    term) and the packing of hits into entries. Its cost is the box
+    volume, so it is meant for small inputs."""
     margin = Q(margin)
     if margin < 1:
         raise NonpositiveInput("oracle box margin must be at least 1")
-    return _enumerate_box(model, a, t, k, margin=margin)
+    bound = Q(k)
+    support, q_matrix, linear = _obstruction_setup(model, a, t)
+    hits = _box_product(q_matrix, linear, bound, margin) if support else []
+    return _obstruction_set(model, support, bound, hits)
 
 
 def obstruction_minimum(model: SurfaceModel, a: DivisorClass, t: DivisorClass):
@@ -395,12 +509,10 @@ def obstruction_minimum(model: SurfaceModel, a: DivisorClass, t: DivisorClass):
     if not support:
         return INFINITY
     w = t - model.canonical_class
-    single = []
-    for i in support:
-        c = model.curve_divisor(i)
-        single.append(model.intersect(w, c) - model.self_intersection(c))
-    start = min(single)
-    sublevel = _enumerate_box(model, a, t, start, margin=Q(1))
+    single = [
+        model.pair_curve(w, i) - model.curve_pairings[i][i] for i in support
+    ]
+    sublevel = _enumerate_box(model, a, t, min(single))
     if sublevel.is_empty:
         raise ModelInconsistent("sublevel set lost its single-curve witness")
     return min(e.value for e in sublevel.entries)
@@ -429,10 +541,10 @@ def lr_deficiency(
     """Per-curve deficiency max(K.C - T.C + k, 0) on the curves orthogonal
     to A (or a chosen subset of them)."""
     support = model.exceptional_curves(a) if subset is None else tuple(sorted(subset))
+    w = model.canonical_class - t
     out = {}
     for i in support:
-        c = model.curve_divisor(i)
-        gap = model.canonical_pairing(c) - model.intersect(t, c) + k
+        gap = model.pair_curve(w, i) + k
         out[i] = gap if gap > 0 else Q(0)
     return out
 
@@ -529,11 +641,8 @@ def condition_check(
     model: SurfaceModel, a: DivisorClass, t: DivisorClass, k: int
 ) -> ConditionFlags:
     support = model.exceptional_curves(a)
-    lr = all(
-        model.intersect(t, model.curve_divisor(i))
-        >= model.canonical_pairing(model.curve_divisor(i)) + k
-        for i in support
-    )
+    w = t - model.canonical_class
+    lr = all(model.pair_curve(w, i) >= k for i in support)
     return ConditionFlags(
         k=k,
         matsusaka=model.is_ample_model(a),

@@ -26,11 +26,27 @@ from .surface import SurfaceModel
 from .surface_io import fixture_names, load_surface, parse_curve_list, parse_divisor
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+def _margin_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"box margin must be at least 1, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,20 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument(
         "-k",
         "--cluster",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="K",
-        help="separation level: the system should be (k-1)-very ample (default 0)",
+        help="separation level k >= 0: the system should be (k-1)-very ample (default 0)",
     )
 
     multiple = argparse.ArgumentParser(add_help=False)
     multiple.add_argument(
         "-n",
         "--multiple",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="N",
-        help="concrete multiple n to evaluate (optional)",
+        help="concrete multiple n >= 1 to evaluate (optional)",
     )
 
     asserts = argparse.ArgumentParser(add_help=False)
@@ -113,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument(
         "--box-margin",
-        type=_fraction_arg,
+        type=_margin_arg,
         default=Fraction(2),
         metavar="M",
-        help="inflation factor for the oracle's search box (default 2)",
+        help="inflation factor, at least 1, for the oracle's search box (default 2)",
     )
 
     p = sub.add_parser(
@@ -345,8 +361,8 @@ def _cmd_obstructions(args) -> dict:
         ref = bounds.obstruction_oracle(model, a, t, args.cluster, margin=args.box_margin)
         if [e.coefficients for e in ref.entries] != [e.coefficients for e in obs.entries]:
             raise OracleMismatch(
-                f"tight box found {len(obs.entries)} obstructions, "
-                f"inflated box found {len(ref.entries)}"
+                f"search found {len(obs.entries)} obstructions, "
+                f"box found {len(ref.entries)}"
             )
     payload = to_payload(obs, model)
     payload["support_names"] = curve_names(model, obs.support)

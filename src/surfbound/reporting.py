@@ -60,17 +60,6 @@ def to_payload(value: Any, model: SurfaceModel) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def with_curve_names(payload: dict, model: SurfaceModel, *keys: str) -> dict:
-    """Annotate index tuples (support, component, ...) with curve names."""
-    out = dict(payload)
-    for key in keys:
-        if key in out and isinstance(out[key], list):
-            out[f"{key}_names"] = [
-                model.curves[i].name for i in out[key] if isinstance(i, int)
-            ]
-    return out
-
-
 def _is_exact_value(value: Any) -> bool:
     return (
         isinstance(value, dict)

@@ -213,14 +213,20 @@ class SurfaceModel:
         return DivisorClass.of(self.canonical)
 
     @cached_property
+    def curve_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Integer rows G.C_i: pairing a divisor with curve i is one dot
+        product with row i."""
+        return tuple(
+            tuple(sum(g * x for g, x in zip(row, c.coords)) for row in self.gram)
+            for c in self.curves
+        )
+
+    @cached_property
     def curve_pairings(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for a in self.curves:
-            ga = [sum(self.gram[i][j] * a.coords[j] for j in range(self.rank))
-                  for i in range(self.rank)]
-            rows.append(tuple(sum(ga[i] * b.coords[i] for i in range(self.rank))
-                              for b in self.curves))
-        return tuple(rows)
+        return tuple(
+            tuple(sum(g * x for g, x in zip(row, b.coords)) for b in self.curves)
+            for row in self.curve_rows
+        )
 
     def divisor(self, values: Iterable) -> DivisorClass:
         d = DivisorClass.of(values)
@@ -240,11 +246,15 @@ class SurfaceModel:
                 return i
         raise UnknownCurveName(f"no curve named {name!r}")
 
-    def divisor_from_curves(self, coefficients: Mapping[int, object]) -> DivisorClass:
-        total = self.zero_divisor()
+    def divisor_from_curves(self, coefficients: Mapping[int, int | Fraction]) -> DivisorClass:
+        # Summed before the conversion to Fraction, so integer coefficients
+        # stay in integer arithmetic.
+        total = [0] * self.rank
         for idx, coeff in coefficients.items():
-            total = total + self.curve_divisor(idx).scale(coeff)
-        return total
+            for j, x in enumerate(self.curves[idx].coords):
+                if x:
+                    total[j] += coeff * x
+        return DivisorClass.of(total)
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
         if d1.rank != self.rank or d2.rank != self.rank:
@@ -255,7 +265,9 @@ class SurfaceModel:
         return self.intersect(d, d)
 
     def pair_curve(self, d: DivisorClass, index: int) -> Fraction:
-        return self.intersect(d, self.curve_divisor(index))
+        if d.rank != self.rank:
+            raise RankMismatch("divisor rank does not match the model")
+        return sum((c * g for c, g in zip(d.coords, self.curve_rows[index]) if g), Q(0))
 
     def canonical_pairing(self, d: DivisorClass) -> Fraction:
         return self.intersect(self.canonical_class, d)

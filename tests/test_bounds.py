@@ -37,6 +37,7 @@ from surfbound.bounds import (
     vanishing_threshold,
 )
 from surfbound.errors import (
+    ModelInconsistent,
     NonpositiveInput,
     NonpositiveLP,
     NonpositiveX,
@@ -46,7 +47,13 @@ from surfbound.errors import (
 )
 from surfbound.surface import SurfaceModel
 
-from generators import block_model, plumbing_elliptic, polarization
+from generators import ADE_TYPES, block_model, plumbing_elliptic, polarization
+
+POSITIVE_ROOTS = {
+    "a": lambda n: n * (n + 1) // 2,
+    "d": lambda n: n * (n - 1),
+    "e": {6: 36, 7: 63, 8: 120}.get,
+}
 
 
 def double_cover(d: int) -> SurfaceModel:
@@ -308,6 +315,52 @@ class TestObstructionEnumeration:
         h = a2.divisor([1, 0, 0])
         with pytest.raises(NonpositiveInput):
             obstruction_oracle(a2, h, a2.zero_divisor(), 2, margin=Q(1, 2))
+
+    @pytest.mark.parametrize("kind,size", ADE_TYPES)
+    def test_level_two_finds_exactly_the_positive_roots(self, fixture_models, kind, size):
+        # with A = h and T = 0 the value of D is -D^2, so the level-two set
+        # is the effective classes of square -2: the positive roots
+        model = fixture_models[f"ade_{kind}{size}"]
+        h = model.curve_divisor(model.curve_index("h"))
+        zero = model.zero_divisor()
+        obs = enumerate_obstructions(model, h, zero, 2)
+        assert len(obs.entries) == POSITIVE_ROOTS[kind](size)
+        for entry in obs.entries:
+            assert model.self_intersection(entry.divisor) == -2
+            assert entry.value == 2
+        assert enumerate_obstructions(model, h, zero, 0).is_empty
+        assert enumerate_obstructions(model, h, zero, 1).is_empty
+
+    @pytest.mark.parametrize("name,levels", [("ade_e6", (0, 1, 2)), ("ade_e7", (0,))])
+    def test_search_matches_box_on_exceptional_types(self, fixture_models, rng, name, levels):
+        model = fixture_models[name]
+        h = model.curve_divisor(model.curve_index("h"))
+        curves = range(1, len(model.curves))
+        twists = [model.zero_divisor(), model.canonical_class]
+        for _ in range(4):
+            twists.append(model.divisor_from_curves(
+                {i: rng.choice((-1, 0, 0, 1)) for i in curves}
+            ))
+        for t in twists:
+            for k in levels:
+                fast = enumerate_obstructions(model, h, t, k)
+                slow = obstruction_oracle(model, h, t, k, margin=1)
+                assert fast.entries == slow.entries
+
+    def test_search_matches_box_on_random_blocks(self, rng):
+        for trial in range(40):
+            sizes = rng.choice(([1], [2], [3], [4], [5], [2, 2], [2, 3], [1, 4]))
+            model = block_model(rng, sizes, name=f"fp{trial}")
+            a = polarization(model)
+            t = model.divisor([rng.randint(-3, 3) for _ in range(model.rank)])
+            for k in range(4):
+                fast = enumerate_obstructions(model, a, t, k)
+                slow = obstruction_oracle(model, a, t, k, margin=1)
+                assert fast.entries == slow.entries
+
+    def test_search_rejects_indefinite_form(self):
+        with pytest.raises(ModelInconsistent):
+            bounds._ldl([[1, 2], [2, 1]])
 
     def test_pairing_condition_empties_the_set(self, rng):
         # after subtracting the correction divisor the pairing condition

@@ -219,6 +219,23 @@ class TestCommandLine:
         assert run_subcommand(["no-such-command"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "-k", "-5"],
+            ["thresholds", "--surface", "hirzebruch_f2", "--divisor", "2,1", "-k", "-3"],
+            ["bounds", "--surface", "double_cover_d5", "--divisor", "H", "-n", "-3"],
+            ["fundcycle", "--surface", "ade_e6", "--curves", "c1,c2,c3,c4,c5,c6",
+             "--oracle", "--box-margin", "1/2"],
+        ],
+        ids=["negative-k", "negative-k-table", "negative-n", "deflating-margin"],
+    )
+    def test_out_of_domain_values_exit_two(self, capsys, argv):
+        assert run_subcommand(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert run_subcommand(["--help"]) == 0
         assert run_subcommand(["zariski", "--help"]) == 0
