@@ -24,7 +24,7 @@ def main() -> None:
         model = load_fixture(f"double_cover_d{d}")
         a = model.divisor(model.ample_reference)
         zero = model.zero_divisor()
-        table = bounds.theorem_thresholds(model, a, zero, k=2)
+        table = bounds.theorem_thresholds(bounds.Analysis(model, a, zero), k=2)
         cmp = bounds.matsusaka_compare(model, a)
         rows.append((
             str(d),

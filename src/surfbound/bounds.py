@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, wraps
 from itertools import product
 from math import ceil, floor
 from typing import Optional, Sequence
 
 from . import lattice
-from .cycles import fundamental_cycle, is_rational_configuration
+from .cycles import FundamentalCycle, fundamental_cycle
 from .errors import (
     IntegralityFailure,
     ModelInconsistent,
@@ -31,7 +32,6 @@ from .errors import (
     NonpositiveX,
     NotAmple,
     NotBig,
-    NotNefBig,
     UnverifiableHypothesis,
 )
 from .surface import DivisorClass, SurfaceModel
@@ -75,12 +75,6 @@ def _require_big(model: SurfaceModel, a: DivisorClass) -> Fraction:
     if a2 <= 0:
         raise NotBig("class needs positive self-intersection")
     return a2
-
-
-def _require_nef_big(model: SurfaceModel, a: DivisorClass) -> Fraction:
-    if not model.is_nef_model(a):
-        raise NotNefBig("class is not nef against the listed curves")
-    return _require_big(model, a)
 
 
 # -- core thresholds -------------------------------------------------------
@@ -144,17 +138,14 @@ class ThresholdCheck:
     numerical_equivalence_caveat: bool
 
 
-def threshold_holds(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, n: int, k: int
-) -> ThresholdCheck:
+def threshold_holds(analysis: Analysis, n: int, k: int) -> ThresholdCheck:
     """Disjunctive hypothesis: n > k + threshold, or k = 0 with T - K
     numerically proportional to A and n >= threshold."""
-    _require_nef_big(model, a)
-    bound = vanishing_threshold(model, a, t)
+    bound = analysis.threshold_at(analysis.t)
     strict = Q(n) > k + bound
     proportional = (
         k == 0
-        and hodge_defect(model, a, t).proportional
+        and hodge_defect(analysis.model, analysis.a, analysis.t).proportional
         and Q(n) >= bound
     )
     return ThresholdCheck(
@@ -304,19 +295,6 @@ class ObstructionSet:
         return min(self.entries, key=lambda e: (e.value, e.coefficients))
 
 
-def _obstruction_setup(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass
-) -> tuple[tuple[int, ...], list[list[int]], list[Fraction]]:
-    """Support, Q = -Gram on it and linear term (T - K).C_i of the
-    obstruction form n'Qn + linear.n, whose value is T.D - K.D - D^2 for
-    D = sum n_i C_i."""
-    support = model.exceptional_curves(a)
-    q_matrix = [[-x for x in row] for row in model.curve_gram(support)]
-    w = t - model.canonical_class
-    linear = [model.pair_curve(w, i) for i in support]
-    return support, q_matrix, linear
-
-
 def _obstruction_set(
     model: SurfaceModel,
     support: tuple[int, ...],
@@ -404,7 +382,7 @@ def _fincke_pohst(
     return hits
 
 
-def _enumerate_box(model: SurfaceModel, a: DivisorClass, t: DivisorClass, k) -> ObstructionSet:
+def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
     """Production obstruction enumeration, by the search of _fincke_pohst.
 
     The name is older than the search: the benchmark's tracer
@@ -413,22 +391,9 @@ def _enumerate_box(model: SurfaceModel, a: DivisorClass, t: DivisorClass, k) -> 
     it replaced and the search lives in a private helper it calls.
     """
     bound = Q(k)
-    support, q_matrix, linear = _obstruction_setup(model, a, t)
-    hits = _fincke_pohst(q_matrix, linear, bound) if support else []
-    return _obstruction_set(model, support, bound, hits)
-
-
-def enumerate_obstructions(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k
-) -> ObstructionSet:
-    """All effective nonzero D supported on the curves orthogonal to A with
-    T.D - K.D - D^2 <= k, sorted lexicographically by coefficients.
-
-    The depth-first Fincke-Pohst search drops a partial point as soon as the
-    radius left for its remaining coordinates is negative, so its work
-    grows with the number of lattice points near the sublevel ellipsoid,
-    not with the volume of the ellipsoid's bounding box."""
-    return _enumerate_box(model, a, t, k)
+    q_matrix, linear = analysis.obstruction_form
+    hits = _fincke_pohst(q_matrix, linear, bound) if analysis.support else []
+    return _obstruction_set(analysis.model, analysis.support, bound, hits)
 
 
 def _sublevel_box(
@@ -480,42 +445,19 @@ def _box_product(
     return hits
 
 
-def obstruction_oracle(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k, margin=Q(2)
-) -> ObstructionSet:
-    """Brute-force cross-check of enumerate_obstructions: every point of the
-    ellipsoid's bounding box, inflated by margin >= 1, is tested. With the
-    search it shares only the set-up of the form (support, Q and linear
-    term) and the packing of hits into entries. Its cost is the box
+def obstruction_oracle(analysis: Analysis, k, margin=Q(2)) -> ObstructionSet:
+    """Brute-force cross-check of Analysis.enumerate_obstructions: every
+    point of the ellipsoid's bounding box, inflated by margin >= 1, is
+    tested. With the search it shares only the set-up of the form (Q and
+    linear term) and the packing of hits into entries. Its cost is the box
     volume, so it is meant for small inputs."""
     margin = Q(margin)
     if margin < 1:
         raise NonpositiveInput("oracle box margin must be at least 1")
     bound = Q(k)
-    support, q_matrix, linear = _obstruction_setup(model, a, t)
-    hits = _box_product(q_matrix, linear, bound, margin) if support else []
-    return _obstruction_set(model, support, bound, hits)
-
-
-def obstruction_minimum(model: SurfaceModel, a: DivisorClass, t: DivisorClass):
-    """Minimum of T.D - K.D - D^2 over effective nonzero D orthogonal to A;
-    positive infinity when no curve is orthogonal (the ample case).
-
-    A single curve C_i already realizes the value (T-K).C_i - C_i^2, so the
-    sublevel set at the best single-curve value is nonempty and one
-    enumeration pass suffices.
-    """
-    support = model.exceptional_curves(a)
-    if not support:
-        return INFINITY
-    w = t - model.canonical_class
-    single = [
-        model.pair_curve(w, i) - model.curve_pairings[i][i] for i in support
-    ]
-    sublevel = _enumerate_box(model, a, t, min(single))
-    if sublevel.is_empty:
-        raise ModelInconsistent("sublevel set lost its single-curve witness")
-    return min(e.value for e in sublevel.entries)
+    q_matrix, linear = analysis.obstruction_form
+    hits = _box_product(q_matrix, linear, bound, margin) if analysis.support else []
+    return _obstruction_set(analysis.model, analysis.support, bound, hits)
 
 
 # -- correction divisors -----------------------------------------------------
@@ -549,49 +491,6 @@ def lr_deficiency(
     return out
 
 
-def correction_divisor(
-    model: SurfaceModel,
-    a: DivisorClass,
-    t: DivisorClass,
-    k: int,
-    subset: Optional[Sequence[int]] = None,
-) -> CorrectionDivisor:
-    """Effective divisor E with E.C_i = -|det| * deficiency_i on the curves
-    orthogonal to A. Subtracting it repairs the pairing condition
-    (T - E).C_i >= K.C_i + k. Cramer scaling by |det| makes E integral."""
-    sigma_map = lr_deficiency(model, a, t, k, subset)
-    support = tuple(sorted(sigma_map))
-    if not support:
-        return CorrectionDivisor(
-            level=k,
-            support=(),
-            sigma=(),
-            det_abs=1,
-            coefficients=(),
-            divisor=model.zero_divisor(),
-        )
-    gram = model.curve_gram(support)
-    det_abs = abs(lattice.determinant(gram))
-    rhs = [-det_abs * sigma_map[i] for i in support]
-    solved = lattice.solve_linear(gram, rhs)
-    coeffs = []
-    for i, x in zip(support, solved):
-        if x.denominator != 1 or x < 0:
-            raise IntegralityFailure(
-                f"correction coefficient for curve {model.curves[i].name} is {x}; "
-                "expected a nonnegative integer"
-            )
-        coeffs.append(int(x))
-    return CorrectionDivisor(
-        level=k,
-        support=support,
-        sigma=tuple(sigma_map[i] for i in support),
-        det_abs=det_abs,
-        coefficients=tuple(coeffs),
-        divisor=model.divisor_from_curves(dict(zip(support, coeffs))),
-    )
-
-
 @dataclass(frozen=True)
 class SeparatingPiece:
     component: tuple[int, ...]
@@ -605,27 +504,6 @@ class SeparatingDivisor:
     pieces: tuple[SeparatingPiece, ...]
 
 
-def separating_divisor(model: SurfaceModel, a: DivisorClass) -> SeparatingDivisor:
-    """Per connected component of the curves orthogonal to A: the level-0
-    correction divisor when it is nonzero, otherwise the fundamental cycle.
-    The sum is never zero on a nonempty configuration, which is what the
-    connected-fibers threshold needs."""
-    support = model.exceptional_curves(a)
-    zero_t = model.zero_divisor()
-    total = model.zero_divisor()
-    pieces = []
-    for comp in model.connected_components(support):
-        corr = correction_divisor(model, a, zero_t, 0, subset=comp)
-        if corr.divisor.is_zero:
-            cyc = fundamental_cycle(model, comp)
-            pieces.append(SeparatingPiece(comp, True, cyc.coefficients))
-            total = total + cyc.divisor
-        else:
-            pieces.append(SeparatingPiece(comp, False, corr.coefficients))
-            total = total + corr.divisor
-    return SeparatingDivisor(divisor=total, pieces=tuple(pieces))
-
-
 # -- classical conditions -----------------------------------------------------
 
 
@@ -637,39 +515,24 @@ class ConditionFlags:
     artin: bool  # the curves orthogonal to A form a rational configuration
 
 
-def condition_check(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k: int
-) -> ConditionFlags:
-    support = model.exceptional_curves(a)
-    w = t - model.canonical_class
-    lr = all(model.pair_curve(w, i) >= k for i in support)
-    return ConditionFlags(
-        k=k,
-        matsusaka=model.is_ample_model(a),
-        laufer_ramanujam=lr,
-        artin=is_rational_configuration(model, support),
-    )
-
-
 # -- ring generation -----------------------------------------------------------
 
 
-def ring_step_threshold(
-    model: SurfaceModel, a: DivisorClass, l: int, p: int, v_is_zero: bool
-) -> Fraction:
+def ring_step_threshold(analysis: Analysis, l: int, p: int, v_is_zero: bool) -> Fraction:
     """Bound N(A, l, p): for n > N the degree-n piece of the section ring is
     the product of the degree-l and degree-(n-l) pieces. The branch depends
     on whether the relevant correction class V vanishes; when it does not,
     the worst case k = l^2 A^2 enters."""
     if l < 1 or p < 1:
         raise NonpositiveInput("ring step levels l and p must be positive integers")
-    a2 = _require_nef_big(model, a)
+    model, a = analysis.model, analysis.a
+    a2 = model.self_intersection(a)
     base = Q(2 * l + p - 1)
     if v_is_zero:
         alt = 3 * l + model.intersect(model.canonical_class, a) / a2
     else:
         k = l * l * a2
-        alt = k + vanishing_threshold(model, a, model.zero_divisor()) + l
+        alt = k + analysis.threshold_at(model.zero_divisor()) + l
     return max(base, alt)
 
 
@@ -682,46 +545,190 @@ class RingGeneration:
     least_m: int
 
 
-def ring_generation_threshold(
-    model: SurfaceModel, a: DivisorClass, *, no_fixed_part: bool = False
-) -> RingGeneration:
-    """Degree bound for generation of the section ring of A.
+# -- one analysis of n*A + T -------------------------------------------------------
 
-    The rational-configuration hypothesis is checked on the model; absence
-    of a fixed part is not checkable here and must be asserted by the
-    caller. The step bound is evaluated at level l+1, whose worst-case
-    correction constant is (l+1)^2 A^2.
-    """
-    _require_nef_big(model, a)
-    zero = model.zero_divisor()
-    rational = is_rational_configuration(model, model.exceptional_curves(a))
-    base_level = vanishing_level(model, a, zero)
-    l = 1 + base_level
-    if rational:
-        case = "rational"
-        p = base_level
-    elif no_fixed_part:
-        case = "no_fixed_part"
-        e1 = correction_divisor(model, a, zero, 1)
-        p = 1 + max(base_level, vanishing_level(model, a, -e1.divisor))
-    else:
-        raise UnverifiableHypothesis(
-            "need either a rational orthogonal configuration (fails on this "
-            "model) or the caller's assertion that |A| has no fixed part"
+
+def _memoized(method):
+    """Keep a method's results in its analysis, keyed by the arguments."""
+
+    @wraps(method)
+    def wrapper(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return wrapper
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """The system n*A + T for a nef and big class A, and everything derived
+    from it. Building one checks A once (model.exceptional_curves); each
+    derived value is computed on first use and kept on the instance."""
+
+    model: SurfaceModel
+    a: DivisorClass
+    t: DivisorClass
+    support: tuple[int, ...] = field(init=False)  # curves orthogonal to A
+    _memo: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "support", self.model.exceptional_curves(self.a))
+        object.__setattr__(self, "_memo", {})
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return self.model.connected_components(self.support)
+
+    @_memoized
+    def cycle(self, component: tuple[int, ...]) -> FundamentalCycle:
+        return fundamental_cycle(self.model, component)
+
+    @cached_property
+    def rational(self) -> bool:
+        """Every component has a fundamental cycle of arithmetic genus 0."""
+        return all(self.cycle(comp).genus == 0 for comp in self.components)
+
+    @_memoized
+    def threshold_at(self, twist: DivisorClass) -> Fraction:
+        """vanishing_threshold(A, twist), for T or any other twist."""
+        return vanishing_threshold(self.model, self.a, twist)
+
+    def level_at(self, twist: DivisorClass) -> int:
+        return least_integer_above(self.threshold_at(twist))
+
+    @cached_property
+    def obstruction_form(self) -> tuple[list[list[int]], list[Fraction]]:
+        """Q = -Gram on the support and the linear term (T - K).C_i of the
+        obstruction form n'Qn + linear.n, whose value is T.D - K.D - D^2 for
+        D = sum n_i C_i."""
+        w = self.t - self.model.canonical_class
+        q_matrix = [[-x for x in row] for row in self.model.curve_gram(self.support)]
+        return q_matrix, [self.model.pair_curve(w, i) for i in self.support]
+
+    @_memoized
+    def enumerate_obstructions(self, k) -> ObstructionSet:
+        """All effective nonzero D supported on the curves orthogonal to A
+        with T.D - K.D - D^2 <= k, sorted lexicographically by coefficients.
+
+        The depth-first Fincke-Pohst search drops a partial point as soon as
+        the radius left for its remaining coordinates is negative, so its
+        work grows with the number of lattice points near the sublevel
+        ellipsoid, not with the volume of the ellipsoid's bounding box."""
+        return _enumerate_box(self, k)
+
+    @cached_property
+    def obstruction_minimum(self):
+        """tau, the minimum of T.D - K.D - D^2 over effective nonzero D
+        orthogonal to A; positive infinity when no curve is orthogonal.
+
+        A single curve C_i already realizes the value (T-K).C_i - C_i^2, so
+        the sublevel set at the best single-curve value is nonempty and one
+        enumeration suffices."""
+        if not self.support:
+            return INFINITY
+        q_matrix, linear = self.obstruction_form
+        single = min(x + q_matrix[j][j] for j, x in enumerate(linear))
+        sublevel = self.enumerate_obstructions(single)
+        if sublevel.is_empty:
+            raise ModelInconsistent("sublevel set lost its single-curve witness")
+        return min(e.value for e in sublevel.entries)
+
+    def correction_divisor(
+        self, k: int, subset: Optional[Sequence[int]] = None
+    ) -> CorrectionDivisor:
+        """Effective divisor E with E.C_i = -|det| * deficiency_i on the curves
+        orthogonal to A (or a chosen subset of them). Subtracting it repairs
+        the pairing condition (T - E).C_i >= K.C_i + k. Cramer scaling by
+        |det| makes E integral."""
+        support = self.support if subset is None else tuple(sorted(set(subset)))
+        return self._correction(self.t, k, support)
+
+    @_memoized
+    def _correction(self, t: DivisorClass, k: int, support: tuple[int, ...]) -> CorrectionDivisor:
+        model = self.model
+        sigma_map = lr_deficiency(model, self.a, t, k, support)
+        if not support:
+            return CorrectionDivisor(k, (), (), 1, (), model.zero_divisor())
+        gram = model.curve_gram(support)
+        det_abs = abs(lattice.determinant(gram))
+        solved = lattice.solve_linear(gram, [-det_abs * sigma_map[i] for i in support])
+        for i, x in zip(support, solved):
+            if x.denominator != 1 or x < 0:
+                raise IntegralityFailure(
+                    f"correction coefficient for curve {model.curves[i].name} is {x}; "
+                    "expected a nonnegative integer"
+                )
+        coeffs = tuple(int(x) for x in solved)
+        return CorrectionDivisor(
+            level=k,
+            support=support,
+            sigma=tuple(sigma_map[i] for i in support),
+            det_abs=det_abs,
+            coefficients=coeffs,
+            divisor=model.divisor_from_curves(dict(zip(support, coeffs))),
         )
-    if l < 1 or p < 1:
-        raise NonpositiveLP(
-            f"ring generation needs positive levels, got l={l}, p={p}"
+
+    @cached_property
+    def separating_divisor(self) -> SeparatingDivisor:
+        """Per component: the level-0 correction divisor of T = 0 when it is
+        nonzero, otherwise the fundamental cycle. The sum is never zero on a
+        nonempty configuration, which is what the connected-fibers
+        threshold needs."""
+        pieces = []
+        for comp in self.components:
+            corr = self._correction(self.model.zero_divisor(), 0, comp)
+            from_cycle = corr.divisor.is_zero
+            coeffs = self.cycle(comp).coefficients if from_cycle else corr.coefficients
+            pieces.append(SeparatingPiece(comp, from_cycle, coeffs))
+        total = {i: c for piece in pieces for i, c in zip(piece.component, piece.coefficients)}
+        return SeparatingDivisor(self.model.divisor_from_curves(total), tuple(pieces))
+
+    def condition_check(self, k: int) -> ConditionFlags:
+        return ConditionFlags(
+            k=k,
+            matsusaka=self.model.is_ample_model(self.a),
+            laufer_ramanujam=all(x >= k for x in self.obstruction_form[1]),
+            artin=self.rational,
         )
-    doubled = ring_step_threshold(model, a, l + 1, p, v_is_zero=rational)
-    least_m = least_integer_above(doubled / 2)
-    return RingGeneration(
-        multiplier_level=l,
-        stability_level=p,
-        case=case,
-        doubled_bound=doubled,
-        least_m=least_m,
-    )
+
+    def ring_generation_threshold(self, *, no_fixed_part: bool = False) -> RingGeneration:
+        """Degree bound for generation of the section ring of A; T plays no
+        part.
+
+        The rational-configuration hypothesis is checked on the model;
+        absence of a fixed part is not checkable here and must be asserted by
+        the caller. The step bound is evaluated at level l+1, whose
+        worst-case correction constant is (l+1)^2 A^2.
+        """
+        zero = self.model.zero_divisor()
+        base_level = self.level_at(zero)
+        l = 1 + base_level
+        if self.rational:
+            case = "rational"
+            p = base_level
+        elif no_fixed_part:
+            case = "no_fixed_part"
+            e1 = self._correction(zero, 1, self.support)
+            p = 1 + max(base_level, self.level_at(-e1.divisor))
+        else:
+            raise UnverifiableHypothesis(
+                "need either a rational orthogonal configuration (fails on this "
+                "model) or the caller's assertion that |A| has no fixed part"
+            )
+        if l < 1 or p < 1:
+            raise NonpositiveLP(
+                f"ring generation needs positive levels, got l={l}, p={p}"
+            )
+        doubled = ring_step_threshold(self, l + 1, p, v_is_zero=self.rational)
+        return RingGeneration(
+            multiplier_level=l,
+            stability_level=p,
+            case=case,
+            doubled_bound=doubled,
+            least_m=least_integer_above(doubled / 2),
+        )
 
 
 # -- comparison with the classical bounds ---------------------------------------
@@ -794,9 +801,7 @@ def _entry(key, statement, bound, established, requires=(), caveats=(), extras=N
 
 
 def theorem_thresholds(
-    model: SurfaceModel,
-    a: DivisorClass,
-    t: DivisorClass,
+    analysis: Analysis,
     *,
     k: int = 0,
     n: Optional[int] = None,
@@ -810,20 +815,19 @@ def theorem_thresholds(
     relies on. Inapplicable statements stay in the table with
     established=False and an explanation rather than disappearing.
     """
-    _require_nef_big(model, a)
+    model, t = analysis.model, analysis.t
     zero = model.zero_divisor()
-    conditions = condition_check(model, a, t, k)
-    support = model.exceptional_curves(a)
-    components = model.connected_components(support)
-    base = vanishing_threshold(model, a, zero)
-    base_level = vanishing_level(model, a, zero)
+    conditions = analysis.condition_check(k)
+    components = analysis.components
+    base = analysis.threshold_at(zero)
+    level = analysis.level_at(t)
     entries: dict[str, ThresholdEntry] = {}
 
     def add(entry: ThresholdEntry) -> None:
         entries[entry.key] = entry
 
     # k-very-ampleness via the obstruction mechanism.
-    obstructions = enumerate_obstructions(model, a, t, k)
+    obstructions = analysis.enumerate_obstructions(k)
     requires = []
     if conditions.matsusaka:
         requires.append("ample on the model")
@@ -834,7 +838,7 @@ def theorem_thresholds(
     add(_entry(
         "k_very_ample",
         f"n*A + T is {k - 1}-very ample for n above the bound",
-        k + vanishing_threshold(model, a, t),
+        k + analysis.threshold_at(t),
         established=bool(requires),
         requires=requires,
         caveats=() if requires else (
@@ -845,20 +849,16 @@ def theorem_thresholds(
     ))
 
     # Degree of very-ampleness from the minimal obstruction value.
-    tau = obstruction_minimum(model, a, t)
-    min_degree_extras: dict = {
-        "tau": tau,
-        "vanishing_level": vanishing_level(model, a, t),
-    }
-    if n is not None and Q(n) >= vanishing_level(model, a, t) and tau >= 1:
-        lvl = vanishing_level(model, a, t)
-        cap = n - lvl - 1
-        degree = cap if isinstance(tau, _PositiveInfinity) else min(tau - 2, cap)
+    tau = analysis.obstruction_minimum
+    min_degree_extras: dict = {"tau": tau, "vanishing_level": level}
+    if n is not None and Q(n) >= level and tau >= 1:
+        cap = n - level - 1
+        degree = cap if tau is INFINITY else min(tau - 2, cap)
         min_degree_extras["degree_at_n"] = degree
     add(_entry(
         "min_degree",
         "n*A + T is min(tau - 2, n - level - 1)-very ample for n >= level",
-        Q(vanishing_level(model, a, t) - 1),
+        Q(level - 1),
         established=tau >= 1,
         requires=("tau >= 1",),
         caveats=() if tau >= 1 else ("tau < 1: no degree is certified",),
@@ -888,31 +888,31 @@ def theorem_thresholds(
     ))
 
     # h^1 localizes on the level-0 correction divisor.
-    e0 = correction_divisor(model, a, t, 0)
+    e0 = analysis.correction_divisor(0)
     add(_entry(
         "h1_localizes",
         "h^1(n*A + T) equals its restriction to the level-0 correction divisor",
-        vanishing_threshold(model, a, t - e0.divisor),
+        analysis.threshold_at(t - e0.divisor),
         established=True,
         caveats=("threshold only; the restricted value itself is not computed",),
         extras={"correction": e0},
     ))
 
     # The fixed part of |n*A + T| is bounded by the level-1 correction.
-    e1 = correction_divisor(model, a, t, 1)
+    e1 = analysis.correction_divisor(1)
     add(_entry(
         "fixed_part_bounded",
         "the fixed part of |n*A + T| is at most the level-1 correction divisor",
-        1 + vanishing_threshold(model, a, t - e1.divisor),
+        1 + analysis.threshold_at(t - e1.divisor),
         established=True,
         extras={"correction": e1},
     ))
 
     # Per rational component: the fixed part of |n*A| avoids it (T = 0).
-    e1_zero = correction_divisor(model, a, zero, 1)
+    e1_zero = analysis._correction(zero, 1, analysis.support)
     for comp in components:
         comp_names = "+".join(model.curves[i].name for i in comp)
-        rational_comp = is_rational_configuration(model, comp)
+        rational_comp = analysis.cycle(comp).genus == 0
         rest = {
             i: c
             for i, c in zip(e1_zero.support, e1_zero.coefficients)
@@ -922,7 +922,7 @@ def theorem_thresholds(
         add(_entry(
             f"fixed_part_avoids_{comp_names}",
             f"the fixed part of |n*A| is supported away from {comp_names}",
-            1 + vanishing_threshold(model, a, -rest_divisor),
+            1 + analysis.threshold_at(-rest_divisor),
             established=rational_comp,
             requires=(f"component {comp_names} is rational",),
             caveats=() if rational_comp else ("component is not rational",),
@@ -942,7 +942,7 @@ def theorem_thresholds(
             else ("not asserted: |A| may have a fixed part",)
         ),
     ))
-    h0_bound = max(1 + base, 1 + vanishing_threshold(model, a, t - e1.divisor))
+    h0_bound = max(1 + base, 1 + analysis.threshold_at(t - e1.divisor))
     add(_entry(
         "h0_chi_offset",
         "h^0(n*A + T) equals chi(n*A + T) plus a constant independent of n",
@@ -964,7 +964,7 @@ def theorem_thresholds(
     if conditions.artin:
         for comp in components:
             comp_names = "+".join(model.curves[i].name for i in comp)
-            multiplicities[comp_names] = fundamental_cycle(model, comp).multiplicity
+            multiplicities[comp_names] = analysis.cycle(comp).multiplicity
     add(_entry(
         "birational_morphism",
         "n*A maps the model onto a normal surface, an isomorphism away from "
@@ -984,8 +984,8 @@ def theorem_thresholds(
         fiber_bound = 2 + base
         fiber_extras: dict = {}
     else:
-        sep = separating_divisor(model, a)
-        fiber_bound = max(2 + base, vanishing_threshold(model, a, -sep.divisor))
+        sep = analysis.separating_divisor
+        fiber_bound = max(2 + base, analysis.threshold_at(-sep.divisor))
         fiber_extras = {"separating": sep}
     add(_entry(
         "connected_fibers",
@@ -1004,8 +1004,8 @@ def theorem_thresholds(
         pair_bounds = {}
         for x in range(len(components)):
             for y in range(x + 1, len(components)):
-                mx = fundamental_cycle(model, components[x]).multiplicity
-                my = fundamental_cycle(model, components[y]).multiplicity
+                mx = analysis.cycle(components[x]).multiplicity
+                my = analysis.cycle(components[y]).multiplicity
                 names = (
                     "+".join(model.curves[i].name for i in components[x]),
                     "+".join(model.curves[i].name for i in components[y]),
@@ -1022,7 +1022,7 @@ def theorem_thresholds(
 
     # Ring generation.
     try:
-        ring = ring_generation_threshold(model, a, no_fixed_part=no_fixed_part)
+        ring = analysis.ring_generation_threshold(no_fixed_part=no_fixed_part)
         add(_entry(
             "ring_generated",
             "the section ring of A is generated in degrees <= m",
@@ -1069,41 +1069,37 @@ class BoundReport:
 
 
 def build_bound_report(
-    model: SurfaceModel,
-    a: DivisorClass,
-    t: DivisorClass,
+    analysis: Analysis,
     *,
     k: int = 0,
     n: Optional[int] = None,
     no_fixed_part: bool = False,
     base_point_free: bool = False,
 ) -> BoundReport:
-    _require_nef_big(model, a)
+    model, a, t = analysis.model, analysis.a, analysis.t
     quadratic = None
     check = None
     if n is not None:
         quadratic = obstruction_quadratic(model, a, t, n, k)
-        check = threshold_holds(model, a, t, n, k)
+        check = threshold_holds(analysis, n, k)
     comparison = None
     if model.is_ample_model(a):
         comparison = matsusaka_compare(model, a)
     return BoundReport(
-        threshold=vanishing_threshold(model, a, t),
-        level=vanishing_level(model, a, t),
-        canonical_threshold=vanishing_threshold(model, a, model.canonical_class),
+        threshold=analysis.threshold_at(t),
+        level=analysis.level_at(t),
+        canonical_threshold=analysis.threshold_at(model.canonical_class),
         hodge=hodge_defect(model, a, t),
-        tau=obstruction_minimum(model, a, t),
-        conditions=condition_check(model, a, t, k),
-        correction=correction_divisor(model, a, t, k),
-        separating=separating_divisor(model, a),
-        obstructions=enumerate_obstructions(model, a, t, k),
+        tau=analysis.obstruction_minimum,
+        conditions=analysis.condition_check(k),
+        correction=analysis.correction_divisor(k),
+        separating=analysis.separating_divisor,
+        obstructions=analysis.enumerate_obstructions(k),
         multiple_gap=multiple_gap_bracket(model, a, t, k),
         quadratic=quadratic,
         check=check,
         thresholds=theorem_thresholds(
-            model,
-            a,
-            t,
+            analysis,
             k=k,
             n=n,
             no_fixed_part=no_fixed_part,

@@ -9,6 +9,7 @@ harness can swap implementations in and out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .reporting import (
     render_text,
     to_payload,
 )
-from .surface import SurfaceModel
 from .surface_io import fixture_names, load_surface, parse_curve_list, parse_divisor
 
 
@@ -263,7 +263,7 @@ def _cmd_zariski(args) -> dict:
                 f"support-growth gave positive part {dec.positive.coords}, "
                 f"subset search gave {ref.positive.coords}"
             )
-    correction = zariski.h1_correction(model, dec.negative)
+    correction = zariski.h1_correction(model, dec)
     return {
         "surface": model.name,
         "input": divisor_payload(d),
@@ -277,7 +277,7 @@ def _cmd_zariski(args) -> dict:
         "positive_self_intersection": exact_value(
             model.self_intersection(dec.positive)
         ),
-        "kappa_is_two": zariski.kappa_is_two(model, d),
+        "kappa_is_two": zariski.kappa_is_two(model, dec),
         "h1_correction": {
             "c2": exact_value(correction.c2),
             "c1": exact_value(correction.c1),
@@ -314,13 +314,29 @@ def _cmd_fundcycle(args) -> dict:
     }
 
 
+def _analysis(args) -> bounds.Analysis:
+    """The analysis of --divisor and --twist on --surface."""
+    model = load_surface(args.surface)
+    a = parse_divisor(model, args.divisor)
+    return bounds.Analysis(model, a, parse_divisor(model, args.twist))
+
+
+def _system(analysis: bounds.Analysis) -> dict:
+    """Surface, class and twist: the head of every payload about n*A + T."""
+    return {
+        "surface": analysis.model.name,
+        "class": divisor_payload(analysis.a),
+        "twist": divisor_payload(analysis.t),
+    }
+
+
 def _cmd_exceptional(args) -> dict:
     model = load_surface(args.surface)
     a = parse_divisor(model, args.divisor)
-    support = model.exceptional_curves(a)
+    analysis = bounds.Analysis(model, a, model.zero_divisor())
     components = []
-    for comp in model.connected_components(support):
-        cycle = cycles.fundamental_cycle(model, comp)
+    for comp in analysis.components:
+        cycle = analysis.cycle(comp)
         components.append({
             "curves": curve_names(model, comp),
             "rational": cycle.genus == 0,
@@ -331,88 +347,70 @@ def _cmd_exceptional(args) -> dict:
         "surface": model.name,
         "class": divisor_payload(a),
         "self_intersection": exact_value(model.self_intersection(a)),
-        "orthogonal_curves": curve_names(model, support),
+        "orthogonal_curves": curve_names(model, analysis.support),
         "components": components,
         "all_rational": all(c["rational"] for c in components),
     }
 
 
 def _cmd_tau(args) -> dict:
-    model = load_surface(args.surface)
-    a = parse_divisor(model, args.divisor)
-    t = parse_divisor(model, args.twist)
-    value = bounds.obstruction_minimum(model, a, t)
+    analysis = _analysis(args)
+    value = analysis.obstruction_minimum
     return {
-        "surface": model.name,
-        "class": divisor_payload(a),
-        "twist": divisor_payload(t),
+        **_system(analysis),
         "tau": exact_value(value),
-        "finite": not isinstance(value, bounds._PositiveInfinity),
-        "orthogonal_curves": curve_names(model, model.exceptional_curves(a)),
+        "finite": value is not bounds.INFINITY,
+        "orthogonal_curves": curve_names(analysis.model, analysis.support),
     }
 
 
 def _cmd_obstructions(args) -> dict:
-    model = load_surface(args.surface)
-    a = parse_divisor(model, args.divisor)
-    t = parse_divisor(model, args.twist)
-    obs = bounds.enumerate_obstructions(model, a, t, args.cluster)
+    analysis = _analysis(args)
+    model = analysis.model
+    obs = analysis.enumerate_obstructions(args.cluster)
     if args.oracle:
-        ref = bounds.obstruction_oracle(model, a, t, args.cluster, margin=args.box_margin)
+        ref = bounds.obstruction_oracle(analysis, args.cluster, margin=args.box_margin)
         if [e.coefficients for e in ref.entries] != [e.coefficients for e in obs.entries]:
             raise OracleMismatch(
                 f"search found {len(obs.entries)} obstructions, "
                 f"box found {len(ref.entries)}"
             )
-    payload = to_payload(obs, model)
+    payload = to_payload(obs)
     payload["support_names"] = curve_names(model, obs.support)
     payload["count"] = len(obs.entries)
-    payload["witness_minimum"] = to_payload(obs.witness_minimum, model)
+    payload["witness_minimum"] = to_payload(obs.witness_minimum)
     payload["oracle_checked"] = bool(args.oracle)
-    return {"surface": model.name, "class": divisor_payload(a),
-            "twist": divisor_payload(t), "obstructions": payload}
+    return {**_system(analysis), "obstructions": payload}
 
 
 def _cmd_ek(args) -> dict:
-    model = load_surface(args.surface)
-    a = parse_divisor(model, args.divisor)
-    t = parse_divisor(model, args.twist)
-    corr = bounds.correction_divisor(model, a, t, args.cluster)
-    sep = bounds.separating_divisor(model, a)
-    corr_payload = to_payload(corr, model)
+    analysis = _analysis(args)
+    model = analysis.model
+    corr = analysis.correction_divisor(args.cluster)
+    sep = analysis.separating_divisor
+    corr_payload = to_payload(corr)
     corr_payload["support_names"] = curve_names(model, corr.support)
-    sep_payload = to_payload(sep, model)
+    sep_payload = to_payload(sep)
     for piece, raw in zip(sep.pieces, sep_payload["pieces"]):
         raw["component_names"] = curve_names(model, piece.component)
-    return {
-        "surface": model.name,
-        "class": divisor_payload(a),
-        "twist": divisor_payload(t),
-        "correction": corr_payload,
-        "separating": sep_payload,
-    }
+    return {**_system(analysis), "correction": corr_payload, "separating": sep_payload}
 
 
 def _cmd_bounds(args) -> dict:
-    model = load_surface(args.surface)
-    a = parse_divisor(model, args.divisor)
-    t = parse_divisor(model, args.twist)
+    analysis = _analysis(args)
+    model, a, t = analysis.model, analysis.a, analysis.t
     k = args.cluster
-    bounds._require_nef_big(model, a)
+    threshold = analysis.threshold_at(t)
     payload = {
-        "surface": model.name,
-        "class": divisor_payload(a),
-        "twist": divisor_payload(t),
+        **_system(analysis),
         "k": k,
-        "threshold": exact_value(bounds.vanishing_threshold(model, a, t)),
-        "level": bounds.vanishing_level(model, a, t),
-        "threshold_plus_k": exact_value(k + bounds.vanishing_threshold(model, a, t)),
-        "canonical_threshold": exact_value(
-            bounds.vanishing_threshold(model, a, model.canonical_class)
-        ),
-        "hodge": to_payload(bounds.hodge_defect(model, a, t), model),
-        "tau": exact_value(bounds.obstruction_minimum(model, a, t)),
-        "conditions": to_payload(bounds.condition_check(model, a, t, k), model),
+        "threshold": exact_value(threshold),
+        "level": analysis.level_at(t),
+        "threshold_plus_k": exact_value(k + threshold),
+        "canonical_threshold": exact_value(analysis.threshold_at(model.canonical_class)),
+        "hodge": to_payload(bounds.hodge_defect(model, a, t)),
+        "tau": exact_value(analysis.obstruction_minimum),
+        "conditions": to_payload(analysis.condition_check(k)),
         "degree_caps": {
             str(x): exact_value(bounds.degree_cap_threshold(model, a, t, k, x))
             for x in (1, 2, 3)
@@ -421,33 +419,25 @@ def _cmd_bounds(args) -> dict:
     if args.multiple is not None:
         payload["n"] = args.multiple
         payload["quadratic"] = to_payload(
-            bounds.obstruction_quadratic(model, a, t, args.multiple, k), model
+            bounds.obstruction_quadratic(model, a, t, args.multiple, k)
         )
-        payload["check"] = to_payload(
-            bounds.threshold_holds(model, a, t, args.multiple, k), model
-        )
+        payload["check"] = to_payload(bounds.threshold_holds(analysis, args.multiple, k))
     return payload
 
 
 def _cmd_thresholds(args) -> dict:
-    model = load_surface(args.surface)
-    a = parse_divisor(model, args.divisor)
-    t = parse_divisor(model, args.twist)
+    analysis = _analysis(args)
     table = bounds.theorem_thresholds(
-        model,
-        a,
-        t,
+        analysis,
         k=args.cluster,
         n=args.multiple,
         no_fixed_part=args.assert_no_fixed_part,
         base_point_free=args.assert_base_point_free,
     )
     return {
-        "surface": model.name,
-        "class": divisor_payload(a),
-        "twist": divisor_payload(t),
+        **_system(analysis),
         "k": args.cluster,
-        "thresholds": {key: to_payload(entry, model) for key, entry in table.items()},
+        "thresholds": {key: to_payload(entry) for key, entry in table.items()},
     }
 
 
@@ -483,7 +473,7 @@ def _cmd_report(args) -> dict:
         "input": divisor_payload(d),
         "positive": divisor_payload(dec.positive),
         "negative": divisor_payload(dec.negative),
-        "kappa_is_two": zariski.kappa_is_two(model, d),
+        "kappa_is_two": zariski.kappa_is_two(model, dec),
     }
     if not payload["kappa_is_two"]:
         payload["note"] = (
@@ -492,25 +482,29 @@ def _cmd_report(args) -> dict:
         )
         return payload
     report = bounds.build_bound_report(
-        model,
-        dec.positive,
-        t,
+        bounds.Analysis(model, dec.positive, t),
         k=args.cluster,
         n=args.multiple,
         no_fixed_part=args.assert_no_fixed_part,
         base_point_free=args.assert_base_point_free,
     )
-    payload["report"] = to_payload(report, model)
+    payload["report"] = to_payload(report)
     return payload
 
 
 # -- driver ------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: in-process callers (tests, the
+    benchmark, embedding) then pay for it once, not once per command."""
+    return build_parser()
+
+
 def run_subcommand(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

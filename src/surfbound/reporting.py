@@ -13,12 +13,12 @@ import dataclasses
 from fractions import Fraction
 from typing import Any
 
-from .bounds import INFINITY, _PositiveInfinity
+from .bounds import INFINITY
 from .surface import DivisorClass, SurfaceModel
 
 
 def exact_value(value) -> dict:
-    if isinstance(value, _PositiveInfinity):
+    if value is INFINITY:
         return {"exact": "inf", "approx": None}
     frac = Fraction(value)
     if frac.denominator == 1:
@@ -37,12 +37,12 @@ def curve_names(model: SurfaceModel, indices) -> list[str]:
     return [model.curves[i].name for i in indices]
 
 
-def to_payload(value: Any, model: SurfaceModel) -> Any:
+def to_payload(value: Any) -> Any:
     """Recursively convert results (dataclasses, Fractions, divisors,
     dicts, sequences) into JSON-serializable structures."""
     if value is None or isinstance(value, (str, bool)):
         return value
-    if isinstance(value, (Fraction, _PositiveInfinity)):
+    if value is INFINITY or isinstance(value, Fraction):
         return exact_value(value)
     if isinstance(value, int):
         return value
@@ -51,12 +51,12 @@ def to_payload(value: Any, model: SurfaceModel) -> Any:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out = {}
         for field in dataclasses.fields(value):
-            out[field.name] = to_payload(getattr(value, field.name), model)
+            out[field.name] = to_payload(getattr(value, field.name))
         return out
     if isinstance(value, dict):
-        return {str(k): to_payload(v, model) for k, v in value.items()}
+        return {str(k): to_payload(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [to_payload(v, model) for v in value]
+        return [to_payload(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lattice
@@ -256,18 +257,28 @@ class SurfaceModel:
                     total[j] += coeff * x
         return DivisorClass.of(total)
 
-    def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-        if d1.rank != self.rank or d2.rank != self.rank:
+    def _cleared(self, d: DivisorClass) -> tuple[list[int], int]:
+        """Integer numerators v and their common denominator m, d = v / m:
+        the pairings sum in integers and build one Fraction at the end."""
+        if d.rank != self.rank:
             raise RankMismatch("divisor rank does not match the model")
-        return lattice.dot(d1.coords, lattice.mat_vec(self.gram, d2.coords))
+        m = lcm(*(c.denominator for c in d.coords))
+        return [c.numerator * (m // c.denominator) for c in d.coords], m
+
+    def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
+        v1, m1 = self._cleared(d1)
+        v2, m2 = self._cleared(d2)
+        total = sum(
+            x * sum(g * y for g, y in zip(row, v2) if y) for x, row in zip(v1, self.gram) if x
+        )
+        return Q(total, m1 * m2)
 
     def self_intersection(self, d: DivisorClass) -> Fraction:
         return self.intersect(d, d)
 
     def pair_curve(self, d: DivisorClass, index: int) -> Fraction:
-        if d.rank != self.rank:
-            raise RankMismatch("divisor rank does not match the model")
-        return sum((c * g for c, g in zip(d.coords, self.curve_rows[index]) if g), Q(0))
+        v, m = self._cleared(d)
+        return Q(sum(x * g for x, g in zip(v, self.curve_rows[index]) if x), m)
 
     def canonical_pairing(self, d: DivisorClass) -> Fraction:
         return self.intersect(self.canonical_class, d)

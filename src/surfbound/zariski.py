@@ -185,16 +185,14 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
     return _finalize(model, d, solved)
 
 
-def kappa_is_two(model: SurfaceModel, d: DivisorClass) -> bool:
+def kappa_is_two(model: SurfaceModel, decomposition: ZariskiDecomposition) -> bool:
     """True when the positive part is big, the numerical stand-in for
     maximal Kodaira dimension."""
-    decomposition = zariski_decompose(model, d)
     return model.self_intersection(decomposition.positive) > 0
 
 
-def h1_correction(model: SurfaceModel, d: DivisorClass) -> H1Correction:
-    """Correction coefficients attached to the negative part of d."""
-    decomposition = zariski_decompose(model, d)
+def h1_correction(model: SurfaceModel, decomposition: ZariskiDecomposition) -> H1Correction:
+    """Correction coefficients attached to the negative part."""
     f = decomposition.negative
     c2 = -model.self_intersection(f) / 2
     c1 = model.intersect(f, model.canonical_class) / 2

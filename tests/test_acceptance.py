@@ -45,7 +45,7 @@ def test_criterion_1_double_cover_family(fixture_models):
         zero = model.zero_divisor()
         assert bounds.vanishing_threshold(model, a, zero) == Q(2 * d - 5, 2)
         assert bounds.vanishing_level(model, a, zero) == d - 2
-        table = bounds.theorem_thresholds(model, a, zero, k=2)
+        table = bounds.theorem_thresholds(bounds.Analysis(model, a, zero), k=2)
         assert table["k_very_ample"].least_n == d
         assert bounds.matsusaka_compare(model, a).least_n_here == d
     assert_budget(started, 1.0)
@@ -158,7 +158,7 @@ def test_criterion_5_correction_divisors(fixture_models, rng):
         orthogonal = model.exceptional_curves(a)
         for k in range(4):
             t = model.divisor([rng.randint(-2, 2) for _ in range(model.rank)])
-            corr = bounds.correction_divisor(model, a, t, k)
+            corr = bounds.Analysis(model, a, t).correction_divisor(k)
             assert corr.support == orthogonal
             assert all(isinstance(c, int) and c >= 0 for c in corr.coefficients)
             scaled = model.divisor_from_curves(
@@ -206,24 +206,24 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
     f2 = fixture_models["hirzebruch_f2"]
     zero_a2 = a2.zero_divisor()
     zero_f2 = f2.zero_divisor()
-    assert bounds.obstruction_minimum(a2, a2.divisor([1, 0, 0]), zero_a2) == 2
-    assert bounds.obstruction_minimum(f2, f2.divisor([2, 1]), zero_f2) == 2
+    assert bounds.Analysis(a2, a2.divisor([1, 0, 0]), zero_a2).obstruction_minimum == 2
+    assert bounds.Analysis(f2, f2.divisor([2, 1]), zero_f2).obstruction_minimum == 2
     for name, model in fixture_models.items():
         a = model.divisor(model.ample_reference)
-        tau = bounds.obstruction_minimum(model, a, model.zero_divisor())
+        tau = bounds.Analysis(model, a, model.zero_divisor()).obstruction_minimum
         assert (tau is INFINITY) == (not model.exceptional_curves(a)), name
         assert tau is INFINITY  # ample references pair positively everywhere
-        assert bounds.enumerate_obstructions(model, a, model.zero_divisor(), 3).is_empty
+        assert bounds.Analysis(model, a, model.zero_divisor()).enumerate_obstructions(3).is_empty
     small = ("ade_a1", "ade_a2", "ade_a3", "ade_a4", "ade_d4", "a2_resolution")
     structured = [(fixture_models[n], fixture_models[n].curve_divisor(0)) for n in small]
     structured.append((f2, f2.divisor([2, 1])))
     for model, a in structured:
         zero = model.zero_divisor()
-        tau = bounds.obstruction_minimum(model, a, zero)
+        tau = bounds.Analysis(model, a, zero).obstruction_minimum
         assert tau is not INFINITY
         for k in range(3):
-            fast = bounds.enumerate_obstructions(model, a, zero, k)
-            slow = bounds.obstruction_oracle(model, a, zero, k, margin=2)
+            fast = bounds.Analysis(model, a, zero).enumerate_obstructions(k)
+            slow = bounds.obstruction_oracle(bounds.Analysis(model, a, zero), k, margin=2)
             assert fast.entries == slow.entries
             assert fast.is_empty == (k < tau)
             if not fast.is_empty:
@@ -236,10 +236,10 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
         a = polarization(model)
         t = model.divisor([rng.randint(-2, 2) for _ in range(model.rank)])
         k = rng.randint(0, 2)
-        fast = bounds.enumerate_obstructions(model, a, t, k)
-        slow = bounds.obstruction_oracle(model, a, t, k, margin=2)
+        fast = bounds.Analysis(model, a, t).enumerate_obstructions(k)
+        slow = bounds.obstruction_oracle(bounds.Analysis(model, a, t), k, margin=2)
         assert fast.entries == slow.entries
-        tau = bounds.obstruction_minimum(model, a, t)
+        tau = bounds.Analysis(model, a, t).obstruction_minimum
         assert fast.is_empty == (tau > k)
     assert_budget(started, 30.0)
 

@@ -7,30 +7,27 @@ before being asserted here.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from surfbound import bounds
+from surfbound import bounds, zariski
+from surfbound.cli import run_subcommand
 from surfbound.bounds import (
     BRACKET_WIDTH,
     INFINITY,
+    Analysis,
     build_bound_report,
-    condition_check,
-    correction_divisor,
     degree_cap_threshold,
-    enumerate_obstructions,
     hodge_defect,
     least_integer_above,
     lr_deficiency,
     matsusaka_compare,
     multiple_gap_bracket,
-    obstruction_minimum,
     obstruction_oracle,
     obstruction_quadratic,
-    ring_generation_threshold,
     ring_step_threshold,
-    separating_divisor,
     theorem_thresholds,
     threshold_holds,
     vanishing_level,
@@ -43,6 +40,7 @@ from surfbound.errors import (
     NonpositiveX,
     NotAmple,
     NotBig,
+    NotNefBig,
     UnverifiableHypothesis,
 )
 from surfbound.surface import SurfaceModel
@@ -143,15 +141,15 @@ class TestThresholdHolds:
         model = double_cover(5)
         h = model.divisor([1])
         zero = model.zero_divisor()
-        assert threshold_holds(model, h, zero, n=5, k=2).holds
-        assert threshold_holds(model, h, zero, n=5, k=2).strict_branch
-        assert not threshold_holds(model, h, zero, n=4, k=2).holds
+        assert threshold_holds(Analysis(model, h, zero), n=5, k=2).holds
+        assert threshold_holds(Analysis(model, h, zero), n=5, k=2).strict_branch
+        assert not threshold_holds(Analysis(model, h, zero), n=4, k=2).holds
 
     def test_proportional_branch_carries_caveat(self):
         model = plane()
         h = model.divisor([1])
         k_class = model.canonical_class
-        check = threshold_holds(model, h, k_class, n=1, k=0)
+        check = threshold_holds(Analysis(model, h, k_class), n=1, k=0)
         assert check.holds
         assert not check.strict_branch
         assert check.proportional_branch
@@ -160,20 +158,20 @@ class TestThresholdHolds:
     def test_strict_branch_suppresses_caveat(self):
         model = plane()
         h = model.divisor([1])
-        check = threshold_holds(model, h, model.canonical_class, n=2, k=0)
+        check = threshold_holds(Analysis(model, h, model.canonical_class), n=2, k=0)
         assert check.holds and check.strict_branch
         assert not check.numerical_equivalence_caveat
 
     def test_proportional_branch_needs_level_zero(self):
         model = plane()
         h = model.divisor([1])
-        check = threshold_holds(model, h, model.canonical_class, n=1, k=1)
+        check = threshold_holds(Analysis(model, h, model.canonical_class), n=1, k=1)
         assert not check.holds
 
     def test_monotone_in_n(self, f2):
         a = f2.divisor([2, 1])
         t = f2.curve_divisor(0)
-        results = [threshold_holds(f2, a, t, n, 1).holds for n in range(-3, 6)]
+        results = [threshold_holds(Analysis(f2, a, t), n, 1).holds for n in range(-3, 6)]
         assert results == sorted(results)  # once true, stays true
 
 
@@ -284,7 +282,7 @@ class TestDegreeCaps:
 class TestObstructionEnumeration:
     def test_root_configuration_level_two(self, a2):
         h = a2.divisor([1, 0, 0])
-        obs = enumerate_obstructions(a2, h, a2.zero_divisor(), 2)
+        obs = Analysis(a2, h, a2.zero_divisor()).enumerate_obstructions(2)
         assert obs.support == (1, 2)  # curve 0 is the plane class h
         got = {e.coefficients: e.value for e in obs.entries}
         assert got == {(1, 0): 2, (0, 1): 2, (1, 1): 2}
@@ -294,27 +292,27 @@ class TestObstructionEnumeration:
 
     def test_root_configuration_level_one_empty(self, a2):
         h = a2.divisor([1, 0, 0])
-        assert enumerate_obstructions(a2, h, a2.zero_divisor(), 1).is_empty
+        assert Analysis(a2, h, a2.zero_divisor()).enumerate_obstructions(1).is_empty
 
     def test_ample_class_sees_nothing(self):
         model = double_cover(4)
         h = model.divisor([1])
         for k in (0, 1, 5, 50):
-            assert enumerate_obstructions(model, h, model.zero_divisor(), k).is_empty
+            assert Analysis(model, h, model.zero_divisor()).enumerate_obstructions(k).is_empty
 
     def test_oracle_margins_agree(self, a2, rng):
         h = a2.divisor([1, 0, 0])
         zero = a2.zero_divisor()
         for k in range(-1, 6):
-            fast = enumerate_obstructions(a2, h, zero, k)
+            fast = Analysis(a2, h, zero).enumerate_obstructions(k)
             for margin in (Q(1), Q(2), Q(7, 2), Q(5)):
-                slow = obstruction_oracle(a2, h, zero, k, margin=margin)
+                slow = obstruction_oracle(Analysis(a2, h, zero), k, margin=margin)
                 assert fast.entries == slow.entries
 
     def test_oracle_rejects_deflating_margin(self, a2):
         h = a2.divisor([1, 0, 0])
         with pytest.raises(NonpositiveInput):
-            obstruction_oracle(a2, h, a2.zero_divisor(), 2, margin=Q(1, 2))
+            obstruction_oracle(Analysis(a2, h, a2.zero_divisor()), 2, margin=Q(1, 2))
 
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
     def test_level_two_finds_exactly_the_positive_roots(self, fixture_models, kind, size):
@@ -323,13 +321,13 @@ class TestObstructionEnumeration:
         model = fixture_models[f"ade_{kind}{size}"]
         h = model.curve_divisor(model.curve_index("h"))
         zero = model.zero_divisor()
-        obs = enumerate_obstructions(model, h, zero, 2)
+        obs = Analysis(model, h, zero).enumerate_obstructions(2)
         assert len(obs.entries) == POSITIVE_ROOTS[kind](size)
         for entry in obs.entries:
             assert model.self_intersection(entry.divisor) == -2
             assert entry.value == 2
-        assert enumerate_obstructions(model, h, zero, 0).is_empty
-        assert enumerate_obstructions(model, h, zero, 1).is_empty
+        assert Analysis(model, h, zero).enumerate_obstructions(0).is_empty
+        assert Analysis(model, h, zero).enumerate_obstructions(1).is_empty
 
     @pytest.mark.parametrize("name,levels", [("ade_e6", (0, 1, 2)), ("ade_e7", (0,))])
     def test_search_matches_box_on_exceptional_types(self, fixture_models, rng, name, levels):
@@ -343,8 +341,8 @@ class TestObstructionEnumeration:
             ))
         for t in twists:
             for k in levels:
-                fast = enumerate_obstructions(model, h, t, k)
-                slow = obstruction_oracle(model, h, t, k, margin=1)
+                fast = Analysis(model, h, t).enumerate_obstructions(k)
+                slow = obstruction_oracle(Analysis(model, h, t), k, margin=1)
                 assert fast.entries == slow.entries
 
     def test_search_matches_box_on_random_blocks(self, rng):
@@ -354,8 +352,8 @@ class TestObstructionEnumeration:
             a = polarization(model)
             t = model.divisor([rng.randint(-3, 3) for _ in range(model.rank)])
             for k in range(4):
-                fast = enumerate_obstructions(model, a, t, k)
-                slow = obstruction_oracle(model, a, t, k, margin=1)
+                fast = Analysis(model, a, t).enumerate_obstructions(k)
+                slow = obstruction_oracle(Analysis(model, a, t), k, margin=1)
                 assert fast.entries == slow.entries
 
     def test_search_rejects_indefinite_form(self):
@@ -370,39 +368,39 @@ class TestObstructionEnumeration:
             a = polarization(model)
             t = model.divisor([rng.randint(-2, 2) for _ in range(model.rank)])
             for k in (0, 1, 2):
-                repair = correction_divisor(model, a, t, k)
+                repair = Analysis(model, a, t).correction_divisor(k)
                 repaired = t - repair.divisor
                 assert all(
                     v == 0 for v in lr_deficiency(model, a, repaired, k).values()
                 )
-                assert enumerate_obstructions(model, a, repaired, k).is_empty
+                assert Analysis(model, a, repaired).enumerate_obstructions(k).is_empty
 
 
 class TestObstructionMinimum:
     def test_known_minima(self, f2, a2):
-        assert obstruction_minimum(f2, f2.divisor([2, 1]), f2.zero_divisor()) == 2
-        assert obstruction_minimum(a2, a2.divisor([1, 0, 0]), a2.zero_divisor()) == 2
+        assert Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor()).obstruction_minimum == 2
+        assert Analysis(a2, a2.divisor([1, 0, 0]), a2.zero_divisor()).obstruction_minimum == 2
 
     def test_ample_case_is_infinite(self):
         for d in (3, 4, 5):
             model = double_cover(d)
-            got = obstruction_minimum(model, model.divisor([1]), model.zero_divisor())
+            got = Analysis(model, model.divisor([1]), model.zero_divisor()).obstruction_minimum
             assert got is INFINITY
 
     def test_infinite_iff_no_orthogonal_curves(self, fixture_models):
         for model in fixture_models.values():
             a = model.divisor(model.ample_reference)
-            tau = obstruction_minimum(model, a, model.zero_divisor())
+            tau = Analysis(model, a, model.zero_divisor()).obstruction_minimum
             assert (tau is INFINITY) == (model.exceptional_curves(a) == ())
 
     def test_minimum_is_attained_and_sharp(self, a2):
         h = a2.divisor([1, 0, 0])
         zero = a2.zero_divisor()
-        tau = obstruction_minimum(a2, h, zero)
-        at = enumerate_obstructions(a2, h, zero, tau)
+        tau = Analysis(a2, h, zero).obstruction_minimum
+        at = Analysis(a2, h, zero).enumerate_obstructions(tau)
         assert not at.is_empty
         assert min(e.value for e in at.entries) == tau
-        assert enumerate_obstructions(a2, h, zero, tau - 1).is_empty
+        assert Analysis(a2, h, zero).enumerate_obstructions(tau - 1).is_empty
 
     def test_infinity_comparisons(self):
         assert INFINITY > 10**12
@@ -415,7 +413,7 @@ class TestObstructionMinimum:
 class TestCorrectionDivisor:
     def test_ruled_level_one(self, f2):
         a = f2.divisor([2, 1])
-        e1 = correction_divisor(f2, a, f2.zero_divisor(), 1)
+        e1 = Analysis(f2, a, f2.zero_divisor()).correction_divisor(1)
         assert e1.support == (1,)
         assert e1.coefficients == (1,)
         assert e1.det_abs == 2
@@ -423,7 +421,7 @@ class TestCorrectionDivisor:
 
     def test_root_configuration_level_two(self, a2):
         h = a2.divisor([1, 0, 0])
-        ek = correction_divisor(a2, h, a2.zero_divisor(), 2)
+        ek = Analysis(a2, h, a2.zero_divisor()).correction_divisor(2)
         assert ek.support == (1, 2)
         assert ek.sigma == (Q(2), Q(2))
         assert ek.det_abs == 3
@@ -431,7 +429,7 @@ class TestCorrectionDivisor:
 
     def test_zero_when_no_deficiency(self, f2):
         a = f2.divisor([2, 1])
-        e0 = correction_divisor(f2, a, f2.zero_divisor(), 0)
+        e0 = Analysis(f2, a, f2.zero_divisor()).correction_divisor(0)
         assert e0.divisor.is_zero
         assert e0.coefficients == (0,)
 
@@ -448,7 +446,7 @@ class TestCorrectionDivisor:
             a = polarization(model)
             t = model.divisor([rng.randint(-3, 3) for _ in range(model.rank)])
             for k in range(4):
-                ek = correction_divisor(model, a, t, k)
+                ek = Analysis(model, a, t).correction_divisor(k)
                 assert all(c >= 0 for c in ek.coefficients)
                 repaired = t - ek.divisor
                 for i in model.exceptional_curves(a):
@@ -461,8 +459,8 @@ class TestCorrectionDivisor:
         model = block_model(rng, [2, 2], name="subset")
         a = polarization(model)
         t = model.zero_divisor()
-        full = correction_divisor(model, a, t, 3)
-        left = correction_divisor(model, a, t, 3, subset=(0, 1))
+        full = Analysis(model, a, t).correction_divisor(3)
+        left = Analysis(model, a, t).correction_divisor(3, subset=(0, 1))
         assert left.support == (0, 1)
         # blocks decouple, so the unscaled solutions agree; the published
         # coefficients differ only by the Cramer determinant factor
@@ -473,14 +471,14 @@ class TestCorrectionDivisor:
 
 class TestSeparatingDivisor:
     def test_ruled_uses_fundamental_cycle(self, f2):
-        sep = separating_divisor(f2, f2.divisor([2, 1]))
+        sep = Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor()).separating_divisor
         assert sep.divisor.coords == (Q(0), Q(1))
         (piece,) = sep.pieces
         assert piece.from_fundamental_cycle
         assert piece.coefficients == (1,)
 
     def test_root_configuration_cycle(self, a2):
-        sep = separating_divisor(a2, a2.divisor([1, 0, 0]))
+        sep = Analysis(a2, a2.divisor([1, 0, 0]), a2.zero_divisor()).separating_divisor
         (piece,) = sep.pieces
         assert piece.from_fundamental_cycle
         assert piece.coefficients == (1, 1)
@@ -489,7 +487,7 @@ class TestSeparatingDivisor:
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
         a = model.construct_polarization([0], e0)
-        sep = separating_divisor(model, a)
+        sep = Analysis(model, a, model.zero_divisor()).separating_divisor
         (piece,) = sep.pieces
         assert not piece.from_fundamental_cycle
         # K.C = points - 9 > 0 forces a correction of exactly that size
@@ -502,35 +500,37 @@ class TestConditionFlags:
     def test_ruled_levels(self, f2):
         a = f2.divisor([2, 1])
         zero = f2.zero_divisor()
-        at0 = condition_check(f2, a, zero, 0)
+        at0 = Analysis(f2, a, zero).condition_check(0)
         assert at0.laufer_ramanujam and at0.artin and not at0.matsusaka
-        at1 = condition_check(f2, a, zero, 1)
+        at1 = Analysis(f2, a, zero).condition_check(1)
         assert not at1.laufer_ramanujam
 
     def test_ample_class(self):
         model = double_cover(5)
-        flags = condition_check(model, model.divisor([1]), model.zero_divisor(), 0)
+        flags = Analysis(model, model.divisor([1]), model.zero_divisor()).condition_check(0)
         assert flags.matsusaka and flags.laufer_ramanujam and flags.artin
 
     def test_elliptic_not_artin(self, rng):
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
         a = model.construct_polarization([0], e0)
-        flags = condition_check(model, a, model.zero_divisor(), 0)
+        flags = Analysis(model, a, model.zero_divisor()).condition_check(0)
         assert not flags.artin
 
 
 class TestRingGeneration:
     def test_step_threshold_branches(self, f2):
         a = f2.divisor([2, 1])
-        assert ring_step_threshold(f2, a, 2, 1, v_is_zero=True) == 4
-        assert ring_step_threshold(f2, a, 2, 1, v_is_zero=False) == Q(17, 2)
+        analysis = Analysis(f2, a, f2.zero_divisor())
+        assert ring_step_threshold(analysis, 2, 1, v_is_zero=True) == 4
+        assert ring_step_threshold(analysis, 2, 1, v_is_zero=False) == Q(17, 2)
         with pytest.raises(NonpositiveInput):
-            ring_step_threshold(f2, a, 0, 1, v_is_zero=True)
+            ring_step_threshold(analysis, 0, 1, v_is_zero=True)
 
     def test_double_cover_quintic(self):
         model = double_cover(5)
-        ring = ring_generation_threshold(model, model.divisor([1]))
+        analysis = Analysis(model, model.divisor([1]), model.zero_divisor())
+        ring = analysis.ring_generation_threshold()
         assert ring.case == "rational"
         assert ring.multiplier_level == 4
         assert ring.stability_level == 3
@@ -539,13 +539,14 @@ class TestRingGeneration:
 
     def test_double_cover_quartic(self):
         model = double_cover(4)
-        ring = ring_generation_threshold(model, model.divisor([1]))
+        analysis = Analysis(model, model.divisor([1]), model.zero_divisor())
+        ring = analysis.ring_generation_threshold()
         assert ring.doubled_bound == 13
         assert ring.least_m == 7
 
     def test_ruled_surface_inapplicable(self, f2):
         with pytest.raises(NonpositiveLP):
-            ring_generation_threshold(f2, f2.divisor([2, 1]))
+            Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor()).ring_generation_threshold()
 
     def test_elliptic_needs_assertion(self, rng):
         model = plumbing_elliptic(rng)
@@ -554,8 +555,9 @@ class TestRingGeneration:
         if bounds.vanishing_level(model, a, model.zero_divisor()) < 1:
             pytest.skip("polarization too small for the ring statement")
         with pytest.raises(UnverifiableHypothesis):
-            ring_generation_threshold(model, a)
-        ring = ring_generation_threshold(model, a, no_fixed_part=True)
+            Analysis(model, a, model.zero_divisor()).ring_generation_threshold()
+        analysis = Analysis(model, a, model.zero_divisor())
+        ring = analysis.ring_generation_threshold(no_fixed_part=True)
         assert ring.case == "no_fixed_part"
         assert 2 * ring.least_m > ring.doubled_bound
 
@@ -586,7 +588,7 @@ class TestMatsusakaComparison:
 class TestTheoremThresholds:
     def test_ruled_table(self, f2):
         a = f2.divisor([2, 1])
-        table = theorem_thresholds(f2, a, f2.zero_divisor(), k=0, n=1)
+        table = theorem_thresholds(Analysis(f2, a, f2.zero_divisor()), k=0, n=1)
         expected_keys = {
             "k_very_ample",
             "min_degree",
@@ -631,7 +633,7 @@ class TestTheoremThresholds:
         for name in ("ade_a2", "ade_d4", "hirzebruch_f2"):
             model = fixture_models[name]
             a = model.divisor(model.ample_reference)
-            table = theorem_thresholds(model, a, model.zero_divisor())
+            table = theorem_thresholds(Analysis(model, a, model.zero_divisor()))
             for entry in table.values():
                 if entry.bound is None:
                     assert entry.least_n is None
@@ -654,7 +656,7 @@ class TestTheoremThresholds:
             curves=[("c1", [0, 1, -1, 0, 0]), ("c2", [0, 0, 0, 1, -1])],
         )
         a = model.divisor([1, 0, 0, 0, 0])
-        table = theorem_thresholds(model, a, model.zero_divisor())
+        table = theorem_thresholds(Analysis(model, a, model.zero_divisor()))
         entry = table["component_separation"]
         assert entry.established
         pair = entry.extras["pair_bounds"]
@@ -666,8 +668,8 @@ class TestTheoremThresholds:
     def test_assertions_flip_establishment(self, f2):
         a = f2.divisor([2, 1])
         zero = f2.zero_divisor()
-        bare = theorem_thresholds(f2, a, zero)
-        asserted = theorem_thresholds(f2, a, zero, no_fixed_part=True)
+        bare = theorem_thresholds(Analysis(f2, a, zero))
+        asserted = theorem_thresholds(Analysis(f2, a, zero), no_fixed_part=True)
         assert not bare["base_point_free_asserted"].established
         assert asserted["base_point_free_asserted"].established
         assert not bare["h0_chi_offset"].established
@@ -677,12 +679,12 @@ class TestTheoremThresholds:
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
         a = model.construct_polarization([0], e0)
-        table = theorem_thresholds(model, a, model.zero_divisor())
+        table = theorem_thresholds(Analysis(model, a, model.zero_divisor()))
         assert not table["h1_vanishes_rational"].established
         fibers = table["connected_fibers"]
         assert "separating" in fibers.extras
         base = vanishing_threshold(model, a, model.zero_divisor())
-        sep = separating_divisor(model, a)
+        sep = Analysis(model, a, model.zero_divisor()).separating_divisor
         assert fibers.bound == max(
             2 + base, vanishing_threshold(model, a, -sep.divisor)
         )
@@ -691,7 +693,7 @@ class TestTheoremThresholds:
 class TestBoundReport:
     def test_ruled_report(self, f2):
         a = f2.divisor([2, 1])
-        report = build_bound_report(f2, a, f2.zero_divisor(), k=0, n=2)
+        report = build_bound_report(Analysis(f2, a, f2.zero_divisor()), k=0, n=2)
         assert report.threshold == Q(-3, 2)
         assert report.level == -1
         assert report.canonical_threshold == Q(1, 2)
@@ -703,14 +705,52 @@ class TestBoundReport:
 
     def test_ample_report_carries_comparison(self):
         model = double_cover(5)
-        report = build_bound_report(model, model.divisor([1]), model.zero_divisor())
+        report = build_bound_report(Analysis(model, model.divisor([1]), model.zero_divisor()))
         assert report.matsusaka is not None
         assert report.tau is INFINITY
         assert report.quadratic is None and report.check is None
 
     def test_report_without_n_still_brackets_gap(self, a2):
         h = a2.divisor([1, 0, 0])
-        report = build_bound_report(a2, h, a2.zero_divisor(), k=1)
+        report = build_bound_report(Analysis(a2, h, a2.zero_divisor()), k=1)
         assert report.multiple_gap is not None
         assert report.obstructions.is_empty  # level 1 has no obstructions
         assert report.correction.level == 1
+
+
+class TestAnalysis:
+    def test_report_derives_each_value_once(self, monkeypatch, capsys):
+        # one report builds one analysis: A is checked once, the one
+        # component gets one fundamental cycle, and the only enumerations
+        # are the obstruction set at k and the sublevel set behind tau
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(SurfaceModel, "exceptional_curves")
+        count(bounds, "_enumerate_box")
+        count(bounds, "fundamental_cycle")
+        count(zariski, "zariski_decompose")
+        argv = ["report", "--surface", "ade_e6", "--divisor", "2*h",
+                "--twist=1*h+c1", "-k", "2", "-n", "5", "--json"]
+        assert run_subcommand(argv) == 0
+        assert capsys.readouterr().out
+        assert calls == {
+            "exceptional_curves": 1,
+            "_enumerate_box": 2,
+            "fundamental_cycle": 1,
+            "zariski_decompose": 1,
+        }
+
+    def test_rejects_a_class_that_is_not_nef_and_big(self, f2):
+        with pytest.raises(NotNefBig):
+            Analysis(f2, f2.curve_divisor(1), f2.zero_divisor())  # s.s = -2
+        with pytest.raises(NotNefBig):
+            Analysis(f2, f2.curve_divisor(0), f2.zero_divisor())  # f.f = 0

@@ -74,14 +74,15 @@ class TestKnownDecompositions:
 class TestKappaAndCorrection:
     def test_kappa_two_iff_positive_square(self, fixture_models):
         model = fixture_models["hirzebruch_f2"]
-        assert kappa_is_two(model, zariski_decompose(model, model.divisor([3, 1])).positive)
+        positive = zariski_decompose(model, model.divisor([3, 1])).positive
+        assert kappa_is_two(model, zariski_decompose(model, positive))
         fiber_dec = zariski_decompose(model, model.curve_divisor(0))
-        assert not kappa_is_two(model, fiber_dec.positive)
+        assert not kappa_is_two(model, zariski_decompose(model, fiber_dec.positive))
 
     def test_correction_coefficients(self, fixture_models):
         model = fixture_models["blowup_p2"]
         e = model.curve_divisor(0)
-        corr = h1_correction(model, 2 * e)
+        corr = h1_correction(model, zariski_decompose(model, 2 * e))
         # F = 2E: c2 = -F^2/2 = 2, c1 = F.K/2 = -1, c0(b) = -c1 b - c2 b^2
         assert corr.c2 == Q(2)
         assert corr.c1 == Q(-1)
@@ -89,14 +90,14 @@ class TestKappaAndCorrection:
 
     def test_correction_of_half_section(self, fixture_models):
         model = fixture_models["hirzebruch_f2"]
-        corr = h1_correction(model, model.divisor([1, 1]))
+        corr = h1_correction(model, zariski_decompose(model, model.divisor([1, 1])))
         assert corr.c2 == Q(1, 4)
         assert corr.c1 == Q(0)
         assert corr.c0(1) == Q(-1, 4)
 
     def test_zero_negative_part_vanishes(self, fixture_models):
         model = fixture_models["hirzebruch_f2"]
-        corr = h1_correction(model, model.zero_divisor())
+        corr = h1_correction(model, zariski_decompose(model, model.zero_divisor()))
         assert corr.c2 == 0 and corr.c1 == 0 and corr.c0(5) == 0
 
 
