@@ -24,12 +24,13 @@ def main() -> None:
         model = load_fixture(f"double_cover_d{d}")
         a = model.divisor(model.ample_reference)
         zero = model.zero_divisor()
-        table = bounds.theorem_thresholds(bounds.Analysis(model, a, zero), k=2)
+        analysis = bounds.Analysis(model, a, zero)
+        table = bounds.theorem_thresholds(analysis, k=2)
         cmp = bounds.matsusaka_compare(model, a)
         rows.append((
             str(d),
-            str(bounds.vanishing_threshold(model, a, zero)),
-            str(bounds.vanishing_level(model, a, zero)),
+            str(analysis.threshold_at(zero)),
+            str(analysis.level_at(zero)),
             f"n >= {table['k_very_ample'].least_n}",
             str(cmp.least_n_here),
             str(cmp.least_n_k_plus_2h),

@@ -21,8 +21,8 @@ zero = f2.zero_divisor()
 
 assert f2.self_intersection(a) == 2
 assert bounds.vanishing_threshold(f2, a, zero) == Q(-3, 2)
-assert bounds.vanishing_level(f2, a, zero) == -1
 fa = bounds.Analysis(f2, a, zero)
+assert fa.level_at(zero) == -1
 assert fa.obstruction_minimum == 2
 
 e1 = fa.correction_divisor(1)
@@ -44,7 +44,7 @@ assert cyc.multiplicity == 2 and cyc.genus == 0
 chk = bounds.threshold_holds(fa, n=0, k=0)
 assert chk.holds and chk.strict_branch, chk
 
-quad = bounds.obstruction_quadratic(f2, a, zero, n=0, k=0)
+quad = fa.quadratic(n=0, k=0)
 assert quad.f_at_one == f2.self_intersection(a) * (0 + Q(-3, 2) - 0), quad
 
 print("f2 ok")
@@ -111,11 +111,11 @@ for d, (want_m, want_ring) in {
         ring = dch.ring_generation_threshold()
         assert ring.least_m == want_ring, (d, ring)
     if d == 5:
-        t2 = bounds.degree_cap_threshold(dc, hh, zz, k=0, x=2)
+        t2 = dch.degree_cap(k=0, x=2)
         assert t2 == 3, t2
-        t2k = bounds.degree_cap_threshold(dc, hh, zz, k=2, x=2)
+        t2k = dch.degree_cap(k=2, x=2)
         assert t2k == 4, t2k
-        t1 = bounds.degree_cap_threshold(dc, hh, zz, k=2, x=1)
+        t1 = dch.degree_cap(k=2, x=1)
         assert t1 == 2 + bounds.vanishing_threshold(dc, hh, zz) == Q(9, 2)
         cmpd = bounds.matsusaka_compare(dc, hh)
         assert cmpd.bound_k_plus_4h == Q(175, 4), cmpd

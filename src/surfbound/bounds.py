@@ -70,32 +70,27 @@ def least_integer_above(bound: Fraction) -> int:
     return floor(bound) + 1
 
 
-def _require_big(model: SurfaceModel, a: DivisorClass) -> Fraction:
-    a2 = model.self_intersection(a)
-    if a2 <= 0:
-        raise NotBig("class needs positive self-intersection")
-    return a2
-
-
 # -- core thresholds -------------------------------------------------------
 
 
 def vanishing_threshold(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -> Fraction:
     """Base rational threshold controlling when very-ampleness failures of
     n*A + T must come from curves orthogonal to A."""
-    a2 = _require_big(model, a)
+    a2 = model.self_intersection(a)
+    if a2 <= 0:
+        raise NotBig("class needs positive self-intersection")
     w = model.canonical_class - t
     wa = model.intersect(w, a)
     return (wa + 2) ** 2 / (4 * a2) - model.self_intersection(w) / 4
 
 
-def vanishing_level(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -> int:
-    """Least integer strictly above the vanishing threshold."""
-    return least_integer_above(vanishing_threshold(model, a, t))
-
-
 @dataclass(frozen=True)
 class HodgeDefect:
+    """h = (A.(T-K))^2 - A^2 (T-K)^2, with the proportionality witness.
+
+    For big A the Hodge index shape of the lattice forces h >= 0 with
+    equality exactly when T - K is a rational multiple of A."""
+
     value: Fraction
     proportional: bool
     ratio: Optional[Fraction]
@@ -110,21 +105,6 @@ def _proportionality(a: DivisorClass, v: DivisorClass) -> tuple[bool, Optional[F
     if all(v.coords[i] == ratio * a.coords[i] for i in range(a.rank)):
         return True, ratio
     return False, None
-
-
-def hodge_defect(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -> HodgeDefect:
-    """h = (A.(T-K))^2 - A^2 (T-K)^2, with the proportionality witness.
-
-    For big A the Hodge index shape of the lattice forces h >= 0 with
-    equality exactly when T - K is a rational multiple of A. For A^2 <= 0
-    the sign can go either way; callers needing the inequality must check
-    bigness themselves.
-    """
-    v = t - model.canonical_class
-    va = model.intersect(v, a)
-    value = va * va - model.self_intersection(a) * model.self_intersection(v)
-    proportional, ratio = _proportionality(a, v)
-    return HodgeDefect(value=value, proportional=proportional, ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -143,11 +123,7 @@ def threshold_holds(analysis: Analysis, n: int, k: int) -> ThresholdCheck:
     numerically proportional to A and n >= threshold."""
     bound = analysis.threshold_at(analysis.t)
     strict = Q(n) > k + bound
-    proportional = (
-        k == 0
-        and hodge_defect(analysis.model, analysis.a, analysis.t).proportional
-        and Q(n) >= bound
-    )
+    proportional = k == 0 and analysis.hodge.proportional and Q(n) >= bound
     return ThresholdCheck(
         holds=strict or proportional,
         strict_branch=strict,
@@ -206,66 +182,6 @@ class ObstructionQuadratic:
     def value(self, x) -> Fraction:
         x = Q(x)
         return x * x - self.linear * x + self.constant
-
-
-def multiple_gap_bracket(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k: int
-) -> RootBracket:
-    """Bracket of the least real n with (n*A + T - K)^2 > 4k; past its
-    upper end the square-gap hypothesis of the obstruction argument holds.
-    The radicand h + 4 k A^2 is nonnegative for big A and k >= 0."""
-    a2 = _require_big(model, a)
-    w = t - model.canonical_class
-    radicand = hodge_defect(model, a, t).value + 4 * k * a2
-    if radicand < 0:
-        raise ModelInconsistent("square-gap radicand negative for big A")
-    return _bracket_shifted_sqrt(
-        -model.intersect(a, w), radicand, a2, BRACKET_WIDTH
-    )
-
-
-def obstruction_quadratic(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, n, k: int
-) -> ObstructionQuadratic:
-    a2 = _require_big(model, a)
-    w = t - model.canonical_class  # T - K
-    ell = Q(n) * a + w  # L = n*A + T - K
-    al = model.intersect(a, ell)
-    h = hodge_defect(model, a, t).value
-    constant = h / 4 + k * a2
-    f0 = constant
-    f1 = 1 - al + constant
-    disc = al * al - 4 * constant
-    small = None
-    if disc >= 0:
-        # x1 = (A.L - sqrt(disc)) / 2; bracket the sqrt to within 1/1024.
-        lo, hi = lattice.sqrt_bracket(disc, BRACKET_WIDTH)
-        small = RootBracket((al - hi) / 2, (al - lo) / 2)
-    gap = multiple_gap_bracket(model, a, t, k)
-    return ObstructionQuadratic(
-        linear=al,
-        constant=constant,
-        f_at_zero=f0,
-        f_at_one=f1,
-        discriminant=disc,
-        small_root=small,
-        square_gap_root=gap,
-    )
-
-
-def degree_cap_threshold(
-    model: SurfaceModel, a: DivisorClass, t: DivisorClass, k: int, x
-) -> Fraction:
-    """Exact n-threshold beyond which every obstruction divisor D for
-    (k-1)-very-ampleness has D.A < x. At x = 1 this reproduces the main
-    bound k + vanishing_threshold exactly."""
-    x = Q(x)
-    if x <= 0:
-        raise NonpositiveX("degree cap must be positive")
-    a2 = _require_big(model, a)
-    w = t - model.canonical_class
-    f0 = hodge_defect(model, a, t).value / 4 + k * a2
-    return -model.intersect(a, w) / a2 + x / a2 + f0 / (x * a2)
 
 
 # -- obstruction enumeration ------------------------------------------------
@@ -473,24 +389,6 @@ class CorrectionDivisor:
     divisor: DivisorClass
 
 
-def lr_deficiency(
-    model: SurfaceModel,
-    a: DivisorClass,
-    t: DivisorClass,
-    k: int,
-    subset: Optional[Sequence[int]] = None,
-) -> dict[int, Fraction]:
-    """Per-curve deficiency max(K.C - T.C + k, 0) on the curves orthogonal
-    to A (or a chosen subset of them)."""
-    support = model.exceptional_curves(a) if subset is None else tuple(sorted(subset))
-    w = model.canonical_class - t
-    out = {}
-    for i in support:
-        gap = model.pair_curve(w, i) + k
-        out[i] = gap if gap > 0 else Q(0)
-    return out
-
-
 @dataclass(frozen=True)
 class SeparatingPiece:
     component: tuple[int, ...]
@@ -525,11 +423,10 @@ def ring_step_threshold(analysis: Analysis, l: int, p: int, v_is_zero: bool) -> 
     the worst case k = l^2 A^2 enters."""
     if l < 1 or p < 1:
         raise NonpositiveInput("ring step levels l and p must be positive integers")
-    model, a = analysis.model, analysis.a
-    a2 = model.self_intersection(a)
+    model, a2 = analysis.model, analysis.a2
     base = Q(2 * l + p - 1)
     if v_is_zero:
-        alt = 3 * l + model.intersect(model.canonical_class, a) / a2
+        alt = 3 * l + model.canonical_pairing(analysis.a) / a2
     else:
         k = l * l * a2
         alt = k + analysis.threshold_at(model.zero_divisor()) + l
@@ -599,6 +496,66 @@ class Analysis:
         return least_integer_above(self.threshold_at(twist))
 
     @cached_property
+    def a2(self) -> Fraction:
+        return self.model.self_intersection(self.a)
+
+    @cached_property
+    def aw(self) -> Fraction:
+        """A.(T - K)."""
+        return self.model.intersect(self.a, self.t - self.model.canonical_class)
+
+    @cached_property
+    def ample(self) -> bool:
+        return self.model.is_ample_model(self.a)
+
+    @cached_property
+    def hodge(self) -> HodgeDefect:
+        w = self.t - self.model.canonical_class
+        value = self.aw * self.aw - self.a2 * self.model.self_intersection(w)
+        proportional, ratio = _proportionality(self.a, w)
+        return HodgeDefect(value=value, proportional=proportional, ratio=ratio)
+
+    @_memoized
+    def multiple_gap(self, k: int) -> RootBracket:
+        """Bracket of the least real n with (n*A + T - K)^2 > 4k; past its
+        upper end the square-gap hypothesis of the obstruction argument
+        holds. The radicand h + 4 k A^2 is nonnegative for k >= 0."""
+        radicand = self.hodge.value + 4 * k * self.a2
+        if radicand < 0:
+            raise ModelInconsistent("square-gap radicand negative for big A")
+        return _bracket_shifted_sqrt(-self.aw, radicand, self.a2, BRACKET_WIDTH)
+
+    def quadratic(self, n, k: int) -> ObstructionQuadratic:
+        """The obstruction quadratic of n*A + T at level k."""
+        al = Q(n) * self.a2 + self.aw  # A.L for L = n*A + T - K
+        constant = self.hodge.value / 4 + k * self.a2
+        disc = al * al - 4 * constant
+        small = None
+        if disc >= 0:
+            # x1 = (A.L - sqrt(disc)) / 2; bracket the sqrt to within 1/1024.
+            lo, hi = lattice.sqrt_bracket(disc, BRACKET_WIDTH)
+            small = RootBracket((al - hi) / 2, (al - lo) / 2)
+        return ObstructionQuadratic(
+            linear=al,
+            constant=constant,
+            f_at_zero=constant,
+            f_at_one=1 - al + constant,
+            discriminant=disc,
+            small_root=small,
+            square_gap_root=self.multiple_gap(k),
+        )
+
+    def degree_cap(self, k: int, x) -> Fraction:
+        """Exact n-threshold beyond which every obstruction divisor D for
+        (k-1)-very-ampleness has D.A < x. At x = 1 this reproduces the main
+        bound k + threshold_at(T) exactly."""
+        x = Q(x)
+        if x <= 0:
+            raise NonpositiveX("degree cap must be positive")
+        f0 = self.hodge.value / 4 + k * self.a2
+        return (x - self.aw + f0 / x) / self.a2
+
+    @cached_property
     def obstruction_form(self) -> tuple[list[list[int]], list[Fraction]]:
         """Q = -Gram on the support and the linear term (T - K).C_i of the
         obstruction form n'Qn + linear.n, whose value is T.D - K.D - D^2 for
@@ -648,12 +605,14 @@ class Analysis:
     @_memoized
     def _correction(self, t: DivisorClass, k: int, support: tuple[int, ...]) -> CorrectionDivisor:
         model = self.model
-        sigma_map = lr_deficiency(model, self.a, t, k, support)
         if not support:
             return CorrectionDivisor(k, (), (), 1, (), model.zero_divisor())
+        # deficiency max((K - T).C_i + k, 0) of the pairing condition
+        w = model.canonical_class - t
+        sigma = tuple(max(model.pair_curve(w, i) + k, Q(0)) for i in support)
         gram = model.curve_gram(support)
         det_abs = abs(lattice.determinant(gram))
-        solved = lattice.solve_linear(gram, [-det_abs * sigma_map[i] for i in support])
+        solved = lattice.solve_linear(gram, [-det_abs * s for s in sigma])
         for i, x in zip(support, solved):
             if x.denominator != 1 or x < 0:
                 raise IntegralityFailure(
@@ -664,7 +623,7 @@ class Analysis:
         return CorrectionDivisor(
             level=k,
             support=support,
-            sigma=tuple(sigma_map[i] for i in support),
+            sigma=sigma,
             det_abs=det_abs,
             coefficients=coeffs,
             divisor=model.divisor_from_curves(dict(zip(support, coeffs))),
@@ -688,7 +647,7 @@ class Analysis:
     def condition_check(self, k: int) -> ConditionFlags:
         return ConditionFlags(
             k=k,
-            matsusaka=self.model.is_ample_model(self.a),
+            matsusaka=self.ample,
             laufer_ramanujam=all(x >= k for x in self.obstruction_form[1]),
             artin=self.rational,
         )
@@ -1076,26 +1035,26 @@ def build_bound_report(
     no_fixed_part: bool = False,
     base_point_free: bool = False,
 ) -> BoundReport:
-    model, a, t = analysis.model, analysis.a, analysis.t
+    model, t = analysis.model, analysis.t
     quadratic = None
     check = None
     if n is not None:
-        quadratic = obstruction_quadratic(model, a, t, n, k)
+        quadratic = analysis.quadratic(n, k)
         check = threshold_holds(analysis, n, k)
     comparison = None
-    if model.is_ample_model(a):
-        comparison = matsusaka_compare(model, a)
+    if analysis.ample:
+        comparison = matsusaka_compare(model, analysis.a)
     return BoundReport(
         threshold=analysis.threshold_at(t),
         level=analysis.level_at(t),
         canonical_threshold=analysis.threshold_at(model.canonical_class),
-        hodge=hodge_defect(model, a, t),
+        hodge=analysis.hodge,
         tau=analysis.obstruction_minimum,
         conditions=analysis.condition_check(k),
         correction=analysis.correction_divisor(k),
         separating=analysis.separating_divisor,
         obstructions=analysis.enumerate_obstructions(k),
-        multiple_gap=multiple_gap_bracket(model, a, t, k),
+        multiple_gap=analysis.multiple_gap(k),
         quadratic=quadratic,
         check=check,
         thresholds=theorem_thresholds(

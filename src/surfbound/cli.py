@@ -346,7 +346,7 @@ def _cmd_exceptional(args) -> dict:
     return {
         "surface": model.name,
         "class": divisor_payload(a),
-        "self_intersection": exact_value(model.self_intersection(a)),
+        "self_intersection": exact_value(analysis.a2),
         "orthogonal_curves": curve_names(model, analysis.support),
         "components": components,
         "all_rational": all(c["rational"] for c in components),
@@ -398,7 +398,7 @@ def _cmd_ek(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     analysis = _analysis(args)
-    model, a, t = analysis.model, analysis.a, analysis.t
+    model, t = analysis.model, analysis.t
     k = args.cluster
     threshold = analysis.threshold_at(t)
     payload = {
@@ -408,19 +408,14 @@ def _cmd_bounds(args) -> dict:
         "level": analysis.level_at(t),
         "threshold_plus_k": exact_value(k + threshold),
         "canonical_threshold": exact_value(analysis.threshold_at(model.canonical_class)),
-        "hodge": to_payload(bounds.hodge_defect(model, a, t)),
+        "hodge": to_payload(analysis.hodge),
         "tau": exact_value(analysis.obstruction_minimum),
         "conditions": to_payload(analysis.condition_check(k)),
-        "degree_caps": {
-            str(x): exact_value(bounds.degree_cap_threshold(model, a, t, k, x))
-            for x in (1, 2, 3)
-        },
+        "degree_caps": {str(x): exact_value(analysis.degree_cap(k, x)) for x in (1, 2, 3)},
     }
     if args.multiple is not None:
         payload["n"] = args.multiple
-        payload["quadratic"] = to_payload(
-            bounds.obstruction_quadratic(model, a, t, args.multiple, k)
-        )
+        payload["quadratic"] = to_payload(analysis.quadratic(args.multiple, k))
         payload["check"] = to_payload(bounds.threshold_holds(analysis, args.multiple, k))
     return payload
 

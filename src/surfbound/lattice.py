@@ -9,7 +9,8 @@ another so they can cross-check each other in tests:
   * determinant        -- Bareiss fraction-free elimination, integer output
   * congruence_pivots  -- symmetric reduction using only det +-1 congruences,
                           so the pivot product equals the determinant exactly
-  * leading_principal_minors -- one Bareiss run per leading block
+  * leading_principal_minors -- one Bareiss run per leading block, the
+                          test oracle of is_negative_definite's single pass
 """
 
 from __future__ import annotations
@@ -78,18 +79,24 @@ def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
 
 
 def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
-    """Sylvester criterion: the k-th leading principal minor of a negative
-    definite matrix has sign (-1)^k. The empty matrix counts as negative
-    definite (vacuously)."""
-    if len(m) == 0:
-        return True
+    """Sylvester criterion on -m: every leading principal minor of -m is
+    positive. One fraction-free Bareiss pass without row exchanges yields
+    them in order, the k-th pivot being the k-th minor, so the test stops at
+    the first pivot <= 0 and costs O(n^3) integer operations. The empty
+    matrix counts as negative definite (vacuously)."""
     if not is_symmetric(m):
         return False
-    sign = 1
-    for minor in leading_principal_minors(m):
-        sign = -sign
-        if sign * minor <= 0:
+    n = len(m)
+    a = [[-int(x) for x in row] for row in m]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
     return True
 
 

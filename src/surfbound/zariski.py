@@ -128,23 +128,28 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     raise ModelInconsistent("support iteration failed to stabilize")
 
 
-@lru_cache(maxsize=None)
-def _negative_definite_subsets(model: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+# Models whose subset tables _negative_definite_subsets keeps, least
+# recently used first out, so a long-lived process does not grow it
+# without limit. 64 holds the 51 models of the benchmark's
+# oracle_crosscheck workload, which revisits each of them.
+SUBSET_CACHE_MODELS = 64
+
+
+@lru_cache(maxsize=SUBSET_CACHE_MODELS)
+def _negative_definite_subsets(
+    model: SurfaceModel,
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
+    """Every curve subset with negative definite Gram block, paired with
+    the inverse of that block."""
     indices = range(len(model.curves))
     out = []
     for size in range(len(model.curves) + 1):
         for subset in combinations(indices, size):
-            if lattice.is_negative_definite(model.curve_gram(subset)):
-                out.append(subset)
+            gram = model.curve_gram(subset)
+            if lattice.is_negative_definite(gram):
+                inv = lattice.matrix_inverse(gram)
+                out.append((subset, tuple(tuple(row) for row in inv)))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _subset_inverse(
-    model: SurfaceModel, subset: tuple[int, ...]
-) -> tuple[tuple[Fraction, ...], ...]:
-    inv = lattice.matrix_inverse(model.curve_gram(subset))
-    return tuple(tuple(row) for row in inv)
 
 
 def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
@@ -155,13 +160,9 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
     _pseudo_effective_precheck(model, d)
     n_curves = len(model.curves)
     candidates: dict[tuple[Fraction, ...], dict[int, Fraction]] = {}
-    for subset in _negative_definite_subsets(model):
-        if subset:
-            inv = _subset_inverse(model, subset)
-            rhs = [model.pair_curve(d, i) for i in subset]
-            coeffs = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inv]
-        else:
-            coeffs = []
+    for subset, inv in _negative_definite_subsets(model):
+        rhs = [model.pair_curve(d, i) for i in subset]
+        coeffs = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inv]
         if any(c < 0 for c in coeffs):
             continue
         solved = dict(zip(subset, coeffs))

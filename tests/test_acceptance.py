@@ -43,9 +43,10 @@ def test_criterion_1_double_cover_family(fixture_models):
         model = fixture_models[f"double_cover_d{d}"]
         a = model.divisor(model.ample_reference)
         zero = model.zero_divisor()
+        analysis = bounds.Analysis(model, a, zero)
         assert bounds.vanishing_threshold(model, a, zero) == Q(2 * d - 5, 2)
-        assert bounds.vanishing_level(model, a, zero) == d - 2
-        table = bounds.theorem_thresholds(bounds.Analysis(model, a, zero), k=2)
+        assert analysis.level_at(zero) == d - 2
+        table = bounds.theorem_thresholds(analysis, k=2)
         assert table["k_very_ample"].least_n == d
         assert bounds.matsusaka_compare(model, a).least_n_here == d
     assert_budget(started, 1.0)
@@ -58,15 +59,17 @@ def test_criterion_2_canonical_threshold(fixture_models, rng):
     for name, model in fixture_models.items():
         a = model.divisor(model.ample_reference)
         square = model.self_intersection(a)
-        assert bounds.vanishing_threshold(model, a, model.canonical_class) == 1 / square
-        level = bounds.vanishing_level(model, a, model.canonical_class)
+        k_class = model.canonical_class
+        assert bounds.vanishing_threshold(model, a, k_class) == 1 / square
+        level = bounds.Analysis(model, a, k_class).level_at(k_class)
         assert level == (2 if square == 1 else 1), name
     for _ in range(200):
         model, change = hodge_model(rng, rng.randint(2, 6))
         a = big_class(rng, model, change)
         square = model.self_intersection(a)
-        assert bounds.vanishing_threshold(model, a, model.canonical_class) == 1 / square
-        level = bounds.vanishing_level(model, a, model.canonical_class)
+        k_class = model.canonical_class
+        assert bounds.vanishing_threshold(model, a, k_class) == 1 / square
+        level = bounds.Analysis(model, a, k_class).level_at(k_class)
         assert level == (2 if square == 1 else 1)
     assert_budget(started, 5.0)
 
@@ -177,9 +180,8 @@ def test_criterion_5_correction_divisors(fixture_models, rng):
                 assert model.intersect(repaired, curve) >= (
                     model.canonical_pairing(curve) + k
                 )
-            assert all(
-                v == 0 for v in bounds.lr_deficiency(model, a, repaired, k).values()
-            )
+            again = bounds.Analysis(model, a, repaired).correction_divisor(k)
+            assert all(v == 0 for v in again.sigma)
 
     for kind, size in ADE_TYPES:
         model = fixture_models[f"ade_{kind}{size}"]
@@ -255,11 +257,12 @@ def test_criterion_7_quadratic_identity(rng):
         n = rng.randint(1, 6)
         k = rng.randint(0, 4)
         square = model.self_intersection(a)
-        quad = bounds.obstruction_quadratic(model, a, t, n, k)
+        analysis = bounds.Analysis(model, a, t)
+        quad = analysis.quadratic(n, k)
         threshold = bounds.vanishing_threshold(model, a, t)
         assert quad.f_at_one == square * (k + threshold - n)
         assert quad.value(1) == quad.f_at_one
-        defect = bounds.hodge_defect(model, a, t)
+        defect = analysis.hodge
         assert defect.value >= 0
         assert (defect.value == 0) == defect.proportional
     assert_budget(started, 5.0)

@@ -19,18 +19,12 @@ from surfbound.bounds import (
     INFINITY,
     Analysis,
     build_bound_report,
-    degree_cap_threshold,
-    hodge_defect,
     least_integer_above,
-    lr_deficiency,
     matsusaka_compare,
-    multiple_gap_bracket,
     obstruction_oracle,
-    obstruction_quadratic,
     ring_step_threshold,
     theorem_thresholds,
     threshold_holds,
-    vanishing_level,
     vanishing_threshold,
 )
 from surfbound.errors import (
@@ -84,13 +78,15 @@ class TestVanishingThreshold:
     def test_double_cover_closed_form(self, d):
         model = double_cover(d)
         h = model.divisor([1])
-        assert vanishing_threshold(model, h, model.zero_divisor()) == Q(2 * d - 5, 2)
-        assert vanishing_level(model, h, model.zero_divisor()) == d - 2
+        zero = model.zero_divisor()
+        assert vanishing_threshold(model, h, zero) == Q(2 * d - 5, 2)
+        assert Analysis(model, h, zero).level_at(zero) == d - 2
 
     def test_ruled_surface(self, f2):
         a = f2.divisor([2, 1])
-        assert vanishing_threshold(f2, a, f2.zero_divisor()) == Q(-3, 2)
-        assert vanishing_level(f2, a, f2.zero_divisor()) == -1
+        zero = f2.zero_divisor()
+        assert vanishing_threshold(f2, a, zero) == Q(-3, 2)
+        assert Analysis(f2, a, zero).level_at(zero) == -1
 
     def test_canonical_twist_is_inverse_square(self, fixture_models):
         for model in fixture_models.values():
@@ -112,26 +108,26 @@ class TestHodgeDefect:
     def test_rank_one_always_proportional(self):
         model = double_cover(5)
         h = model.divisor([1])
-        defect = hodge_defect(model, h, model.zero_divisor())
+        defect = Analysis(model, h, model.zero_divisor()).hodge
         assert defect.value == 0
         assert defect.proportional
         assert defect.ratio == Q(-2)  # T - K = -(d-3)H against A = H
 
     def test_proportional_twist(self, f2):
         a = f2.divisor([2, 1])
-        defect = hodge_defect(f2, a, f2.zero_divisor())
+        defect = Analysis(f2, a, f2.zero_divisor()).hodge
         assert defect.value == 0
         assert defect.proportional and defect.ratio == 2
 
     def test_non_proportional_twist(self, f2):
         a = f2.divisor([2, 1])
-        defect = hodge_defect(f2, a, f2.curve_divisor(0))
+        defect = Analysis(f2, a, f2.curve_divisor(0)).hodge
         assert defect.value == 1
         assert not defect.proportional and defect.ratio is None
 
     def test_zero_twist_of_canonical(self, f2):
         a = f2.divisor([2, 1])
-        defect = hodge_defect(f2, a, f2.canonical_class)
+        defect = Analysis(f2, a, f2.canonical_class).hodge
         assert defect.value == 0
         assert defect.proportional and defect.ratio == 0
 
@@ -181,7 +177,7 @@ class TestObstructionQuadratic:
         for model in fixture_models.values():
             a = model.divisor(model.ample_reference)
             t = model.canonical_class
-            quad = obstruction_quadratic(model, a, t, n, k)
+            quad = Analysis(model, a, t).quadratic(n, k)
             threshold = vanishing_threshold(model, a, t)
             expected = model.self_intersection(a) * (k + threshold - n)
             assert quad.f_at_one == expected
@@ -190,7 +186,7 @@ class TestObstructionQuadratic:
 
     def test_coefficients_match_value(self, f2):
         a = f2.divisor([2, 1])
-        quad = obstruction_quadratic(f2, a, f2.zero_divisor(), n=3, k=1)
+        quad = Analysis(f2, a, f2.zero_divisor()).quadratic(n=3, k=1)
         one, minus_l, const = quad.coefficients
         for x in (Q(0), Q(1), Q(-2), Q(7, 3)):
             assert quad.value(x) == one * x * x + minus_l * x + const
@@ -200,7 +196,7 @@ class TestObstructionQuadratic:
         # the smaller root is exactly zero
         model = plane()
         h = model.divisor([1])
-        quad = obstruction_quadratic(model, h, model.canonical_class, n=1, k=0)
+        quad = Analysis(model, h, model.canonical_class).quadratic(n=1, k=0)
         assert quad.f_at_zero == 0
         assert quad.f_at_one == 0
         assert quad.small_root is not None and quad.small_root.is_exact
@@ -209,13 +205,13 @@ class TestObstructionQuadratic:
     def test_negative_discriminant_drops_root(self):
         model = plane()
         h = model.divisor([1])
-        quad = obstruction_quadratic(model, h, model.canonical_class, n=1, k=1)
+        quad = Analysis(model, h, model.canonical_class).quadratic(n=1, k=1)
         assert quad.discriminant < 0
         assert quad.small_root is None
 
     def test_root_bracket_sign_change(self, f2):
         a = f2.divisor([2, 1])
-        quad = obstruction_quadratic(f2, a, f2.zero_divisor(), n=4, k=0)
+        quad = Analysis(f2, a, f2.zero_divisor()).quadratic(n=4, k=0)
         root = quad.small_root
         assert root is not None
         assert root.width <= BRACKET_WIDTH
@@ -224,7 +220,7 @@ class TestObstructionQuadratic:
 
     def test_accepts_rational_n(self, f2):
         a = f2.divisor([2, 1])
-        quad = obstruction_quadratic(f2, a, f2.zero_divisor(), Q(7, 2), 0)
+        quad = Analysis(f2, a, f2.zero_divisor()).quadratic(Q(7, 2), 0)
         threshold = vanishing_threshold(f2, a, f2.zero_divisor())
         assert quad.f_at_one == 2 * (threshold - Q(7, 2))
 
@@ -235,7 +231,7 @@ class TestMultipleGapBracket:
             a = model.divisor(model.ample_reference)
             t = model.zero_divisor()
             for k in (0, 1, 3):
-                gap = multiple_gap_bracket(model, a, t, k)
+                gap = Analysis(model, a, t).multiple_gap(k)
                 assert gap.width <= BRACKET_WIDTH
                 # strictly past the bracket the square gap holds
                 n = gap.high + Q(1, 1000)
@@ -245,13 +241,13 @@ class TestMultipleGapBracket:
     def test_exact_on_perfect_square(self):
         model = plane()
         h = model.divisor([1])
-        gap = multiple_gap_bracket(model, h, model.canonical_class, k=1)
+        gap = Analysis(model, h, model.canonical_class).multiple_gap(1)
         assert gap.is_exact and gap.low == 2
 
     def test_independent_of_n(self, f2):
         a = f2.divisor([2, 1])
         t = f2.curve_divisor(0)
-        quads = [obstruction_quadratic(f2, a, t, n, 1) for n in (0, 3, 11)]
+        quads = [Analysis(f2, a, t).quadratic(n, 1) for n in (0, 3, 11)]
         assert len({q.square_gap_root for q in quads}) == 1
 
 
@@ -260,23 +256,24 @@ class TestDegreeCaps:
         model = double_cover(5)
         h = model.divisor([1])
         zero = model.zero_divisor()
-        assert degree_cap_threshold(model, h, zero, k=0, x=2) == 3
-        assert degree_cap_threshold(model, h, zero, k=2, x=2) == 4
-        assert degree_cap_threshold(model, h, zero, k=2, x=1) == Q(9, 2)
+        analysis = Analysis(model, h, zero)
+        assert analysis.degree_cap(k=0, x=2) == 3
+        assert analysis.degree_cap(k=2, x=2) == 4
+        assert analysis.degree_cap(k=2, x=1) == Q(9, 2)
 
     @pytest.mark.parametrize("k", range(4))
     def test_cap_at_one_is_main_threshold(self, fixture_models, k):
         for model in fixture_models.values():
             a = model.divisor(model.ample_reference)
             t = model.canonical_class
-            got = degree_cap_threshold(model, a, t, k=k, x=1)
+            got = Analysis(model, a, t).degree_cap(k=k, x=1)
             assert got == k + vanishing_threshold(model, a, t)
 
     def test_rejects_nonpositive_cap(self, f2):
         a = f2.divisor([2, 1])
         for x in (0, -1, Q(-1, 2)):
             with pytest.raises(NonpositiveX):
-                degree_cap_threshold(f2, a, f2.zero_divisor(), k=0, x=x)
+                Analysis(f2, a, f2.zero_divisor()).degree_cap(k=0, x=x)
 
 
 class TestObstructionEnumeration:
@@ -369,11 +366,9 @@ class TestObstructionEnumeration:
             t = model.divisor([rng.randint(-2, 2) for _ in range(model.rank)])
             for k in (0, 1, 2):
                 repair = Analysis(model, a, t).correction_divisor(k)
-                repaired = t - repair.divisor
-                assert all(
-                    v == 0 for v in lr_deficiency(model, a, repaired, k).values()
-                )
-                assert Analysis(model, a, repaired).enumerate_obstructions(k).is_empty
+                repaired = Analysis(model, a, t - repair.divisor)
+                assert all(v == 0 for v in repaired.correction_divisor(k).sigma)
+                assert repaired.enumerate_obstructions(k).is_empty
 
 
 class TestObstructionMinimum:
@@ -435,9 +430,14 @@ class TestCorrectionDivisor:
 
     def test_deficiency_map(self, a2):
         h = a2.divisor([1, 0, 0])
-        sig = lr_deficiency(a2, h, a2.zero_divisor(), 2)
-        assert sig == {1: Q(2), 2: Q(2)}
-        assert lr_deficiency(a2, h, a2.zero_divisor(), -1) == {1: Q(0), 2: Q(0)}
+        analysis = Analysis(a2, h, a2.zero_divisor())
+
+        def deficiency(k):
+            corr = analysis.correction_divisor(k)
+            return dict(zip(corr.support, corr.sigma))
+
+        assert deficiency(2) == {1: Q(2), 2: Q(2)}
+        assert deficiency(-1) == {1: Q(0), 2: Q(0)}
 
     def test_repair_property_random(self, rng):
         sizes_pool = ([2], [3], [4], [2, 2])
@@ -552,11 +552,11 @@ class TestRingGeneration:
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
         a = model.construct_polarization([0], e0)
-        if bounds.vanishing_level(model, a, model.zero_divisor()) < 1:
+        analysis = Analysis(model, a, model.zero_divisor())
+        if analysis.level_at(model.zero_divisor()) < 1:
             pytest.skip("polarization too small for the ring statement")
         with pytest.raises(UnverifiableHypothesis):
-            Analysis(model, a, model.zero_divisor()).ring_generation_threshold()
-        analysis = Analysis(model, a, model.zero_divisor())
+            analysis.ring_generation_threshold()
         ring = analysis.ring_generation_threshold(no_fixed_part=True)
         assert ring.case == "no_fixed_part"
         assert 2 * ring.least_m > ring.doubled_bound
@@ -738,19 +738,36 @@ class TestAnalysis:
         count(bounds, "_enumerate_box")
         count(bounds, "fundamental_cycle")
         count(zariski, "zariski_decompose")
-        argv = ["report", "--surface", "ade_e6", "--divisor", "2*h",
-                "--twist=1*h+c1", "-k", "2", "-n", "5", "--json"]
-        assert run_subcommand(argv) == 0
+        # the Hodge defect and the gap bracket, each derived once although
+        # the report, the quadratic and the check all read them
+        count(bounds, "_proportionality")
+        count(bounds, "_bracket_shifted_sqrt")
+        system = ["--surface", "ade_e6", "--divisor", "2*h", "--twist=1*h+c1",
+                  "-k", "2", "-n", "5", "--json"]
+        assert run_subcommand(["report", *system]) == 0
         assert capsys.readouterr().out
         assert calls == {
             "exceptional_curves": 1,
             "_enumerate_box": 2,
             "fundamental_cycle": 1,
             "zariski_decompose": 1,
+            "_proportionality": 1,
+            "_bracket_shifted_sqrt": 1,
         }
+        calls.clear()
+        assert run_subcommand(["bounds", *system]) == 0
+        assert capsys.readouterr().out
+        assert calls["_proportionality"] == 1
+        assert calls["_bracket_shifted_sqrt"] == 1
 
     def test_rejects_a_class_that_is_not_nef_and_big(self, f2):
         with pytest.raises(NotNefBig):
             Analysis(f2, f2.curve_divisor(1), f2.zero_divisor())  # s.s = -2
         with pytest.raises(NotNefBig):
             Analysis(f2, f2.curve_divisor(0), f2.zero_divisor())  # f.f = 0
+        # big but not nef: (3f + 2s)^2 = 4 and (3f + 2s).s = -1; the plain
+        # threshold accepts it, the analysis and its formulas do not
+        big = f2.divisor([3, 2])
+        assert vanishing_threshold(f2, big, f2.zero_divisor()) == -1
+        with pytest.raises(NotNefBig):
+            Analysis(f2, big, f2.zero_divisor())

@@ -145,6 +145,9 @@ class TestSignature:
     def test_negative_definite_iff_all_minus(self, m):
         expected = lattice.signature(m) == (0, len(m), 0)
         assert lattice.is_negative_definite(m) == expected
+        # Sylvester on the separately computed minors: the k-th has sign (-1)^k
+        minors = lattice.leading_principal_minors(m)
+        assert all((-1) ** k * minor > 0 for k, minor in enumerate(minors, 1)) == expected
 
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
     def test_root_lattices_negative_definite(self, kind, size):

@@ -132,6 +132,16 @@ class TestDualRoutes:
             assert fast == slow
             check_defining_properties(model, d, fast)
 
+    def test_oracle_cache_stays_bounded(self, rng):
+        # more distinct models than the subset cache keeps: the oldest
+        # tables are evicted and the results stay right
+        bound = zariski.SUBSET_CACHE_MODELS
+        for trial in range(bound + 8):
+            model = block_model(rng, [rng.randint(1, 2)], name=f"cache{trial}")
+            d = effective_combination(rng, model)
+            assert zariski_oracle(model, d) == zariski_decompose(model, d)
+        assert zariski._negative_definite_subsets.cache_info().currsize <= bound
+
     def test_idempotence_on_random_draws(self, rng):
         for trial in range(20):
             model = block_model(rng, [rng.randint(2, 4)], name=f"i{trial}")
