@@ -85,6 +85,8 @@ z8 = e8.zero_divisor()
 e8h = bounds.Analysis(e8, he8, z8)
 assert len(e8h.enumerate_obstructions(2).entries) == 120
 assert e8h.obstruction_minimum == 2
+# the count at level 10 comes from the search alone, with no entry built
+assert e8h.obstruction_count(10) == 22490
 print("e8 ok")
 
 # double covers: rank one, H^2 = 2, K = (d - 3) H

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import product
-from math import ceil, floor
-from typing import Optional, Sequence
+from math import floor, isqrt, lcm
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from . import lattice
 from .cycles import FundamentalCycle, fundamental_cycle
@@ -32,6 +33,7 @@ from .errors import (
     NonpositiveX,
     NotAmple,
     NotBig,
+    NotNegativeDefinite,
     UnverifiableHypothesis,
 )
 from .surface import DivisorClass, SurfaceModel
@@ -224,92 +226,154 @@ def _obstruction_set(
     return ObstructionSet(support=support, bound=bound, entries=tuple(entries))
 
 
-def _ldl(q_matrix: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Q = L D L' with L unit lower triangular; every pivot of D must
-    be positive, as Q = -Gram of a negative definite block is."""
-    r = len(q_matrix)
-    lower = [[Q(int(i == j)) for j in range(r)] for i in range(r)]
-    diag: list[Fraction] = []
-    for j in range(r):
-        pivot = q_matrix[j][j] - sum((lower[j][m] ** 2 * diag[m] for m in range(j)), Q(0))
-        if pivot <= 0:
-            raise ModelInconsistent("obstruction form is not positive definite")
-        diag.append(pivot)
-        for i in range(j + 1, r):
-            lower[i][j] = (
-                q_matrix[i][j]
-                - sum((lower[i][m] * lower[j][m] * diag[m] for m in range(j)), Q(0))
-            ) / pivot
-    return lower, diag
+class _SearchForm(NamedTuple):
+    """The search for n'Qn + linear.n <= bound in integers.
+
+    lattice.symmetric_elimination gives the leading minors D_1..D_r of Q and
+    the column numerators of Q = L D L'. With mu the common denominator of
+    linear and bound, g = 2 D_r mu and C = adj(Q)(mu linear), the centre of
+    the ellipsoid is -c for c = C / g, and the condition reads
+    (n + c)'Q(n + c) <= R with g^2 R = G = g^2 bound + D_r (mu linear).C, an
+    integer. Writing W_j = D_j g y_j for the coordinates y of L'(n + c), it
+    becomes sum_j e_j W_j^2 <= P G, where P = lcm(D_j D_{j-1}) and e_j =
+    P / (D_j D_{j-1}). W_j = D_j g n_j + sh_j, and sh_j depends only on the
+    coordinates after j."""
+
+    budget: int  # P G
+    weight: list[int]  # e_j
+    scale: list[int]  # D_j g
+    base: list[int]  # the part of sh_j that does not depend on n
+    tails: list[list[int]]  # g L_ij D_j for i > j: sh_j = base_j + tails_j . n_{j+1..}
+    den: int  # P g^2: a leaf with budget `rest` left has value bound - rest / den
+
+
+def _search_form(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> Optional[_SearchForm]:
+    """The integer set-up of the search, or None when the sublevel set is
+    empty (G < 0). A pivot <= 0 means Q is not positive definite."""
+    r = len(linear)
+    minors, rows = lattice.symmetric_elimination(q_matrix)
+    if len(minors) < r:
+        raise ModelInconsistent("obstruction form is not positive definite")
+    mu = lcm(bound.denominator, *(x.denominator for x in linear))
+    scaled = [x.numerator * (mu // x.denominator) for x in linear]
+    det = minors[-1]
+    g = 2 * det * mu
+    centre = lattice.adjugate_solve(rows, scaled)
+    top = 4 * det * det * mu * bound.numerator * (mu // bound.denominator)
+    budget = top + det * sum(map(mul, scaled, centre))
+    if budget < 0:
+        return None
+    pairs = [low * high for low, high in zip([1, *minors], minors)]
+    p = lcm(*pairs)
+    return _SearchForm(
+        budget=p * budget,
+        weight=[p // x for x in pairs],
+        scale=[x * g for x in minors],
+        base=[sum(map(mul, rows[j][j:], centre[j:])) for j in range(r)],
+        tails=[[g * x for x in rows[j][j + 1:]] for j in range(r)],
+        den=p * g * g,
+    )
 
 
 def _fincke_pohst(
     q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All nonzero n >= 0 with n'Qn + linear.n <= bound, by the depth-first
-    short-vector search of Fincke and Pohst (Math. Comp. 44, 1985).
+    """All nonzero n >= 0 with n'Qn + linear.n <= bound, with their values,
+    by the depth-first short-vector search of Fincke and Pohst (Math. Comp.
+    44, 1985), in integers.
 
-    With c = Q^-1 linear / 2 the condition reads (n + c)'Q(n + c) <= R for
-    R = bound + c'Qc = bound + linear.c / 2. Writing Q = L D L' splits the
-    left side into sum_j d_j y_j^2 with y_j = n_j + c_j + sum_{i>j} L_ij
-    (n_i + c_i), so once n_{j+1..r-1} are fixed, the radius left bounds n_j
-    to an interval. The search fixes coordinates from last to first; the
-    interval is rounded outward and every leaf is checked exactly.
+    The search fixes coordinates from last to first on the set-up of
+    _SearchForm. Once n_{j+1..r-1} are fixed, the budget left bounds n_j:
+    e_j W_j^2 <= left exactly when |W_j| <= isqrt(left // e_j), which floor
+    divisions turn into an interval of n_j. Every condition is exact, so
+    every leaf is a hit, and the budget `rest` left at a leaf gives its value
+    bound - rest / (P g^2), the only Fraction built per hit.
     """
-    r = len(linear)
-    lower, diag = _ldl(q_matrix)
-    # c from L D L' c = linear / 2: forward, diagonal, then back substitution
-    z: list[Fraction] = []
-    for i in range(r):
-        z.append(linear[i] / 2 - sum(lower[i][m] * z[m] for m in range(i)))
-    center = [zi / di for zi, di in zip(z, diag)]
-    for i in reversed(range(r)):
-        center[i] -= sum(lower[m][i] * center[m] for m in range(i + 1, r))
-    radius = bound + sum(x * c for x, c in zip(linear, center)) / 2
+    form = _search_form(q_matrix, linear, bound)
+    if form is None:
+        return []
+    budget, weight, scale, base, tails, den = form
+    num, dnm = bound.numerator, bound.denominator
+    point = [0] * len(linear)
     hits: list[tuple[tuple[int, ...], Fraction]] = []
-    if radius < 0:
-        return hits
-    point = [0] * r
-    # y_j = n_j + shift_j; the part of shift_j that does not depend on n
-    offset = [
-        center[j] + sum(lower[i][j] * center[i] for i in range(j + 1, r)) for j in range(r)
-    ]
 
-    def descend(j: int, left: Fraction) -> None:
-        shift = offset[j] + sum(lower[i][j] * point[i] for i in range(j + 1, r) if point[i])
-        half = lattice.sqrt_upper(left / diag[j])
-        for v in range(max(0, ceil(-shift - half)), floor(half - shift) + 1):
-            y = v + shift
-            rest = left - diag[j] * y * y
-            if rest < 0:
-                continue
+    def descend(j: int, left: int) -> None:
+        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
+        a, e = scale[j], weight[j]
+        s = isqrt(left // e)
+        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
+        if j:
+            for v in values:
+                w = a * v + shift
+                point[j] = v
+                descend(j - 1, left - e * w * w)
+        else:
+            above = any(point)
+            for v in values:
+                if v or above:
+                    w = a * v + shift
+                    point[0] = v
+                    rest = left - e * w * w
+                    hits.append((tuple(point), Q(num * den - dnm * rest, dnm * den)))
+        point[j] = 0
+
+    descend(len(linear) - 1, budget)
+    return hits
+
+
+def _least_value(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> Optional[Fraction]:
+    """The least value of n'Qn + linear.n over nonzero n >= 0 in the
+    sublevel set at bound, or None when that set is empty.
+
+    Branch and bound on the descent of _fincke_pohst: the least value is
+    the leaf with the largest budget left. Each interval is tried from its
+    centre outward, so the budget falls along it; a node whose budget is no
+    larger than the best leaf's ends the interval."""
+    form = _search_form(q_matrix, linear, bound)
+    if form is None:
+        return None
+    budget, weight, scale, base, tails, den = form
+    point = [0] * len(linear)
+    best = -1
+
+    def descend(j: int, left: int) -> None:
+        nonlocal best
+        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
+        a, e = scale[j], weight[j]
+        s = isqrt(left // e)
+        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
+        for v in sorted(values, key=lambda v: abs(a * v + shift)):
+            w = a * v + shift
+            rest = left - e * w * w
+            if rest <= best:
+                break
             point[j] = v
             if j:
                 descend(j - 1, rest)
             elif any(point):
-                nonzero = [i for i in range(r) if point[i]]
-                quad = sum(q_matrix[i][m] * point[i] * point[m] for i in nonzero for m in nonzero)
-                value = quad + sum(linear[i] * point[i] for i in nonzero)
-                if value <= bound:
-                    hits.append((tuple(point), value))
+                best = rest
         point[j] = 0
 
-    descend(r - 1, radius)
-    return hits
+    descend(len(linear) - 1, budget)
+    return None if best < 0 else bound - Q(best, den)
 
 
 def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
-    """Production obstruction enumeration, by the search of _fincke_pohst.
+    """The obstruction set at level k with its entries, from the hits of
+    the integer search that the analysis keeps (Analysis.obstruction_hits).
 
     The name is older than the search: the benchmark's tracer
     (perfbench/tracing.py) wraps this function by name to count
     enumerations and their entries, so it keeps the name of the box loop
-    it replaced and the search lives in a private helper it calls.
+    it replaced. Only the callers that print entries come here; counts and
+    emptiness read the hits.
     """
-    bound = Q(k)
-    q_matrix, linear = analysis.obstruction_form
-    hits = _fincke_pohst(q_matrix, linear, bound) if analysis.support else []
-    return _obstruction_set(analysis.model, analysis.support, bound, hits)
+    hits = analysis.obstruction_hits(k)
+    return _obstruction_set(analysis.model, analysis.support, Q(k), hits)
 
 
 def _sublevel_box(
@@ -565,14 +629,30 @@ class Analysis:
         return q_matrix, [self.model.pair_curve(w, i) for i in self.support]
 
     @_memoized
-    def enumerate_obstructions(self, k) -> ObstructionSet:
-        """All effective nonzero D supported on the curves orthogonal to A
-        with T.D - K.D - D^2 <= k, sorted lexicographically by coefficients.
+    def obstruction_hits(self, k) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(coefficients, value) of every effective nonzero D supported on
+        the curves orthogonal to A with T.D - K.D - D^2 <= k, in the order
+        the search meets them.
 
-        The depth-first Fincke-Pohst search drops a partial point as soon as
-        the radius left for its remaining coordinates is negative, so its
-        work grows with the number of lattice points near the sublevel
-        ellipsoid, not with the volume of the ellipsoid's bounding box."""
+        The depth-first Fincke-Pohst search in integers (_fincke_pohst)
+        drops a partial point as soon as the budget left for its remaining
+        coordinates is negative, so its work grows with the number of
+        lattice points near the sublevel ellipsoid, not with the volume of
+        the ellipsoid's bounding box."""
+        if not self.support:
+            return []
+        q_matrix, linear = self.obstruction_form
+        return _fincke_pohst(q_matrix, linear, Q(k))
+
+    def obstruction_count(self, k) -> int:
+        """The size of the obstruction set at level k, built without its
+        entries."""
+        return len(self.obstruction_hits(k))
+
+    @_memoized
+    def enumerate_obstructions(self, k) -> ObstructionSet:
+        """The obstruction set at level k with one entry, divisor included,
+        per hit, sorted lexicographically by coefficients."""
         return _enumerate_box(self, k)
 
     @cached_property
@@ -581,16 +661,17 @@ class Analysis:
         orthogonal to A; positive infinity when no curve is orthogonal.
 
         A single curve C_i already realizes the value (T-K).C_i - C_i^2, so
-        the sublevel set at the best single-curve value is nonempty and one
-        enumeration suffices."""
+        the sublevel set at the best single-curve value is nonempty, and a
+        branch-and-bound descent over it (_least_value) finds the minimum
+        without listing the set."""
         if not self.support:
             return INFINITY
         q_matrix, linear = self.obstruction_form
         single = min(x + q_matrix[j][j] for j, x in enumerate(linear))
-        sublevel = self.enumerate_obstructions(single)
-        if sublevel.is_empty:
+        tau = _least_value(q_matrix, linear, Q(single))
+        if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
-        return min(e.value for e in sublevel.entries)
+        return tau
 
     def correction_divisor(
         self, k: int, subset: Optional[Sequence[int]] = None
@@ -610,9 +691,16 @@ class Analysis:
         # deficiency max((K - T).C_i + k, 0) of the pairing condition
         w = model.canonical_class - t
         sigma = tuple(max(model.pair_curve(w, i) + k, Q(0)) for i in support)
-        gram = model.curve_gram(support)
-        det_abs = abs(lattice.determinant(gram))
-        solved = lattice.solve_linear(gram, [-det_abs * s for s in sigma])
+        # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
+        # is positive definite with determinant |det|
+        negated = [[-x for x in row] for row in model.curve_gram(support)]
+        minors, rows = lattice.symmetric_elimination(negated)
+        if len(minors) < len(support):
+            raise NotNegativeDefinite("correction support is not negative definite")
+        det_abs = minors[-1]
+        den = lcm(*(s.denominator for s in sigma))
+        rhs = [s.numerator * (den // s.denominator) for s in sigma]
+        solved = [Q(y, den) for y in lattice.adjugate_solve(rows, rhs)]
         for i, x in zip(support, solved):
             if x.denominator != 1 or x < 0:
                 raise IntegralityFailure(
@@ -719,15 +807,18 @@ class MatsusakaComparison:
 def matsusaka_compare(model: SurfaceModel, h: DivisorClass) -> MatsusakaComparison:
     if not model.is_ample_model(h):
         raise NotAmple("comparison needs a class that is ample on the model")
+    return _matsusaka(model, h, vanishing_threshold(model, h, model.zero_divisor()))
+
+
+def _matsusaka(model: SurfaceModel, h: DivisorClass, threshold: Fraction) -> MatsusakaComparison:
+    """The comparison for an ample h whose vanishing_threshold(h, 0) is
+    known."""
     h2 = model.self_intersection(h)
     kh = model.canonical_pairing(h)
-    quartic = ((kh + 4 * h2 + 1) ** 2 / h2 + 3) / 2
-    quadratic = ((kh + 2 * h2 + 1) ** 2 / h2 + 7) / 2
-    ours = 2 + vanishing_threshold(model, h, model.zero_divisor())
     return MatsusakaComparison(
-        bound_k_plus_4h=quartic,
-        bound_k_plus_2h=quadratic,
-        bound_here=ours,
+        bound_k_plus_4h=((kh + 4 * h2 + 1) ** 2 / h2 + 3) / 2,
+        bound_k_plus_2h=((kh + 2 * h2 + 1) ** 2 / h2 + 7) / 2,
+        bound_here=2 + threshold,
     )
 
 
@@ -786,13 +877,13 @@ def theorem_thresholds(
         entries[entry.key] = entry
 
     # k-very-ampleness via the obstruction mechanism.
-    obstructions = analysis.enumerate_obstructions(k)
+    count = analysis.obstruction_count(k)
     requires = []
     if conditions.matsusaka:
         requires.append("ample on the model")
     if conditions.laufer_ramanujam:
         requires.append(f"pairing condition at k={k}")
-    if obstructions.is_empty:
+    if not count:
         requires.append("empty obstruction set")
     add(_entry(
         "k_very_ample",
@@ -804,7 +895,7 @@ def theorem_thresholds(
             "no sufficient condition verified: obstruction divisors exist "
             "and neither the ample nor the pairing condition holds",
         ),
-        extras={"k": k, "obstruction_count": len(obstructions.entries)},
+        extras={"k": k, "obstruction_count": count},
     ))
 
     # Degree of very-ampleness from the minimal obstruction value.
@@ -1043,7 +1134,7 @@ def build_bound_report(
         check = threshold_holds(analysis, n, k)
     comparison = None
     if analysis.ample:
-        comparison = matsusaka_compare(model, analysis.a)
+        comparison = _matsusaka(model, analysis.a, analysis.threshold_at(model.zero_divisor()))
     return BoundReport(
         threshold=analysis.threshold_at(t),
         level=analysis.level_at(t),

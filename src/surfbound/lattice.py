@@ -3,14 +3,22 @@
 Everything runs on arbitrary-precision integers and fractions.Fraction; no
 floating point enters any decision path. Matrices are sequences of rows.
 
-The three determinant-adjacent routines are deliberately independent of one
-another so they can cross-check each other in tests:
+The production kernel is symmetric_elimination: one fraction-free Bareiss
+pass over a symmetric integer matrix without row exchanges, stopping at the
+first pivot <= 0. Its pivots are the leading principal minors, so it is the
+Sylvester test behind is_negative_definite; when it reaches the end it is an
+integer LDL' factorization, and adjugate_solve turns it into det(m) m^-1 b
+for integer b (Bareiss, Math. Comp. 22, 1968). The obstruction search and
+the correction divisors of bounds run on it without building a Fraction.
 
-  * determinant        -- Bareiss fraction-free elimination, integer output
+The other determinant-adjacent routines are deliberately independent of it
+and of one another so they can cross-check each other in tests:
+
+  * determinant        -- Bareiss fraction-free elimination with row swaps
   * congruence_pivots  -- symmetric reduction using only det +-1 congruences,
                           so the pivot product equals the determinant exactly
-  * leading_principal_minors -- one Bareiss run per leading block, the
-                          test oracle of is_negative_definite's single pass
+  * leading_principal_minors -- one Bareiss run per leading block
+  * solve_linear       -- Gauss-Jordan elimination over the rationals
 """
 
 from __future__ import annotations
@@ -78,26 +86,77 @@ def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
     return [determinant([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
 
 
-def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
-    """Sylvester criterion on -m: every leading principal minor of -m is
-    positive. One fraction-free Bareiss pass without row exchanges yields
-    them in order, the k-th pivot being the k-th minor, so the test stops at
-    the first pivot <= 0 and costs O(n^3) integer operations. The empty
-    matrix counts as negative definite (vacuously)."""
-    if not is_symmetric(m):
-        return False
-    n = len(m)
-    a = [[-int(x) for x in row] for row in m]
+def symmetric_elimination(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Bareiss elimination of a symmetric integer matrix,
+    without row exchanges, stopped at the first pivot <= 0.
+
+    Returns (minors, rows). minors are the pivots met before the stop, which
+    are the leading principal minors D_1, D_2, ... of m. Row k of rows holds,
+    from column k on, the eliminated row: rows[k][k] = D_{k+1} and, for
+    j > k, rows[k][j] is the minor of m on rows 0..k and columns 0..k-1, j.
+    By symmetry rows[k][j] is also the numerator L_jk * D_{k+1} of column k
+    of the unit lower factor of m = L D L', whose diagonal is D_{k+1} / D_k.
+    Only the upper triangle is eliminated; entries left of the diagonal are
+    stale. When len(minors) == len(m), m is positive definite and the rows
+    feed adjugate_solve. Costs O(n^3) integer operations, or less on an
+    early stop."""
+    rows = [[int(x) for x in row] for row in m]
+    return _eliminate(rows), rows
+
+
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """symmetric_elimination in place on a fresh integer matrix."""
+    n = len(rows)
+    minors: list[int] = []
     prev = 1
     for k in range(n):
-        pivot = a[k][k]
+        top = rows[k]
+        pivot = top[k]
         if pivot <= 0:
-            return False
+            break
+        minors.append(pivot)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            row, factor = rows[i], top[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
         prev = pivot
-    return True
+    return minors
+
+
+def adjugate_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> list[int]:
+    """det(m) m^-1 b = adj(m) b for an integer vector b, from the rows of a
+    complete symmetric_elimination of m.
+
+    The forward pass is replayed on b, with the same exact divisions, and an
+    exact back substitution follows: with D = det(m) = rows[-1][-1], the
+    entry y_k = D x_k satisfies rows[k][k] y_k = D b'_k - sum_{j>k}
+    rows[k][j] y_j, and y_k is an integer by Cramer's rule."""
+    n = len(rows)
+    if len(b) != n:
+        raise RankMismatch(f"rhs length {len(b)} does not match matrix size {n}")
+    y = [int(x) for x in b]
+    prev = 1
+    for k in range(n):
+        top = rows[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            y[i] = (y[i] * pivot - top[i] * y[k]) // prev
+        prev = pivot
+    det = prev
+    for k in reversed(range(n)):
+        top = rows[k]
+        y[k] = (det * y[k] - sum(top[j] * y[j] for j in range(k + 1, n))) // top[k]
+    return y
+
+
+def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
+    """Sylvester criterion on -m: every leading principal minor of -m is
+    positive, i.e. symmetric_elimination of -m reaches the end. It stops at
+    the first pivot <= 0. The empty matrix counts as negative definite
+    (vacuously)."""
+    if not is_symmetric(m):
+        return False
+    return len(_eliminate([[-int(x) for x in row] for row in m])) == len(m)
 
 
 def congruence_pivots(m: Sequence[Sequence[int]]) -> list[Fraction]:

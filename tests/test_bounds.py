@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from surfbound import bounds, zariski
+from surfbound import bounds, lattice, zariski
 from surfbound.cli import run_subcommand
 from surfbound.bounds import (
     BRACKET_WIDTH,
@@ -28,6 +28,7 @@ from surfbound.bounds import (
     vanishing_threshold,
 )
 from surfbound.errors import (
+    IntegralityFailure,
     ModelInconsistent,
     NonpositiveInput,
     NonpositiveLP,
@@ -35,9 +36,11 @@ from surfbound.errors import (
     NotAmple,
     NotBig,
     NotNefBig,
+    NotNegativeDefinite,
     UnverifiableHypothesis,
 )
 from surfbound.surface import SurfaceModel
+from surfbound.surface_io import parse_divisor
 
 from generators import ADE_TYPES, block_model, plumbing_elliptic, polarization
 
@@ -46,6 +49,26 @@ POSITIVE_ROOTS = {
     "d": lambda n: n * (n - 1),
     "e": {6: 36, 7: 63, 8: 120}.get,
 }
+
+
+def single_curve_value(analysis: Analysis) -> Q:
+    """The least value of one orthogonal curve, where tau's search starts."""
+    q_matrix, linear = analysis.obstruction_form
+    return min(x + q_matrix[j][j] for j, x in enumerate(linear))
+
+
+def assert_search_matches_box(analysis: Analysis, levels) -> None:
+    """The integer search against the Fraction box oracle at every level
+    and at the single-curve value: the same entries, values included, the
+    count without entries, and the branch-and-bound tau against the least
+    value the box finds."""
+    single = single_curve_value(analysis)
+    for k in (*levels, single):
+        slow = obstruction_oracle(analysis, k, margin=1)
+        assert analysis.enumerate_obstructions(k).entries == slow.entries
+        assert analysis.obstruction_count(k) == len(slow.entries)
+    witnesses = obstruction_oracle(analysis, single, margin=1).entries
+    assert analysis.obstruction_minimum == min(e.value for e in witnesses)
 
 
 def double_cover(d: int) -> SurfaceModel:
@@ -353,9 +376,61 @@ class TestObstructionEnumeration:
                 slow = obstruction_oracle(Analysis(model, a, t), k, margin=1)
                 assert fast.entries == slow.entries
 
+    @pytest.mark.parametrize("name", ["ade_a4", "ade_a5", "ade_d4", "ade_d5", "ade_e6"])
+    def test_search_matches_box_on_rational_twists(self, fixture_models, name):
+        # rational twists give a rational linear term, and the single-curve
+        # value a rational bound; the last two twists put tau below it, and
+        # their sets at k >= 0 are too large for the box, so only the
+        # single-curve level is checked there
+        model = fixture_models[name]
+        h = model.curve_divisor(model.curve_index("h"))
+        for twist, levels in (
+            ("3/2*c2", (0, 1, 2)),
+            ("c1-c3", (0, 1, 2)),
+            ("1/2*c1+2/3*c3-c2", (0, 1, 2)),
+            ("2*c1+5/2*c3", ()),
+            ("4*c1-c2", ()),
+        ):
+            assert_search_matches_box(Analysis(model, h, parse_divisor(model, twist)), levels)
+
+    def test_search_matches_box_on_random_rational_blocks(self, rng):
+        below = 0
+        for trial in range(25):
+            sizes = rng.choice(([1], [2], [3], [4], [5], [2, 2], [2, 3], [1, 4]))
+            model = block_model(rng, sizes, name=f"fq{trial}")
+            t = model.divisor(
+                [Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(model.rank)]
+            )
+            analysis = Analysis(model, polarization(model), t)
+            assert_search_matches_box(analysis, (1,))
+            below += analysis.obstruction_minimum < single_curve_value(analysis)
+        assert below >= 5  # the branch and bound had to go past one curve
+
+    def test_counts_and_tau_build_no_entries(self, fixture_models, monkeypatch):
+        calls = Counter()
+        original = bounds._enumerate_box
+
+        def counted(*args):
+            calls["_enumerate_box"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "_enumerate_box", counted)
+        model = fixture_models["ade_e8"]
+        h = model.curve_divisor(model.curve_index("h"))
+        analysis = Analysis(model, h, model.zero_divisor())
+        # 120 positive roots at k = 2; the 1065 at k = 4 was also counted
+        # by an independent Fraction LDL' search
+        assert [analysis.obstruction_count(k) for k in range(5)] == [0, 0, 120, 120, 1065]
+        assert analysis.obstruction_minimum == 2
+        assert not calls
+        assert len(analysis.enumerate_obstructions(4).entries) == 1065
+        assert calls["_enumerate_box"] == 1
+
     def test_search_rejects_indefinite_form(self):
         with pytest.raises(ModelInconsistent):
-            bounds._ldl([[1, 2], [2, 1]])
+            bounds._fincke_pohst([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
+        with pytest.raises(ModelInconsistent):
+            bounds._least_value([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
 
     def test_pairing_condition_empties_the_set(self, rng):
         # after subtracting the correction divisor the pairing condition
@@ -467,6 +542,43 @@ class TestCorrectionDivisor:
         assert [c * left.det_abs for c in full.coefficients[:2]] == [
             c * full.det_abs for c in left.coefficients
         ]
+
+
+    def test_matches_the_fraction_solve_on_rational_twists(self, rng):
+        # the adjugate solve against determinant and solve_linear: rational
+        # twists give rational deficiencies, whose solution is either the
+        # same integer vector or a fraction that both routes reject
+        outcomes = Counter()
+        for trial in range(20):
+            model = block_model(rng, rng.choice(([2], [3], [4], [2, 2])), name=f"cq{trial}")
+            a = polarization(model)
+            t = model.divisor(
+                [Q(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(model.rank)]
+            )
+            for k in range(3):
+                analysis = Analysis(model, a, t)
+                support = analysis.support
+                w = model.canonical_class - t
+                sigma = [max(model.pair_curve(w, i) + k, Q(0)) for i in support]
+                gram = model.curve_gram(support)
+                det_abs = abs(lattice.determinant(gram))
+                want = lattice.solve_linear(gram, [-det_abs * x for x in sigma])
+                if all(x.denominator == 1 and x >= 0 for x in want):
+                    corr = analysis.correction_divisor(k)
+                    assert corr.det_abs == det_abs
+                    assert list(corr.coefficients) == want
+                    outcomes["integral"] += 1
+                else:
+                    with pytest.raises(IntegralityFailure):
+                        analysis.correction_divisor(k)
+                    outcomes["rejected"] += 1
+        assert outcomes["integral"] >= 5 and outcomes["rejected"] >= 5
+
+    def test_support_must_be_negative_definite(self, a2):
+        # curve 0 is the plane class h, of square 1
+        analysis = Analysis(a2, a2.divisor([1, 0, 0]), a2.zero_divisor())
+        with pytest.raises(NotNegativeDefinite):
+            analysis.correction_divisor(0, subset=(0, 1))
 
 
 class TestSeparatingDivisor:
@@ -721,8 +833,9 @@ class TestBoundReport:
 class TestAnalysis:
     def test_report_derives_each_value_once(self, monkeypatch, capsys):
         # one report builds one analysis: A is checked once, the one
-        # component gets one fundamental cycle, and the only enumerations
-        # are the obstruction set at k and the sublevel set behind tau
+        # component gets one fundamental cycle, and the only enumeration
+        # with entries is the printed obstruction set at k; the count and
+        # tau need none
         calls = Counter()
 
         def count(owner, name):
@@ -748,7 +861,7 @@ class TestAnalysis:
         assert capsys.readouterr().out
         assert calls == {
             "exceptional_curves": 1,
-            "_enumerate_box": 2,
+            "_enumerate_box": 1,
             "fundamental_cycle": 1,
             "zariski_decompose": 1,
             "_proportionality": 1,
@@ -759,6 +872,26 @@ class TestAnalysis:
         assert capsys.readouterr().out
         assert calls["_proportionality"] == 1
         assert calls["_bracket_shifted_sqrt"] == 1
+
+    def test_report_compares_with_the_classical_bounds_from_the_analysis(
+        self, monkeypatch, capsys
+    ):
+        # the comparison reads the analysis' ampleness and its threshold at
+        # T = 0: only the model load and the analysis test ampleness, and
+        # the report's two twists (0 and K) get one threshold each
+        calls = Counter()
+        for owner, name in ((SurfaceModel, "is_ample_model"), (bounds, "vanishing_threshold")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        system = ["--surface", "double_cover_d5", "--divisor", "H", "-k", "2", "-n", "5"]
+        assert run_subcommand(["report", *system]) == 0
+        assert "k_plus_4h" in capsys.readouterr().out
+        assert calls == {"is_ample_model": 2, "vanishing_threshold": 2}
 
     def test_rejects_a_class_that_is_not_nef_and_big(self, f2):
         with pytest.raises(NotNefBig):

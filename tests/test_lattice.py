@@ -109,6 +109,71 @@ class TestSolveLinear:
         assert prod == [[1, 0], [0, 1]]
 
 
+def seeded_positive_definite(rng, n):
+    """B'B + I for a random integer B: symmetric positive definite."""
+    b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    return [
+        [sum(b[t][i] * b[t][j] for t in range(n)) + (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+class TestSymmetricElimination:
+    def test_minors_and_adjugate_solve_match_the_oracles(self, rng):
+        for trial in range(60):
+            n = 1 + trial % 8
+            m = seeded_positive_definite(rng, n)
+            minors, rows = lattice.symmetric_elimination(m)
+            assert minors == lattice.leading_principal_minors(m)
+            assert minors[-1] == lattice.determinant(m)
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            scaled = lattice.adjugate_solve(rows, b)
+            assert all(isinstance(y, int) for y in scaled)
+            assert scaled == [minors[-1] * x for x in lattice.solve_linear(m, b)]
+
+    def test_rows_give_the_ldl_factors(self, rng):
+        # m = L D L' with L_jk = rows[k][j] / D_{k+1}, D_k = minors[k] / minors[k-1]
+        for n in range(1, 7):
+            m = seeded_positive_definite(rng, n)
+            minors, rows = lattice.symmetric_elimination(m)
+            lower = [
+                [Q(rows[k][j], minors[k]) if j >= k else Q(0) for k in range(n)]
+                for j in range(n)
+            ]
+            diag = [Q(d, prev) for d, prev in zip(minors, [1, *minors])]
+            rebuilt = [
+                [sum(lower[i][k] * diag[k] * lower[j][k] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert rebuilt == m
+
+    @pytest.mark.parametrize("kind,size", ADE_TYPES)
+    def test_negated_root_lattices(self, kind, size):
+        q = [[-x for x in row] for row in ade_gram(kind, size)]
+        minors, rows = lattice.symmetric_elimination(q)
+        assert minors[-1] == EXPECTED_DET[(kind, size)]
+        ones = [1] * size
+        assert lattice.adjugate_solve(rows, ones) == [
+            minors[-1] * x for x in lattice.solve_linear(q, ones)
+        ]
+
+    @given(small_symmetric)
+    @settings(max_examples=150, deadline=None)
+    def test_stops_at_the_first_nonpositive_minor(self, m):
+        minors, _ = lattice.symmetric_elimination(m)
+        expected = []
+        for minor in lattice.leading_principal_minors(m):
+            if minor <= 0:
+                break
+            expected.append(minor)
+        assert minors == expected
+
+    def test_wrong_rhs_length(self):
+        _, rows = lattice.symmetric_elimination([[2, 1], [1, 2]])
+        with pytest.raises(RankMismatch):
+            lattice.adjugate_solve(rows, [1])
+
+
 class TestSignature:
     @given(small_symmetric)
     @settings(max_examples=150, deadline=None)
