@@ -693,11 +693,10 @@ class Analysis:
         sigma = tuple(max(model.pair_curve(w, i) + k, Q(0)) for i in support)
         # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
         # is positive definite with determinant |det|
-        negated = [[-x for x in row] for row in model.curve_gram(support)]
-        minors, rows = lattice.symmetric_elimination(negated)
-        if len(minors) < len(support):
+        rows = lattice.negated_rows(model.curve_gram(support))
+        if rows is None:
             raise NotNegativeDefinite("correction support is not negative definite")
-        det_abs = minors[-1]
+        det_abs = rows[-1][-1]
         den = lcm(*(s.denominator for s in sigma))
         rhs = [s.numerator * (den // s.denominator) for s in sigma]
         solved = [Q(y, den) for y in lattice.adjugate_solve(rows, rhs)]

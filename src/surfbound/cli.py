@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 domain error (invalid model, non-nef class, ...),
-2 usage error, 3 oracle cross-check mismatch. All handlers resolve the
-computational entry points through their modules at call time, so a test
-harness can swap implementations in and out.
+Exit codes: 0 success, 1 domain error (invalid model, non-nef class, ...)
+or a standard output closed early, 2 usage error, 3 oracle cross-check
+mismatch. All handlers resolve the computational entry points through
+their modules at call time, so a test harness can swap implementations in
+and out.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import bounds, cycles, lattice, zariski
+from . import bounds, cycles, zariski
 from .errors import CalculatorError, OracleMismatch
 from .reporting import (
     curve_names,
@@ -127,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the result against an independent brute-force method",
     )
-    oracle.add_argument(
+
+    box = argparse.ArgumentParser(add_help=False, parents=[oracle])
+    box.add_argument(
         "--box-margin",
         type=_margin_arg,
         default=Fraction(2),
@@ -149,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fundcycle",
-        parents=[surface, oracle],
+        parents=[surface, box],
         help="fundamental cycle of a connected negative-definite curve set",
     )
     p.add_argument(
@@ -176,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obstructions",
-        parents=[surface, divisor, twist, level, oracle],
+        parents=[surface, divisor, twist, level, box],
         help="enumerate obstruction divisors up to a level",
     )
     p.set_defaults(handler=_cmd_obstructions)
@@ -224,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> dict:
     model = load_surface(args.surface)
-    sig = lattice.signature(model.gram)
     payload = {
         "surface": model.name,
         "valid": True,
         "rank": model.rank,
-        "signature": {"positive": sig[0], "negative": sig[1], "zero": sig[2]},
+        # loading proved the signature is (1, rank - 1, 0)
+        "signature": {"positive": 1, "negative": model.rank - 1, "zero": 0},
         "canonical_self_intersection": exact_value(
             model.self_intersection(model.canonical_class)
         ),
@@ -518,7 +522,15 @@ def run_subcommand(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_subcommand(sys.argv[1:]))
+    try:
+        code = run_subcommand(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Python flushes it again at exit, so
+        # point it at devnull to end without a second error and traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -147,14 +147,3 @@ def cycle_bruteforce_oracle(
             return _build_cycle(model, comp, found[0])
     raise BoxExhausted(f"no cycle found with coefficients up to {box}")
 
-
-def is_rational_configuration(model: SurfaceModel, indices: Sequence[int]) -> bool:
-    """True when every connected component has a fundamental cycle of
-    arithmetic genus zero. The empty configuration counts as rational."""
-    idx = tuple(sorted(set(int(i) for i in indices)))
-    if not idx:
-        return True
-    return all(
-        fundamental_cycle(model, comp).genus == 0
-        for comp in model.connected_components(idx)
-    )

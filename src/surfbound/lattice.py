@@ -8,24 +8,30 @@ pass over a symmetric integer matrix without row exchanges, stopping at the
 first pivot <= 0. Its pivots are the leading principal minors, so it is the
 Sylvester test behind is_negative_definite; when it reaches the end it is an
 integer LDL' factorization, and adjugate_solve turns it into det(m) m^-1 b
-for integer b (Bareiss, Math. Comp. 22, 1968). The obstruction search and
-the correction divisors of bounds run on it without building a Fraction.
+for integer b (Bareiss, Math. Comp. 22, 1968). negated_rows runs it on the
+negation of a Gram block, as one step that is both the definiteness test
+and the factorization. Every definite solve of the package runs on the
+kernel without building a Fraction: the Zariski decomposition and its
+oracle, the obstruction search and the correction divisors of bounds.
 
 The other determinant-adjacent routines are deliberately independent of it
 and of one another so they can cross-check each other in tests:
 
   * determinant        -- Bareiss fraction-free elimination with row swaps
   * congruence_pivots  -- symmetric reduction using only det +-1 congruences,
-                          so the pivot product equals the determinant exactly
+                          so the pivot product equals the determinant exactly;
+                          signature reads the inertia of a model's Gram from it
   * leading_principal_minors -- one Bareiss run per leading block
   * solve_linear       -- Gauss-Jordan elimination over the rationals
+  * matrix_inverse     -- one solve_linear per column; besides the tests only
+                          the box oracle of bounds uses it
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import RankMismatch, SingularMatrix
 
@@ -154,9 +160,15 @@ def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
     positive, i.e. symmetric_elimination of -m reaches the end. It stops at
     the first pivot <= 0. The empty matrix counts as negative definite
     (vacuously)."""
-    if not is_symmetric(m):
-        return False
-    return len(_eliminate([[-int(x) for x in row] for row in m])) == len(m)
+    return is_symmetric(m) and negated_rows(m) is not None
+
+
+def negated_rows(m: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
+    """The rows of a complete symmetric_elimination of -m, which feed
+    adjugate_solve, when the symmetric m is negative definite; None
+    otherwise. The last pivot rows[-1][-1] is then det(-m) = |det m|."""
+    rows = [[-int(x) for x in row] for row in m]
+    return rows if len(_eliminate(rows)) == len(m) else None
 
 
 def congruence_pivots(m: Sequence[Sequence[int]]) -> list[Fraction]:
@@ -258,43 +270,6 @@ def is_characteristic(k: Sequence[int], m: Sequence[Sequence[int]]) -> bool:
         if (sum(row[j] * k[j] for j in range(len(k))) + row[i]) % 2:
             return False
     return True
-
-
-def characteristic_vector(m: Sequence[Sequence[int]]) -> list[int]:
-    """Some characteristic vector for a symmetric integer matrix.
-
-    Solves (m k)_i = m_ii over GF(2). The system is always consistent: for
-    v in the mod-2 kernel, v.(diag) = v.G.v = 0 mod 2, so the right-hand
-    side is orthogonal to the kernel.
-    """
-    n = len(m)
-    a = [[m[i][j] % 2 for j in range(n)] + [m[i][i] % 2] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        for r in range(n):
-            if r != row and a[r][col]:
-                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-    if any(a[r][n] for r in range(row, n)):
-        raise SingularMatrix("no characteristic vector: inconsistent parity system")
-    k = [0] * n
-    for r, c in pivots:
-        k[c] = a[r][n]
-    return k
-
-
-def sqrt_lower(x: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(x), exact on perfect squares."""
-    if x < 0:
-        raise ValueError("sqrt of a negative rational")
-    big = x.numerator * x.denominator
-    return Q(isqrt(big), x.denominator)
 
 
 def sqrt_upper(x: Fraction) -> Fraction:

@@ -21,9 +21,7 @@ from .errors import (
     ModelInconsistent,
     NoAmpleReference,
     NonIntegralGenus,
-    NotAmple,
     NotNefBig,
-    NotNegativeDefinite,
     RankMismatch,
     UnknownCurveName,
     ValidationError,
@@ -280,6 +278,12 @@ class SurfaceModel:
         v, m = self._cleared(d)
         return Q(sum(x * g for x, g in zip(v, self.curve_rows[index]) if x), m)
 
+    def scaled_curve_pairings(self, d: DivisorClass) -> tuple[list[int], int]:
+        """The integers m*D.C_i for every listed curve, and m, the common
+        denominator of d."""
+        v, m = self._cleared(d)
+        return [sum(x * g for x, g in zip(v, row) if x) for row in self.curve_rows], m
+
     def canonical_pairing(self, d: DivisorClass) -> Fraction:
         return self.intersect(self.canonical_class, d)
 
@@ -371,45 +375,3 @@ class SurfaceModel:
                         stack.append(other)
             components.append(tuple(sorted(comp)))
         return tuple(sorted(components))
-
-    def construct_polarization(
-        self, indices: Sequence[int], h: DivisorClass
-    ) -> DivisorClass:
-        """Integral nef-and-big class whose orthogonal curve set is exactly
-        the requested negative definite collection.
-
-        Solves E.C_k = -|det| * (h.C_k) for E supported on the collection and
-        returns |det| * h + E. Cramer's rule makes the coefficients integers;
-        negative-definiteness with nonnegative off-diagonal entries makes
-        them nonnegative.
-        """
-        idx = sorted(set(int(i) for i in indices))
-        if not self.is_ample_model(h):
-            raise NotAmple("polarization construction needs an ample base class")
-        gram = self.curve_gram(idx)
-        if not lattice.is_negative_definite(gram):
-            raise NotNegativeDefinite(
-                "requested curve collection is not negative definite"
-            )
-        det_abs = abs(lattice.determinant(gram))
-        if not idx:
-            return h
-        rhs = [-det_abs * self.pair_curve(h, i) for i in idx]
-        solved = lattice.solve_linear(gram, rhs)
-        coeffs = []
-        for i, x in zip(idx, solved):
-            if x.denominator != 1 or x < 0:
-                raise ModelInconsistent(
-                    f"polarization coefficient for curve {self.curves[i].name} "
-                    f"came out {x}; expected a nonnegative integer"
-                )
-            coeffs.append(int(x))
-        result = h.scale(det_abs) + self.divisor_from_curves(dict(zip(idx, coeffs)))
-        if not (self.is_nef_model(result) and self.is_big(result)):
-            raise ModelInconsistent("constructed polarization failed nef/big checks")
-        exc = self.exceptional_curves(result)
-        if not set(idx).issubset(exc):
-            raise ModelInconsistent(
-                "constructed polarization is not orthogonal to the requested curves"
-            )
-        return result

@@ -7,6 +7,16 @@ Two independent routes compute the same decomposition D = P + N:
   * zariski_oracle tries every curve subset with negative definite Gram and
     keeps the unique candidate satisfying the defining conditions.
 
+Both solve (D - N).C_i = 0 on a support in curve coordinates and in
+integers. With m the common denominator of D, the pairings m*D.C_j are
+computed once. One fraction-free elimination of the negated Gram block
+(lattice.negated_rows) is at once the definiteness test and the
+factorization, and adjugate_solve gives y = det*m*N on the support. A
+coefficient of N is negative exactly when its y_i is, and P is nef
+exactly when det*m*D.C_j - sum_i y_i C_i.C_j >= 0 for every curve j, from
+the integer curve_pairings. A Fraction is built only for the coefficients
+that are kept.
+
 Both enforce the full contract before returning: P nef against the model,
 N effective with negative definite support, and P orthogonal to every
 support curve.
@@ -18,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 from . import lattice
 from .errors import (
@@ -63,12 +74,28 @@ def _pseudo_effective_precheck(model: SurfaceModel, d: DivisorClass) -> None:
             )
 
 
-def _solve_support(
-    model: SurfaceModel, d: DivisorClass, support: tuple[int, ...]
-) -> list[Fraction]:
-    gram = model.curve_gram(support)
-    rhs = [model.pair_curve(d, i) for i in support]
-    return lattice.solve_linear(gram, rhs)
+def _negative_part(
+    dc: Sequence[int], support: Sequence[int], rows: Sequence[Sequence[int]]
+) -> tuple[int, list[int]]:
+    """det(-Gram) on support and y = adj(-Gram)(-m*D.C) = det*m*N there,
+    the solve of (D - N).C_i = 0; dc holds the integers m*D.C_j."""
+    det = rows[-1][-1] if rows else 1
+    return det, lattice.adjugate_solve(rows, [-dc[i] for i in support])
+
+
+def _positive_pairings(
+    model: SurfaceModel, dc: Sequence[int], support: Sequence[int], det: int, y: Sequence[int]
+) -> list[int]:
+    """det*m*P.C_j for every curve j."""
+    p = [det * x for x in dc]
+    for i, yi in zip(support, y):
+        if yi:
+            p = [a - yi * g for a, g in zip(p, model.curve_pairings[i])]
+    return p
+
+
+def _kept(support: Sequence[int], y: Sequence[int], den: int) -> dict[int, Fraction]:
+    return {i: Q(yi, den) for i, yi in zip(support, y) if yi}
 
 
 def _finalize(
@@ -105,26 +132,23 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     if d.rank != model.rank:
         d = model.divisor(d.coords)
     _pseudo_effective_precheck(model, d)
+    dc, m = model.scaled_curve_pairings(d)
     support: tuple[int, ...] = ()
-    solved: dict[int, Fraction] = {}
+    det, y, p = 1, [], dc
     for _ in range(len(model.curves) + 1):
-        negative = model.divisor_from_curves(solved)
-        positive = d - negative
-        violators = [
-            i
-            for i in range(len(model.curves))
-            if i not in solved and model.pair_curve(positive, i) < 0
-        ]
+        violators = [j for j, x in enumerate(p) if x < 0]
         if not violators:
-            return _finalize(model, d, solved)
+            return _finalize(model, d, _kept(support, y, det * m))
         support = tuple(sorted(set(support) | set(violators)))
-        if not lattice.is_negative_definite(model.curve_gram(support)):
+        rows = lattice.negated_rows(model.curve_gram(support))
+        if rows is None:
             raise NotPseudoEffective(
                 "candidate support is not negative definite; the divisor is "
                 "not pseudo-effective on this model or the curve list is "
                 "incomplete"
             )
-        solved = dict(zip(support, _solve_support(model, d, support)))
+        det, y = _negative_part(dc, support, rows)
+        p = _positive_pairings(model, dc, support, det, y)
     raise ModelInconsistent("support iteration failed to stabilize")
 
 
@@ -138,17 +162,16 @@ SUBSET_CACHE_MODELS = 64
 @lru_cache(maxsize=SUBSET_CACHE_MODELS)
 def _negative_definite_subsets(
     model: SurfaceModel,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Every curve subset with negative definite Gram block, paired with
-    the inverse of that block."""
+    the rows of the elimination of the negated block, kept immutable."""
     indices = range(len(model.curves))
     out = []
     for size in range(len(model.curves) + 1):
         for subset in combinations(indices, size):
-            gram = model.curve_gram(subset)
-            if lattice.is_negative_definite(gram):
-                inv = lattice.matrix_inverse(gram)
-                out.append((subset, tuple(tuple(row) for row in inv)))
+            rows = lattice.negated_rows(model.curve_gram(subset))
+            if rows is not None:
+                out.append((subset, tuple(map(tuple, rows))))
     return tuple(out)
 
 
@@ -158,20 +181,16 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
     if d.rank != model.rank:
         d = model.divisor(d.coords)
     _pseudo_effective_precheck(model, d)
-    n_curves = len(model.curves)
-    candidates: dict[tuple[Fraction, ...], dict[int, Fraction]] = {}
-    for subset, inv in _negative_definite_subsets(model):
-        rhs = [model.pair_curve(d, i) for i in subset]
-        coeffs = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inv]
-        if any(c < 0 for c in coeffs):
+    dc, m = model.scaled_curve_pairings(d)
+    candidates: dict[tuple[tuple[int, Fraction], ...], dict[int, Fraction]] = {}
+    for subset, rows in _negative_definite_subsets(model):
+        det, y = _negative_part(dc, subset, rows)
+        if any(x < 0 for x in y):
             continue
-        solved = dict(zip(subset, coeffs))
-        negative = model.divisor_from_curves(solved)
-        positive = d - negative
-        if any(model.pair_curve(positive, i) < 0 for i in range(n_curves)):
+        if any(x < 0 for x in _positive_pairings(model, dc, subset, det, y)):
             continue
-        key = tuple(solved.get(i, Q(0)) for i in range(n_curves))
-        candidates[key] = solved
+        solved = _kept(subset, y, det * m)
+        candidates[tuple(solved.items())] = solved
     if not candidates:
         raise NotPseudoEffective(
             "no subset produced a valid decomposition; the divisor is not "

@@ -23,7 +23,8 @@ import random
 from fractions import Fraction
 
 from surfbound import lattice
-from surfbound.surface import SurfaceModel
+from surfbound.errors import NotAmple, NotNegativeDefinite, SingularMatrix
+from surfbound.surface import DivisorClass, SurfaceModel
 
 
 def _matmul(a, b):
@@ -61,6 +62,59 @@ def _solve_int(matrix, rhs):
     solved = lattice.solve_linear(matrix, rhs)
     assert all(x.denominator == 1 for x in solved)
     return [int(x) for x in solved]
+
+
+def characteristic_vector(m):
+    """Some characteristic vector for a symmetric integer matrix.
+
+    Solves (m k)_i = m_ii over GF(2). The system is always consistent: for
+    v in the mod-2 kernel, v.(diag) = v.G.v = 0 mod 2, so the right-hand
+    side is orthogonal to the kernel.
+    """
+    n = len(m)
+    a = [[m[i][j] % 2 for j in range(n)] + [m[i][i] % 2] for i in range(n)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, n) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        for r in range(n):
+            if r != row and a[r][col]:
+                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+    if any(a[r][n] for r in range(row, n)):
+        raise SingularMatrix("no characteristic vector: inconsistent parity system")
+    k = [0] * n
+    for r, c in pivots:
+        k[c] = a[r][n]
+    return k
+
+
+def construct_polarization(model: SurfaceModel, indices, h: DivisorClass) -> DivisorClass:
+    """Integral nef and big class |det| h + E orthogonal to the requested
+    negative definite curves, for an integral ample class h.
+
+    With G the Gram block of the curves, E = sum e_k C_k for e = adj(-G)
+    (h.C): then E.C = G e = -|det| (h.C) on the block. adj(-G) has
+    nonnegative entries, since -G is positive definite with nonpositive
+    off-diagonal entries, so E is effective.
+    """
+    idx = sorted(set(int(i) for i in indices))
+    if not model.is_ample_model(h):
+        raise NotAmple("polarization construction needs an ample base class")
+    rows = lattice.negated_rows(model.curve_gram(idx))
+    if rows is None:
+        raise NotNegativeDefinite("requested curve collection is not negative definite")
+    assert h.is_integral
+    e = lattice.adjugate_solve(rows, [int(model.pair_curve(h, i)) for i in idx])
+    assert all(x >= 0 for x in e)
+    det = rows[-1][-1] if rows else 1
+    result = det * h + model.divisor_from_curves(dict(zip(idx, e)))
+    assert set(idx) <= set(model.exceptional_curves(result))
+    return result
 
 
 def hodge_model(rng: random.Random, rank: int):
@@ -132,7 +186,7 @@ def block_model(
             for j in range(s):
                 gram[offset + i][offset + j] = block[i][j]
         offset += s
-    base = lattice.characteristic_vector(gram)
+    base = characteristic_vector(gram)
     canonical = [b + 2 * rng.randint(-2, 2) for b in base]
     curves = []
     for i in range(1, rank):

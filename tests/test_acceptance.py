@@ -136,7 +136,6 @@ def test_criterion_4_fundamental_cycles(fixture_models, rng):
         assert fast == slow, kind
         assert fast.genus == 0
         assert fast.multiplicity == 2
-        assert cycles.is_rational_configuration(model, component)
     for _ in range(200):
         model = plumbing_configuration(rng)
         everything = tuple(range(len(model.curves)))

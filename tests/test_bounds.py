@@ -42,7 +42,13 @@ from surfbound.errors import (
 from surfbound.surface import SurfaceModel
 from surfbound.surface_io import parse_divisor
 
-from generators import ADE_TYPES, block_model, plumbing_elliptic, polarization
+from generators import (
+    ADE_TYPES,
+    block_model,
+    construct_polarization,
+    plumbing_elliptic,
+    polarization,
+)
 
 POSITIVE_ROOTS = {
     "a": lambda n: n * (n + 1) // 2,
@@ -598,7 +604,7 @@ class TestSeparatingDivisor:
     def test_elliptic_uses_correction(self, rng):
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
-        a = model.construct_polarization([0], e0)
+        a = construct_polarization(model, [0], e0)
         sep = Analysis(model, a, model.zero_divisor()).separating_divisor
         (piece,) = sep.pieces
         assert not piece.from_fundamental_cycle
@@ -625,7 +631,7 @@ class TestConditionFlags:
     def test_elliptic_not_artin(self, rng):
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
-        a = model.construct_polarization([0], e0)
+        a = construct_polarization(model, [0], e0)
         flags = Analysis(model, a, model.zero_divisor()).condition_check(0)
         assert not flags.artin
 
@@ -663,7 +669,7 @@ class TestRingGeneration:
     def test_elliptic_needs_assertion(self, rng):
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
-        a = model.construct_polarization([0], e0)
+        a = construct_polarization(model, [0], e0)
         analysis = Analysis(model, a, model.zero_divisor())
         if analysis.level_at(model.zero_divisor()) < 1:
             pytest.skip("polarization too small for the ring statement")
@@ -790,7 +796,7 @@ class TestTheoremThresholds:
     def test_nonrational_case_uses_separating_divisor(self, rng):
         model = plumbing_elliptic(rng)
         e0 = model.divisor([1] + [0] * (model.rank - 1))
-        a = model.construct_polarization([0], e0)
+        a = construct_polarization(model, [0], e0)
         table = theorem_thresholds(Analysis(model, a, model.zero_divisor()))
         assert not table["h1_vanishes_rational"].established
         fibers = table["connected_fibers"]

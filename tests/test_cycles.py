@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from surfbound.cycles import (
-    cycle_bruteforce_oracle,
-    fundamental_cycle,
-    is_rational_configuration,
-)
+from surfbound.bounds import Analysis
+from surfbound.cycles import cycle_bruteforce_oracle, fundamental_cycle
 from surfbound.errors import ModelInconsistent, NotConnected, NotNegativeDefinite
 
-from generators import ADE_TYPES, plumbing_configuration, plumbing_elliptic
+from generators import (
+    ADE_TYPES,
+    construct_polarization,
+    plumbing_configuration,
+    plumbing_elliptic,
+    polarization,
+)
 
 
 class TestRootConfigurations:
@@ -47,7 +50,9 @@ class TestEllipticConfigurations:
         assert cycle.coefficients == (1,)
         assert cycle.genus == 1
         assert cycle.multiplicity == -model.self_intersection(model.curve_divisor(0))
-        assert not is_rational_configuration(model, [0])
+        e0 = model.divisor([1] + [0] * (model.rank - 1))
+        a = construct_polarization(model, [0], e0)
+        assert not Analysis(model, a, model.zero_divisor()).rational
 
 
 class TestValidationAndEdges:
@@ -69,13 +74,19 @@ class TestValidationAndEdges:
             fundamental_cycle(model, (0,))  # the plane class has square +1
 
     def test_rationality_of_empty_set(self, fixture_models):
-        assert is_rational_configuration(fixture_models["a2_resolution"], ())
+        model = fixture_models["a2_resolution"]
+        ample = model.divisor(model.ample_reference)
+        analysis = Analysis(model, ample, model.zero_divisor())
+        assert analysis.support == ()
+        assert analysis.rational
 
     def test_rationality_splits_by_component(self, rng):
         from generators import block_model
 
         model = block_model(rng, [2, 3])
-        assert is_rational_configuration(model, range(5)) == all(
+        analysis = Analysis(model, polarization(model), model.zero_divisor())
+        assert analysis.components == model.connected_components(range(5))
+        assert analysis.rational == all(
             fundamental_cycle(model, comp).genus == 0
             for comp in model.connected_components(range(5))
         )

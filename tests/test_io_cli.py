@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from surfbound.surface_io import (
     surface_from_data,
     surface_to_data,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VALID = {
     "schema": 1,
@@ -217,7 +223,10 @@ class TestCommandLine:
     def test_usage_errors_exit_two(self, capsys):
         assert run_subcommand(["zariski", "--surface", "hirzebruch_f2"]) == 2
         assert run_subcommand(["no-such-command"]) == 2
-        capsys.readouterr()
+        # only the box oracles of obstructions and fundcycle take a margin
+        argv = ["zariski", "--surface", "hirzebruch_f2", "--divisor", "f+s", "--oracle"]
+        assert run_subcommand(argv + ["--box-margin", "3"]) == 2
+        assert "unrecognized arguments: --box-margin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -235,6 +244,20 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be at least" in captured.err
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the first write, as in `... | head -0`
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "surfbound.cli", "obstructions", "--surface", "ade_e8",
+             "--divisor", "h", "-k", "2", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
 
     def test_help_exits_zero(self, capsys):
         assert run_subcommand(["--help"]) == 0

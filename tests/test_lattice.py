@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from surfbound import lattice
 from surfbound.errors import RankMismatch, SingularMatrix
 
-from generators import ADE_TYPES, ade_gram, random_unimodular
+from generators import ADE_TYPES, ade_gram, characteristic_vector, random_unimodular
 
 # negated Cartan matrices and their determinant magnitudes
 EXPECTED_DET = {
@@ -152,6 +153,8 @@ class TestSymmetricElimination:
         q = [[-x for x in row] for row in ade_gram(kind, size)]
         minors, rows = lattice.symmetric_elimination(q)
         assert minors[-1] == EXPECTED_DET[(kind, size)]
+        assert lattice.negated_rows(ade_gram(kind, size)) == rows
+        assert lattice.negated_rows(q) is None
         ones = [1] * size
         assert lattice.adjugate_solve(rows, ones) == [
             minors[-1] * x for x in lattice.solve_linear(q, ones)
@@ -227,6 +230,83 @@ class TestSignature:
         assert lattice.leading_principal_minors(m) == [-2, 3]
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def seeded_symmetric(rng, n):
+    """A symmetric integer matrix of any inertia; one draw in three is B'DB
+    for a short B and D = diag(+-1), so singular matrices occur too."""
+    if rng.randrange(3):
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    d = [rng.choice([-1, 1]) for _ in b]
+    return [
+        [sum(d[t] * b[t][i] * b[t][j] for t in range(len(b))) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def descartes_inertia(sympy, m):
+    """(n_plus, n_minus, n_zero) from the sign changes of the characteristic
+    polynomial's coefficients. A symmetric matrix has only real eigenvalues,
+    so Descartes' rule of signs counts the positive and, on p(-x), the
+    negative roots exactly."""
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()  # leading coefficient 1 first
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+
+    def changes(seq):
+        signs = [c > 0 for c in seq if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    degree = len(coeffs) - 1
+    return changes(coeffs), changes([c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]), zero
+
+
+class TestKernelAgainstSympy:
+    """The integer kernel and the signature against sympy's independent
+    determinant, adjugate and characteristic polynomial."""
+
+    def test_minors_are_determinants(self, sympy, rng):
+        for trial in range(60):
+            n = 1 + trial % 6
+            m = seeded_symmetric(rng, n) if trial % 2 else seeded_positive_definite(rng, n)
+            minors, _ = lattice.symmetric_elimination(m)
+            for k, minor in enumerate(minors):
+                assert minor == sympy.Matrix(m)[: k + 1, : k + 1].det()
+            if len(minors) == n:
+                assert minors[-1] == sympy.Matrix(m).det()
+            else:
+                assert sympy.Matrix(m)[: len(minors) + 1, : len(minors) + 1].det() <= 0
+
+    def test_adjugate_solve_is_the_adjugate(self, sympy, rng):
+        for trial in range(40):
+            n = 1 + trial % 6
+            m = seeded_positive_definite(rng, n)
+            _, rows = lattice.symmetric_elimination(m)
+            adj = sympy.Matrix(m).adjugate()
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            assert lattice.adjugate_solve(rows, b) == list(adj * sympy.Matrix(b))
+            # a rational right-hand side, its denominators cleared by their
+            # lcm as the Zariski solve clears those of m*D.C
+            rational = [Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            den = lcm(*(x.denominator for x in rational))
+            cleared = [x.numerator * (den // x.denominator) for x in rational]
+            exact = adj * sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                                        for x in rational])
+            assert lattice.adjugate_solve(rows, cleared) == list(den * exact)
+
+    def test_signature_is_the_inertia_of_the_charpoly(self, sympy, rng):
+        for trial in range(60):
+            m = seeded_symmetric(rng, 1 + trial % 6)
+            assert lattice.signature(m) == descartes_inertia(sympy, m)
+
+
 class TestCharacteristic:
     def test_odd_unimodular_needs_odd_vector(self):
         assert not lattice.is_characteristic([0], [[1]])
@@ -241,14 +321,14 @@ class TestCharacteristic:
     @settings(max_examples=150, deadline=None)
     def test_constructed_vector_is_characteristic(self, m):
         try:
-            k = lattice.characteristic_vector(m)
+            k = characteristic_vector(m)
         except SingularMatrix:
             return  # singular mod 2 with inconsistent parity cannot occur; guard anyway
         assert lattice.is_characteristic(k, m)
 
     def test_shift_by_two_preserves(self):
         m = [[1, 0], [0, -1]]
-        k = lattice.characteristic_vector(m)
+        k = characteristic_vector(m)
         shifted = [k[0] + 2, k[1] - 4]
         assert lattice.is_characteristic(shifted, m)
 
@@ -258,18 +338,17 @@ class TestSqrtBrackets:
     @settings(max_examples=200, deadline=None)
     def test_integer_bounds(self, n):
         x = Q(n)
-        low, up = lattice.sqrt_lower(x), lattice.sqrt_upper(x)
-        assert low * low <= x <= up * up
-        assert low <= up
+        up = lattice.sqrt_upper(x)
+        assert x <= up * up
+        assert n == 0 or (up - 1) ** 2 < x
 
     @given(st.integers(0, 3000))
     @settings(max_examples=200, deadline=None)
     def test_perfect_squares_exact(self, n):
         x = Q(n * n)
-        assert lattice.sqrt_lower(x) == n == lattice.sqrt_upper(x)
+        assert lattice.sqrt_upper(x) == n
 
     def test_rational_square_exact(self):
-        assert lattice.sqrt_lower(Q(9, 4)) == Q(3, 2)
         assert lattice.sqrt_upper(Q(9, 4)) == Q(3, 2)
 
     @given(
@@ -287,4 +366,6 @@ class TestSqrtBrackets:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            lattice.sqrt_lower(Q(-1))
+            lattice.sqrt_upper(Q(-1))
+        with pytest.raises(ValueError):
+            lattice.sqrt_bracket(Q(-1), Q(1, 4))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,10 @@ def test_double_cover_table_has_a_row_per_degree():
     header, rule, *rows = proc.stdout.splitlines()
     assert header.split()[0] == "d" and set(rule.replace(" ", "")) == {"-"}
     assert [row.split()[0] for row in rows] == [str(d) for d in range(3, 9)]
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

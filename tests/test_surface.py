@@ -18,7 +18,13 @@ from surfbound.errors import (
 )
 from surfbound.surface import DivisorClass, SurfaceModel
 
-from generators import big_class, block_model, hodge_model, polarization
+from generators import (
+    big_class,
+    block_model,
+    construct_polarization,
+    hodge_model,
+    polarization,
+)
 
 F2 = dict(
     name="f2",
@@ -200,7 +206,7 @@ class TestExceptionalConfigurations:
     def test_construct_polarization_orthogonality(self, fixture_models):
         model = fixture_models["a2_resolution"]
         ample = model.divisor(model.ample_reference)
-        built = model.construct_polarization([1, 2], ample)
+        built = construct_polarization(model, [1, 2], ample)
         assert built.is_integral
         assert model.pair_curve(built, 1) == 0
         assert model.pair_curve(built, 2) == 0
@@ -210,14 +216,14 @@ class TestExceptionalConfigurations:
     def test_construct_polarization_needs_ample(self):
         model = make()
         with pytest.raises(NotAmple):
-            model.construct_polarization([1], model.curve_divisor(0))
+            construct_polarization(model, [1], model.curve_divisor(0))
 
     def test_construct_polarization_rejects_positive_block(self):
         model = make()
         from surfbound.errors import NotNegativeDefinite
 
         with pytest.raises(NotNegativeDefinite):
-            model.construct_polarization([0], model.divisor([3, 1]))
+            construct_polarization(model, [0], model.divisor([3, 1]))
 
 
 class TestDivisorClass:

@@ -132,6 +132,19 @@ class TestDualRoutes:
             assert fast == slow
             check_defining_properties(model, d, fast)
 
+    def test_rational_multiples_scale_both_parts(self, rng):
+        # D = P + N gives c*D = c*P + c*N for rational c > 0; the solve
+        # clears the denominator of c*D
+        for trial in range(30):
+            model = block_model(rng, rng.choice(self.SIZE_CHOICES), name=f"q{trial}")
+            d = effective_combination(rng, model)
+            c = Q(rng.randint(1, 7), rng.randint(2, 9))
+            dec = zariski_decompose(model, d)
+            scaled = zariski_decompose(model, c * d)
+            assert scaled == zariski_oracle(model, c * d)
+            assert scaled.positive == c * dec.positive
+            assert scaled.negative == c * dec.negative
+
     def test_oracle_cache_stays_bounded(self, rng):
         # more distinct models than the subset cache keeps: the oldest
         # tables are evicted and the results stay right
