@@ -693,10 +693,10 @@ class Analysis:
         sigma = tuple(max(model.pair_curve(w, i) + k, Q(0)) for i in support)
         # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
         # is positive definite with determinant |det|
-        rows = lattice.negated_rows(model.curve_gram(support))
-        if rows is None:
+        eliminated = lattice.negated_elimination(model.curve_gram(support))
+        if eliminated is None:
             raise NotNegativeDefinite("correction support is not negative definite")
-        det_abs = rows[-1][-1]
+        det_abs, rows = eliminated
         den = lcm(*(s.denominator for s in sigma))
         rhs = [s.numerator * (den // s.denominator) for s in sigma]
         solved = [Q(y, den) for y in lattice.adjugate_solve(rows, rhs)]

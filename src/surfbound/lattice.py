@@ -8,9 +8,9 @@ pass over a symmetric integer matrix without row exchanges, stopping at the
 first pivot <= 0. Its pivots are the leading principal minors, so it is the
 Sylvester test behind is_negative_definite; when it reaches the end it is an
 integer LDL' factorization, and adjugate_solve turns it into det(m) m^-1 b
-for integer b (Bareiss, Math. Comp. 22, 1968). negated_rows runs it on the
-negation of a Gram block, as one step that is both the definiteness test
-and the factorization. Every definite solve of the package runs on the
+for integer b (Bareiss, Math. Comp. 22, 1968). negated_elimination runs it
+on the negation of a Gram block, as one step that is both the definiteness
+test and the factorization, and returns the determinant with the rows. Every definite solve of the package runs on the
 kernel without building a Fraction: the Zariski decomposition and its
 oracle, the obstruction search and the correction divisors of bounds.
 
@@ -160,15 +160,22 @@ def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
     positive, i.e. symmetric_elimination of -m reaches the end. It stops at
     the first pivot <= 0. The empty matrix counts as negative definite
     (vacuously)."""
-    return is_symmetric(m) and negated_rows(m) is not None
+    if not is_symmetric(m):
+        return False
+    return len(_eliminate([[-int(x) for x in row] for row in m])) == len(m)
 
 
-def negated_rows(m: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
-    """The rows of a complete symmetric_elimination of -m, which feed
-    adjugate_solve, when the symmetric m is negative definite; None
-    otherwise. The last pivot rows[-1][-1] is then det(-m) = |det m|."""
+def negated_elimination(
+    m: Sequence[Sequence[int]],
+) -> Optional[tuple[int, list[list[int]]]]:
+    """(det(-m), rows) from a complete symmetric_elimination of -m when the
+    symmetric m is negative definite, None otherwise. The rows feed
+    adjugate_solve; the empty block gives (1, [])."""
     rows = [[-int(x) for x in row] for row in m]
-    return rows if len(_eliminate(rows)) == len(m) else None
+    minors = _eliminate(rows)
+    if len(minors) < len(m):
+        return None
+    return (minors[-1] if minors else 1), rows
 
 
 def congruence_pivots(m: Sequence[Sequence[int]]) -> list[Fraction]:

@@ -10,7 +10,7 @@ Two independent routes compute the same decomposition D = P + N:
 Both solve (D - N).C_i = 0 on a support in curve coordinates and in
 integers. With m the common denominator of D, the pairings m*D.C_j are
 computed once. One fraction-free elimination of the negated Gram block
-(lattice.negated_rows) is at once the definiteness test and the
+(lattice.negated_elimination) is at once the definiteness test and the
 factorization, and adjugate_solve gives y = det*m*N on the support. A
 coefficient of N is negative exactly when its y_i is, and P is nef
 exactly when det*m*D.C_j - sum_i y_i C_i.C_j >= 0 for every curve j, from
@@ -76,11 +76,10 @@ def _pseudo_effective_precheck(model: SurfaceModel, d: DivisorClass) -> None:
 
 def _negative_part(
     dc: Sequence[int], support: Sequence[int], rows: Sequence[Sequence[int]]
-) -> tuple[int, list[int]]:
-    """det(-Gram) on support and y = adj(-Gram)(-m*D.C) = det*m*N there,
-    the solve of (D - N).C_i = 0; dc holds the integers m*D.C_j."""
-    det = rows[-1][-1] if rows else 1
-    return det, lattice.adjugate_solve(rows, [-dc[i] for i in support])
+) -> list[int]:
+    """y = adj(-Gram)(-m*D.C) = det*m*N on support, the solve of
+    (D - N).C_i = 0; dc holds the integers m*D.C_j."""
+    return lattice.adjugate_solve(rows, [-dc[i] for i in support])
 
 
 def _positive_pairings(
@@ -140,14 +139,15 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
         if not violators:
             return _finalize(model, d, _kept(support, y, det * m))
         support = tuple(sorted(set(support) | set(violators)))
-        rows = lattice.negated_rows(model.curve_gram(support))
-        if rows is None:
+        eliminated = lattice.negated_elimination(model.curve_gram(support))
+        if eliminated is None:
             raise NotPseudoEffective(
                 "candidate support is not negative definite; the divisor is "
                 "not pseudo-effective on this model or the curve list is "
                 "incomplete"
             )
-        det, y = _negative_part(dc, support, rows)
+        det, rows = eliminated
+        y = _negative_part(dc, support, rows)
         p = _positive_pairings(model, dc, support, det, y)
     raise ModelInconsistent("support iteration failed to stabilize")
 
@@ -162,16 +162,18 @@ SUBSET_CACHE_MODELS = 64
 @lru_cache(maxsize=SUBSET_CACHE_MODELS)
 def _negative_definite_subsets(
     model: SurfaceModel,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """Every curve subset with negative definite Gram block, paired with
-    the rows of the elimination of the negated block, kept immutable."""
+) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]], ...]:
+    """Every curve subset with negative definite Gram block, with the
+    determinant and the rows of the elimination of the negated block, the
+    rows kept immutable."""
     indices = range(len(model.curves))
     out = []
     for size in range(len(model.curves) + 1):
         for subset in combinations(indices, size):
-            rows = lattice.negated_rows(model.curve_gram(subset))
-            if rows is not None:
-                out.append((subset, tuple(map(tuple, rows))))
+            eliminated = lattice.negated_elimination(model.curve_gram(subset))
+            if eliminated is not None:
+                det, rows = eliminated
+                out.append((subset, det, tuple(map(tuple, rows))))
     return tuple(out)
 
 
@@ -183,8 +185,8 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
     _pseudo_effective_precheck(model, d)
     dc, m = model.scaled_curve_pairings(d)
     candidates: dict[tuple[tuple[int, Fraction], ...], dict[int, Fraction]] = {}
-    for subset, rows in _negative_definite_subsets(model):
-        det, y = _negative_part(dc, subset, rows)
+    for subset, det, rows in _negative_definite_subsets(model):
+        y = _negative_part(dc, subset, rows)
         if any(x < 0 for x in y):
             continue
         if any(x < 0 for x in _positive_pairings(model, dc, subset, det, y)):

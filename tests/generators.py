@@ -105,13 +105,13 @@ def construct_polarization(model: SurfaceModel, indices, h: DivisorClass) -> Div
     idx = sorted(set(int(i) for i in indices))
     if not model.is_ample_model(h):
         raise NotAmple("polarization construction needs an ample base class")
-    rows = lattice.negated_rows(model.curve_gram(idx))
-    if rows is None:
+    eliminated = lattice.negated_elimination(model.curve_gram(idx))
+    if eliminated is None:
         raise NotNegativeDefinite("requested curve collection is not negative definite")
+    det, rows = eliminated
     assert h.is_integral
     e = lattice.adjugate_solve(rows, [int(model.pair_curve(h, i)) for i in idx])
     assert all(x >= 0 for x in e)
-    det = rows[-1][-1] if rows else 1
     result = det * h + model.divisor_from_curves(dict(zip(idx, e)))
     assert set(idx) <= set(model.exceptional_curves(result))
     return result

@@ -153,8 +153,8 @@ class TestSymmetricElimination:
         q = [[-x for x in row] for row in ade_gram(kind, size)]
         minors, rows = lattice.symmetric_elimination(q)
         assert minors[-1] == EXPECTED_DET[(kind, size)]
-        assert lattice.negated_rows(ade_gram(kind, size)) == rows
-        assert lattice.negated_rows(q) is None
+        assert lattice.negated_elimination(ade_gram(kind, size)) == (minors[-1], rows)
+        assert lattice.negated_elimination(q) is None
         ones = [1] * size
         assert lattice.adjugate_solve(rows, ones) == [
             minors[-1] * x for x in lattice.solve_linear(q, ones)
@@ -213,6 +213,10 @@ class TestSignature:
     def test_negative_definite_iff_all_minus(self, m):
         expected = lattice.signature(m) == (0, len(m), 0)
         assert lattice.is_negative_definite(m) == expected
+        eliminated = lattice.negated_elimination(m)
+        assert (eliminated is not None) == expected
+        if eliminated is not None:
+            assert eliminated[0] == (-1) ** len(m) * lattice.determinant(m)
         # Sylvester on the separately computed minors: the k-th has sign (-1)^k
         minors = lattice.leading_principal_minors(m)
         assert all((-1) ** k * minor > 0 for k, minor in enumerate(minors, 1)) == expected
@@ -220,6 +224,10 @@ class TestSignature:
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
     def test_root_lattices_negative_definite(self, kind, size):
         assert lattice.is_negative_definite(ade_gram(kind, size))
+
+    def test_empty_block(self):
+        assert lattice.is_negative_definite([])
+        assert lattice.negated_elimination([]) == (1, [])
 
     def test_zero_block_needs_off_diagonal_borrow(self):
         # hyperbolic plane: both diagonal entries vanish
