@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -21,6 +20,7 @@ from .errors import CalculatorError, OracleMismatch
 from .reporting import (
     curve_names,
     divisor_payload,
+    dump_json,
     exact_value,
     render_text,
     to_payload,
@@ -515,7 +515,7 @@ def run_subcommand(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(dump_json(payload))
     else:
         print("\n".join(render_text(payload)))
     return 0

@@ -3,14 +3,22 @@
 Every rational is reported as {"exact": "p/q", "approx": float} so that
 scripts can consume the exact value while humans read the decimal. The
 minimum over an empty obstruction set serializes as {"exact": "inf",
-"approx": null}. The text renderer walks the same payload, so both output
-modes always carry identical exact values.
+"approx": null}, and so does the approximation of a value beyond float
+range: its "exact" string stays whole. The text renderer walks the same
+payload, so both output modes always carry identical exact values.
+
+`dump_json` writes the --json output: indented by 2 spaces, ASCII-escaped,
+and byte for byte equal to `json.dumps(payload, indent=2)` on every payload
+`to_payload` builds. With an indent, `json.dumps` leaves its C encoder for a
+pure-Python one; `dump_json` keeps the stdlib's C string escaper and writes
+the layout itself in one pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .bounds import INFINITY
@@ -20,17 +28,19 @@ from .surface import DivisorClass, SurfaceModel
 def exact_value(value) -> dict:
     if value is INFINITY:
         return {"exact": "inf", "approx": None}
-    frac = Fraction(value)
+    frac = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        approx = float(frac)
+    except OverflowError:
+        approx = None
     if frac.denominator == 1:
-        return {"exact": str(frac.numerator), "approx": float(frac)}
-    return {"exact": f"{frac.numerator}/{frac.denominator}", "approx": float(frac)}
+        return {"exact": str(frac.numerator), "approx": approx}
+    return {"exact": f"{frac.numerator}/{frac.denominator}", "approx": approx}
 
 
 def divisor_payload(divisor: DivisorClass) -> dict:
-    return {
-        "coords": [exact_value(c) for c in divisor.coords],
-        "text": ",".join(exact_value(c)["exact"] for c in divisor.coords),
-    }
+    coords = [exact_value(c) for c in divisor.coords]
+    return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
 
 
 def curve_names(model: SurfaceModel, indices) -> list[str]:
@@ -58,6 +68,63 @@ def to_payload(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [to_payload(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def dump_json(payload: Any) -> str:
+    """`json.dumps(payload, indent=2)` in one pass over a payload tree of
+    dicts with str keys, lists, tuples, str, int, finite float, bool and
+    None.
+
+    The recursion is a closure, so a tracer that wraps this module's
+    functions sees one call per document, not one per node.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(value: Any, pad: str) -> None:
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append(float.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = pad + "  "
+            sep = ",\n" + inner
+            lead = "{\n" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"cannot serialize key of type {type(key).__name__}")
+                append(lead + encode_basestring_ascii(key) + ": ")
+                lead = sep
+                write(item, inner)
+            append("\n" + pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = pad + "  "
+            sep = ",\n" + inner
+            lead = "[\n" + inner
+            for item in value:
+                append(lead)
+                lead = sep
+                write(item, inner)
+            append("\n" + pad + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    write(payload, "")
+    return "".join(parts)
 
 
 def _is_exact_value(value: Any) -> bool:

@@ -9,6 +9,7 @@ claimed for the ambient surface; reports carry that caveat.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,15 +216,17 @@ class SurfaceModel:
     def curve_rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer rows G.C_i: pairing a divisor with curve i is one dot
         product with row i."""
+        mul = operator.mul
         return tuple(
-            tuple(sum(g * x for g, x in zip(row, c.coords)) for row in self.gram)
+            tuple(sum(map(mul, row, c.coords)) for row in self.gram)
             for c in self.curves
         )
 
     @cached_property
     def curve_pairings(self) -> tuple[tuple[int, ...], ...]:
+        mul = operator.mul
         return tuple(
-            tuple(sum(g * x for g, x in zip(row, b.coords)) for b in self.curves)
+            tuple(sum(map(mul, row, b.coords)) for b in self.curves)
             for row in self.curve_rows
         )
 
@@ -280,7 +283,7 @@ class SurfaceModel:
 
     def scaled_curve_pairings(self, d: DivisorClass) -> tuple[list[int], int]:
         """The integers m*D.C_i for every listed curve, and m, the common
-        denominator of d."""
+        denominator of d. As m > 0, each has the sign of D.C_i."""
         v, m = self._cleared(d)
         return [sum(x * g for x, g in zip(v, row) if x) for row in self.curve_rows], m
 
@@ -302,7 +305,7 @@ class SurfaceModel:
     # -- positivity flags --------------------------------------------------
 
     def is_nef_model(self, d: DivisorClass) -> bool:
-        return all(self.pair_curve(d, i) >= 0 for i in range(len(self.curves)))
+        return all(p >= 0 for p in self.scaled_curve_pairings(d)[0])
 
     def is_big(self, d: DivisorClass) -> bool:
         return self.self_intersection(d) > 0
@@ -310,7 +313,7 @@ class SurfaceModel:
     def is_ample_model(self, d: DivisorClass) -> bool:
         return (
             self.is_big(d)
-            and all(self.pair_curve(d, i) > 0 for i in range(len(self.curves)))
+            and all(p > 0 for p in self.scaled_curve_pairings(d)[0])
         )
 
     def is_pseudo_effective_model(self, d: DivisorClass) -> bool:
@@ -344,7 +347,7 @@ class SurfaceModel:
         shape of the lattice anything orthogonal to a big class is negative,
         so a failure here means the curve list is inconsistent.
         """
-        pairings = [self.pair_curve(a, i) for i in range(len(self.curves))]
+        pairings = self.scaled_curve_pairings(a)[0]
         if any(p < 0 for p in pairings):
             raise NotNefBig("class is not nef against the listed curves")
         if not self.is_big(a):

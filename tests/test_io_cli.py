@@ -10,9 +10,12 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbound import surface_io
 from surfbound.cli import run_subcommand
+from surfbound.reporting import dump_json
 from surfbound.errors import ParseError, UnknownCurveName
 from surfbound.surface_io import (
     fixture_names,
@@ -381,6 +384,16 @@ class TestCommandLine:
         assert "k_very_ample" in payload["report"]["thresholds"]
         assert payload["report"]["tau"] == {"exact": "2", "approx": 2.0}
 
+    def test_value_beyond_float_range(self, capsys):
+        big = "1" + "0" * 400
+        argv = ["zariski", "--surface", "hirzebruch_f2", "--divisor", f"{big},1"]
+        assert run_subcommand(argv) == 0  # text mode
+        assert f"text: {big},1" in capsys.readouterr().out
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["input"]["coords"][0] == {"exact": big, "approx": None}
+        assert payload["input"]["coords"][1] == {"exact": "1", "approx": 1.0}
+
     def test_text_and_json_share_exact_values(self, capsys):
         args = ["tau", "--surface", "a2_resolution", "--divisor", "1,0,0"]
         code, payload = run_json(capsys, args)
@@ -393,3 +406,44 @@ class TestCommandLine:
     def test_unknown_fixture_exits_one(self, capsys):
         assert run_subcommand(["validate", "--surface", "not_a_fixture"]) == 1
         assert "available" in capsys.readouterr().err
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "caf\u00e9 \u20ac \U0001f600", ""]
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 0.1]),
+    _JSON_STRINGS,
+)
+JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_equals_stdlib(self, tree):
+        assert dump_json(tree) == json.dumps(tree, indent=2)
+
+    def test_empty_containers_and_nesting(self):
+        tree = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [1, 2.5, None]}}
+        assert dump_json(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize(
+        "tree", [{1: "a"}, {"a": {None: 0}}, {(1,): 0}, {1, 2}, [{"a": {1}}], Q(1, 2)],
+        ids=["int-key", "none-key", "tuple-key", "set", "nested-set", "fraction"],
+    )
+    def test_other_types_raise(self, tree):
+        with pytest.raises(TypeError):
+            dump_json(tree)
