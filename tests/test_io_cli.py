@@ -436,10 +436,6 @@ class TestDumpJson:
     def test_equals_stdlib(self, tree):
         assert dump_json(tree) == json.dumps(tree, indent=2)
 
-    def test_empty_containers_and_nesting(self):
-        tree = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [1, 2.5, None]}}
-        assert dump_json(tree) == json.dumps(tree, indent=2)
-
     @pytest.mark.parametrize(
         "tree", [{1: "a"}, {"a": {None: 0}}, {(1,): 0}, {1, 2}, [{"a": {1}}], Q(1, 2)],
         ids=["int-key", "none-key", "tuple-key", "set", "nested-set", "fraction"],
