@@ -29,13 +29,14 @@ def exact_value(value) -> dict:
     if value is INFINITY:
         return {"exact": "inf", "approx": None}
     frac = value if isinstance(value, Fraction) else Fraction(value)
+    n, d = frac.numerator, frac.denominator
     try:
-        approx = float(frac)
+        approx = n / d  # float(frac), correctly rounded
     except OverflowError:
         approx = None
-    if frac.denominator == 1:
-        return {"exact": str(frac.numerator), "approx": approx}
-    return {"exact": f"{frac.numerator}/{frac.denominator}", "approx": approx}
+    if d == 1:
+        return {"exact": str(n), "approx": approx}
+    return {"exact": f"{n}/{d}", "approx": approx}
 
 
 def divisor_payload(divisor: DivisorClass) -> dict:
@@ -47,9 +48,35 @@ def curve_names(model: SurfaceModel, indices) -> list[str]:
     return [model.curves[i].name for i in indices]
 
 
+_PLAIN = frozenset({type(None), str, bool, int})
+# Field names per dataclass type, filled on first use: one entry per result
+# class that reaches to_payload.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def to_payload(value: Any) -> Any:
     """Recursively convert results (dataclasses, Fractions, divisors,
-    dicts, sequences) into JSON-serializable structures."""
+    dicts, sequences) into JSON-serializable structures.
+
+    Exact types dispatch on type(value); subclasses, dicts and anything
+    else go through the isinstance chain of `_general_payload`. Either way
+    a dataclass keeps its field order, and so the key order."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is Fraction:
+        return exact_value(value)
+    if kind is DivisorClass:
+        return divisor_payload(value)
+    if kind is list or kind is tuple:
+        return [to_payload(v) for v in value]
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        return {name: to_payload(getattr(value, name)) for name in names}
+    return _general_payload(value)
+
+
+def _general_payload(value: Any) -> Any:
     if value is None or isinstance(value, (str, bool)):
         return value
     if value is INFINITY or isinstance(value, Fraction):
@@ -59,10 +86,9 @@ def to_payload(value: Any) -> Any:
     if isinstance(value, DivisorClass):
         return divisor_payload(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out = {}
-        for field in dataclasses.fields(value):
-            out[field.name] = to_payload(getattr(value, field.name))
-        return out
+        names = tuple(field.name for field in dataclasses.fields(value))
+        _FIELD_NAMES[type(value)] = names
+        return {name: to_payload(getattr(value, name)) for name in names}
     if isinstance(value, dict):
         return {str(k): to_payload(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -17,6 +17,10 @@ All numeric entries are integers. Unknown keys are rejected so that typos
 fail loudly instead of silently dropping data. Divisors on the command line
 are either coordinate lists ("3/2,-1") or expressions in curve names and K
 ("2*s + f - K").
+
+One process parses and validates each distinct model text once: files and
+fixtures are read on every load, and a text already seen returns the same
+SurfaceModel, from a cache of MODEL_CACHE_SIZE texts.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Optional, Sequence, Union
 
@@ -145,16 +151,39 @@ def surface_to_data(model: SurfaceModel) -> dict:
     return data
 
 
+# The key is the text with its origin, so a rewritten file is parsed again
+# and an error names its own path; a failure raises and is not cached. As
+# many models as the zariski subset cache keeps alive.
+MODEL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _model_from_text(text: str, origin: str) -> SurfaceModel:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{origin}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # json reads integers with int(), which refuses over-long digit strings.
+        raise ParseError(
+            f"{origin}: invalid JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{origin}: invalid JSON: nested too deeply") from exc
+    return surface_from_data(data, origin=origin)
+
+
 def load_surface_file(path: Union[str, os.PathLike]) -> SurfaceModel:
     origin = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"{origin}: cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{origin}: invalid JSON: {exc}") from exc
-    return surface_from_data(data, origin=origin)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{origin}: not UTF-8 text: {exc}") from exc
+    return _model_from_text(text, origin)
 
 
 def fixture_names() -> tuple[str, ...]:
@@ -177,7 +206,7 @@ def load_fixture(name: str) -> SurfaceModel:
         raise ParseError(
             f"no bundled surface named {name!r}; available: {known}"
         ) from exc
-    return surface_from_data(json.loads(text), origin=f"fixture:{name}")
+    return _model_from_text(text, f"fixture:{name}")
 
 
 def load_surface(spec: str) -> SurfaceModel:

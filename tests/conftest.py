@@ -21,6 +21,13 @@ def rng(request) -> random.Random:
     return random.Random(f"{BASE_SEED}:{request.node.nodeid}")
 
 
+@pytest.fixture(autouse=True)
+def empty_model_cache():
+    """Start every test from an empty model cache, so that what a test
+    counts of a model load does not depend on the tests before it."""
+    surface_io._model_from_text.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def fixture_models():
     return {name: surface_io.load_fixture(name) for name in surface_io.fixture_names()}

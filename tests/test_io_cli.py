@@ -6,16 +6,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbound import surface_io
 from surfbound.cli import run_subcommand
-from surfbound.reporting import dump_json
+from surfbound.reporting import dump_json, exact_value, to_payload
 from surfbound.errors import ParseError, UnknownCurveName
 from surfbound.surface_io import (
     fixture_names,
@@ -146,6 +148,65 @@ class TestFixtureRegistry:
     def test_all_fixtures_validate(self, fixture_models):
         for name, model in fixture_models.items():
             assert model.ample_reference is not None, name
+
+
+def write_model(path: Path, data) -> Path:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestModelCache:
+    def test_repeated_load_returns_the_same_object(self, tmp_path):
+        assert load_fixture("ade_e8") is load_fixture("ade_e8")
+        target = write_model(tmp_path / "model.json", VALID)
+        first = surface_io.load_surface_file(target)
+        assert load_surface(str(target)) is first
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        target = write_model(tmp_path / "model.json", VALID)
+        assert surface_io.load_surface_file(target).name == "f2"
+        write_model(target, variant(name="f2_again", ample_reference=[5, 2]))
+        again = surface_io.load_surface_file(target)
+        assert (again.name, again.ample_reference) == ("f2_again", (5, 2))
+
+    def test_broken_file_raises_on_every_load_until_fixed(self, tmp_path):
+        target = tmp_path / "model.json"
+        target.write_text("{not json", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ParseError, match=f"{target}: invalid JSON"):
+                surface_io.load_surface_file(target)
+        write_model(target, VALID)
+        assert surface_io.load_surface_file(target).name == "f2"
+
+    def test_cache_is_bounded(self, tmp_path):
+        count = surface_io.MODEL_CACHE_SIZE + 6
+        models = [
+            surface_io.load_surface_file(write_model(tmp_path / f"m{i}.json", variant(name=f"m{i}")))
+            for i in range(count)
+        ]
+        assert len({m.name for m in models}) == count
+        assert surface_io._model_from_text.cache_info().currsize <= 64
+
+
+MALFORMED_FILES = {
+    "not-utf8": lambda: json.dumps(VALID).encode().replace(b'"f2"', b'"f\xff2"'),
+    "long-integer": lambda: json.dumps(VALID).replace("[[0, 1]", "[[" + "9" * 5000 + ", 1]").encode(),
+    "deep-nesting": lambda: b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_exits_one_naming_the_path(self, tmp_path, capsys, content):
+        target = tmp_path / "model.json"
+        target.write_bytes(content())
+        with pytest.raises(ParseError, match=f"^{target}: "):
+            surface_io.load_surface_file(target)
+        assert run_subcommand(["validate", "--surface", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {target}: ")
+        assert "Traceback" not in captured.err
 
 
 class TestParseDivisor:
@@ -443,3 +504,79 @@ class TestDumpJson:
     def test_other_types_raise(self, tree):
         with pytest.raises(TypeError):
             dump_json(tree)
+
+
+def _float_or_none(frac: Q):
+    try:
+        return float(frac)
+    except OverflowError:
+        return None
+
+
+@dataclass(frozen=True)
+class _Result:
+    value: Q
+    label: str
+
+
+class _PlainSubclass(_Result):
+    pass
+
+
+@dataclass(frozen=True)
+class _DataSubclass(_Result):
+    extra: tuple = ()
+
+
+class _Pair(NamedTuple):
+    left: Q
+    right: int
+
+
+class _Mapping(dict):
+    pass
+
+
+HALF = {"exact": "1/2", "approx": 0.5}
+
+
+class TestPayload:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=-(10**500), max_value=10**500),
+        st.integers(min_value=1, max_value=10**500),
+    )
+    @example(10**400 + 1, 10**399)
+    @example(-(10**400) - 1, 10**399)
+    @example(3**700, 2**1100)
+    @example(10**400, 3)
+    @example(-(10**400), 7)
+    @example(1, 10**400)
+    def test_approx_is_the_float_of_the_fraction(self, numerator, denominator):
+        frac = Q(numerator, denominator)
+        payload = exact_value(frac)
+        assert payload["approx"] == _float_or_none(frac)
+        assert payload["exact"] == str(frac)
+
+    def test_overflow_gives_null(self):
+        assert exact_value(Q(10**400, 3)) == {"exact": f"{10**400}/3", "approx": None}
+        assert exact_value(Q(10**400 + 1, 10**399))["approx"] == 10.0
+
+    @pytest.mark.parametrize(
+        "value,payload",
+        [
+            (_PlainSubclass(Q(1, 2), "a"), {"value": HALF, "label": "a"}),
+            (
+                _DataSubclass(Q(1, 2), "b", (Q(1, 2), 3)),
+                {"value": HALF, "label": "b", "extra": [HALF, 3]},
+            ),
+            (_Pair(Q(1, 2), 4), [HALF, 4]),
+            (_Mapping({1: Q(1, 2), "k": [True, None]}), {"1": HALF, "k": [True, None]}),
+        ],
+        ids=["dataclass-subclass", "dataclass-subclass-with-fields", "namedtuple", "dict-subclass"],
+    )
+    def test_subclasses_serialize_as_before(self, value, payload):
+        for _ in range(2):  # the second call reads the cached field names
+            got = to_payload(value)
+            assert got == payload
+            assert dump_json(got) == json.dumps(payload, indent=2)
