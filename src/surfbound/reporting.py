@@ -17,11 +17,13 @@ the layout itself in one pass.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .bounds import INFINITY
+from .errors import CalculatorError
 from .surface import DivisorClass, SurfaceModel
 
 
@@ -34,9 +36,16 @@ def exact_value(value) -> dict:
         approx = n / d  # float(frac), correctly rounded
     except OverflowError:
         approx = None
-    if d == 1:
-        return {"exact": str(n), "approx": approx}
-    return {"exact": f"{n}/{d}", "approx": approx}
+    try:
+        exact = str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        # str() refuses an int beyond the process's conversion limit, which
+        # is left as it is.
+        raise CalculatorError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+    return {"exact": exact, "approx": approx}
 
 
 def divisor_payload(divisor: DivisorClass) -> dict:

@@ -36,6 +36,29 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_NAMES = frozenset({"K"})
 
 
+def _entries(values, path: str, what: str) -> tuple:
+    # A str is iterable, but a list of its characters is never what was meant.
+    if not isinstance(values, str):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValidationError(f"{path}: expected a list of {what}")
+
+
+def _int_vector(values, path: str, size: int) -> tuple[int, ...]:
+    """The size entries of values as ints. operator.index takes every
+    integer type and no float, str or Fraction; bool is an int subclass, but
+    a bare true/false in a matrix is a mistake."""
+    items = _entries(values, path, "integers")
+    if len(items) != size:
+        raise ValidationError(f"{path}: expected {size} entries, got {len(items)}")
+    for i, x in enumerate(items):
+        if isinstance(x, bool) or not hasattr(x, "__index__"):
+            raise ValidationError(f"{path}[{i}]: expected an integer, got {x!r}")
+    return tuple(map(operator.index, items))
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """A rational divisor class in lattice coordinates."""
@@ -122,29 +145,35 @@ class SurfaceModel:
         curves: Iterable = (),
         ample_reference: Optional[Sequence[int]] = None,
     ) -> "SurfaceModel":
-        curve_tuple = []
-        for c in curves:
+        """Check the shape and type of every field, then build the model,
+        which checks the lattice rules. Nothing is rounded or parsed: entries
+        are integers, a curve is a CurveClass or (name, coords[, effective]),
+        and an error names the field path as a model file spells it."""
+        if not isinstance(name, str) or not name:
+            raise ValidationError("name: expected a nonempty string")
+        rows = _entries(gram, "gram", "rows")
+        rank = len(rows)
+        if rank == 0:
+            raise ValidationError("gram: matrix must have positive rank")
+        gram = tuple(_int_vector(row, f"gram[{i}]", rank) for i, row in enumerate(rows))
+        canonical = _int_vector(canonical, "canonical", rank)
+        curve_list = []
+        for i, c in enumerate(_entries(curves, "curves", "curves")):
+            path = f"curves[{i}]"
             if isinstance(c, CurveClass):
-                curve_tuple.append(
-                    CurveClass(c.name, tuple(int(x) for x in c.coords), c.effective)
-                )
+                cname, coords, effective = c.name, c.coords, c.effective
             else:
                 cname, coords = c[0], c[1]
                 effective = c[2] if len(c) > 2 else True
-                curve_tuple.append(
-                    CurveClass(str(cname), tuple(int(x) for x in coords), bool(effective))
-                )
-        return SurfaceModel(
-            name=str(name),
-            gram=tuple(tuple(int(x) for x in row) for row in gram),
-            canonical=tuple(int(x) for x in canonical),
-            curves=tuple(curve_tuple),
-            ample_reference=(
-                None
-                if ample_reference is None
-                else tuple(int(x) for x in ample_reference)
-            ),
-        )
+            if not isinstance(cname, str):
+                raise ValidationError(f"{path}.name: expected a string")
+            coords = _int_vector(coords, f"{path}.coords", rank)
+            if not isinstance(effective, bool):
+                raise ValidationError(f"{path}.effective: expected true or false")
+            curve_list.append(CurveClass(cname, coords, effective))
+        if ample_reference is not None:
+            ample_reference = _int_vector(ample_reference, "ample_reference", rank)
+        return SurfaceModel(name, gram, canonical, tuple(curve_list), ample_reference)
 
     def __post_init__(self) -> None:
         self._validate()
@@ -153,10 +182,6 @@ class SurfaceModel:
 
     def _validate(self) -> None:
         rank = len(self.gram)
-        if rank == 0:
-            raise ValidationError("gram: matrix must have positive rank")
-        if any(len(row) != rank for row in self.gram):
-            raise ValidationError("gram: matrix must be square")
         if not lattice.is_symmetric(self.gram):
             raise ValidationError("gram: matrix must be symmetric")
         sig = lattice.signature(self.gram)
@@ -164,8 +189,6 @@ class SurfaceModel:
             raise ValidationError(
                 f"gram: signature must be (1, {rank - 1}, 0) as on a surface, got {sig}"
             )
-        if len(self.canonical) != rank:
-            raise ValidationError("canonical: wrong length")
         if not lattice.is_characteristic(self.canonical, self.gram):
             raise ValidationError(
                 "canonical: vector is not characteristic; adjunction parity fails"
@@ -180,8 +203,6 @@ class SurfaceModel:
             if curve.name in seen:
                 raise ValidationError(f"{where}: duplicate curve name")
             seen.add(curve.name)
-            if len(curve.coords) != rank:
-                raise ValidationError(f"{where}: wrong coordinate length")
             if all(x == 0 for x in curve.coords):
                 raise ValidationError(f"{where}: curve class must be nonzero")
         # Distinct prime curves on a surface never meet negatively.
@@ -194,8 +215,6 @@ class SurfaceModel:
                         "prime curves"
                     )
         if self.ample_reference is not None:
-            if len(self.ample_reference) != rank:
-                raise ValidationError("ample_reference: wrong length")
             href = DivisorClass.of(self.ample_reference)
             if not self.is_ample_model(href):
                 raise ValidationError(

@@ -32,9 +32,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional, Sequence, Union
+from typing import Union
 
-from .errors import ParseError, UnknownCurveName
+from .errors import ParseError, UnknownCurveName, ValidationError
 from .surface import DivisorClass, SurfaceModel
 
 SCHEMA_VERSION = 1
@@ -50,21 +50,9 @@ def _fail(origin: str, path: str, message: str) -> ParseError:
     return ParseError(where + message)
 
 
-def _as_int(value, origin: str, path: str) -> int:
-    # bool is an int subclass; a bare true/false in a matrix is a mistake.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(origin, path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _int_vector(value, origin: str, path: str) -> list[int]:
-    if not isinstance(value, list):
-        raise _fail(origin, path, "expected a list of integers")
-    return [_as_int(v, origin, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
 def surface_from_data(data, origin: str = "<data>") -> SurfaceModel:
-    """Validate a decoded JSON object and build the model."""
+    """Check the JSON layout of a decoded document and build the model.
+    SurfaceModel.create checks every field; any error names origin."""
     if not isinstance(data, dict):
         raise _fail(origin, "", "top level must be a JSON object")
     unknown = sorted(set(data) - set(_TOP_REQUIRED) - set(_TOP_OPTIONAL))
@@ -78,19 +66,6 @@ def surface_from_data(data, origin: str = "<data>") -> SurfaceModel:
             origin, "schema",
             f"unsupported schema {data['schema']!r}; this reader handles {SCHEMA_VERSION}",
         )
-    if not isinstance(data["name"], str) or not data["name"]:
-        raise _fail(origin, "name", "expected a nonempty string")
-    gram_raw = data["gram"]
-    if not isinstance(gram_raw, list) or not gram_raw:
-        raise _fail(origin, "gram", "expected a nonempty list of rows")
-    gram = [_int_vector(row, origin, f"gram[{i}]") for i, row in enumerate(gram_raw)]
-    rank = len(gram)
-    for i, row in enumerate(gram):
-        if len(row) != rank:
-            raise _fail(origin, f"gram[{i}]", f"expected {rank} entries, got {len(row)}")
-    canonical = _int_vector(data["canonical"], origin, "canonical")
-    if len(canonical) != rank:
-        raise _fail(origin, "canonical", f"expected {rank} entries, got {len(canonical)}")
     if not isinstance(data["curves"], list):
         raise _fail(origin, "curves", "expected a list of curve objects")
     curves = []
@@ -104,33 +79,22 @@ def surface_from_data(data, origin: str = "<data>") -> SurfaceModel:
         for key in _CURVE_REQUIRED:
             if key not in entry:
                 raise _fail(origin, f"{path}.{key}", "missing required field")
-        if not isinstance(entry["name"], str):
-            raise _fail(origin, f"{path}.name", "expected a string")
-        coords = _int_vector(entry["coords"], origin, f"{path}.coords")
-        if len(coords) != rank:
-            raise _fail(
-                origin, f"{path}.coords", f"expected {rank} entries, got {len(coords)}"
-            )
-        effective = entry.get("effective", True)
-        if not isinstance(effective, bool):
-            raise _fail(origin, f"{path}.effective", "expected true or false")
-        curves.append((entry["name"], coords, effective))
-    ample = None
-    if "ample_reference" in data:
-        ample = _int_vector(data["ample_reference"], origin, "ample_reference")
-        if len(ample) != rank:
-            raise _fail(
-                origin, "ample_reference", f"expected {rank} entries, got {len(ample)}"
-            )
+        curves.append((entry["name"], entry["coords"], entry.get("effective", True)))
+    # create reads None as "no reference"; a file leaves the key out instead.
+    if "ample_reference" in data and data["ample_reference"] is None:
+        raise _fail(origin, "ample_reference", "expected a list of integers")
     if "notes" in data and not isinstance(data["notes"], str):
         raise _fail(origin, "notes", "expected a string")
-    return SurfaceModel.create(
-        name=data["name"],
-        gram=gram,
-        canonical=canonical,
-        curves=curves,
-        ample_reference=ample,
-    )
+    try:
+        return SurfaceModel.create(
+            name=data["name"],
+            gram=data["gram"],
+            canonical=data["canonical"],
+            curves=curves,
+            ample_reference=data.get("ample_reference"),
+        )
+    except ValidationError as exc:
+        raise _fail(origin, "", str(exc)) from exc
 
 
 def surface_to_data(model: SurfaceModel) -> dict:
@@ -138,8 +102,8 @@ def surface_to_data(model: SurfaceModel) -> dict:
     data = {
         "schema": SCHEMA_VERSION,
         "name": model.name,
-        "gram": [[int(x) for x in row] for row in model.gram],
-        "canonical": [int(x) for x in model.canonical],
+        "gram": [list(row) for row in model.gram],
+        "canonical": list(model.canonical),
         "curves": [
             {"name": c.name, "coords": list(c.coords)}
             | ({} if c.effective else {"effective": False})
@@ -147,7 +111,7 @@ def surface_to_data(model: SurfaceModel) -> dict:
         ],
     }
     if model.ample_reference is not None:
-        data["ample_reference"] = [int(x) for x in model.ample_reference]
+        data["ample_reference"] = list(model.ample_reference)
     return data
 
 

@@ -66,12 +66,8 @@ class H1Correction:
 
 
 def _pseudo_effective_precheck(model: SurfaceModel, d: DivisorClass) -> None:
-    if model.ample_reference is not None:
-        href = model.divisor(model.ample_reference)
-        if model.intersect(d, href) < 0:
-            raise NotPseudoEffective(
-                "divisor pairs negatively with the ample reference class"
-            )
+    if model.ample_reference is not None and not model.is_pseudo_effective_model(d):
+        raise NotPseudoEffective("divisor pairs negatively with the ample reference class")
 
 
 def _negative_part(

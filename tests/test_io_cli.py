@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -87,13 +88,22 @@ class TestSchema:
             ),
             (lambda d: d.update(ample_reference=[1]), "ample_reference: expected 2"),
             (lambda d: d.update(notes=7), "notes: expected a string"),
+            (lambda d: d.update(gram=5), "gram: expected a"),
+            (lambda d: d.update(curves=5), "curves: expected a list of curve objects"),
+            (lambda d: d.update(canonical="ab"), "canonical: expected a list of integers"),
+            (
+                lambda d: d["gram"][0].__setitem__(1, 1.0),
+                "gram[0][1]: expected an integer, got 1.0",
+            ),
+            (lambda d: d.update(ample_reference=None), "ample_reference: expected a list"),
+            (lambda d: d["curves"][0].update(name=7), "curves[0].name: expected a string"),
         ],
     )
     def test_field_path_errors(self, mutate, path):
         data = variant()
         mutate(data)
-        with pytest.raises(ParseError, match=__import__("re").escape(path)):
-            surface_from_data(data)
+        with pytest.raises(ParseError, match="^model\\.json: " + re.escape(path)):
+            surface_from_data(data, origin="model.json")
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ParseError, match="top level"):
@@ -186,24 +196,41 @@ class TestModelCache:
         assert surface_io._model_from_text.cache_info().currsize <= 64
 
 
+# The file content, and the message that follows "<path>: ".
 MALFORMED_FILES = {
-    "not-utf8": lambda: json.dumps(VALID).encode().replace(b'"f2"', b'"f\xff2"'),
-    "long-integer": lambda: json.dumps(VALID).replace("[[0,", "[[" + "9" * 5000 + ",").encode(),
-    "deep-nesting": lambda: b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": (
+        lambda: json.dumps(VALID).encode().replace(b'"f2"', b'"f\xff2"'),
+        "not UTF-8 text",
+    ),
+    "long-integer": (
+        lambda: json.dumps(VALID).replace("[[0,", "[[" + "9" * 5000 + ",").encode(),
+        "invalid JSON: an integer has more than",
+    ),
+    "deep-nesting": (
+        lambda: b"[" * 100_000 + b"]" * 100_000,
+        "invalid JSON: nested too deeply",
+    ),
+    # a rule of the model, not of the JSON layout
+    "asymmetric-gram": (
+        lambda: json.dumps(variant(gram=[[0, 1], [2, -2]])).encode(),
+        "gram: matrix must be symmetric",
+    ),
 }
 
 
 class TestMalformedFiles:
-    @pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
-    def test_exits_one_naming_the_path(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize(
+        "content,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys()
+    )
+    def test_exits_one_naming_the_path(self, tmp_path, capsys, content, message):
         target = tmp_path / "model.json"
         target.write_bytes(content())
-        with pytest.raises(ParseError, match=f"^{target}: "):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(target))}: "):
             surface_io.load_surface_file(target)
         assert run_subcommand(["validate", "--surface", str(target)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {target}: ")
+        assert captured.err.startswith(f"error: {target}: {message}")
         assert "Traceback" not in captured.err
 
 
@@ -452,6 +479,19 @@ class TestCommandLine:
         assert code == 0
         assert payload["input"]["coords"][0] == {"exact": big, "approx": None}
         assert payload["input"]["coords"][1] == {"exact": "1", "approx": 1.0}
+
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+    def test_result_beyond_digit_limit_exits_one(self, capsys, mode):
+        # every input is under the limit, but A^2 has about 6000 digits
+        big = "1" + "0" * 3000
+        argv = ["bounds", "--surface", "hirzebruch_f2", "--divisor", f"{big},1", "-k", "0"]
+        assert run_subcommand(argv + mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer\n"
+        )
 
     def test_text_and_json_share_exact_values(self, capsys):
         args = ["tau", "--surface", "a2_resolution", "--divisor", "1,0,0"]

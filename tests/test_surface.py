@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -35,6 +36,15 @@ F2 = dict(
 )
 
 
+# One entry of each integer field, by its path, set to a given value.
+NON_INTEGER_SLOTS = {
+    "gram[0][1]": lambda x: dict(gram=[[0, x], [1, -2]]),
+    "canonical[1]": lambda x: dict(canonical=[-4, x]),
+    "curves[1].coords[0]": lambda x: dict(curves=[("f", [1, 0]), ("s", [x, 1])]),
+    "ample_reference[0]": lambda x: dict(ample_reference=[x, 1]),
+}
+
+
 def make(**overrides):
     data = {**F2, **overrides}
     return SurfaceModel.create(**data)
@@ -59,8 +69,27 @@ class TestValidation:
             make(canonical=[-3, -2])
 
     def test_rejects_canonical_length(self):
-        with pytest.raises(ValidationError, match="length"):
+        with pytest.raises(ValidationError, match="canonical: expected 2 entries, got 3"):
             make(canonical=[-4, -2, 0])
+
+    @pytest.mark.parametrize("bad", [2.9, "3", True, None, Q(5, 2)], ids=repr)
+    @pytest.mark.parametrize("path", NON_INTEGER_SLOTS)
+    def test_rejects_non_integer_entries(self, path, bad):
+        # nothing is coerced: int(2.9) would build a different model
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: expected an integer")):
+            make(**NON_INTEGER_SLOTS[path](bad))
+
+    @pytest.mark.parametrize(
+        "curve,message",
+        [
+            ((7, [1, 0]), "curves[0].name: expected a string"),
+            (("f", [1, 0], 1), "curves[0].effective: expected true or false"),
+            (("f", [1, 0], "yes"), "curves[0].effective: expected true or false"),
+        ],
+    )
+    def test_rejects_curve_field_types(self, curve, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make(curves=[curve])
 
     def test_rejects_duplicate_curve_names(self):
         with pytest.raises(ValidationError, match="duplicate"):
