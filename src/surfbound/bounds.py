@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import product
-from math import floor, isqrt, lcm
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from math import floor, lcm
+from operator import add, eq
+from typing import Iterator, Optional, Sequence
 
-from . import lattice
+from . import lattice, search
 from .cycles import FundamentalCycle, fundamental_cycle
 from .errors import (
     IntegralityFailure,
@@ -200,7 +200,7 @@ class ObstructionEntry:
 class ObstructionSet:
     support: tuple[int, ...]  # curve indices orthogonal to A
     bound: Fraction  # entries satisfy value <= bound
-    entries: tuple[ObstructionEntry, ...]
+    entries: Sequence[ObstructionEntry]  # sorted by coefficients
 
     @property
     def is_empty(self) -> bool:
@@ -226,154 +226,78 @@ def _obstruction_set(
     return ObstructionSet(support=support, bound=bound, entries=tuple(entries))
 
 
-class _SearchForm(NamedTuple):
-    """The search for n'Qn + linear.n <= bound in integers.
+class ObstructionEntries(Sequence):
+    """The entries of the obstruction set of an analysis at one bound, made
+    on demand and in the order of their coefficients. Nothing is kept: each
+    pass runs the search again, and len() is the counting descent
+    (Analysis.obstruction_count)."""
 
-    lattice.symmetric_elimination gives the leading minors D_1..D_r of Q and
-    the column numerators of Q = L D L'. With mu the common denominator of
-    linear and bound, g = 2 D_r mu and C = adj(Q)(mu linear), the centre of
-    the ellipsoid is -c for c = C / g, and the condition reads
-    (n + c)'Q(n + c) <= R with g^2 R = G = g^2 bound + D_r (mu linear).C, an
-    integer. Writing W_j = D_j g y_j for the coordinates y of L'(n + c), it
-    becomes sum_j e_j W_j^2 <= P G, where P = lcm(D_j D_{j-1}) and e_j =
-    P / (D_j D_{j-1}). W_j = D_j g n_j + sh_j, and sh_j depends only on the
-    coordinates after j."""
+    __slots__ = ("_analysis", "_bound")
 
-    budget: int  # P G
-    weight: list[int]  # e_j
-    scale: list[int]  # D_j g
-    base: list[int]  # the part of sh_j that does not depend on n
-    tails: list[list[int]]  # g L_ij D_j for i > j: sh_j = base_j + tails_j . n_{j+1..}
-    den: int  # P g^2: a leaf with budget `rest` left has value bound - rest / den
+    def __init__(self, analysis: Analysis, bound: Fraction) -> None:
+        self._analysis = analysis
+        self._bound = bound
 
+    def __len__(self) -> int:
+        return self._analysis.obstruction_count(self._bound)
 
-def _search_form(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
-) -> Optional[_SearchForm]:
-    """The integer set-up of the search, or None when the sublevel set is
-    empty (G < 0). A pivot <= 0 means Q is not positive definite."""
-    r = len(linear)
-    minors, rows = lattice.symmetric_elimination(q_matrix)
-    if len(minors) < r:
-        raise ModelInconsistent("obstruction form is not positive definite")
-    mu = lcm(bound.denominator, *(x.denominator for x in linear))
-    scaled = [x.numerator * (mu // x.denominator) for x in linear]
-    det = minors[-1]
-    g = 2 * det * mu
-    centre = lattice.adjugate_solve(rows, scaled)
-    top = 4 * det * det * mu * bound.numerator * (mu // bound.denominator)
-    budget = top + det * sum(map(mul, scaled, centre))
-    if budget < 0:
-        return None
-    pairs = [low * high for low, high in zip([1, *minors], minors)]
-    p = lcm(*pairs)
-    return _SearchForm(
-        budget=p * budget,
-        weight=[p // x for x in pairs],
-        scale=[x * g for x in minors],
-        base=[sum(map(mul, rows[j][j:], centre[j:])) for j in range(r)],
-        tails=[[g * x for x in rows[j][j + 1:]] for j in range(r)],
-        den=p * g * g,
-    )
+    def __getitem__(self, index):
+        return tuple(self)[index]  # a full pass: nothing in the package indexes entries
 
+    def __iter__(self) -> Iterator[ObstructionEntry]:
+        for coefficients, coords, value in self.rows():
+            yield ObstructionEntry(coefficients, DivisorClass(coords), value)
 
-def _fincke_pohst(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All nonzero n >= 0 with n'Qn + linear.n <= bound, with their values,
-    by the depth-first short-vector search of Fincke and Pohst (Math. Comp.
-    44, 1985), in integers.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
-    The search fixes coordinates from last to first on the set-up of
-    _SearchForm. Once n_{j+1..r-1} are fixed, the budget left bounds n_j:
-    e_j W_j^2 <= left exactly when |W_j| <= isqrt(left // e_j), which floor
-    divisions turn into an interval of n_j. Every condition is exact, so
-    every leaf is a hit, and the budget `rest` left at a leaf gives its value
-    bound - rest / (P g^2), the only Fraction built per hit.
-    """
-    form = _search_form(q_matrix, linear, bound)
-    if form is None:
-        return []
-    budget, weight, scale, base, tails, den = form
-    num, dnm = bound.numerator, bound.denominator
-    point = [0] * len(linear)
-    hits: list[tuple[tuple[int, ...], Fraction]] = []
+    def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+        """(coefficients, divisor coordinates, value) of each entry, in
+        order, for writers that need no entry objects.
 
-    def descend(j: int, left: int) -> None:
-        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
-        a, e = scale[j], weight[j]
-        s = isqrt(left // e)
-        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
-        if j:
-            for v in values:
-                w = a * v + shift
-                point[j] = v
-                descend(j - 1, left - e * w * w)
-        else:
-            above = any(point)
-            for v in values:
-                if v or above:
-                    w = a * v + shift
-                    point[0] = v
-                    rest = left - e * w * w
-                    hits.append((tuple(point), Q(num * den - dnm * rest, dnm * den)))
-        point[j] = 0
-
-    descend(len(linear) - 1, budget)
-    return hits
-
-
-def _least_value(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
-) -> Optional[Fraction]:
-    """The least value of n'Qn + linear.n over nonzero n >= 0 in the
-    sublevel set at bound, or None when that set is empty.
-
-    Branch and bound on the descent of _fincke_pohst: the least value is
-    the leaf with the largest budget left. Each interval is tried from its
-    centre outward, so the budget falls along it; a node whose budget is no
-    larger than the best leaf's ends the interval."""
-    form = _search_form(q_matrix, linear, bound)
-    if form is None:
-        return None
-    budget, weight, scale, base, tails, den = form
-    point = [0] * len(linear)
-    best = -1
-
-    def descend(j: int, left: int) -> None:
-        nonlocal best
-        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
-        a, e = scale[j], weight[j]
-        s = isqrt(left // e)
-        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
-        for v in sorted(values, key=lambda v: abs(a * v + shift)):
-            w = a * v + shift
-            rest = left - e * w * w
-            if rest <= best:
-                break
-            point[j] = v
-            if j:
-                descend(j - 1, rest)
-            elif any(point):
-                best = rest
-        point[j] = 0
-
-    descend(len(linear) - 1, budget)
-    return None if best < 0 else bound - Q(best, den)
+        The search meets points in the lexicographic order of their reversed
+        coordinate tuples, so on the reversed support it meets the
+        coefficient tuples in sorted order. A divisor is an integer sum of
+        the support curves' coordinates; along a run only the last
+        coefficient rises, by one curve at a time."""
+        analysis = self._analysis
+        if not analysis.support:
+            return
+        q_matrix, linear = analysis.obstruction_form
+        runs = search.fincke_pohst([row[::-1] for row in q_matrix[::-1]], linear[::-1], self._bound)
+        curves = [
+            [(j, x) for j, x in enumerate(analysis.model.curves[i].coords) if x]
+            for i in analysis.support
+        ]
+        last = analysis.model.curves[analysis.support[-1]].coords
+        for tail, first, values in runs:
+            head = tail[::-1]
+            coords = [first * x for x in last]
+            for coeff, curve in zip(head, curves):
+                if coeff:
+                    for j, x in curve:
+                        coords[j] += coeff * x
+            coords = tuple(coords)
+            for v, value in enumerate(values, first):
+                yield (*head, v), coords, value
+                coords = tuple(map(add, coords, last))
 
 
 def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
-    """The obstruction set at level k with its entries, from the hits of
-    the integer search that the analysis keeps (Analysis.obstruction_hits).
+    """The obstruction set at level k. Its entries (ObstructionEntries) are
+    made by the ordered search each time they are read, so building the set
+    costs nothing and the set holds no entry.
 
     The name is older than the search: the benchmark's tracer
-    (perfbench/tracing.py) wraps this function by name to count
-    enumerations and their entries, so it keeps the name of the box loop
-    it replaced. Only the callers that print entries come here; counts and
-    emptiness read the hits.
+    (perfbench/tracing.py) wraps this function by name and sums len() of
+    the entries, so it keeps the name of the box loop it replaced. Only the
+    callers that print entries come here, once per printed set; counts and
+    emptiness run the counting descent (Analysis.obstruction_count).
     """
-    hits = analysis.obstruction_hits(k)
-    return _obstruction_set(analysis.model, analysis.support, Q(k), hits)
+    bound = Q(k)
+    return ObstructionSet(analysis.support, bound, ObstructionEntries(analysis, bound))
 
 
 def _sublevel_box(
@@ -629,30 +553,25 @@ class Analysis:
         return q_matrix, [self.model.pair_curve(w, i) for i in self.support]
 
     @_memoized
-    def obstruction_hits(self, k) -> list[tuple[tuple[int, ...], Fraction]]:
-        """(coefficients, value) of every effective nonzero D supported on
-        the curves orthogonal to A with T.D - K.D - D^2 <= k, in the order
-        the search meets them.
-
-        The depth-first Fincke-Pohst search in integers (_fincke_pohst)
-        drops a partial point as soon as the budget left for its remaining
-        coordinates is negative, so its work grows with the number of
-        lattice points near the sublevel ellipsoid, not with the volume of
-        the ellipsoid's bounding box."""
-        if not self.support:
-            return []
-        q_matrix, linear = self.obstruction_form
-        return _fincke_pohst(q_matrix, linear, Q(k))
-
     def obstruction_count(self, k) -> int:
-        """The size of the obstruction set at level k, built without its
-        entries."""
-        return len(self.obstruction_hits(k))
+        """The number of effective nonzero D supported on the curves
+        orthogonal to A with T.D - K.D - D^2 <= k, by the counting descent of
+        the depth-first Fincke-Pohst search in integers
+        (search.count_points),
+        which keeps no point. The search drops a partial point as soon as
+        the budget left for its remaining coordinates is negative, so its
+        work grows with the number of lattice points near the sublevel
+        ellipsoid, not with the volume of the ellipsoid's bounding box. D = 0
+        has value 0, so it is in the count exactly when k >= 0."""
+        if not self.support:
+            return 0
+        q_matrix, linear = self.obstruction_form
+        return search.count_points(q_matrix, linear, Q(k)) - (k >= 0)
 
     @_memoized
     def enumerate_obstructions(self, k) -> ObstructionSet:
-        """The obstruction set at level k with one entry, divisor included,
-        per hit, sorted lexicographically by coefficients."""
+        """The obstruction set at level k, its entries sorted
+        lexicographically by coefficients and made on demand."""
         return _enumerate_box(self, k)
 
     @cached_property
@@ -662,13 +581,13 @@ class Analysis:
 
         A single curve C_i already realizes the value (T-K).C_i - C_i^2, so
         the sublevel set at the best single-curve value is nonempty, and a
-        branch-and-bound descent over it (_least_value) finds the minimum
+        branch-and-bound descent over it (search.least_value) finds the minimum
         without listing the set."""
         if not self.support:
             return INFINITY
         q_matrix, linear = self.obstruction_form
         single = min(x + q_matrix[j][j] for j, x in enumerate(linear))
-        tau = _least_value(q_matrix, linear, Q(single))
+        tau = search.least_value(q_matrix, linear, Q(single))
         if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau

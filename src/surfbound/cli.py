@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import bounds, cycles, zariski
 from .errors import CalculatorError, OracleMismatch
 from .reporting import (
+    Later,
     curve_names,
     divisor_payload,
     dump_json,
@@ -374,15 +375,23 @@ def _cmd_obstructions(args) -> dict:
     obs = analysis.enumerate_obstructions(args.cluster)
     if args.oracle:
         ref = bounds.obstruction_oracle(analysis, args.cluster, margin=args.box_margin)
-        if [e.coefficients for e in ref.entries] != [e.coefficients for e in obs.entries]:
+        found = [(e.coefficients, e.value) for e in obs.entries]
+        boxed = [(e.coefficients, e.value) for e in ref.entries]
+        if len(found) != len(boxed):
             raise OracleMismatch(
-                f"search found {len(obs.entries)} obstructions, "
-                f"box found {len(ref.entries)}"
+                f"search found {len(found)} obstructions, box found {len(boxed)}"
             )
+        for (coeffs, value), (ref_coeffs, ref_value) in zip(found, boxed):
+            if (coeffs, value) != (ref_coeffs, ref_value):
+                raise OracleMismatch(
+                    f"search found {coeffs} with value {value}, "
+                    f"box found {ref_coeffs} with value {ref_value}"
+                )
     payload = to_payload(obs)
+    entries = payload["entries"]  # streamed by the writer, which counts them
     payload["support_names"] = curve_names(model, obs.support)
-    payload["count"] = len(obs.entries)
-    payload["witness_minimum"] = to_payload(obs.witness_minimum)
+    payload["count"] = Later(lambda: entries.count)
+    payload["witness_minimum"] = Later(entries.witness_minimum)
     payload["oracle_checked"] = bool(args.oracle)
     return {**_system(analysis), "obstructions": payload}
 
@@ -508,16 +517,18 @@ def run_subcommand(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         payload = args.handler(args)
+        # The writers make the payload's obstruction entries as they write
+        # them, so they run inside the handler's error boundary.
+        if args.json:
+            dump_json(payload, sys.stdout)
+        else:
+            render_text(payload, sys.stdout)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3
     except CalculatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(dump_json(payload))
-    else:
-        print("\n".join(render_text(payload)))
     return 0
 
 

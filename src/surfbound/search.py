@@ -1,0 +1,207 @@
+"""Integer points of the sublevel sets of positive definite forms.
+
+An obstruction set is the set of nonzero n >= 0 with n'Qn + linear.n <=
+bound, for Q = -Gram on the curves orthogonal to A: an integer positive
+definite matrix. This module finds those points by the short-vector search
+of Fincke and Pohst in integers, counts them without keeping them, and finds
+their least value by branch and bound. Every step is exact.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+from . import lattice
+from .errors import ModelInconsistent
+
+Q = Fraction
+
+
+class _SearchForm(NamedTuple):
+    """The search for n'Qn + linear.n <= bound in integers.
+
+    lattice.symmetric_elimination gives the leading minors D_1..D_r of Q and
+    the column numerators of Q = L D L'. With mu the common denominator of
+    linear and bound, g = 2 D_r mu and C = adj(Q)(mu linear), the centre of
+    the ellipsoid is -c for c = C / g, and the condition reads
+    (n + c)'Q(n + c) <= R with g^2 R = G = g^2 bound + D_r (mu linear).C, an
+    integer. Writing W_j = D_j g y_j for the coordinates y of L'(n + c), it
+    becomes sum_j e_j W_j^2 <= P G, where P = lcm(D_j D_{j-1}) and e_j =
+    P / (D_j D_{j-1}). W_j = D_j g n_j + sh_j, and sh_j depends only on the
+    coordinates after j."""
+
+    budget: int  # P G
+    weight: list[int]  # e_j
+    scale: list[int]  # D_j g
+    base: list[int]  # the part of sh_j that does not depend on n
+    tails: list[list[int]]  # g L_ij D_j for i > j: sh_j = base_j + tails_j . n_{j+1..}
+    den: int  # P g^2: a leaf with budget `rest` left has value bound - rest / den
+
+
+def _search_form(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> Optional[_SearchForm]:
+    """The integer set-up of the search, or None when the sublevel set is
+    empty (G < 0). A pivot <= 0 means Q is not positive definite."""
+    r = len(linear)
+    minors, rows = lattice.symmetric_elimination(q_matrix)
+    if len(minors) < r:
+        raise ModelInconsistent("obstruction form is not positive definite")
+    mu = lcm(bound.denominator, *(x.denominator for x in linear))
+    scaled = [x.numerator * (mu // x.denominator) for x in linear]
+    det = minors[-1]
+    g = 2 * det * mu
+    centre = lattice.adjugate_solve(rows, scaled)
+    top = 4 * det * det * mu * bound.numerator * (mu // bound.denominator)
+    budget = top + det * sum(map(mul, scaled, centre))
+    if budget < 0:
+        return None
+    pairs = [low * high for low, high in zip([1, *minors], minors)]
+    p = lcm(*pairs)
+    return _SearchForm(
+        budget=p * budget,
+        weight=[p // x for x in pairs],
+        scale=[x * g for x in minors],
+        base=[sum(map(mul, rows[j][j:], centre[j:])) for j in range(r)],
+        tails=[[g * x for x in rows[j][j + 1:]] for j in range(r)],
+        den=p * g * g,
+    )
+
+
+def _intervals(form: _SearchForm, point: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The depth-first descent of the search, without its last level.
+
+    Coordinates are fixed from last to first, each over a rising interval.
+    Once n_{j+1..r-1} are fixed, the budget left bounds n_j: e_j W_j^2 <=
+    left exactly when |W_j| <= isqrt(left // e_j), which floor divisions turn
+    into an interval of n_j. For each nonempty interval of n_0 this yields
+    (low, high, sh_0, left), with n_1..n_{r-1} in point[1:]: every n_0 in
+    [low, high] is a point of the sublevel set, and its leaf has budget
+    left - e_0 W_0^2 left over. The descent is a loop, not a recursion, so a
+    consumer resumes one frame per interval."""
+    budget, weight, scale, base, tails, _ = form
+    r = len(weight)
+    lefts = [0] * r + [budget]  # lefts[j + 1]: the budget left for n_0..n_j
+    highs = [0] * r
+    shifts = [0] * r
+    j = r - 1
+    while True:
+        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
+        a = scale[j]
+        s = isqrt(lefts[j + 1] // weight[j])
+        low, high = max(0, -((s + shift) // a)), (s - shift) // a
+        if j and low <= high:
+            point[j], highs[j], shifts[j] = low, high, shift
+        else:
+            if low <= high:
+                yield low, high, shift, lefts[1]
+            j += 1
+            while j < r and point[j] == highs[j]:
+                point[j] = 0
+                j += 1
+            if j == r:
+                return
+            point[j] += 1
+        w = scale[j] * point[j] + shifts[j]
+        lefts[j] = lefts[j + 1] - weight[j] * w * w
+        j -= 1
+
+
+def count_points(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> int:
+    """The number of n >= 0, zero included, with n'Qn + linear.n <= bound:
+    the descent adds the length of each interval of n_0 and keeps no point."""
+    form = _search_form(q_matrix, linear, bound)
+    if form is None:
+        return 0
+    return sum(high - low + 1 for low, high, _, _ in _intervals(form, [0] * len(form.weight)))
+
+
+def fincke_pohst(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
+    """All nonzero n >= 0 with n'Qn + linear.n <= bound, with their values,
+    by the depth-first short-vector search of Fincke and Pohst (Math. Comp.
+    44, 1985), in integers, on the set-up of _SearchForm and the descent of
+    _intervals.
+
+    The hits come run by run, as (tail, first, values): the points (v,
+    *tail) for v = first, first + 1, ... have these values, in this order.
+    So the search meets points in the lexicographic order of their reversed
+    coordinate tuples. Every condition is exact, so every leaf is a hit, and
+    the budget `rest` left at a leaf gives its value bound - rest / (P g^2),
+    one Fraction per distinct value. The form is checked on the call; the
+    points are searched as the iterator is read."""
+    form = _search_form(q_matrix, linear, bound)
+    return iter(()) if form is None else _runs(form, bound)
+
+
+def _runs(
+    form: _SearchForm, bound: Fraction
+) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
+    e, a, den = form.weight[0], form.scale[0], form.den
+    num, dnm = bound.numerator, bound.denominator
+    # One Fraction per distinct value, by the budget left at the leaf: the
+    # values repeat, as they lie between tau and the bound with a bounded
+    # denominator. The cap keeps the memory flat whatever the input.
+    values: dict[int, Fraction] = {}
+    point = [0] * len(form.weight)
+    for low, high, shift, left in _intervals(form, point):
+        tail = tuple(point[1:])
+        if not low and not any(tail):
+            low = 1  # the zero point
+        run = []
+        for v in range(low, high + 1):
+            w = a * v + shift
+            rest = left - e * w * w
+            value = values.get(rest)
+            if value is None:
+                if len(values) > 4096:
+                    values.clear()
+                value = values[rest] = Q(num * den - dnm * rest, dnm * den)
+            run.append(value)
+        if run:
+            yield tail, low, run
+
+
+def least_value(
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+) -> Optional[Fraction]:
+    """The least value of n'Qn + linear.n over nonzero n >= 0 in the
+    sublevel set at bound, or None when that set is empty.
+
+    Branch and bound on the descent that _intervals makes: the least value is
+    the leaf with the largest budget left. Each interval is tried from its
+    centre outward, so the budget falls along it; a node whose budget is no
+    larger than the best leaf's ends the interval."""
+    form = _search_form(q_matrix, linear, bound)
+    if form is None:
+        return None
+    budget, weight, scale, base, tails, den = form
+    point = [0] * len(linear)
+    best = -1
+
+    def descend(j: int, left: int) -> None:
+        nonlocal best
+        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
+        a, e = scale[j], weight[j]
+        s = isqrt(left // e)
+        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
+        for v in sorted(values, key=lambda v: abs(a * v + shift)):
+            w = a * v + shift
+            rest = left - e * w * w
+            if rest <= best:
+                break
+            point[j] = v
+            if j:
+                descend(j - 1, rest)
+            elif any(point):
+                best = rest
+        point[j] = 0
+
+    descend(len(linear) - 1, budget)
+    return None if best < 0 else bound - Q(best, den)

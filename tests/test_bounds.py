@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from surfbound import bounds, lattice, zariski
+from surfbound import bounds, lattice, search, zariski
 from surfbound.cli import run_subcommand
 from surfbound.bounds import (
     BRACKET_WIDTH,
@@ -39,7 +39,7 @@ from surfbound.errors import (
     NotNegativeDefinite,
     UnverifiableHypothesis,
 )
-from surfbound.surface import SurfaceModel
+from surfbound.surface import DivisorClass, SurfaceModel
 from surfbound.surface_io import parse_divisor
 
 from generators import (
@@ -75,6 +75,36 @@ def assert_search_matches_box(analysis: Analysis, levels) -> None:
         assert analysis.obstruction_count(k) == len(slow.entries)
     witnesses = obstruction_oracle(analysis, single, margin=1).entries
     assert analysis.obstruction_minimum == min(e.value for e in witnesses)
+
+
+def forward_hits(analysis: Analysis, k) -> list:
+    """(coefficients, value) of every hit of the search run on the support
+    in its own order, unsorted: the reference for the ordered search."""
+    if not analysis.support:
+        return []
+    q_matrix, linear = analysis.obstruction_form
+    return [
+        ((v, *tail), value)
+        for tail, first, values in search.fincke_pohst(q_matrix, linear, Q(k))
+        for v, value in enumerate(values, first)
+    ]
+
+
+def assert_ordered_and_counted(analysis: Analysis, levels) -> list[int]:
+    """The search on the reversed support meets the hits in sorted order,
+    each with the divisor of its coefficients, and the counting descent
+    counts them; returns the counts."""
+    model, support = analysis.model, analysis.support
+    counts = []
+    for k in levels:
+        hits = forward_hits(analysis, k)
+        rows = list(analysis.enumerate_obstructions(k).entries.rows())
+        assert [(c, v) for c, _, v in rows] == sorted(hits)
+        for c, coords, _ in rows:
+            assert DivisorClass(coords) == model.divisor_from_curves(dict(zip(support, c)))
+        assert analysis.obstruction_count(k) == len(hits)
+        counts.append(len(hits))
+    return counts
 
 
 def double_cover(d: int) -> SurfaceModel:
@@ -432,11 +462,44 @@ class TestObstructionEnumeration:
         assert len(analysis.enumerate_obstructions(4).entries) == 1065
         assert calls["_enumerate_box"] == 1
 
+    def test_ordered_search_and_count_on_e8(self, fixture_models):
+        model = fixture_models["ade_e8"]
+        h = model.curve_divisor(model.curve_index("h"))
+        analysis = Analysis(model, h, model.zero_divisor())
+        counts = assert_ordered_and_counted(analysis, range(11))
+        assert counts[:5] == [0, 0, 120, 120, 1065]
+        assert counts[10] == 22490
+
+    def test_ordered_search_and_count_on_random_rational_blocks(self, rng):
+        for trial in range(25):
+            sizes = rng.choice(([1], [2], [3], [4], [5], [2, 2], [2, 3], [1, 4]))
+            model = block_model(rng, sizes, name=f"fo{trial}")
+            t = model.divisor(
+                [Q(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(model.rank)]
+            )
+            analysis = Analysis(model, polarization(model), t)
+            assert_ordered_and_counted(
+                analysis, (-1, 0, 1, 2, 3, Q(7, 2), single_curve_value(analysis))
+            )
+
+    def test_entries_are_an_immutable_sequence_made_on_demand(self, a2):
+        h = a2.divisor([1, 0, 0])
+        obs = Analysis(a2, h, a2.zero_divisor()).enumerate_obstructions(2)
+        slow = obstruction_oracle(Analysis(a2, h, a2.zero_divisor()), 2)
+        assert len(obs.entries) == 3
+        assert obs.entries == slow.entries and slow.entries == obs.entries
+        assert obs.entries == list(slow.entries)
+        assert obs.entries != slow.entries[:2]
+        assert obs.entries[-1] == slow.entries[-1]
+        assert list(obs.entries) == list(obs.entries)  # every pass searches again
+        assert obs.witness_minimum == slow.witness_minimum
+        assert all(type(x) is int for e in obs.entries for x in e.divisor.coords)
+
     def test_search_rejects_indefinite_form(self):
         with pytest.raises(ModelInconsistent):
-            bounds._fincke_pohst([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
+            search.fincke_pohst([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
         with pytest.raises(ModelInconsistent):
-            bounds._least_value([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
+            search.least_value([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
 
     def test_pairing_condition_empties_the_set(self, rng):
         # after subtracting the correction divisor the pairing condition

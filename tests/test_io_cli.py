@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surfbound import surface_io
+from surfbound import search, surface_io
 from surfbound.cli import run_subcommand
 from surfbound.reporting import dump_json, exact_value, to_payload
-from surfbound.errors import ParseError, UnknownCurveName
+from surfbound.errors import CalculatorError, ParseError, UnknownCurveName
 from surfbound.surface_io import (
     fixture_names,
     load_fixture,
@@ -415,6 +415,23 @@ class TestCommandLine:
         assert obs["oracle_checked"] is True
         assert all(e["value"]["exact"] == "2" for e in obs["entries"])
 
+    def test_oracle_catches_a_wrong_value(self, capsys, monkeypatch):
+        # the search keeps every point but reports each value one too high
+        found = search.fincke_pohst
+
+        def shifted(*args):
+            for tail, first, values in found(*args):
+                yield tail, first, [v + 1 for v in values]
+
+        monkeypatch.setattr(search, "fincke_pohst", shifted)
+        argv = ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "-k", "2"]
+        assert run_subcommand(argv + ["--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oracle mismatch: search found (0, 1) with value 3, box found (0, 1) with value 2\n"
+        )
+
     def test_ek_payload(self, capsys):
         code, payload = run_json(
             capsys,
@@ -595,6 +612,20 @@ class TestPayload:
         payload = exact_value(frac)
         assert payload["approx"] == _float_or_none(frac)
         assert payload["exact"] == str(frac)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-(10**500), max_value=10**500))
+    @example(10**400)
+    @example(-(10**309))
+    @example(2**1024 - 1)
+    def test_int_is_exact_as_its_fraction(self, n):
+        # obstruction entries carry int coordinates
+        assert exact_value(n) == exact_value(Q(n))
+
+    def test_int_beyond_float_range_and_digit_limit(self):
+        assert exact_value(10**400) == {"exact": str(10**400), "approx": None}
+        with pytest.raises(CalculatorError, match="digits"):
+            exact_value(10 ** sys.get_int_max_str_digits())
 
     def test_overflow_gives_null(self):
         assert exact_value(Q(10**400, 3)) == {"exact": f"{10**400}/3", "approx": None}

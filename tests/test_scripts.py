@@ -36,3 +36,19 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_large_outputs_prints_a_row():
+    # the cheapest row; the sha256 was recorded before the obstruction
+    # entries were streamed
+    proc = subprocess.run(
+        [sys.executable, "scripts/large_outputs.py", "--rows", "6"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert re.fullmatch(
+        r"6\. thresholds --twist=6\*c1 -k 0: exit 0, [\d.]+ s, 4419 bytes, [\d.]+ MB, "
+        r"sha256 d988afebab6806ae36461a23453c205426c97568d96507aa210986ed02799283",
+        row,
+    ), row
