@@ -89,11 +89,11 @@ def _class_of(name: str) -> str:
 def test_fixtures_stream_as_materialized(capsys, name):
     a = _class_of(name)
     for k in range(4):
-        for mode in (["--json"], []):
-            for twist in ("0", "K"):
-                system = ["--surface", name, "--divisor", a, f"--twist={twist}", "-k", str(k)]
+        for twist in ("0", "K"):
+            system = ["--surface", name, "--divisor", a, f"--twist={twist}", "-k", str(k)]
+            for mode in (["--json"], []):
                 assert_streamed_as_materialized(capsys, ["obstructions", *system, *mode])
-            assert_streamed_as_materialized(capsys, ["report", *system, "-n", "4", *mode])
+                assert_streamed_as_materialized(capsys, ["report", *system, "-n", "4", *mode])
 
 
 def test_random_models_stream_as_materialized(capsys, rng, tmp_path):
