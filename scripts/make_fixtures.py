@@ -44,12 +44,13 @@ def du_val_model(kind: str, m: int) -> dict:
     det = lattice.determinant(c)
     want = EXPECTED_DETS[kind]
     assert det == (want[m] if isinstance(want, dict) else want(m)), (kind, m, det)
-    inv = lattice.matrix_inverse(c)
-    # x = -adj(C).1 pairs each exceptional curve to |det C|; divide by the
-    # gcd to keep the polarization primitive on the block
-    x = [-det * sum(row) for row in inv]
-    assert all(v.denominator == 1 and v < 0 for v in x), (kind, m, x)
-    x = [int(v) for v in x]
+    # C is positive definite, so its elimination runs to the end and gives
+    # x = -adj(C).1, which pairs each exceptional curve to |det C|; divide
+    # by the gcd to keep the polarization primitive on the block
+    minors, rows = lattice.symmetric_elimination(c)
+    assert minors[-1] == det and len(minors) == m, (kind, m, minors)
+    x = [-v for v in lattice.adjugate_solve(rows, [1] * m)]
+    assert all(v < 0 for v in x), (kind, m, x)
     g = 0
     for v in x:
         g = gcd(g, v)

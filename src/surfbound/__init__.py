@@ -38,7 +38,6 @@ from .cycles import (
     fundamental_cycle,
 )
 from .errors import (
-    AmbiguousDecomposition,
     CalculatorError,
     IntegralityFailure,
     ModelInconsistent,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFINITY",
-    "AmbiguousDecomposition",
     "Analysis",
     "BoundReport",
     "CalculatorError",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import product
 from math import floor, lcm
-from operator import add, eq
+from operator import add, eq, mul
 from typing import Iterator, Optional, Sequence
 
 from . import lattice, search
@@ -219,11 +219,10 @@ def _obstruction_set(
     bound: Fraction,
     hits: Sequence[tuple[tuple[int, ...], Fraction]],
 ) -> ObstructionSet:
-    entries = [
-        ObstructionEntry(coeffs, model.divisor_from_curves(dict(zip(support, coeffs))), value)
-        for coeffs, value in sorted(hits)
-    ]
-    return ObstructionSet(support=support, bound=bound, entries=tuple(entries))
+    columns = list(zip(*(model.curves[i].coords for i in support)))
+    divisor = lambda coeffs: DivisorClass(tuple(sum(map(mul, c, coeffs)) for c in columns))
+    entries = tuple(ObstructionEntry(n, divisor(n), value) for n, value in sorted(hits))
+    return ObstructionSet(support=support, bound=bound, entries=entries)
 
 
 class ObstructionEntries(Sequence):
@@ -301,24 +300,29 @@ def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
 
 
 def _sublevel_box(
-    q_matrix: Sequence[Sequence], linear: Sequence[Fraction], bound: Fraction,
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction,
     margin: Fraction,
 ) -> Optional[list[tuple[int, int]]]:
     """Integer bounding box for {n >= 0 : n'Qn + linear.n <= bound} with Q
-    positive definite. Completing the square gives the ellipsoid radius R;
-    the per-coordinate half-width is sqrt(R * (Q^-1)_ii). Outward rounding
-    keeps the box sound; margin >= 1 inflates it."""
+    positive definite. Completing the square gives the centre -c for
+    c = Q^-1 linear / 2 and the radius R = bound + linear'Q^-1 linear / 4;
+    the per-coordinate half-width is sqrt(R * (Q^-1)_ii). Q^-1 is adj(Q) /
+    det(Q), each cofactor a lattice.determinant. Outward rounding keeps the
+    box sound; margin >= 1 inflates it."""
     r = len(linear)
-    inv = lattice.matrix_inverse(q_matrix)
-    center = [sum(inv[i][j] * linear[j] for j in range(r)) / 2 for i in range(r)]
-    radius = bound + lattice.dot(center, lattice.mat_vec(q_matrix, center))
+    det = lattice.determinant(q_matrix)
+    minor = lambda i, j: [row[:j] + row[j + 1 :] for t, row in enumerate(q_matrix) if t != i]
+    adj = [[(-1) ** (i + j) * lattice.determinant(minor(i, j)) for j in range(r)] for i in range(r)]
+    adj_linear = [sum(map(mul, row, linear)) for row in adj]
+    radius = bound + sum(map(mul, linear, adj_linear)) / (4 * det)
     if radius < 0:
         return None
     box = []
     for i in range(r):
-        half = margin * lattice.sqrt_upper(radius * inv[i][i])
-        low = max(0, -floor(center[i] + half))  # ceil(-c - half) = -floor(c + half)
-        high = floor(-center[i] + half)
+        center = Q(adj_linear[i], 2 * det)
+        half = margin * lattice.sqrt_upper(radius * adj[i][i] / det)
+        low = max(0, -floor(center + half))  # ceil(-c - half) = -floor(c + half)
+        high = floor(-center + half)
         if high < low:
             return None
         box.append((low, high))
@@ -329,23 +333,26 @@ def _box_product(
     q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction,
     margin: Fraction,
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Every point of the (inflated) bounding box, tested one by one."""
+    """Every point of the (inflated) bounding box, tested one by one. With
+    mu the common denominator of the linear term and the bound, a point is
+    scored by the integer mu*(n'Qn + linear.n): for each head of the point,
+    a quadratic in its last coordinate v."""
     box = _sublevel_box(q_matrix, linear, bound, margin)
     if box is None:
         return []
+    mu = lcm(bound.denominator, *(x.denominator for x in linear))
+    scaled = [[mu * x for x in row] for row in q_matrix]
+    lin = [x.numerator * (mu // x.denominator) for x in linear]
+    top = bound.numerator * (mu // bound.denominator)
+    *heads, (low, high) = box
     hits = []
-    r = len(box)
-    for coeffs in product(*(range(lo, hi + 1) for lo, hi in box)):
-        if not any(coeffs):
-            continue
-        quad = sum(
-            coeffs[i] * q_matrix[i][j] * coeffs[j]
-            for i in range(r)
-            for j in range(r)
-        )
-        value = quad + sum(linear[i] * coeffs[i] for i in range(r))
-        if value <= bound:
-            hits.append((coeffs, value))
+    for head in product(*(range(lo, hi + 1) for lo, hi in heads)):
+        base = sum(c * (sum(map(mul, row, head)) + l) for c, row, l in zip(head, scaled, lin))
+        slope = 2 * sum(map(mul, scaled[-1], head)) + lin[-1]
+        for v in range(low, high + 1):
+            score = base + v * (slope + v * scaled[-1][-1])
+            if score <= top and (v or any(head)):
+                hits.append(((*head, v), Q(score, mu)))
     return hits
 
 

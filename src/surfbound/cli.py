@@ -266,7 +266,7 @@ def _cmd_zariski(args) -> dict:
         if ref.positive != dec.positive or ref.negative != dec.negative:
             raise OracleMismatch(
                 f"support-growth gave positive part {dec.positive.coords}, "
-                f"subset search gave {ref.positive.coords}"
+                f"the linear program gave {ref.positive.coords}"
             )
     correction = zariski.h1_correction(model, dec)
     return {

@@ -71,11 +71,6 @@ class NotPseudoEffective(CalculatorError):
     relative to the model, or the curve list is incomplete."""
 
 
-class AmbiguousDecomposition(CalculatorError):
-    """The subset oracle found two distinct valid decompositions. This
-    signals a bug, not bad input; it must never fire."""
-
-
 class BoxExhausted(CalculatorError):
     """Brute-force cycle search ran out of its coefficient box."""
 

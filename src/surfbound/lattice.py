@@ -10,9 +10,10 @@ Sylvester test behind is_negative_definite; when it reaches the end it is an
 integer LDL' factorization, and adjugate_solve turns it into det(m) m^-1 b
 for integer b (Bareiss, Math. Comp. 22, 1968). negated_elimination runs it
 on the negation of a Gram block, as one step that is both the definiteness
-test and the factorization, and returns the determinant with the rows. Every definite solve of the package runs on the
-kernel without building a Fraction: the Zariski decomposition and its
-oracle, the obstruction search and the correction divisors of bounds.
+test and the factorization, and returns the determinant with the rows.
+Every definite solve of the package runs on the kernel without building a
+Fraction: the support-growth Zariski decomposition, the obstruction search
+and the correction divisors of bounds.
 
 The other determinant-adjacent routines are deliberately independent of it
 and of one another so they can cross-check each other in tests:
@@ -22,9 +23,9 @@ and of one another so they can cross-check each other in tests:
                           so the pivot product equals the determinant exactly;
                           signature reads the inertia of a model's Gram from it
   * leading_principal_minors -- one Bareiss run per leading block
-  * solve_linear       -- Gauss-Jordan elimination over the rationals
-  * matrix_inverse     -- one solve_linear per column; besides the tests only
-                          the box oracle of bounds uses it
+
+The box oracle of bounds takes the cofactors of its inverse from
+determinant. The Fraction solves the tests check against live in the tests.
 """
 
 from __future__ import annotations
@@ -33,19 +34,17 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .errors import RankMismatch, SingularMatrix
+from .errors import RankMismatch
 
 Q = Fraction
 
 
+# No caller in the package; the tests use it, and the benchmark's tracer
+# test (perfbench/tests) wraps it by name.
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise RankMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
     return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
-
-
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    return [dot(row, v) for row in m]
 
 
 def is_symmetric(m: Sequence[Sequence]) -> bool:
@@ -228,43 +227,6 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     plus = sum(1 for p in pivots if p > 0)
     minus = sum(1 for p in pivots if p < 0)
     return plus, minus, len(pivots) - plus - minus
-
-
-def solve_linear(m: Sequence[Sequence], b: Sequence) -> list[Fraction]:
-    """Solve m x = b exactly over the rationals.
-
-    Raises SingularMatrix when no pivot can be found, RankMismatch when the
-    right-hand side has the wrong length.
-    """
-    n = len(m)
-    if len(b) != n:
-        raise RankMismatch(f"rhs length {len(b)} does not match matrix size {n}")
-    a = [[Q(x) for x in row] + [Q(b[i])] for i, row in enumerate(m)]
-    if any(len(row) != n + 1 for row in a):
-        raise RankMismatch("solve_linear needs a square matrix")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col] / p
-            for c in range(col, n + 1):
-                a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def matrix_inverse(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse, column by column."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [Q(1) if i == j else Q(0) for i in range(n)]
-        cols.append(solve_linear(m, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def is_characteristic(k: Sequence[int], m: Sequence[Sequence[int]]) -> bool:

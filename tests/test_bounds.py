@@ -48,6 +48,7 @@ from generators import (
     construct_polarization,
     plumbing_elliptic,
     polarization,
+    solve_linear,
 )
 
 POSITIVE_ROOTS = {
@@ -64,10 +65,10 @@ def single_curve_value(analysis: Analysis) -> Q:
 
 
 def assert_search_matches_box(analysis: Analysis, levels) -> None:
-    """The integer search against the Fraction box oracle at every level
-    and at the single-curve value: the same entries, values included, the
-    count without entries, and the branch-and-bound tau against the least
-    value the box finds."""
+    """The integer search against the box oracle at every level and at the
+    single-curve value: the same entries, values included, the count
+    without entries, and the branch-and-bound tau against the least value
+    the box finds."""
     single = single_curve_value(analysis)
     for k in (*levels, single):
         slow = obstruction_oracle(analysis, k, margin=1)
@@ -631,7 +632,7 @@ class TestCorrectionDivisor:
                 sigma = [max(model.pair_curve(w, i) + k, Q(0)) for i in support]
                 gram = model.curve_gram(support)
                 det_abs = abs(lattice.determinant(gram))
-                want = lattice.solve_linear(gram, [-det_abs * x for x in sigma])
+                want = solve_linear(gram, [-det_abs * x for x in sigma])
                 if all(x.denominator == 1 and x >= 0 for x in want):
                     corr = analysis.correction_divisor(k)
                     assert corr.det_abs == det_abs

@@ -27,8 +27,9 @@ from surfbound import cli, surface_io
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# Oracles try every curve subset (zariski) or every box point, so they run
-# only on models with at most this many curves.
+# The obstruction and cycle oracles search a box whose volume grows with the
+# curves, so every --oracle command, zariski's included, runs only on models
+# with at most this many curves; the snapshots were recorded with this value.
 ORACLE_CURVES = 5
 
 

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from surfbound import lattice
 from surfbound.errors import RankMismatch, SingularMatrix
 
-from generators import ADE_TYPES, ade_gram, characteristic_vector, random_unimodular
+from generators import (
+    ADE_TYPES,
+    ade_gram,
+    characteristic_vector,
+    mat_vec,
+    matrix_inverse,
+    random_unimodular,
+    solve_linear,
+)
 
 # negated Cartan matrices and their determinant magnitudes
 EXPECTED_DET = {
@@ -73,20 +81,20 @@ class TestDeterminant:
 
 class TestSolveLinear:
     def test_integral_solution(self):
-        x = lattice.solve_linear([[-2, 1], [1, -2]], [-3, -3])
+        x = solve_linear([[-2, 1], [1, -2]], [-3, -3])
         assert x == [Q(3), Q(3)]
 
     def test_fractional_solution(self):
-        x = lattice.solve_linear([[-2, 1], [1, -2]], [-1, 0])
+        x = solve_linear([[-2, 1], [1, -2]], [-1, 0])
         assert x == [Q(2, 3), Q(1, 3)]
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            lattice.solve_linear([[1, 1], [1, 1]], [1, 0])
+            solve_linear([[1, 1], [1, 1]], [1, 0])
 
     def test_wrong_rhs_length(self):
         with pytest.raises(RankMismatch):
-            lattice.solve_linear([[1]], [1, 2])
+            solve_linear([[1]], [1, 2])
 
     @given(small_symmetric, st.data())
     @settings(max_examples=100, deadline=None)
@@ -94,15 +102,15 @@ class TestSolveLinear:
         n = len(m)
         if lattice.determinant(m) == 0:
             with pytest.raises(SingularMatrix):
-                lattice.solve_linear(m, [0] * n)
+                solve_linear(m, [0] * n)
             return
         b = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
-        x = lattice.solve_linear(m, b)
-        assert lattice.mat_vec(m, x) == [Q(v) for v in b]
+        x = solve_linear(m, b)
+        assert mat_vec(m, x) == [Q(v) for v in b]
 
     def test_inverse_round_trip(self):
         m = [[0, 1], [1, -2]]
-        inv = lattice.matrix_inverse(m)
+        inv = matrix_inverse(m)
         prod = [
             [sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)
@@ -130,7 +138,7 @@ class TestSymmetricElimination:
             b = [rng.randint(-9, 9) for _ in range(n)]
             scaled = lattice.adjugate_solve(rows, b)
             assert all(isinstance(y, int) for y in scaled)
-            assert scaled == [minors[-1] * x for x in lattice.solve_linear(m, b)]
+            assert scaled == [minors[-1] * x for x in solve_linear(m, b)]
 
     def test_rows_give_the_ldl_factors(self, rng):
         # m = L D L' with L_jk = rows[k][j] / D_{k+1}, D_k = minors[k] / minors[k-1]
@@ -157,7 +165,7 @@ class TestSymmetricElimination:
         assert lattice.negated_elimination(q) is None
         ones = [1] * size
         assert lattice.adjugate_solve(rows, ones) == [
-            minors[-1] * x for x in lattice.solve_linear(q, ones)
+            minors[-1] * x for x in solve_linear(q, ones)
         ]
 
     @given(small_symmetric)

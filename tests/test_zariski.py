@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import json
+import time
 from fractions import Fraction as Q
 
 import pytest
 
-from surfbound import zariski
+from surfbound import surface_io, zariski
+from surfbound.cli import run_subcommand
 from surfbound.errors import NotPseudoEffective
 from surfbound.zariski import h1_correction, kappa_is_two, zariski_decompose, zariski_oracle
 
-from generators import block_model, effective_combination
+from generators import (
+    block_model,
+    blown_up_plane,
+    effective_class,
+    effective_combination,
+    plumbing_chain,
+    plumbing_tree,
+)
 
 
 def check_defining_properties(model, d, dec):
@@ -102,7 +112,7 @@ class TestKappaAndCorrection:
 
 
 class TestDualRoutes:
-    """The fast support-growth pass and the exhaustive subset oracle must
+    """The fast support-growth pass and the linear-program oracle must
     agree exactly on every draw."""
 
     SIZE_CHOICES = ([2], [3], [4], [2, 2], [1, 3], [1, 2])
@@ -145,15 +155,27 @@ class TestDualRoutes:
             assert scaled.positive == c * dec.positive
             assert scaled.negative == c * dec.negative
 
-    def test_oracle_cache_stays_bounded(self, rng):
-        # more distinct models than the subset cache keeps: the oldest
-        # tables are evicted and the results stay right
-        bound = zariski.SUBSET_CACHE_MODELS
-        for trial in range(bound + 8):
-            model = block_model(rng, [rng.randint(1, 2)], name=f"cache{trial}")
-            d = effective_combination(rng, model)
-            assert zariski_oracle(model, d) == zariski_decompose(model, d)
-        assert zariski._negative_definite_subsets.cache_info().currsize <= bound
+    def test_oracle_runs_at_scale(self, rng):
+        # the least-point program grows polynomially with the curves, where a
+        # search over curve subsets would not end: the plane blown up in 20,
+        # 30 and 40 points with D = 3L + 2 sum E_i, and seeded chains and
+        # trees of 12 to 30 curves with effective divisors that pair with
+        # the curves in both signs
+        for points in (20, 30, 40):
+            model = blown_up_plane(points)
+            d = model.divisor([3] + [2] * points)
+            dec = zariski_oracle(model, d)
+            assert dec == zariski_decompose(model, d)
+            assert dec.support == tuple(range(points))
+            assert set(dec.coefficients) == {2}
+        for trial in range(8):
+            build = plumbing_chain if trial % 2 else plumbing_tree
+            model = build(rng, rng.randint(12, 30))
+            for _ in range(3):
+                d = effective_class(rng, model)
+                dec = zariski_oracle(model, d)
+                assert dec == zariski_decompose(model, d)
+                check_defining_properties(model, d, dec)
 
     def test_idempotence_on_random_draws(self, rng):
         for trial in range(20):
@@ -162,3 +184,107 @@ class TestDualRoutes:
             dec = zariski_decompose(model, d)
             again = zariski_decompose(model, dec.positive)
             assert again.negative.is_zero
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Every simplex pivot of the oracle, as (leaving basic variable, its
+    rhs, the pivot entry), recorded before the pivot."""
+    seen = []
+    pivot = zariski._pivot
+
+    def spy(rows, basis, cost, det, leave, enter):
+        seen.append((basis[leave], rows[leave][-1], rows[leave][enter]))
+        return pivot(rows, basis, cost, det, leave, enter)
+
+    monkeypatch.setattr(zariski, "_pivot", spy)
+    return seen
+
+
+def least_point(model, expression):
+    d = surface_io.parse_divisor(model, expression)
+    dc, _ = model.scaled_curve_pairings(d)
+    return d, dc, zariski._least_point(model.curve_pairings, dc)
+
+
+class TestLinearProgram:
+    """One test per branch of the oracle's two-phase simplex. Columns are
+    the r curve coefficients, then the r slacks, then the artificials."""
+
+    def test_nef_divisor_needs_no_artificial(self, fixture_models, pivots):
+        model = fixture_models["ade_e8"]
+        d, dc, solved = least_point(model, "h")
+        assert min(dc) == 0
+        assert solved == (1, {})
+        assert pivots == []
+        assert zariski_oracle(model, d) == zariski_decompose(model, d)
+
+    def test_artificials_find_the_negative_part(self, fixture_models, pivots):
+        # f + s meets s negatively: phase one pivots the artificial of s out
+        model = fixture_models["hirzebruch_f2"]
+        d, dc, solved = least_point(model, "f + s")
+        assert dc == [1, -1]
+        det, x = solved
+        assert {i: Q(v, det) for i, v in x.items()} == {1: Q(1, 2)}
+        assert pivots and pivots[0][0] == 2 * len(dc)
+        dec = zariski_oracle(model, d)
+        assert dec == zariski_decompose(model, d)
+        assert dec.coefficients == (Q(1, 2),)
+
+    def test_infeasible_program_is_not_pseudo_effective(self, fixture_models, capsys):
+        # f - s passes the ample-reference check (it pairs 0 with 3f + s), but
+        # no N >= 0 makes (f - s - N).f = -1 - N_s nonnegative
+        model = fixture_models["hirzebruch_f2"]
+        d, dc, solved = least_point(model, "f - s")
+        assert model.is_pseudo_effective_model(d)
+        assert solved is None
+        with pytest.raises(NotPseudoEffective):
+            zariski_oracle(model, d)
+        argv = ["zariski", "--surface", "hirzebruch_f2", "--divisor", "f-s", "--oracle"]
+        assert run_subcommand(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_degenerate_vertex(self, fixture_models, pivots):
+        # h + c1 pairs 0 with c3..c8, off the support, so their slacks are
+        # basic at level 0. Entering c1 ties the ratio of its artificial (2/2)
+        # with that of the slack of c2 (1/1); Bland's rule lets the slack, the
+        # lesser basic variable, leave
+        model = fixture_models["ade_e8"]
+        d, dc, solved = least_point(model, "h + c1")
+        assert dc == [1, -2, 1, 0, 0, 0, 0, 0, 0]
+        assert pivots[0] == (len(dc) + 2, 1, 1)
+        det, x = solved
+        assert {i: Q(v, det) for i, v in x.items()} == {1: Q(1)}
+        assert zariski_oracle(model, d) == zariski_decompose(model, d)
+
+    def test_zero_level_artificial_is_driven_out(self, fixture_models, pivots):
+        # 3E on the blown-up plane: E enters on a tie between its own
+        # artificial and the slack of L, the slack leaves, and the artificial
+        # stays basic at level 0 with the entry -1 under L in its row
+        model = fixture_models["blowup_p2"]
+        d, dc, solved = least_point(model, "3*E")
+        assert dc == [-3, 3]
+        assert solved == (1, {0: 3})
+        artificial = 2 * len(dc)
+        assert (artificial, 0, 1) in pivots
+        dec = zariski_oracle(model, d)
+        assert dec == zariski_decompose(model, d)
+        assert dec.positive.is_zero
+
+    @pytest.mark.parametrize("points", [30, 40])
+    def test_cli_oracle_on_many_curves(self, tmp_path, capsys, points):
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(surface_io.surface_to_data(blown_up_plane(points))))
+        argv = ["zariski", "--surface", str(path), "--divisor",
+                ",".join(["3"] + ["2"] * points), "--json"]
+        assert run_subcommand(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        started = time.monotonic()
+        assert run_subcommand(argv + ["--oracle"]) == 0
+        assert time.monotonic() - started < 2.0
+        checked = json.loads(capsys.readouterr().out)
+        assert checked.pop("oracle_checked") is True
+        assert plain.pop("oracle_checked") is False
+        assert checked == plain
