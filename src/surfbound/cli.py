@@ -302,7 +302,7 @@ def _cmd_fundcycle(args) -> dict:
         if ref.coefficients != cycle.coefficients:
             raise OracleMismatch(
                 f"stepwise construction gave {cycle.coefficients}, "
-                f"level enumeration gave {ref.coefficients}"
+                f"the box search gave {ref.coefficients}"
             )
     return {
         "surface": model.name,

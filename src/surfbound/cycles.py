@@ -3,18 +3,20 @@
 The production path is the classical least-fix-point iteration: start from
 the reduced sum of the component's curves and, while some curve still meets
 the cycle positively, add that curve (lowest index first). The cross-check
-enumerates integer vectors in a coefficient box by increasing total degree
-and returns the first solution level, which must be a singleton.
+searches a coefficient box depth first for the solutions of least total
+degree, with the least total found so far as its bound; there must be
+exactly one.
 
 The sublevel set {Z >= 1 : Z.C_i <= 0} is closed under coordinatewise
 minimum whenever distinct curves meet nonnegatively (a model invariant), so
 the unique minimum exists and is the unique minimizer of total degree. That
-is what lets the oracle stop at the first nonempty level.
+is what lets the oracle look for the least total degree alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from . import lattice
@@ -95,55 +97,66 @@ def fundamental_cycle(
     raise ModelInconsistent("cycle iteration did not terminate")
 
 
+def _least_points(
+    gram: Sequence[Sequence[int]], box: int
+) -> list[tuple[int, ...]]:
+    """Every n in {1..box}^r with gram.n <= 0 at the least total degree.
+
+    One depth-first search, coordinates in order and values upward. The
+    least total found so far bounds every branch, so a value that would pass
+    it ends its loop; a smaller total clears the points kept so far.
+    """
+    r = len(gram)
+    columns = [[gram[i][p] for i in range(r)] for p in range(r)]
+    # An entry g adds at least min(g, g*box) to its row over the box,
+    # whatever its sign. slack[i] is (gram.n)_i over the coordinates set so
+    # far plus that least addition from the rest; a branch lives while every
+    # slack[i] <= 0.
+    lows = [[min(g, g * box) for g in column] for column in columns]
+    best = r * box + 1
+    points: list[tuple[int, ...]] = []
+    point = [0] * r
+
+    def extend(depth: int, total: int, slack: list[int]) -> None:
+        nonlocal best
+        if depth == r:
+            if total < best:
+                best = total
+                points.clear()
+            points.append(tuple(point))
+            return
+        column = columns[depth]
+        nxt = [s - low for s, low in zip(slack, lows[depth])]
+        left = r - depth - 1
+        for v in range(1, box + 1):
+            if total + v + left > best:
+                break
+            nxt = list(map(add, nxt, column))
+            if max(nxt) > 0:
+                continue
+            point[depth] = v
+            extend(depth + 1, total + v, nxt)
+
+    extend(0, 0, [sum(row) for row in zip(*lows)])
+    return points
+
+
 def cycle_bruteforce_oracle(
     model: SurfaceModel, component: Sequence[int], box: int = 12
 ) -> FundamentalCycle:
     """Independent brute force over the coefficient box {1..box}^r.
 
-    Vectors are generated by increasing total degree with branch pruning;
-    the first level containing a solution must contain exactly one, and that
-    vector is the coordinatewise minimum of the whole solution set.
+    It searches the box for the solutions of least total degree, of which
+    there must be exactly one: the coordinatewise minimum of the whole
+    solution set.
     """
     comp, gram = _component_setup(model, component)
-    r = len(comp)
-    if box < 1:
-        raise BoxExhausted("box must allow coefficient 1")
-    # min_future[i][p]: least possible remaining contribution to Z.C_i from
-    # coordinates p..r-1, using n_j >= 1 off the diagonal (entries there are
-    # nonnegative) and n_i <= box on the diagonal (entry negative).
-    min_future = [[0] * (r + 1) for _ in range(r)]
-    for i in range(r):
-        for p in range(r - 1, -1, -1):
-            contrib = box * gram[i][p] if p == i else gram[i][p]
-            min_future[i][p] = min_future[i][p + 1] + contrib
-
-    found: list[tuple[int, ...]] = []
-
-    def extend(level: int, depth: int, remaining: int,
-               partial: list[int], stack: list[int]) -> None:
-        if depth == r:
-            if all(partial[i] <= 0 for i in range(r)):
-                found.append(tuple(stack))
-            return
-        tail = r - depth - 1
-        low = max(1, remaining - tail * box)
-        high = min(box, remaining - tail)
-        for v in range(low, high + 1):
-            nxt = [partial[i] + v * gram[i][depth] for i in range(r)]
-            if any(nxt[i] + min_future[i][depth + 1] > 0 for i in range(r)):
-                continue
-            stack.append(v)
-            extend(level, depth + 1, remaining - v, nxt, stack)
-            stack.pop()
-
-    for level in range(r, r * box + 1):
-        extend(level, 0, level, [0] * r, [])
-        if found:
-            if len(found) > 1:
-                raise ModelInconsistent(
-                    "minimal cycle is not unique; distinct curves must meet "
-                    "nonnegatively for the search to be well posed"
-                )
-            return _build_cycle(model, comp, found[0])
-    raise BoxExhausted(f"no cycle found with coefficients up to {box}")
-
+    points = _least_points(gram, box)
+    if not points:
+        raise BoxExhausted(f"no cycle found with coefficients up to {box}")
+    if len(points) > 1:
+        raise ModelInconsistent(
+            "minimal cycle is not unique; distinct curves must meet "
+            "nonnegatively for the search to be well posed"
+        )
+    return _build_cycle(model, comp, points[0])

@@ -17,7 +17,9 @@ rather than an accident of the draw:
   and elliptic plane-cubic classes.
 
 It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec),
-kept as references for the integer kernel of surfbound.lattice.
+kept as references for the integer kernel of surfbound.lattice, and the
+level-by-level search (least_points_by_level), kept as a reference for the
+depth-first search of the cycle oracle.
 """
 
 from __future__ import annotations
@@ -69,6 +71,45 @@ def matrix_inverse(m) -> list[list[Fraction]]:
     n = len(m)
     cols = [solve_linear(m, [int(i == j) for i in range(n)]) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def least_points_by_level(gram, box) -> list[tuple[int, ...]]:
+    """The points n of {1..box}^r with gram.n <= 0 at the least total degree.
+
+    Each total degree from r upward gets its own search from the root, and
+    the first level that holds a point is the answer; [] when none does.
+    Branches are pruned by the least that the coordinates left can add to
+    each row, min(g, g*box) for an entry g of either sign.
+    """
+    r = len(gram)
+    if box < 1:
+        return []
+    min_future = [[0] * (r + 1) for _ in range(r)]
+    for i in range(r):
+        for p in range(r - 1, -1, -1):
+            g = gram[i][p]
+            min_future[i][p] = min_future[i][p + 1] + min(g, g * box)
+    found: list[tuple[int, ...]] = []
+
+    def extend(depth, remaining, partial, stack):
+        if depth == r:
+            if all(x <= 0 for x in partial):
+                found.append(tuple(stack))
+            return
+        tail = r - depth - 1
+        for v in range(max(1, remaining - tail * box), min(box, remaining - tail) + 1):
+            nxt = [partial[i] + v * gram[i][depth] for i in range(r)]
+            if any(nxt[i] + min_future[i][depth + 1] > 0 for i in range(r)):
+                continue
+            stack.append(v)
+            extend(depth + 1, remaining - v, nxt, stack)
+            stack.pop()
+
+    for level in range(r, r * box + 1):
+        extend(0, level, [0] * r, [])
+        if found:
+            return found
+    return []
 
 
 # -- random models --------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_criterion_3_zariski_dual_route(fixture_models, rng):
 
 
 def test_criterion_4_fundamental_cycles(fixture_models, rng):
-    # stepwise construction equals level enumeration on the sixteen
+    # stepwise construction equals the box search on the sixteen
     # rational double point fixtures and on 200 random plumbing models
     started = time.monotonic()
     for kind, size in ADE_TYPES:
