@@ -82,8 +82,6 @@ def least_points_by_level(gram, box) -> list[tuple[int, ...]]:
     each row, min(g, g*box) for an entry g of either sign.
     """
     r = len(gram)
-    if box < 1:
-        return []
     min_future = [[0] * (r + 1) for _ in range(r)]
     for i in range(r):
         for p in range(r - 1, -1, -1):
