@@ -44,12 +44,12 @@ def du_val_model(kind: str, m: int) -> dict:
     det = lattice.determinant(c)
     want = EXPECTED_DETS[kind]
     assert det == (want[m] if isinstance(want, dict) else want(m)), (kind, m, det)
-    # C is positive definite, so its elimination runs to the end and gives
-    # x = -adj(C).1, which pairs each exceptional curve to |det C|; divide
-    # by the gcd to keep the polarization primitive on the block
-    minors, rows = lattice.symmetric_elimination(c)
-    assert minors[-1] == det and len(minors) == m, (kind, m, minors)
-    x = [-v for v in lattice.adjugate_solve(rows, [1] * m)]
+    # the Gram block -C is negative definite, so its elimination runs to the
+    # end and gives x = -adj(C).1, which pairs each exceptional curve to
+    # |det C|; divide by the gcd to keep the polarization primitive on the block
+    eliminated = lattice.negated_elimination([[-v for v in row] for row in c])
+    assert eliminated is not None and eliminated[0] == det, (kind, m, eliminated)
+    x = [-v for v in lattice.adjugate_solve(eliminated[1], [1] * m)]
     assert all(v < 0 for v in x), (kind, m, x)
     g = 0
     for v in x:

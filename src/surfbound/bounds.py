@@ -264,8 +264,8 @@ class ObstructionEntries(Sequence):
         analysis = self._analysis
         if not analysis.support:
             return
-        q_matrix, linear = analysis.obstruction_form
-        runs = search.fincke_pohst([row[::-1] for row in q_matrix[::-1]], linear[::-1], self._bound)
+        gram, linear = analysis.obstruction_form
+        runs = search.fincke_pohst([row[::-1] for row in gram[::-1]], linear[::-1], self._bound)
         curves = [
             [(j, x) for j, x in enumerate(analysis.model.curves[i].coords) if x]
             for i in analysis.support
@@ -300,15 +300,14 @@ def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
 
 
 def _sublevel_box(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction,
-    margin: Fraction,
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> Optional[list[tuple[int, int]]]:
     """Integer bounding box for {n >= 0 : n'Qn + linear.n <= bound} with Q
     positive definite. Completing the square gives the centre -c for
     c = Q^-1 linear / 2 and the radius R = bound + linear'Q^-1 linear / 4;
     the per-coordinate half-width is sqrt(R * (Q^-1)_ii). Q^-1 is adj(Q) /
     det(Q), each cofactor a lattice.determinant. Outward rounding keeps the
-    box sound; margin >= 1 inflates it."""
+    box sound."""
     r = len(linear)
     det = lattice.determinant(q_matrix)
     minor = lambda i, j: [row[:j] + row[j + 1 :] for t, row in enumerate(q_matrix) if t != i]
@@ -320,7 +319,7 @@ def _sublevel_box(
     box = []
     for i in range(r):
         center = Q(adj_linear[i], 2 * det)
-        half = margin * lattice.sqrt_upper(radius * adj[i][i] / det)
+        half = lattice.sqrt_upper(radius * adj[i][i] / det)
         low = max(0, -floor(center + half))  # ceil(-c - half) = -floor(c + half)
         high = floor(-center + half)
         if high < low:
@@ -330,14 +329,13 @@ def _sublevel_box(
 
 
 def _box_product(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction,
-    margin: Fraction,
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Every point of the (inflated) bounding box, tested one by one. With
+    """Every point of the bounding box, tested one by one. With
     mu the common denominator of the linear term and the bound, a point is
     scored by the integer mu*(n'Qn + linear.n): for each head of the point,
     a quadratic in its last coordinate v."""
-    box = _sublevel_box(q_matrix, linear, bound, margin)
+    box = _sublevel_box(q_matrix, linear, bound)
     if box is None:
         return []
     mu = lcm(bound.denominator, *(x.denominator for x in linear))
@@ -356,18 +354,17 @@ def _box_product(
     return hits
 
 
-def obstruction_oracle(analysis: Analysis, k, margin=Q(2)) -> ObstructionSet:
+def obstruction_oracle(analysis: Analysis, k) -> ObstructionSet:
     """Brute-force cross-check of Analysis.enumerate_obstructions: every
-    point of the ellipsoid's bounding box, inflated by margin >= 1, is
-    tested. With the search it shares only the set-up of the form (Q and
-    linear term) and the packing of hits into entries. Its cost is the box
-    volume, so it is meant for small inputs."""
-    margin = Q(margin)
-    if margin < 1:
-        raise NonpositiveInput("oracle box margin must be at least 1")
+    point of the outward-rounded bounding box of the sublevel ellipsoid is
+    tested. With the search it shares only the obstruction form (the Gram
+    block, which it negates to Q, and the linear term) and the packing of
+    hits into entries. Its cost is the box volume, so it is meant for small
+    inputs."""
     bound = Q(k)
-    q_matrix, linear = analysis.obstruction_form
-    hits = _box_product(q_matrix, linear, bound, margin) if analysis.support else []
+    gram, linear = analysis.obstruction_form
+    q_matrix = [[-x for x in row] for row in gram]
+    hits = _box_product(q_matrix, linear, bound) if analysis.support else []
     return _obstruction_set(analysis.model, analysis.support, bound, hits)
 
 
@@ -552,12 +549,11 @@ class Analysis:
 
     @cached_property
     def obstruction_form(self) -> tuple[list[list[int]], list[Fraction]]:
-        """Q = -Gram on the support and the linear term (T - K).C_i of the
-        obstruction form n'Qn + linear.n, whose value is T.D - K.D - D^2 for
-        D = sum n_i C_i."""
-        w = self.t - self.model.canonical_class
-        q_matrix = [[-x for x in row] for row in self.model.curve_gram(self.support)]
-        return q_matrix, [self.model.pair_curve(w, i) for i in self.support]
+        """The Gram block G of the support and the linear term (T - K).C_i
+        of the obstruction form linear.n - n'Gn, whose value is T.D - K.D -
+        D^2 for D = sum n_i C_i."""
+        dc, m = self.model.scaled_curve_pairings(self.t - self.model.canonical_class)
+        return self.model.curve_gram(self.support), [Q(dc[i], m) for i in self.support]
 
     @_memoized
     def obstruction_count(self, k) -> int:
@@ -572,8 +568,8 @@ class Analysis:
         has value 0, so it is in the count exactly when k >= 0."""
         if not self.support:
             return 0
-        q_matrix, linear = self.obstruction_form
-        return search.count_points(q_matrix, linear, Q(k)) - (k >= 0)
+        gram, linear = self.obstruction_form
+        return search.count_points(gram, linear, Q(k)) - (k >= 0)
 
     @_memoized
     def enumerate_obstructions(self, k) -> ObstructionSet:
@@ -592,9 +588,9 @@ class Analysis:
         without listing the set."""
         if not self.support:
             return INFINITY
-        q_matrix, linear = self.obstruction_form
-        single = min(x + q_matrix[j][j] for j, x in enumerate(linear))
-        tau = search.least_value(q_matrix, linear, Q(single))
+        gram, linear = self.obstruction_form
+        single = min(x - gram[j][j] for j, x in enumerate(linear))
+        tau = search.least_value(gram, linear, Q(single))
         if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau
@@ -614,18 +610,17 @@ class Analysis:
         model = self.model
         if not support:
             return CorrectionDivisor(k, (), (), 1, (), model.zero_divisor())
-        # deficiency max((K - T).C_i + k, 0) of the pairing condition
-        w = model.canonical_class - t
-        sigma = tuple(max(model.pair_curve(w, i) + k, Q(0)) for i in support)
+        # m times the deficiency max((K - T).C_i + k, 0) of the pairing
+        # condition, m the common denominator of K - T
+        dc, m = model.scaled_curve_pairings(model.canonical_class - t)
+        scaled = [max(dc[i] + k * m, 0) for i in support]
         # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
         # is positive definite with determinant |det|
         eliminated = lattice.negated_elimination(model.curve_gram(support))
         if eliminated is None:
             raise NotNegativeDefinite("correction support is not negative definite")
         det_abs, rows = eliminated
-        den = lcm(*(s.denominator for s in sigma))
-        rhs = [s.numerator * (den // s.denominator) for s in sigma]
-        solved = [Q(y, den) for y in lattice.adjugate_solve(rows, rhs)]
+        solved = [Q(y, m) for y in lattice.adjugate_solve(rows, scaled)]
         for i, x in zip(support, solved):
             if x.denominator != 1 or x < 0:
                 raise IntegralityFailure(
@@ -636,7 +631,7 @@ class Analysis:
         return CorrectionDivisor(
             level=k,
             support=support,
-            sigma=sigma,
+            sigma=tuple(Q(s, m) for s in scaled),
             det_abs=det_abs,
             coefficients=coeffs,
             divisor=model.divisor_from_curves(dict(zip(support, coeffs))),

@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds, cycles, zariski
 from .errors import CalculatorError, OracleMismatch
@@ -40,16 +39,6 @@ def _int_at_least(least: int):
         return value
 
     return parse
-
-
-def _margin_arg(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"box margin must be at least 1, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the result against an independent brute-force method",
     )
 
-    box = argparse.ArgumentParser(add_help=False, parents=[oracle])
-    box.add_argument(
-        "--box-margin",
-        type=_margin_arg,
-        default=Fraction(2),
-        metavar="M",
-        help="inflation factor, at least 1, for the oracle's search box (default 2)",
-    )
-
     p = sub.add_parser(
         "validate", parents=[surface], help="check a surface model file"
     )
@@ -154,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fundcycle",
-        parents=[surface, box],
+        parents=[surface, oracle],
         help="fundamental cycle of a connected negative-definite curve set",
     )
     p.add_argument(
@@ -181,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obstructions",
-        parents=[surface, divisor, twist, level, box],
+        parents=[surface, divisor, twist, level, oracle],
         help="enumerate obstruction divisors up to a level",
     )
     p.set_defaults(handler=_cmd_obstructions)
@@ -297,8 +277,8 @@ def _cmd_fundcycle(args) -> dict:
     component = parse_curve_list(model, args.curves)
     cycle = cycles.fundamental_cycle(model, component)
     if args.oracle:
-        box = int(max(cycle.coefficients) * args.box_margin) + 1
-        ref = cycles.cycle_bruteforce_oracle(model, component, box=box)
+        # Z is a solution, so the least solution lies in {1..max(Z)}^r
+        ref = cycles.cycle_bruteforce_oracle(model, component, box=max(cycle.coefficients))
         if ref.coefficients != cycle.coefficients:
             raise OracleMismatch(
                 f"stepwise construction gave {cycle.coefficients}, "
@@ -374,7 +354,7 @@ def _cmd_obstructions(args) -> dict:
     model = analysis.model
     obs = analysis.enumerate_obstructions(args.cluster)
     if args.oracle:
-        ref = bounds.obstruction_oracle(analysis, args.cluster, margin=args.box_margin)
+        ref = bounds.obstruction_oracle(analysis, args.cluster)
         found = [(e.coefficients, e.value) for e in obs.entries]
         boxed = [(e.coefficients, e.value) for e in ref.entries]
         if len(found) != len(boxed):

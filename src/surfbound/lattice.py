@@ -3,17 +3,16 @@
 Everything runs on arbitrary-precision integers and fractions.Fraction; no
 floating point enters any decision path. Matrices are sequences of rows.
 
-The production kernel is symmetric_elimination: one fraction-free Bareiss
-pass over a symmetric integer matrix without row exchanges, stopping at the
-first pivot <= 0. Its pivots are the leading principal minors, so it is the
-Sylvester test behind is_negative_definite; when it reaches the end it is an
-integer LDL' factorization, and adjugate_solve turns it into det(m) m^-1 b
-for integer b (Bareiss, Math. Comp. 22, 1968). negated_elimination runs it
-on the negation of a Gram block, as one step that is both the definiteness
-test and the factorization, and returns the determinant with the rows.
-Every definite solve of the package runs on the kernel without building a
-Fraction: the support-growth Zariski decomposition, the obstruction search
-and the correction divisors of bounds.
+The production kernel is negated_elimination: one fraction-free Bareiss
+pass over the negation of a symmetric integer Gram block, without row
+exchanges, stopping at the first pivot <= 0 (Bareiss, Math. Comp. 22, 1968).
+Its pivots are the leading principal minors of -m, so it is the Sylvester
+test behind is_negative_definite; when it reaches the end it is an integer
+LDL' factorization of -m, and adjugate_solve turns it into det(-m) (-m)^-1 b
+for integer b. So one step is both the definiteness test and the
+factorization. Every definite solve of the package runs on it without
+building a Fraction: the support-growth Zariski decomposition, the
+obstruction search and the correction divisors of bounds.
 
 The other determinant-adjacent routines are deliberately independent of it
 and of one another so they can cross-check each other in tests:
@@ -91,49 +90,12 @@ def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
     return [determinant([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
 
 
-def symmetric_elimination(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free Bareiss elimination of a symmetric integer matrix,
-    without row exchanges, stopped at the first pivot <= 0.
-
-    Returns (minors, rows). minors are the pivots met before the stop, which
-    are the leading principal minors D_1, D_2, ... of m. Row k of rows holds,
-    from column k on, the eliminated row: rows[k][k] = D_{k+1} and, for
-    j > k, rows[k][j] is the minor of m on rows 0..k and columns 0..k-1, j.
-    By symmetry rows[k][j] is also the numerator L_jk * D_{k+1} of column k
-    of the unit lower factor of m = L D L', whose diagonal is D_{k+1} / D_k.
-    Only the upper triangle is eliminated; entries left of the diagonal are
-    stale. When len(minors) == len(m), m is positive definite and the rows
-    feed adjugate_solve. Costs O(n^3) integer operations, or less on an
-    early stop."""
-    rows = [[int(x) for x in row] for row in m]
-    return _eliminate(rows), rows
-
-
-def _eliminate(rows: list[list[int]]) -> list[int]:
-    """symmetric_elimination in place on a fresh integer matrix."""
-    n = len(rows)
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        top = rows[k]
-        pivot = top[k]
-        if pivot <= 0:
-            break
-        minors.append(pivot)
-        for i in range(k + 1, n):
-            row, factor = rows[i], top[i]
-            for j in range(i, n):
-                row[j] = (row[j] * pivot - factor * top[j]) // prev
-        prev = pivot
-    return minors
-
-
 def adjugate_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> list[int]:
-    """det(m) m^-1 b = adj(m) b for an integer vector b, from the rows of a
-    complete symmetric_elimination of m.
+    """det(q) q^-1 b = adj(q) b for an integer vector b and q = -m, from
+    the rows of negated_elimination(m).
 
     The forward pass is replayed on b, with the same exact divisions, and an
-    exact back substitution follows: with D = det(m) = rows[-1][-1], the
+    exact back substitution follows: with D = det(q) = rows[-1][-1], the
     entry y_k = D x_k satisfies rows[k][k] y_k = D b'_k - sum_{j>k}
     rows[k][j] y_j, and y_k is an integer by Cramer's rule."""
     n = len(rows)
@@ -154,27 +116,42 @@ def adjugate_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> list[int]
     return y
 
 
-def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
-    """Sylvester criterion on -m: every leading principal minor of -m is
-    positive, i.e. symmetric_elimination of -m reaches the end. It stops at
-    the first pivot <= 0. The empty matrix counts as negative definite
-    (vacuously)."""
-    if not is_symmetric(m):
-        return False
-    return len(_eliminate([[-int(x) for x in row] for row in m])) == len(m)
-
-
 def negated_elimination(
     m: Sequence[Sequence[int]],
 ) -> Optional[tuple[int, list[list[int]]]]:
-    """(det(-m), rows) from a complete symmetric_elimination of -m when the
-    symmetric m is negative definite, None otherwise. The rows feed
-    adjugate_solve; the empty block gives (1, [])."""
+    """Fraction-free Bareiss elimination of -m for a symmetric integer
+    matrix m, without row exchanges: (det(-m), rows) when m is negative
+    definite, None at the first pivot <= 0. The empty block gives (1, []).
+
+    Row k of rows holds, from column k on, the eliminated row of -m:
+    rows[k][k] = D_{k+1}, the leading principal minor of -m of size k + 1,
+    and, for j > k, rows[k][j] is the minor of -m on rows 0..k and columns
+    0..k-1, j. By symmetry rows[k][j] is also the numerator L_jk * D_{k+1}
+    of column k of the unit lower factor of -m = L D L', whose diagonal is
+    D_{k+1} / D_k. Only the upper triangle is eliminated; entries left of
+    the diagonal are stale. The rows feed adjugate_solve. Costs O(n^3)
+    integer operations, or less on an early stop."""
     rows = [[-int(x) for x in row] for row in m]
-    minors = _eliminate(rows)
-    if len(minors) < len(m):
-        return None
-    return (minors[-1] if minors else 1), rows
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        top = rows[k]
+        pivot = top[k]
+        if pivot <= 0:
+            return None
+        for i in range(k + 1, n):
+            row, factor = rows[i], top[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
+        prev = pivot
+    return prev, rows
+
+
+def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
+    """Sylvester criterion on -m: every leading principal minor of -m is
+    positive, i.e. negated_elimination reaches the end. The empty matrix
+    counts as negative definite (vacuously)."""
+    return is_symmetric(m) and negated_elimination(m) is not None
 
 
 def congruence_pivots(m: Sequence[Sequence[int]]) -> list[Fraction]:

@@ -1,10 +1,10 @@
 """Integer points of the sublevel sets of positive definite forms.
 
 An obstruction set is the set of nonzero n >= 0 with n'Qn + linear.n <=
-bound, for Q = -Gram on the curves orthogonal to A: an integer positive
-definite matrix. This module finds those points by the short-vector search
-of Fincke and Pohst in integers, counts them without keeping them, and finds
-their least value by branch and bound. Every step is exact.
+bound, for Q = -G and G the Gram block of the curves orthogonal to A, which
+each function takes. This module finds those points by the short-vector
+search of Fincke and Pohst in integers, counts them without keeping them,
+and finds their least value by branch and bound. Every step is exact.
 """
 
 from __future__ import annotations
@@ -21,19 +21,19 @@ Q = Fraction
 
 
 class _SearchForm(NamedTuple):
-    """The search for n'Qn + linear.n <= bound in integers.
+    """The search for n'Qn + linear.n <= bound in integers, Q = -G.
 
-    lattice.symmetric_elimination gives the leading minors D_1..D_r of Q and
-    the column numerators of Q = L D L'. With mu the common denominator of
-    linear and bound, g = 2 D_r mu and C = adj(Q)(mu linear), the centre of
-    the ellipsoid is -c for c = C / g, and the condition reads
-    (n + c)'Q(n + c) <= R with g^2 R = G = g^2 bound + D_r (mu linear).C, an
-    integer. Writing W_j = D_j g y_j for the coordinates y of L'(n + c), it
-    becomes sum_j e_j W_j^2 <= P G, where P = lcm(D_j D_{j-1}) and e_j =
-    P / (D_j D_{j-1}). W_j = D_j g n_j + sh_j, and sh_j depends only on the
-    coordinates after j."""
+    lattice.negated_elimination of the Gram block G gives the column
+    numerators of Q = L D L' and, on their diagonal, the leading minors
+    D_1..D_r of Q. With mu the common denominator of linear and bound, g =
+    2 D_r mu and C = adj(Q)(mu linear), the centre of the ellipsoid is -c for
+    c = C / g, and the condition reads (n + c)'Q(n + c) <= R with g^2 R = B =
+    g^2 bound + D_r (mu linear).C, an integer. Writing W_j = D_j g y_j for
+    the coordinates y of L'(n + c), it becomes sum_j e_j W_j^2 <= P B, where
+    P = lcm(D_j D_{j-1}) and e_j = P / (D_j D_{j-1}). W_j = D_j g n_j + sh_j,
+    and sh_j depends only on the coordinates after j."""
 
-    budget: int  # P G
+    budget: int  # P B
     weight: list[int]  # e_j
     scale: list[int]  # D_j g
     base: list[int]  # the part of sh_j that does not depend on n
@@ -42,17 +42,19 @@ class _SearchForm(NamedTuple):
 
 
 def _search_form(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> Optional[_SearchForm]:
-    """The integer set-up of the search, or None when the sublevel set is
-    empty (G < 0). A pivot <= 0 means Q is not positive definite."""
+    """The integer set-up of the search on the Gram block, or None when the
+    sublevel set is empty (B < 0). A pivot <= 0 means the block is not
+    negative definite."""
     r = len(linear)
-    minors, rows = lattice.symmetric_elimination(q_matrix)
-    if len(minors) < r:
-        raise ModelInconsistent("obstruction form is not positive definite")
+    eliminated = lattice.negated_elimination(gram)
+    if eliminated is None:
+        raise ModelInconsistent("obstruction Gram block is not negative definite")
+    det, rows = eliminated
+    minors = [rows[k][k] for k in range(r)]
     mu = lcm(bound.denominator, *(x.denominator for x in linear))
     scaled = [x.numerator * (mu // x.denominator) for x in linear]
-    det = minors[-1]
     g = 2 * det * mu
     centre = lattice.adjugate_solve(rows, scaled)
     top = 4 * det * det * mu * bound.numerator * (mu // bound.denominator)
@@ -111,20 +113,20 @@ def _intervals(form: _SearchForm, point: list[int]) -> Iterator[tuple[int, int, 
 
 
 def count_points(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> int:
-    """The number of n >= 0, zero included, with n'Qn + linear.n <= bound:
+    """The number of n >= 0, zero included, with linear.n - n'Gn <= bound:
     the descent adds the length of each interval of n_0 and keeps no point."""
-    form = _search_form(q_matrix, linear, bound)
+    form = _search_form(gram, linear, bound)
     if form is None:
         return 0
     return sum(high - low + 1 for low, high, _, _ in _intervals(form, [0] * len(form.weight)))
 
 
 def fincke_pohst(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
-    """All nonzero n >= 0 with n'Qn + linear.n <= bound, with their values,
+    """All nonzero n >= 0 with linear.n - n'Gn <= bound, with their values,
     by the depth-first short-vector search of Fincke and Pohst (Math. Comp.
     44, 1985), in integers, on the set-up of _SearchForm and the descent of
     _intervals.
@@ -136,7 +138,7 @@ def fincke_pohst(
     the budget `rest` left at a leaf gives its value bound - rest / (P g^2),
     one Fraction per distinct value. The form is checked on the call; the
     points are searched as the iterator is read."""
-    form = _search_form(q_matrix, linear, bound)
+    form = _search_form(gram, linear, bound)
     return iter(()) if form is None else _runs(form, bound)
 
 
@@ -169,16 +171,16 @@ def _runs(
 
 
 def least_value(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
 ) -> Optional[Fraction]:
-    """The least value of n'Qn + linear.n over nonzero n >= 0 in the
+    """The least value of linear.n - n'Gn over nonzero n >= 0 in the
     sublevel set at bound, or None when that set is empty.
 
     Branch and bound on the descent that _intervals makes: the least value is
     the leaf with the largest budget left. Each interval is tried from its
     centre outward, so the budget falls along it; a node whose budget is no
     larger than the best leaf's ends the interval."""
-    form = _search_form(q_matrix, linear, bound)
+    form = _search_form(gram, linear, bound)
     if form is None:
         return None
     budget, weight, scale, base, tails, den = form

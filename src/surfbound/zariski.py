@@ -76,8 +76,7 @@ def _finalize(
         )
     negative = model.divisor_from_curves(dict(zip(support, coeffs)))
     positive = d - negative
-    for i in range(len(model.curves)):
-        p = model.pair_curve(positive, i)
+    for i, p in enumerate(model.scaled_curve_pairings(positive)[0]):
         if p < 0:
             raise ModelInconsistent("positive part is not nef after stabilizing")
         if i in support and p != 0:

@@ -225,7 +225,7 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
         assert tau is not INFINITY
         for k in range(3):
             fast = bounds.Analysis(model, a, zero).enumerate_obstructions(k)
-            slow = bounds.obstruction_oracle(bounds.Analysis(model, a, zero), k, margin=2)
+            slow = bounds.obstruction_oracle(bounds.Analysis(model, a, zero), k)
             assert fast.entries == slow.entries
             assert fast.is_empty == (k < tau)
             if not fast.is_empty:
@@ -239,7 +239,7 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
         t = model.divisor([rng.randint(-2, 2) for _ in range(model.rank)])
         k = rng.randint(0, 2)
         fast = bounds.Analysis(model, a, t).enumerate_obstructions(k)
-        slow = bounds.obstruction_oracle(bounds.Analysis(model, a, t), k, margin=2)
+        slow = bounds.obstruction_oracle(bounds.Analysis(model, a, t), k)
         assert fast.entries == slow.entries
         tau = bounds.Analysis(model, a, t).obstruction_minimum
         assert fast.is_empty == (tau > k)

@@ -60,8 +60,8 @@ POSITIVE_ROOTS = {
 
 def single_curve_value(analysis: Analysis) -> Q:
     """The least value of one orthogonal curve, where tau's search starts."""
-    q_matrix, linear = analysis.obstruction_form
-    return min(x + q_matrix[j][j] for j, x in enumerate(linear))
+    gram, linear = analysis.obstruction_form
+    return min(x - gram[j][j] for j, x in enumerate(linear))
 
 
 def assert_search_matches_box(analysis: Analysis, levels) -> None:
@@ -71,10 +71,10 @@ def assert_search_matches_box(analysis: Analysis, levels) -> None:
     the box finds."""
     single = single_curve_value(analysis)
     for k in (*levels, single):
-        slow = obstruction_oracle(analysis, k, margin=1)
+        slow = obstruction_oracle(analysis, k)
         assert analysis.enumerate_obstructions(k).entries == slow.entries
         assert analysis.obstruction_count(k) == len(slow.entries)
-    witnesses = obstruction_oracle(analysis, single, margin=1).entries
+    witnesses = obstruction_oracle(analysis, single).entries
     assert analysis.obstruction_minimum == min(e.value for e in witnesses)
 
 
@@ -83,10 +83,10 @@ def forward_hits(analysis: Analysis, k) -> list:
     in its own order, unsorted: the reference for the ordered search."""
     if not analysis.support:
         return []
-    q_matrix, linear = analysis.obstruction_form
+    gram, linear = analysis.obstruction_form
     return [
         ((v, *tail), value)
-        for tail, first, values in search.fincke_pohst(q_matrix, linear, Q(k))
+        for tail, first, values in search.fincke_pohst(gram, linear, Q(k))
         for v, value in enumerate(values, first)
     ]
 
@@ -357,20 +357,6 @@ class TestObstructionEnumeration:
         for k in (0, 1, 5, 50):
             assert Analysis(model, h, model.zero_divisor()).enumerate_obstructions(k).is_empty
 
-    def test_oracle_margins_agree(self, a2, rng):
-        h = a2.divisor([1, 0, 0])
-        zero = a2.zero_divisor()
-        for k in range(-1, 6):
-            fast = Analysis(a2, h, zero).enumerate_obstructions(k)
-            for margin in (Q(1), Q(2), Q(7, 2), Q(5)):
-                slow = obstruction_oracle(Analysis(a2, h, zero), k, margin=margin)
-                assert fast.entries == slow.entries
-
-    def test_oracle_rejects_deflating_margin(self, a2):
-        h = a2.divisor([1, 0, 0])
-        with pytest.raises(NonpositiveInput):
-            obstruction_oracle(Analysis(a2, h, a2.zero_divisor()), 2, margin=Q(1, 2))
-
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
     def test_level_two_finds_exactly_the_positive_roots(self, fixture_models, kind, size):
         # with A = h and T = 0 the value of D is -D^2, so the level-two set
@@ -399,7 +385,7 @@ class TestObstructionEnumeration:
         for t in twists:
             for k in levels:
                 fast = Analysis(model, h, t).enumerate_obstructions(k)
-                slow = obstruction_oracle(Analysis(model, h, t), k, margin=1)
+                slow = obstruction_oracle(Analysis(model, h, t), k)
                 assert fast.entries == slow.entries
 
     def test_search_matches_box_on_random_blocks(self, rng):
@@ -410,7 +396,7 @@ class TestObstructionEnumeration:
             t = model.divisor([rng.randint(-3, 3) for _ in range(model.rank)])
             for k in range(4):
                 fast = Analysis(model, a, t).enumerate_obstructions(k)
-                slow = obstruction_oracle(Analysis(model, a, t), k, margin=1)
+                slow = obstruction_oracle(Analysis(model, a, t), k)
                 assert fast.entries == slow.entries
 
     @pytest.mark.parametrize("name", ["ade_a4", "ade_a5", "ade_d4", "ade_d5", "ade_e6"])

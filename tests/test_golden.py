@@ -9,6 +9,9 @@ refactor that keeps these snapshots keeps the output byte for byte.
 After an intended change of output, record the snapshots again with
 
     PYTHONPATH=src python3 tests/test_golden.py --record
+
+which prints each command whose exit code or digest changed, and their
+count.
 """
 
 from __future__ import annotations
@@ -122,6 +125,17 @@ def snapshot(name: str) -> dict[str, list]:
     return {" ".join(argv): run(argv) for argv in commands(name)}
 
 
+def changed(old: dict, new: dict) -> list[str]:
+    """The commands of `new` whose exit code or digest differs from `old`,
+    or that `old` does not hold."""
+    return [
+        command
+        for name, results in new.items()
+        for command, result in results.items()
+        if old.get(name, {}).get(command) != result
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -136,9 +150,23 @@ def test_output_matches_snapshot(golden, name):
     assert snapshot(name) == golden[name]
 
 
+def test_changed_lists_moved_and_new_commands():
+    old = {"a": {"x": [0, "d1"], "y": [0, "d2"], "z": [1, "d3"]}}
+    new = {
+        "a": {"x": [0, "d1"], "y": [0, "d9"], "z": [0, "d3"], "w": [0, "d4"]},
+        "b": {"v": [0, "d5"]},
+    }
+    assert changed(old, new) == ["y", "z", "w", "v"]
+    assert changed(new, new) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: {sys.argv[0]} --record")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     data = {name: snapshot(name) for name in surface_io.fixture_names()}
+    moved = changed(old, data)
+    for command in moved:
+        print(f"changed: {command}")
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{sum(map(len, data.values()))} commands recorded in {GOLDEN}")
+    print(f"{sum(map(len, data.values()))} commands recorded in {GOLDEN}, {len(moved)} changed")

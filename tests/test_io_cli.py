@@ -127,6 +127,13 @@ class TestSchema:
         }
 
 
+def test_every_public_name_resolves():
+    import surfbound
+
+    assert len(set(surfbound.__all__)) == len(surfbound.__all__)
+    assert [name for name in surfbound.__all__ if not hasattr(surfbound, name)] == []
+
+
 class TestFixtureRegistry:
     def test_names_are_sorted_and_complete(self):
         names = fixture_names()
@@ -312,10 +319,17 @@ class TestCommandLine:
     def test_usage_errors_exit_two(self, capsys):
         assert run_subcommand(["zariski", "--surface", "hirzebruch_f2"]) == 2
         assert run_subcommand(["no-such-command"]) == 2
-        # only the box oracles of obstructions and fundcycle take a margin
-        argv = ["zariski", "--surface", "hirzebruch_f2", "--divisor", "f+s", "--oracle"]
-        assert run_subcommand(argv + ["--box-margin", "3"]) == 2
-        assert "unrecognized arguments: --box-margin" in capsys.readouterr().err
+        # the box oracles search the box their inputs give: no margin option
+        capsys.readouterr()
+        for argv in (
+            ["zariski", "--surface", "hirzebruch_f2", "--divisor", "f+s", "--oracle"],
+            ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "--oracle"],
+            ["fundcycle", "--surface", "a2_resolution", "--curves", "c1,c2", "--oracle"],
+        ):
+            assert run_subcommand(argv + ["--box-margin", "3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --box-margin" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -323,10 +337,8 @@ class TestCommandLine:
             ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "-k", "-5"],
             ["thresholds", "--surface", "hirzebruch_f2", "--divisor", "2,1", "-k", "-3"],
             ["bounds", "--surface", "double_cover_d5", "--divisor", "H", "-n", "-3"],
-            ["fundcycle", "--surface", "ade_e6", "--curves", "c1,c2,c3,c4,c5,c6",
-             "--oracle", "--box-margin", "1/2"],
         ],
-        ids=["negative-k", "negative-k-table", "negative-n", "deflating-margin"],
+        ids=["negative-k", "negative-k-table", "negative-n"],
     )
     def test_out_of_domain_values_exit_two(self, capsys, argv):
         assert run_subcommand(argv) == 2
@@ -370,6 +382,16 @@ class TestCommandLine:
         assert payload["rational"] is True
         assert payload["oracle_checked"] is True
 
+    @pytest.mark.parametrize("name", [n for n in fixture_names() if n.startswith("ade_")])
+    def test_fundcycle_oracle_on_every_ade_fixture(self, capsys, fixture_models, name):
+        # the oracle searches {1..max(Z)}^r, which holds the Laufer cycle Z
+        curves = ",".join(c.name for c in fixture_models[name].curves if c.name != "h")
+        code, payload = run_json(
+            capsys, ["fundcycle", "--surface", name, "--curves", curves, "--oracle"]
+        )
+        assert code == 0
+        assert payload["oracle_checked"] is True
+
     def test_exceptional_components(self, capsys):
         code, payload = run_json(
             capsys,
@@ -405,7 +427,6 @@ class TestCommandLine:
                 "--divisor", "1,0,0",
                 "-k", "2",
                 "--oracle",
-                "--box-margin", "3",
             ],
         )
         assert code == 0

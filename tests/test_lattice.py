@@ -127,24 +127,36 @@ def seeded_positive_definite(rng, n):
     ]
 
 
+def negate(m):
+    return [[-x for x in row] for row in m]
+
+
+def eliminate(m):
+    """The leading minors of a positive definite m, read from the diagonal
+    of the rows of negated_elimination(-m), with the determinant and the
+    rows."""
+    det, rows = lattice.negated_elimination(negate(m))
+    return [rows[k][k] for k in range(len(m))], det, rows
+
+
 class TestSymmetricElimination:
     def test_minors_and_adjugate_solve_match_the_oracles(self, rng):
         for trial in range(60):
             n = 1 + trial % 8
             m = seeded_positive_definite(rng, n)
-            minors, rows = lattice.symmetric_elimination(m)
+            minors, det, rows = eliminate(m)
             assert minors == lattice.leading_principal_minors(m)
-            assert minors[-1] == lattice.determinant(m)
+            assert det == minors[-1] == lattice.determinant(m)
             b = [rng.randint(-9, 9) for _ in range(n)]
             scaled = lattice.adjugate_solve(rows, b)
             assert all(isinstance(y, int) for y in scaled)
-            assert scaled == [minors[-1] * x for x in solve_linear(m, b)]
+            assert scaled == [det * x for x in solve_linear(m, b)]
 
     def test_rows_give_the_ldl_factors(self, rng):
         # m = L D L' with L_jk = rows[k][j] / D_{k+1}, D_k = minors[k] / minors[k-1]
         for n in range(1, 7):
             m = seeded_positive_definite(rng, n)
-            minors, rows = lattice.symmetric_elimination(m)
+            minors, _, rows = eliminate(m)
             lower = [
                 [Q(rows[k][j], minors[k]) if j >= k else Q(0) for k in range(n)]
                 for j in range(n)
@@ -158,29 +170,30 @@ class TestSymmetricElimination:
 
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
     def test_negated_root_lattices(self, kind, size):
-        q = [[-x for x in row] for row in ade_gram(kind, size)]
-        minors, rows = lattice.symmetric_elimination(q)
-        assert minors[-1] == EXPECTED_DET[(kind, size)]
-        assert lattice.negated_elimination(ade_gram(kind, size)) == (minors[-1], rows)
+        gram = ade_gram(kind, size)
+        q = negate(gram)
+        det, rows = lattice.negated_elimination(gram)
+        assert det == rows[-1][-1] == EXPECTED_DET[(kind, size)]
+        assert [rows[k][k] for k in range(size)] == lattice.leading_principal_minors(q)
         assert lattice.negated_elimination(q) is None
         ones = [1] * size
-        assert lattice.adjugate_solve(rows, ones) == [
-            minors[-1] * x for x in solve_linear(q, ones)
-        ]
+        assert lattice.adjugate_solve(rows, ones) == [det * x for x in solve_linear(q, ones)]
 
     @given(small_symmetric)
     @settings(max_examples=150, deadline=None)
     def test_stops_at_the_first_nonpositive_minor(self, m):
-        minors, _ = lattice.symmetric_elimination(m)
-        expected = []
-        for minor in lattice.leading_principal_minors(m):
-            if minor <= 0:
-                break
-            expected.append(minor)
-        assert minors == expected
+        # None exactly when some leading minor of -m is <= 0; otherwise the
+        # diagonal of the rows holds those minors
+        minors = lattice.leading_principal_minors(negate(m))
+        eliminated = lattice.negated_elimination(m)
+        assert (eliminated is None) == any(minor <= 0 for minor in minors)
+        if eliminated is not None:
+            det, rows = eliminated
+            assert [rows[k][k] for k in range(len(m))] == minors
+            assert det == minors[-1]
 
     def test_wrong_rhs_length(self):
-        _, rows = lattice.symmetric_elimination([[2, 1], [1, 2]])
+        _, rows = lattice.negated_elimination([[-2, -1], [-1, -2]])
         with pytest.raises(RankMismatch):
             lattice.adjugate_solve(rows, [1])
 
@@ -292,19 +305,19 @@ class TestKernelAgainstSympy:
         for trial in range(60):
             n = 1 + trial % 6
             m = seeded_symmetric(rng, n) if trial % 2 else seeded_positive_definite(rng, n)
-            minors, _ = lattice.symmetric_elimination(m)
-            for k, minor in enumerate(minors):
-                assert minor == sympy.Matrix(m)[: k + 1, : k + 1].det()
-            if len(minors) == n:
-                assert minors[-1] == sympy.Matrix(m).det()
-            else:
-                assert sympy.Matrix(m)[: len(minors) + 1, : len(minors) + 1].det() <= 0
+            dets = [sympy.Matrix(m)[: k + 1, : k + 1].det() for k in range(n)]
+            eliminated = lattice.negated_elimination(negate(m))
+            assert (eliminated is None) == any(d <= 0 for d in dets)
+            if eliminated is not None:
+                det, rows = eliminated
+                assert [rows[k][k] for k in range(n)] == dets
+                assert det == sympy.Matrix(m).det()
 
     def test_adjugate_solve_is_the_adjugate(self, sympy, rng):
         for trial in range(40):
             n = 1 + trial % 6
             m = seeded_positive_definite(rng, n)
-            _, rows = lattice.symmetric_elimination(m)
+            _, _, rows = eliminate(m)
             adj = sympy.Matrix(m).adjugate()
             b = [rng.randint(-9, 9) for _ in range(n)]
             assert lattice.adjugate_solve(rows, b) == list(adj * sympy.Matrix(b))
