@@ -352,9 +352,11 @@ def _render_scalar(value: Any) -> str:
 
 
 def _is_scalar(value: Any) -> bool:
+    """A value rendered on its key's line; an empty mapping renders as {}."""
     return (
         value is None
         or isinstance(value, (str, bool, int, float))
+        or value == {}
         or _is_exact_value(value)
     )
 

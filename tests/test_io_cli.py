@@ -392,6 +392,14 @@ class TestCommandLine:
         assert code == 0
         assert payload["oracle_checked"] is True
 
+    def test_empty_mapping_renders_as_braces(self, capsys):
+        # an ample class: the negative part has no support
+        code = run_subcommand(["zariski", "--surface", "hirzebruch_f2", "--divisor", "3,1"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "coefficients: {}" in lines
+        assert "support: []" in lines
+
     def test_exceptional_components(self, capsys):
         code, payload = run_json(
             capsys,

@@ -40,7 +40,8 @@ def test_readme_python_blocks_run():
 
 def test_large_outputs_prints_a_row():
     # the cheapest row; the sha256 was recorded before the obstruction
-    # entries were streamed
+    # entries were streamed, and again when empty mappings began to print
+    # as {} in text output
     proc = subprocess.run(
         [sys.executable, "scripts/large_outputs.py", "--rows", "6"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
@@ -48,7 +49,7 @@ def test_large_outputs_prints_a_row():
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()
     assert re.fullmatch(
-        r"6\. thresholds --twist=6\*c1 -k 0: exit 0, [\d.]+ s, 4419 bytes, [\d.]+ MB, "
-        r"sha256 d988afebab6806ae36461a23453c205426c97568d96507aa210986ed02799283",
+        r"6\. thresholds --twist=6\*c1 -k 0: exit 0, [\d.]+ s, 4440 bytes, [\d.]+ MB, "
+        r"sha256 c5d59752894abbb43b6fa1f752a72edf9d0cefe22fa209663ceb72c304bbaef7",
         row,
     ), row
