@@ -26,7 +26,7 @@ def main() -> None:
         zero = model.zero_divisor()
         analysis = bounds.Analysis(model, a, zero)
         table = bounds.theorem_thresholds(analysis, k=2)
-        cmp = bounds.matsusaka_compare(model, a)
+        cmp = bounds.matsusaka_compare(analysis)
         rows.append((
             str(d),
             str(analysis.threshold_at(zero)),

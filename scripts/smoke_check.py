@@ -119,12 +119,12 @@ for d, (want_m, want_ring) in {
         assert t2k == 4, t2k
         t1 = dch.degree_cap(k=2, x=1)
         assert t1 == 2 + bounds.vanishing_threshold(dc, hh, zz) == Q(9, 2)
-        cmpd = bounds.matsusaka_compare(dc, hh)
+        cmpd = bounds.matsusaka_compare(dch)
         assert cmpd.bound_k_plus_4h == Q(175, 4), cmpd
         assert cmpd.bound_k_plus_2h == Q(95, 4), cmpd
         assert cmpd.bound_here == Q(9, 2), cmpd
     if d == 3:
-        cmpd = bounds.matsusaka_compare(dc, hh)
+        cmpd = bounds.matsusaka_compare(dch)
         assert cmpd.bound_k_plus_4h == Q(87, 4), cmpd
         assert cmpd.bound_k_plus_2h == Q(39, 4), cmpd
         assert cmpd.bound_here == Q(5, 2), cmpd

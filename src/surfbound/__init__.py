@@ -50,7 +50,7 @@ from .errors import (
     UnverifiableHypothesis,
     ValidationError,
 )
-from .surface import CurveClass, DivisorClass, PositivityFlags, SurfaceModel
+from .surface import CurveClass, DivisorClass, SurfaceModel
 from .surface_io import (
     fixture_names,
     load_fixture,
@@ -95,7 +95,6 @@ __all__ = [
     "ObstructionSet",
     "OracleMismatch",
     "ParseError",
-    "PositivityFlags",
     "RingGeneration",
     "SeparatingDivisor",
     "SurfaceModel",

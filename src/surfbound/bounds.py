@@ -206,24 +206,6 @@ class ObstructionSet:
     def is_empty(self) -> bool:
         return not self.entries
 
-    @property
-    def witness_minimum(self) -> Optional[ObstructionEntry]:
-        if not self.entries:
-            return None
-        return min(self.entries, key=lambda e: (e.value, e.coefficients))
-
-
-def _obstruction_set(
-    model: SurfaceModel,
-    support: tuple[int, ...],
-    bound: Fraction,
-    hits: Sequence[tuple[tuple[int, ...], Fraction]],
-) -> ObstructionSet:
-    columns = list(zip(*(model.curves[i].coords for i in support)))
-    divisor = lambda coeffs: DivisorClass(tuple(sum(map(mul, c, coeffs)) for c in columns))
-    entries = tuple(ObstructionEntry(n, divisor(n), value) for n, value in sorted(hits))
-    return ObstructionSet(support=support, bound=bound, entries=entries)
-
 
 class ObstructionEntries(Sequence):
     """The entries of the obstruction set of an analysis at one bound, made
@@ -358,14 +340,18 @@ def obstruction_oracle(analysis: Analysis, k) -> ObstructionSet:
     """Brute-force cross-check of Analysis.enumerate_obstructions: every
     point of the outward-rounded bounding box of the sublevel ellipsoid is
     tested. With the search it shares only the obstruction form (the Gram
-    block, which it negates to Q, and the linear term) and the packing of
-    hits into entries. Its cost is the box volume, so it is meant for small
-    inputs."""
+    block, which it negates to Q, and the linear term); it packs its hits
+    into entries itself. Its cost is the box volume, so it is meant for
+    small inputs."""
     bound = Q(k)
+    model, support = analysis.model, analysis.support
     gram, linear = analysis.obstruction_form
     q_matrix = [[-x for x in row] for row in gram]
-    hits = _box_product(q_matrix, linear, bound) if analysis.support else []
-    return _obstruction_set(analysis.model, analysis.support, bound, hits)
+    hits = _box_product(q_matrix, linear, bound) if support else []
+    columns = list(zip(*(model.curves[i].coords for i in support)))
+    divisor = lambda coeffs: DivisorClass(tuple(sum(map(mul, c, coeffs)) for c in columns))
+    entries = tuple(ObstructionEntry(n, divisor(n), value) for n, value in sorted(hits))
+    return ObstructionSet(support=support, bound=bound, entries=entries)
 
 
 # -- correction divisors -----------------------------------------------------
@@ -595,15 +581,11 @@ class Analysis:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau
 
-    def correction_divisor(
-        self, k: int, subset: Optional[Sequence[int]] = None
-    ) -> CorrectionDivisor:
+    def correction_divisor(self, k: int) -> CorrectionDivisor:
         """Effective divisor E with E.C_i = -|det| * deficiency_i on the curves
-        orthogonal to A (or a chosen subset of them). Subtracting it repairs
-        the pairing condition (T - E).C_i >= K.C_i + k. Cramer scaling by
-        |det| makes E integral."""
-        support = self.support if subset is None else tuple(sorted(set(subset)))
-        return self._correction(self.t, k, support)
+        orthogonal to A. Subtracting it repairs the pairing condition
+        (T - E).C_i >= K.C_i + k. Cramer scaling by |det| makes E integral."""
+        return self._correction(self.t, k, self.support)
 
     @_memoized
     def _correction(self, t: DivisorClass, k: int, support: tuple[int, ...]) -> CorrectionDivisor:
@@ -724,21 +706,18 @@ class MatsusakaComparison:
         return least_integer_above(self.bound_here)
 
 
-def matsusaka_compare(model: SurfaceModel, h: DivisorClass) -> MatsusakaComparison:
-    if not model.is_ample_model(h):
+def matsusaka_compare(analysis: Analysis) -> MatsusakaComparison:
+    """The comparison for the class H = analysis.a, which must be ample on
+    the model; the twist of the analysis plays no part."""
+    if not analysis.ample:
         raise NotAmple("comparison needs a class that is ample on the model")
-    return _matsusaka(model, h, vanishing_threshold(model, h, model.zero_divisor()))
-
-
-def _matsusaka(model: SurfaceModel, h: DivisorClass, threshold: Fraction) -> MatsusakaComparison:
-    """The comparison for an ample h whose vanishing_threshold(h, 0) is
-    known."""
-    h2 = model.self_intersection(h)
-    kh = model.canonical_pairing(h)
+    model = analysis.model
+    h2 = analysis.a2
+    kh = model.canonical_pairing(analysis.a)
     return MatsusakaComparison(
         bound_k_plus_4h=((kh + 4 * h2 + 1) ** 2 / h2 + 3) / 2,
         bound_k_plus_2h=((kh + 2 * h2 + 1) ** 2 / h2 + 7) / 2,
-        bound_here=2 + threshold,
+        bound_here=2 + analysis.threshold_at(model.zero_divisor()),
     )
 
 
@@ -1052,9 +1031,6 @@ def build_bound_report(
     if n is not None:
         quadratic = analysis.quadratic(n, k)
         check = threshold_holds(analysis, n, k)
-    comparison = None
-    if analysis.ample:
-        comparison = _matsusaka(model, analysis.a, analysis.threshold_at(model.zero_divisor()))
     return BoundReport(
         threshold=analysis.threshold_at(t),
         level=analysis.level_at(t),
@@ -1075,5 +1051,5 @@ def build_bound_report(
             no_fixed_part=no_fixed_part,
             base_point_free=base_point_free,
         ),
-        matsusaka=comparison,
+        matsusaka=matsusaka_compare(analysis) if analysis.ample else None,
     )

@@ -60,9 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE_OR_NAME",
         help="surface model: a JSON file path or a bundled fixture name",
     )
-    fmt = surface.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable output")
-    fmt.add_argument("--text", action="store_true", help="plain text output (default)")
+    surface.add_argument("--json", action="store_true", help="JSON output instead of plain text")
 
     divisor = argparse.ArgumentParser(add_help=False)
     divisor.add_argument(
@@ -432,7 +430,7 @@ def _cmd_thresholds(args) -> dict:
 def _cmd_compare(args) -> dict:
     model = load_surface(args.surface)
     h = parse_divisor(model, args.divisor)
-    cmp = bounds.matsusaka_compare(model, h)
+    cmp = bounds.matsusaka_compare(bounds.Analysis(model, h, model.zero_divisor()))
     return {
         "surface": model.name,
         "class": divisor_payload(h),

@@ -29,10 +29,6 @@ class RankMismatch(CalculatorError):
     """Vector length does not match the lattice rank."""
 
 
-class SingularMatrix(CalculatorError):
-    """Linear solve was attempted against a singular matrix."""
-
-
 class NotNegativeDefinite(CalculatorError):
     """A curve subset whose Gram matrix had to be negative definite is not."""
 

@@ -21,10 +21,10 @@ and of one another so they can cross-check each other in tests:
   * congruence_pivots  -- symmetric reduction using only det +-1 congruences,
                           so the pivot product equals the determinant exactly;
                           signature reads the inertia of a model's Gram from it
-  * leading_principal_minors -- one Bareiss run per leading block
 
 The box oracle of bounds takes the cofactors of its inverse from
-determinant. The Fraction solves the tests check against live in the tests.
+determinant. The Fraction solves and the leading minors that the tests check
+against live in the tests.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
-    """Determinants of the leading k-by-k blocks, k = 1..n."""
-    n = len(m)
-    return [determinant([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
 
 
 def adjugate_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> list[int]:

@@ -122,14 +122,6 @@ class CurveClass:
 
 
 @dataclass(frozen=True)
-class PositivityFlags:
-    nef_model: bool
-    big: bool
-    ample_model: bool
-    pseudo_effective_model: Optional[bool]
-
-
-@dataclass(frozen=True)
 class SurfaceModel:
     name: str
     gram: tuple[tuple[int, ...], ...]
@@ -147,7 +139,7 @@ class SurfaceModel:
     ) -> "SurfaceModel":
         """Check the shape and type of every field, then build the model,
         which checks the lattice rules. Nothing is rounded or parsed: entries
-        are integers, a curve is a CurveClass or (name, coords[, effective]),
+        are integers, a curve is a list or tuple (name, coords[, effective]),
         and an error names the field path as a model file spells it."""
         if not isinstance(name, str) or not name:
             raise ValidationError("name: expected a nonempty string")
@@ -160,11 +152,9 @@ class SurfaceModel:
         curve_list = []
         for i, c in enumerate(_entries(curves, "curves", "curves")):
             path = f"curves[{i}]"
-            if isinstance(c, CurveClass):
-                cname, coords, effective = c.name, c.coords, c.effective
-            else:
-                cname, coords = c[0], c[1]
-                effective = c[2] if len(c) > 2 else True
+            if not isinstance(c, (list, tuple)) or len(c) not in (2, 3):
+                raise ValidationError(f"{path}: expected (name, coords[, effective])")
+            cname, coords, effective = c if len(c) == 3 else (*c, True)
             if not isinstance(cname, str):
                 raise ValidationError(f"{path}.name: expected a string")
             coords = _int_vector(coords, f"{path}.coords", rank)
@@ -323,9 +313,6 @@ class SurfaceModel:
 
     # -- positivity flags --------------------------------------------------
 
-    def is_nef_model(self, d: DivisorClass) -> bool:
-        return all(p >= 0 for p in self.scaled_curve_pairings(d)[0])
-
     def is_big(self, d: DivisorClass) -> bool:
         return self.self_intersection(d) > 0
 
@@ -342,17 +329,6 @@ class SurfaceModel:
                 "pseudo-effectivity"
             )
         return self.intersect(d, DivisorClass.of(self.ample_reference)) >= 0
-
-    def positivity(self, d: DivisorClass) -> PositivityFlags:
-        pseudo = None
-        if self.ample_reference is not None:
-            pseudo = self.is_pseudo_effective_model(d)
-        return PositivityFlags(
-            nef_model=self.is_nef_model(d),
-            big=self.is_big(d),
-            ample_model=self.is_ample_model(d),
-            pseudo_effective_model=pseudo,
-        )
 
     # -- exceptional configurations ---------------------------------------
 

@@ -194,16 +194,24 @@ _TERM_RE = re.compile(
 )
 
 
+def _coefficient(text: str, number: str) -> Fraction:
+    """A coefficient that the patterns above matched: digits, an optional
+    /digits and an optional sign, so only the denominator can be wrong."""
+    try:
+        return Fraction(number)
+    except ZeroDivisionError:
+        raise ParseError(
+            f"divisor {text!r}: coefficient {number!r} has a zero denominator"
+        ) from None
+
+
 def _parse_coords(model: SurfaceModel, text: str) -> DivisorClass:
     parts = [p.strip().replace(" ", "") for p in text.split(",")]
     if len(parts) != model.rank:
         raise ParseError(
             f"divisor {text!r}: expected {model.rank} coordinates, got {len(parts)}"
         )
-    try:
-        return model.divisor([Fraction(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"divisor {text!r}: {exc}") from exc
+    return model.divisor([_coefficient(text, p) for p in parts])
 
 
 def parse_divisor(model: SurfaceModel, text: str) -> DivisorClass:
@@ -228,7 +236,7 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivisorClass:
             raise ParseError(
                 f"divisor {text!r}: missing + or - before position {match.start('name')}"
             )
-        coeff = Fraction(match.group("coeff") or 1)
+        coeff = _coefficient(text, match.group("coeff") or "1")
         if match.group("sign") == "-":
             coeff = -coeff
         name = match.group("name")

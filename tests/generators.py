@@ -16,8 +16,9 @@ rather than an accident of the draw:
   genus bound is a theorem for them. Chains with arbitrary weights, trees,
   and elliptic plane-cubic classes.
 
-It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec),
-kept as references for the integer kernel of surfbound.lattice, and the
+It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec)
+and the leading principal minors (leading_principal_minors), kept as
+references for the integer kernel of surfbound.lattice, and the
 level-by-level search (least_points_by_level), kept as a reference for the
 depth-first search of the cycle oracle.
 """
@@ -28,11 +29,21 @@ import random
 from fractions import Fraction
 
 from surfbound import lattice
-from surfbound.errors import NotAmple, NotNegativeDefinite, RankMismatch, SingularMatrix
+from surfbound.errors import CalculatorError, NotAmple, NotNegativeDefinite, RankMismatch
 from surfbound.surface import DivisorClass, SurfaceModel
 
 
 # -- reference Fraction solves -------------------------------------------------
+
+
+class SingularMatrix(CalculatorError):
+    """Linear solve was attempted against a singular matrix."""
+
+
+def leading_principal_minors(m) -> list[int]:
+    """Determinants of the leading k-by-k blocks, k = 1..n."""
+    n = len(m)
+    return [lattice.determinant([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
 
 
 def mat_vec(m, v) -> list[Fraction]:

@@ -48,7 +48,7 @@ def test_criterion_1_double_cover_family(fixture_models):
         assert analysis.level_at(zero) == d - 2
         table = bounds.theorem_thresholds(analysis, k=2)
         assert table["k_very_ample"].least_n == d
-        assert bounds.matsusaka_compare(model, a).least_n_here == d
+        assert bounds.matsusaka_compare(analysis).least_n_here == d
     assert_budget(started, 1.0)
 
 
@@ -274,7 +274,7 @@ def test_criterion_8_matsusaka_comparison(fixture_models):
     started = time.monotonic()
     d5 = fixture_models["double_cover_d5"]
     h = d5.divisor(d5.ample_reference)
-    comparison = bounds.matsusaka_compare(d5, h)
+    comparison = bounds.matsusaka_compare(bounds.Analysis(d5, h, d5.zero_divisor()))
     assert comparison.bound_k_plus_4h == Q(175, 4)
     assert comparison.bound_k_plus_2h == Q(95, 4)
     assert comparison.bound_here == Q(9, 2)
@@ -282,7 +282,8 @@ def test_criterion_8_matsusaka_comparison(fixture_models):
     assert comparison.least_n_k_plus_2h == 24
     assert comparison.least_n_here == 5
     for name, model in fixture_models.items():
-        c = bounds.matsusaka_compare(model, model.divisor(model.ample_reference))
+        h = model.divisor(model.ample_reference)
+        c = bounds.matsusaka_compare(bounds.Analysis(model, h, model.zero_divisor()))
         assert c.bound_here < c.bound_k_plus_2h <= c.bound_k_plus_4h, name
     assert_budget(started, 1.0)
 

@@ -479,7 +479,6 @@ class TestObstructionEnumeration:
         assert obs.entries != slow.entries[:2]
         assert obs.entries[-1] == slow.entries[-1]
         assert list(obs.entries) == list(obs.entries)  # every pass searches again
-        assert obs.witness_minimum == slow.witness_minimum
         assert all(type(x) is int for e in obs.entries for x in e.divisor.coords)
 
     def test_search_rejects_indefinite_form(self):
@@ -590,8 +589,9 @@ class TestCorrectionDivisor:
         model = block_model(rng, [2, 2], name="subset")
         a = polarization(model)
         t = model.zero_divisor()
-        full = Analysis(model, a, t).correction_divisor(3)
-        left = Analysis(model, a, t).correction_divisor(3, subset=(0, 1))
+        analysis = Analysis(model, a, t)
+        full = analysis.correction_divisor(3)
+        left = analysis._correction(t, 3, (0, 1))
         assert left.support == (0, 1)
         # blocks decouple, so the unscaled solutions agree; the published
         # coefficients differ only by the Cramer determinant factor
@@ -634,7 +634,7 @@ class TestCorrectionDivisor:
         # curve 0 is the plane class h, of square 1
         analysis = Analysis(a2, a2.divisor([1, 0, 0]), a2.zero_divisor())
         with pytest.raises(NotNegativeDefinite):
-            analysis.correction_divisor(0, subset=(0, 1))
+            analysis._correction(a2.zero_divisor(), 0, (0, 1))
 
 
 class TestSeparatingDivisor:
@@ -733,7 +733,7 @@ class TestRingGeneration:
 class TestMatsusakaComparison:
     def test_quintic_values(self):
         model = double_cover(5)
-        cmp = matsusaka_compare(model, model.divisor([1]))
+        cmp = matsusaka_compare(Analysis(model, model.divisor([1]), model.zero_divisor()))
         assert cmp.bound_k_plus_4h == Q(175, 4)
         assert cmp.bound_k_plus_2h == Q(95, 4)
         assert cmp.bound_here == Q(9, 2)
@@ -743,14 +743,14 @@ class TestMatsusakaComparison:
 
     def test_cubic_values(self):
         model = double_cover(3)
-        cmp = matsusaka_compare(model, model.divisor([1]))
+        cmp = matsusaka_compare(Analysis(model, model.divisor([1]), model.zero_divisor()))
         assert cmp.bound_k_plus_4h == Q(87, 4)
         assert cmp.bound_k_plus_2h == Q(39, 4)
         assert cmp.bound_here == Q(5, 2)
 
     def test_needs_ample(self, f2):
         with pytest.raises(NotAmple):
-            matsusaka_compare(f2, f2.divisor([2, 1]))
+            matsusaka_compare(Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor()))
 
 
 class TestTheoremThresholds:

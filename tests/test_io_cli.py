@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbound import search, surface_io
-from surfbound.cli import run_subcommand
+from surfbound.cli import build_parser, run_subcommand
 from surfbound.reporting import dump_json, exact_value, to_payload
 from surfbound.errors import CalculatorError, ParseError, UnknownCurveName
 from surfbound.surface_io import (
@@ -270,7 +271,7 @@ class TestParseDivisor:
             parse_divisor(f2, "f + q")
 
     def test_garbage_rejected(self, f2):
-        for bad in ("", "  ", "f ++ s", "2*", "f s"):
+        for bad in ("", "  ", "f ++ s", "2*", "f s", "1/0*f", "f+1/0*s", "1/0,1"):
             with pytest.raises(ParseError):
                 parse_divisor(f2, bad)
 
@@ -330,6 +331,63 @@ class TestCommandLine:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "unrecognized arguments: --box-margin" in captured.err
+        # text is the default output; there is no option for it
+        assert run_subcommand(["validate", "--surface", "hirzebruch_f2", "--text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --text" in captured.err
+
+    def test_options_of_each_subcommand(self):
+        # every option of the CLI, so that a new one shows up as a diff here
+        system = ["--surface", "--json", "--divisor", "-T", "--twist"]
+        table = {
+            "validate": ["--surface", "--json"],
+            "zariski": ["--surface", "--json", "--divisor", "--oracle"],
+            "fundcycle": ["--surface", "--json", "--oracle", "--curves"],
+            "exceptional": ["--surface", "--json", "--divisor"],
+            "tau": system,
+            "obstructions": system + ["-k", "--cluster", "--oracle"],
+            "ek": system + ["-k", "--cluster"],
+            "bounds": system + ["-k", "--cluster", "-n", "--multiple"],
+            "thresholds": system + [
+                "-k", "--cluster", "-n", "--multiple",
+                "--assert-no-fixed-part", "--assert-base-point-free",
+            ],
+            "compare-matsusaka": ["--surface", "--json", "--divisor"],
+            "report": system + [
+                "-k", "--cluster", "-n", "--multiple",
+                "--assert-no-fixed-part", "--assert-base-point-free",
+            ],
+        }
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [
+                tuple(a.option_strings)
+                for a in parser._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+            ]
+            for name, parser in sub.choices.items()
+        }
+        assert {name: [s for o in opts for s in o] for name, opts in options.items()} == table
+        assert len({o for opts in options.values() for o in opts}) == 10
+        assert sum(map(len, options.values())) == 53
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zariski", "--surface", "hirzebruch_f2", "--divisor", "1/0*f+s"],
+            ["tau", "--surface", "ade_a3", "--divisor", "h", "--twist=1/0*c1"],
+        ],
+        ids=["divisor", "twist"],
+    )
+    def test_zero_denominator_exits_one(self, capsys, argv):
+        assert run_subcommand(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: divisor {argv[-1].removeprefix('--twist=')!r}: "
+            "coefficient '1/0' has a zero denominator\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

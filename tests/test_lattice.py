@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfbound import lattice
-from surfbound.errors import RankMismatch, SingularMatrix
+from surfbound.errors import RankMismatch
 
 from generators import (
     ADE_TYPES,
+    SingularMatrix,
     ade_gram,
     characteristic_vector,
+    leading_principal_minors,
     mat_vec,
     matrix_inverse,
     random_unimodular,
@@ -145,7 +147,7 @@ class TestSymmetricElimination:
             n = 1 + trial % 8
             m = seeded_positive_definite(rng, n)
             minors, det, rows = eliminate(m)
-            assert minors == lattice.leading_principal_minors(m)
+            assert minors == leading_principal_minors(m)
             assert det == minors[-1] == lattice.determinant(m)
             b = [rng.randint(-9, 9) for _ in range(n)]
             scaled = lattice.adjugate_solve(rows, b)
@@ -174,7 +176,7 @@ class TestSymmetricElimination:
         q = negate(gram)
         det, rows = lattice.negated_elimination(gram)
         assert det == rows[-1][-1] == EXPECTED_DET[(kind, size)]
-        assert [rows[k][k] for k in range(size)] == lattice.leading_principal_minors(q)
+        assert [rows[k][k] for k in range(size)] == leading_principal_minors(q)
         assert lattice.negated_elimination(q) is None
         ones = [1] * size
         assert lattice.adjugate_solve(rows, ones) == [det * x for x in solve_linear(q, ones)]
@@ -184,7 +186,7 @@ class TestSymmetricElimination:
     def test_stops_at_the_first_nonpositive_minor(self, m):
         # None exactly when some leading minor of -m is <= 0; otherwise the
         # diagonal of the rows holds those minors
-        minors = lattice.leading_principal_minors(negate(m))
+        minors = leading_principal_minors(negate(m))
         eliminated = lattice.negated_elimination(m)
         assert (eliminated is None) == any(minor <= 0 for minor in minors)
         if eliminated is not None:
@@ -239,7 +241,7 @@ class TestSignature:
         if eliminated is not None:
             assert eliminated[0] == (-1) ** len(m) * lattice.determinant(m)
         # Sylvester on the separately computed minors: the k-th has sign (-1)^k
-        minors = lattice.leading_principal_minors(m)
+        minors = leading_principal_minors(m)
         assert all((-1) ** k * minor > 0 for k, minor in enumerate(minors, 1)) == expected
 
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
@@ -256,7 +258,7 @@ class TestSignature:
 
     def test_minors_track_sylvester(self):
         m = [[-2, 1], [1, -2]]
-        assert lattice.leading_principal_minors(m) == [-2, 3]
+        assert leading_principal_minors(m) == [-2, 3]
 
 
 @pytest.fixture(scope="module")

@@ -85,6 +85,10 @@ class TestValidation:
             ((7, [1, 0]), "curves[0].name: expected a string"),
             (("f", [1, 0], 1), "curves[0].effective: expected true or false"),
             (("f", [1, 0], "yes"), "curves[0].effective: expected true or false"),
+            (("f",), "curves[0]: expected (name, coords[, effective])"),
+            ({"name": "f", "coords": [1, 0]}, "curves[0]: expected (name, coords[, effective])"),
+            (5, "curves[0]: expected (name, coords[, effective])"),
+            (("f", [1, 0], True, "x"), "curves[0]: expected (name, coords[, effective])"),
         ],
     )
     def test_rejects_curve_field_types(self, curve, message):
@@ -190,11 +194,12 @@ class TestPairings:
 class TestPositivity:
     def test_flags_on_f2(self):
         model = make()
-        flags = model.positivity(model.divisor([3, 1]))
-        assert flags.nef_model and flags.big and flags.ample_model
-        assert flags.pseudo_effective_model
-        fiber = model.positivity(model.curve_divisor(0))
-        assert fiber.nef_model and not fiber.big
+        ample = model.divisor([3, 1])
+        assert model.is_big(ample) and model.is_ample_model(ample)
+        assert model.is_pseudo_effective_model(ample)
+        fiber = model.curve_divisor(0)
+        assert not model.is_big(fiber) and not model.is_ample_model(fiber)
+        assert model.is_pseudo_effective_model(fiber)
 
     def test_pseudo_effective_needs_reference(self):
         model = make(ample_reference=None)
