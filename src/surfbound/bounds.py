@@ -33,7 +33,6 @@ from .errors import (
     NonpositiveX,
     NotAmple,
     NotBig,
-    NotNegativeDefinite,
     UnverifiableHypothesis,
 )
 from .surface import DivisorClass, SurfaceModel
@@ -99,9 +98,7 @@ class HodgeDefect:
 
 
 def _proportionality(a: DivisorClass, v: DivisorClass) -> tuple[bool, Optional[Fraction]]:
-    """Is v = ratio * a as coordinate vectors?"""
-    if a.is_zero:
-        return (v.is_zero, Q(0) if v.is_zero else None)
+    """Is v = ratio * a as coordinate vectors? a is big, so not zero."""
     pivot = next(i for i, c in enumerate(a.coords) if c != 0)
     ratio = v.coords[pivot] / a.coords[pivot]
     if all(v.coords[i] == ratio * a.coords[i] for i in range(a.rank)):
@@ -246,8 +243,9 @@ class ObstructionEntries(Sequence):
         analysis = self._analysis
         if not analysis.support:
             return
-        gram, linear = analysis.obstruction_form
-        runs = search.fincke_pohst([row[::-1] for row in gram[::-1]], linear[::-1], self._bound)
+        reverse = analysis.support[::-1]
+        linear = analysis.obstruction_form[1][::-1]
+        runs = search.fincke_pohst(analysis.elimination(reverse), linear, self._bound)
         curves = [
             [(j, x) for j, x in enumerate(analysis.model.curves[i].coords) if x]
             for i in analysis.support
@@ -268,15 +266,11 @@ class ObstructionEntries(Sequence):
 
 def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
     """The obstruction set at level k. Its entries (ObstructionEntries) are
-    made by the ordered search each time they are read, so building the set
-    costs nothing and the set holds no entry.
-
-    The name is older than the search: the benchmark's tracer
-    (perfbench/tracing.py) wraps this function by name and sums len() of
-    the entries, so it keeps the name of the box loop it replaced. Only the
-    callers that print entries come here, once per printed set; counts and
-    emptiness run the counting descent (Analysis.obstruction_count).
-    """
+    made by the ordered search each time they are read, so the set holds
+    none. The benchmark's tracer (perfbench/tracing.py) wraps this function
+    by name and sums len() of the entries, so it keeps the name of the box
+    loop it replaced. Only callers that print entries come here; counts and
+    emptiness run the counting descent (Analysis.obstruction_count)."""
     bound = Q(k)
     return ObstructionSet(analysis.support, bound, ObstructionEntries(analysis, bound))
 
@@ -482,9 +476,10 @@ class Analysis:
         """A.(T - K)."""
         return self.model.intersect(self.a, self.t - self.model.canonical_class)
 
-    @cached_property
+    @property
     def ample(self) -> bool:
-        return self.model.is_ample_model(self.a)
+        """A is nef and big, so it is ample when no listed curve is orthogonal."""
+        return not self.support
 
     @cached_property
     def hodge(self) -> HodgeDefect:
@@ -533,29 +528,37 @@ class Analysis:
         f0 = self.hodge.value / 4 + k * self.a2
         return (x - self.aw + f0 / x) / self.a2
 
+    @_memoized
+    def elimination(self, curves: tuple[int, ...]) -> search.Eliminated:
+        """lattice.negated_elimination of the Gram block of curves, a subset
+        of the support: negative definite, as exceptional_curves checked."""
+        return lattice.negated_elimination(self.model.curve_gram(curves))
+
+    @_memoized
+    def deficits(self, twist: DivisorClass) -> tuple[list[int], int]:
+        """model.scaled_curve_pairings(K - twist): m (K - twist).C_i for
+        every listed curve, and m."""
+        return self.model.scaled_curve_pairings(self.model.canonical_class - twist)
+
     @cached_property
     def obstruction_form(self) -> tuple[list[list[int]], list[Fraction]]:
         """The Gram block G of the support and the linear term (T - K).C_i
         of the obstruction form linear.n - n'Gn, whose value is T.D - K.D -
         D^2 for D = sum n_i C_i."""
-        dc, m = self.model.scaled_curve_pairings(self.t - self.model.canonical_class)
-        return self.model.curve_gram(self.support), [Q(dc[i], m) for i in self.support]
+        dc, m = self.deficits(self.t)
+        return self.model.curve_gram(self.support), [Q(-dc[i], m) for i in self.support]
 
     @_memoized
     def obstruction_count(self, k) -> int:
         """The number of effective nonzero D supported on the curves
         orthogonal to A with T.D - K.D - D^2 <= k, by the counting descent of
-        the depth-first Fincke-Pohst search in integers
-        (search.count_points),
-        which keeps no point. The search drops a partial point as soon as
-        the budget left for its remaining coordinates is negative, so its
-        work grows with the number of lattice points near the sublevel
-        ellipsoid, not with the volume of the ellipsoid's bounding box. D = 0
-        has value 0, so it is in the count exactly when k >= 0."""
+        the search (search.count_points), which keeps no point and whose work
+        grows with the lattice points near the sublevel ellipsoid, not with
+        its bounding box. D = 0 has value 0, so it is counted when k >= 0."""
         if not self.support:
             return 0
-        gram, linear = self.obstruction_form
-        return search.count_points(gram, linear, Q(k)) - (k >= 0)
+        linear = self.obstruction_form[1]
+        return search.count_points(self.elimination(self.support), linear, Q(k)) - (k >= 0)
 
     @_memoized
     def enumerate_obstructions(self, k) -> ObstructionSet:
@@ -576,7 +579,7 @@ class Analysis:
             return INFINITY
         gram, linear = self.obstruction_form
         single = min(x - gram[j][j] for j, x in enumerate(linear))
-        tau = search.least_value(gram, linear, Q(single))
+        tau = search.least_value(self.elimination(self.support), linear, Q(single))
         if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau
@@ -594,14 +597,11 @@ class Analysis:
             return CorrectionDivisor(k, (), (), 1, (), model.zero_divisor())
         # m times the deficiency max((K - T).C_i + k, 0) of the pairing
         # condition, m the common denominator of K - T
-        dc, m = model.scaled_curve_pairings(model.canonical_class - t)
+        dc, m = self.deficits(t)
         scaled = [max(dc[i] + k * m, 0) for i in support]
         # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
         # is positive definite with determinant |det|
-        eliminated = lattice.negated_elimination(model.curve_gram(support))
-        if eliminated is None:
-            raise NotNegativeDefinite("correction support is not negative definite")
-        det_abs, rows = eliminated
+        det_abs, rows = self.elimination(support)
         solved = [Q(y, m) for y in lattice.adjugate_solve(rows, scaled)]
         for i, x in zip(support, solved):
             if x.denominator != 1 or x < 0:

@@ -491,6 +491,10 @@ def _parser() -> argparse.ArgumentParser:
 def run_subcommand(argv) -> int:
     try:
         args = _parser().parse_args(argv)
+        # argparse turns --divisor=-- into [], whatever the option's type
+        for name in ("surface", "divisor", "twist", "curves"):
+            if getattr(args, name, "") == []:
+                _parser().error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -242,16 +242,13 @@ def _text_entry(indent: int) -> Callable[[tuple], str]:
     return entry
 
 
-def dump_json(payload: Any, out: Optional[TextIO] = None) -> Optional[str]:
-    """`json.dumps(payload, indent=2)` in one pass over a payload tree of
-    dicts with str keys, lists, tuples, str, int, finite float, bool, None,
-    EntriesNode (written as the list of its entries) and Later (written as
-    the value it makes).
-
-    Without `out` the document is returned. With it, the document and a
-    newline go to `out`, and None is returned: a piece is written after each
-    entry that brings the text held to CHUNK characters, the rest at the
-    end.
+def dump_json(payload: Any, out: TextIO) -> None:
+    """Write `json.dumps(payload, indent=2)` and a newline to `out`, in one
+    pass over a payload tree of dicts with str keys, lists, tuples, str,
+    int, finite float, bool, None, EntriesNode (written as the list of its
+    entries) and Later (written as the value it makes). A piece is written
+    after each entry that brings the text held to CHUNK characters, the
+    rest at the end.
 
     The recursion is a closure, so a tracer that wraps this module's
     functions sees one call per document, not one per node.
@@ -316,18 +313,15 @@ def dump_json(payload: Any, out: Optional[TextIO] = None) -> Optional[str]:
             append(lead + text)
             lead = sep
             size += len(text)
-            if out is not None and size >= CHUNK:
+            if size >= CHUNK:
                 out.write("".join(parts))
                 parts.clear()
                 size = 0
         append("\n" + pad + "]" if lead is sep else "[]")
 
     write(payload, "")
-    if out is None:
-        return "".join(parts)
     append("\n")
     out.write("".join(parts))
-    return None
 
 
 def _is_exact_value(value: Any) -> bool:
@@ -361,13 +355,11 @@ def _is_scalar(value: Any) -> bool:
     )
 
 
-def render_text(payload: Any, out: Optional[TextIO] = None) -> Optional[list[str]]:
-    """Indented key/value lines from a payload tree; an EntriesNode renders
-    as the list of its entries, and a Later as the value it makes.
-
-    Without `out` the lines are returned. With it, each line and a newline
-    go to `out`, and None is returned: a piece is written after each entry
-    that brings the text held to CHUNK characters, the rest at the end."""
+def render_text(payload: Any, out: TextIO) -> None:
+    """Write indented key/value lines of a payload tree to `out`, each with
+    a newline; an EntriesNode renders as the list of its entries, and a
+    Later as the value it makes. A piece is written after each entry that
+    brings the text held to CHUNK characters, the rest at the end."""
     lines: list[str] = []
     append = lines.append
 
@@ -407,7 +399,7 @@ def render_text(payload: Any, out: Optional[TextIO] = None) -> Optional[list[str
             append(text)
             empty = False
             size += len(text)
-            if out is not None and size >= CHUNK:
+            if size >= CHUNK:
                 out.write("\n".join(lines) + "\n")
                 lines.clear()
                 size = 0
@@ -415,8 +407,5 @@ def render_text(payload: Any, out: Optional[TextIO] = None) -> Optional[list[str
             lines[-1] += " []"
 
     write(payload, 0)
-    if out is None:
-        return lines
     if lines:
         out.write("\n".join(lines) + "\n")
-    return None

@@ -1,10 +1,12 @@
 """Integer points of the sublevel sets of positive definite forms.
 
 An obstruction set is the set of nonzero n >= 0 with n'Qn + linear.n <=
-bound, for Q = -G and G the Gram block of the curves orthogonal to A, which
-each function takes. This module finds those points by the short-vector
-search of Fincke and Pohst in integers, counts them without keeping them,
-and finds their least value by branch and bound. Every step is exact.
+bound, for Q = -G and G the Gram block of the curves orthogonal to A. Each
+function takes the (det, rows) that lattice.negated_elimination makes of G,
+so the caller factors a block once for every search on it. This module finds
+those points by the short-vector search of Fincke and Pohst in integers,
+counts them without keeping them, and finds their least value by branch and
+bound. Every step is exact.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import lattice
-from .errors import ModelInconsistent
 
 Q = Fraction
+Eliminated = tuple[int, list[list[int]]]  # (det(Q), rows) of lattice.negated_elimination(G)
 
 
 class _SearchForm(NamedTuple):
     """The search for n'Qn + linear.n <= bound in integers, Q = -G.
 
-    lattice.negated_elimination of the Gram block G gives the column
+    The elimination of the Gram block G gives the column
     numerators of Q = L D L' and, on their diagonal, the leading minors
     D_1..D_r of Q. With mu the common denominator of linear and bound, g =
     2 D_r mu and C = adj(Q)(mu linear), the centre of the ellipsoid is -c for
@@ -42,15 +44,11 @@ class _SearchForm(NamedTuple):
 
 
 def _search_form(
-    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
 ) -> Optional[_SearchForm]:
-    """The integer set-up of the search on the Gram block, or None when the
-    sublevel set is empty (B < 0). A pivot <= 0 means the block is not
-    negative definite."""
+    """The integer set-up of the search on the eliminated Gram block, or
+    None when the sublevel set is empty (B < 0)."""
     r = len(linear)
-    eliminated = lattice.negated_elimination(gram)
-    if eliminated is None:
-        raise ModelInconsistent("obstruction Gram block is not negative definite")
     det, rows = eliminated
     minors = [rows[k][k] for k in range(r)]
     mu = lcm(bound.denominator, *(x.denominator for x in linear))
@@ -113,18 +111,18 @@ def _intervals(form: _SearchForm, point: list[int]) -> Iterator[tuple[int, int, 
 
 
 def count_points(
-    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
 ) -> int:
     """The number of n >= 0, zero included, with linear.n - n'Gn <= bound:
     the descent adds the length of each interval of n_0 and keeps no point."""
-    form = _search_form(gram, linear, bound)
+    form = _search_form(eliminated, linear, bound)
     if form is None:
         return 0
     return sum(high - low + 1 for low, high, _, _ in _intervals(form, [0] * len(form.weight)))
 
 
 def fincke_pohst(
-    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
 ) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
     """All nonzero n >= 0 with linear.n - n'Gn <= bound, with their values,
     by the depth-first short-vector search of Fincke and Pohst (Math. Comp.
@@ -136,9 +134,9 @@ def fincke_pohst(
     So the search meets points in the lexicographic order of their reversed
     coordinate tuples. Every condition is exact, so every leaf is a hit, and
     the budget `rest` left at a leaf gives its value bound - rest / (P g^2),
-    one Fraction per distinct value. The form is checked on the call; the
+    one Fraction per distinct value. The set-up runs on the call; the
     points are searched as the iterator is read."""
-    form = _search_form(gram, linear, bound)
+    form = _search_form(eliminated, linear, bound)
     return iter(()) if form is None else _runs(form, bound)
 
 
@@ -171,7 +169,7 @@ def _runs(
 
 
 def least_value(
-    gram: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
 ) -> Optional[Fraction]:
     """The least value of linear.n - n'Gn over nonzero n >= 0 in the
     sublevel set at bound, or None when that set is empty.
@@ -180,7 +178,7 @@ def least_value(
     the leaf with the largest budget left. Each interval is tried from its
     centre outward, so the budget falls along it; a node whose budget is no
     larger than the best leaf's ends the interval."""
-    form = _search_form(gram, linear, bound)
+    form = _search_form(eliminated, linear, bound)
     if form is None:
         return None
     budget, weight, scale, base, tails, den = form

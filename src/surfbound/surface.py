@@ -206,7 +206,8 @@ class SurfaceModel:
                     )
         if self.ample_reference is not None:
             href = DivisorClass.of(self.ample_reference)
-            if not self.is_ample_model(href):
+            pairings = self.scaled_curve_pairings(href)[0]
+            if self.self_intersection(href) <= 0 or not all(p > 0 for p in pairings):
                 raise ValidationError(
                     "ample_reference: class is not ample against the listed curves"
                 )
@@ -311,16 +312,7 @@ class SurfaceModel:
             )
         return 1 + twice.numerator // 2
 
-    # -- positivity flags --------------------------------------------------
-
-    def is_big(self, d: DivisorClass) -> bool:
-        return self.self_intersection(d) > 0
-
-    def is_ample_model(self, d: DivisorClass) -> bool:
-        return (
-            self.is_big(d)
-            and all(p > 0 for p in self.scaled_curve_pairings(d)[0])
-        )
+    # -- positivity ----------------------------------------------------------
 
     def is_pseudo_effective_model(self, d: DivisorClass) -> bool:
         if self.ample_reference is None:
@@ -345,7 +337,7 @@ class SurfaceModel:
         pairings = self.scaled_curve_pairings(a)[0]
         if any(p < 0 for p in pairings):
             raise NotNefBig("class is not nef against the listed curves")
-        if not self.is_big(a):
+        if self.self_intersection(a) <= 0:
             raise NotNefBig("class needs positive self-intersection")
         exc = tuple(i for i, p in enumerate(pairings) if p == 0)
         if not lattice.is_negative_definite(self.curve_gram(exc)):

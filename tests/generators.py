@@ -200,7 +200,8 @@ def construct_polarization(model: SurfaceModel, indices, h: DivisorClass) -> Div
     off-diagonal entries, so E is effective.
     """
     idx = sorted(set(int(i) for i in indices))
-    if not model.is_ample_model(h):
+    pairings = model.scaled_curve_pairings(h)[0]
+    if model.self_intersection(h) <= 0 or not all(p > 0 for p in pairings):
         raise NotAmple("polarization construction needs an ample base class")
     eliminated = lattice.negated_elimination(model.curve_gram(idx))
     if eliminated is None:

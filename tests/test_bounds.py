@@ -29,14 +29,12 @@ from surfbound.bounds import (
 )
 from surfbound.errors import (
     IntegralityFailure,
-    ModelInconsistent,
     NonpositiveInput,
     NonpositiveLP,
     NonpositiveX,
     NotAmple,
     NotBig,
     NotNefBig,
-    NotNegativeDefinite,
     UnverifiableHypothesis,
 )
 from surfbound.surface import DivisorClass, SurfaceModel
@@ -56,6 +54,17 @@ POSITIVE_ROOTS = {
     "d": lambda n: n * (n - 1),
     "e": {6: 36, 7: 63, 8: 120}.get,
 }
+
+
+def count_calls(monkeypatch, calls: Counter, owner, name: str) -> None:
+    """Count the calls of owner.name in calls[name] for one test."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 def single_curve_value(analysis: Analysis) -> Q:
@@ -83,10 +92,12 @@ def forward_hits(analysis: Analysis, k) -> list:
     in its own order, unsorted: the reference for the ordered search."""
     if not analysis.support:
         return []
-    gram, linear = analysis.obstruction_form
+    linear = analysis.obstruction_form[1]
     return [
         ((v, *tail), value)
-        for tail, first, values in search.fincke_pohst(gram, linear, Q(k))
+        for tail, first, values in search.fincke_pohst(
+            analysis.elimination(analysis.support), linear, Q(k)
+        )
         for v, value in enumerate(values, first)
     ]
 
@@ -481,12 +492,6 @@ class TestObstructionEnumeration:
         assert list(obs.entries) == list(obs.entries)  # every pass searches again
         assert all(type(x) is int for e in obs.entries for x in e.divisor.coords)
 
-    def test_search_rejects_indefinite_form(self):
-        with pytest.raises(ModelInconsistent):
-            search.fincke_pohst([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
-        with pytest.raises(ModelInconsistent):
-            search.least_value([[1, 2], [2, 1]], [Q(0), Q(0)], Q(1))
-
     def test_pairing_condition_empties_the_set(self, rng):
         # after subtracting the correction divisor the pairing condition
         # holds, and then no obstruction survives at that level
@@ -629,12 +634,6 @@ class TestCorrectionDivisor:
                         analysis.correction_divisor(k)
                     outcomes["rejected"] += 1
         assert outcomes["integral"] >= 5 and outcomes["rejected"] >= 5
-
-    def test_support_must_be_negative_definite(self, a2):
-        # curve 0 is the plane class h, of square 1
-        analysis = Analysis(a2, a2.divisor([1, 0, 0]), a2.zero_divisor())
-        with pytest.raises(NotNegativeDefinite):
-            analysis._correction(a2.zero_divisor(), 0, (0, 1))
 
 
 class TestSeparatingDivisor:
@@ -893,24 +892,14 @@ class TestAnalysis:
         # with entries is the printed obstruction set at k; the count and
         # tau need none
         calls = Counter()
-
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        count(SurfaceModel, "exceptional_curves")
-        count(bounds, "_enumerate_box")
-        count(bounds, "fundamental_cycle")
-        count(zariski, "zariski_decompose")
+        count_calls(monkeypatch, calls, SurfaceModel, "exceptional_curves")
+        count_calls(monkeypatch, calls, bounds, "_enumerate_box")
+        count_calls(monkeypatch, calls, bounds, "fundamental_cycle")
+        count_calls(monkeypatch, calls, zariski, "zariski_decompose")
         # the Hodge defect and the gap bracket, each derived once although
         # the report, the quadratic and the check all read them
-        count(bounds, "_proportionality")
-        count(bounds, "_bracket_shifted_sqrt")
+        count_calls(monkeypatch, calls, bounds, "_proportionality")
+        count_calls(monkeypatch, calls, bounds, "_bracket_shifted_sqrt")
         system = ["--surface", "ade_e6", "--divisor", "2*h", "--twist=1*h+c1",
                   "-k", "2", "-n", "5", "--json"]
         assert run_subcommand(["report", *system]) == 0
@@ -933,21 +922,41 @@ class TestAnalysis:
         self, monkeypatch, capsys
     ):
         # the comparison reads the analysis' ampleness and its threshold at
-        # T = 0: only the model load and the analysis test ampleness, and
-        # the report's two twists (0 and K) get one threshold each
+        # T = 0: A is ample as no curve is orthogonal to it, so its curve
+        # pairings are made once, by exceptional_curves, and the report's
+        # two twists (0 and K) get one threshold each
         calls = Counter()
-        for owner, name in ((SurfaceModel, "is_ample_model"), (bounds, "vanishing_threshold")):
-            original = getattr(owner, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(owner, name, counted)
+        count_calls(monkeypatch, calls, SurfaceModel, "exceptional_curves")
+        count_calls(monkeypatch, calls, bounds, "vanishing_threshold")
         system = ["--surface", "double_cover_d5", "--divisor", "H", "-k", "2", "-n", "5"]
         assert run_subcommand(["report", *system]) == 0
         assert "k_plus_4h" in capsys.readouterr().out
-        assert calls == {"is_ample_model": 2, "vanishing_threshold": 2}
+        assert calls == {"exceptional_curves": 1, "vanishing_threshold": 2}
+
+    @pytest.mark.parametrize(
+        "command, limits",
+        [
+            ("thresholds --surface ade_e6 --divisor h --twist=K -k 1", (3, 3, 13)),
+            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (5, 5, 18)),
+            ("ek --surface ade_d6 --divisor h -k 1", (3, 2, 4)),
+            ("compare-matsusaka --surface double_cover_d5 --divisor H", (1, 1, 6)),
+        ],
+        ids=["thresholds", "report", "ek", "compare-matsusaka"],
+    )
+    def test_a_command_derives_each_datum_once(self, command, limits, monkeypatch, capsys):
+        # with the model cache warm, the calls left are the analysis' own:
+        # one elimination per curve set and one set of pairings (K - T).C_i
+        # per twist; the limits are the counts this design reaches
+        argv = command.split()
+        assert run_subcommand(argv) == 0
+        calls = Counter()
+        count_calls(monkeypatch, calls, lattice, "negated_elimination")
+        count_calls(monkeypatch, calls, SurfaceModel, "scaled_curve_pairings")
+        count_calls(monkeypatch, calls, SurfaceModel, "intersect")
+        assert run_subcommand(argv) == 0
+        assert capsys.readouterr().out
+        names = ("negated_elimination", "scaled_curve_pairings", "intersect")
+        assert all(calls[name] <= limit for name, limit in zip(names, limits)), calls
 
     def test_rejects_a_class_that_is_not_nef_and_big(self, f2):
         with pytest.raises(NotNefBig):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -404,6 +405,24 @@ class TestCommandLine:
         assert captured.out == ""
         assert "must be at least" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau", "--surface", "ade_a3", "--divisor=--"],
+            ["tau", "--surface", "ade_a3", "--divisor", "h", "--twist=--"],
+            ["fundcycle", "--surface", "ade_a3", "--curves=--"],
+            ["validate", "--surface=--"],
+        ],
+        ids=["divisor", "twist", "curves", "surface"],
+    )
+    def test_dashdash_as_a_value_exits_two(self, capsys, argv):
+        # argparse gives an option written --name=-- the value []
+        assert run_subcommand(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        option = argv[-1].removesuffix("=--")
+        assert f"error: argument {option}: expected one argument" in captured.err
+
     def test_closed_stdout_exits_quietly(self):
         # the reader is gone before the first write, as in `... | head -0`
         path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -633,11 +652,17 @@ JSON_TREES = st.recursive(
 )
 
 
+def dumped(tree) -> str:
+    out = io.StringIO()
+    dump_json(tree, out)
+    return out.getvalue()
+
+
 class TestDumpJson:
     @settings(max_examples=300, deadline=None)
     @given(JSON_TREES)
     def test_equals_stdlib(self, tree):
-        assert dump_json(tree) == json.dumps(tree, indent=2)
+        assert dumped(tree) == json.dumps(tree, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "tree", [{1: "a"}, {"a": {None: 0}}, {(1,): 0}, {1, 2}, [{"a": {1}}], Q(1, 2)],
@@ -645,7 +670,7 @@ class TestDumpJson:
     )
     def test_other_types_raise(self, tree):
         with pytest.raises(TypeError):
-            dump_json(tree)
+            dumped(tree)
 
 
 def _float_or_none(frac: Q):
@@ -735,4 +760,4 @@ class TestPayload:
         for _ in range(2):  # the second call reads the cached field names
             got = to_payload(value)
             assert got == payload
-            assert dump_json(got) == json.dumps(payload, indent=2)
+            assert dumped(got) == json.dumps(payload, indent=2) + "\n"

@@ -4,13 +4,14 @@
 write one entry at a time, and Later values, which they make after it. Each
 test here materializes the same payload into plain lists and dicts through
 the generic to_payload, and requires the streamed stdout to equal
-`json.dumps(payload, indent=2)` or `render_text(payload)` of it.
+`json.dumps(payload, indent=2)` or the lines render_text writes of it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -65,7 +66,9 @@ def assert_streamed_as_materialized(capsys, argv: list[str]) -> Optional[dict]:
     if "--json" in argv:
         expected = json.dumps(payload, indent=2) + "\n"
     else:
-        expected = "\n".join(render_text(payload)) + "\n"
+        out = io.StringIO()
+        render_text(payload, out)
+        expected = out.getvalue()
     assert cli.run_subcommand(argv) == 0
     assert capsys.readouterr().out == expected
     obs = payload.get("obstructions")
