@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lattice
@@ -59,46 +59,91 @@ def _int_vector(values, path: str, size: int) -> tuple[int, ...]:
     return tuple(map(operator.index, items))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """A rational divisor class in lattice coordinates."""
+# DivisorClass is frozen: its constructors set the fields through object.
+_setattr = object.__setattr__
 
-    coords: tuple[Fraction, ...]
+
+@dataclass(frozen=True, init=False)
+class DivisorClass:
+    """A rational divisor class in lattice coordinates: the integers num
+    over one common denominator den, in lowest terms (den > 0 and
+    gcd(den, *num) == 1). Equal classes therefore have equal fields, which
+    is what == and hash compare. Arithmetic stays in integers with at most
+    one gcd per result; coords gives the coordinates as Fractions."""
+
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, coords: Iterable) -> None:
+        """coords: integers and Fractions. The least common denominator of
+        reduced fractions leaves the numerators without a common factor."""
+        coords = tuple(coords)
+        den = lcm(*[c.denominator for c in coords])
+        _setattr(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
+        _setattr(self, "den", den)
 
     @staticmethod
     def of(values: Iterable) -> "DivisorClass":
-        return DivisorClass(tuple(Q(v) for v in values))
+        """values: anything Fraction() reads, such as 2, "1/2" or Fraction(3, 4)."""
+        return DivisorClass(map(Q, values))
+
+    @staticmethod
+    def from_integers(num: Iterable[int], den: int = 1) -> "DivisorClass":
+        """The class num/den for integers num and den > 0, reduced."""
+        num = tuple(num)
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(x // g for x in num)
+                den //= g
+        d = object.__new__(DivisorClass)
+        _setattr(d, "num", num)
+        _setattr(d, "den", den)
+        return d
 
     @staticmethod
     def zero(rank: int) -> "DivisorClass":
-        return DivisorClass(tuple(Q(0) for _ in range(rank)))
+        return DivisorClass.from_integers((0,) * rank)
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Q(x, den) for x in self.num)
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
+
+    def _combine(self, other: "DivisorClass", op) -> "DivisorClass":
+        self._match(other)
+        p, q = self.den, other.den
+        if p == q:
+            return DivisorClass.from_integers(map(op, self.num, other.num), p)
+        return DivisorClass.from_integers(
+            [op(x * q, y * p) for x, y in zip(self.num, other.num)], p * q
+        )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._match(other)
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._match(other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass.from_integers([-x for x in self.num], self.den)
 
     def scale(self, factor) -> "DivisorClass":
         f = Q(factor)
-        return DivisorClass(tuple(f * a for a in self.coords))
+        p = f.numerator
+        return DivisorClass.from_integers([p * x for x in self.num], f.denominator * self.den)
 
     def __rmul__(self, factor) -> "DivisorClass":
         return self.scale(factor)
@@ -205,7 +250,7 @@ class SurfaceModel:
                         "prime curves"
                     )
         if self.ample_reference is not None:
-            href = DivisorClass.of(self.ample_reference)
+            href = DivisorClass.from_integers(self.ample_reference)
             pairings = self.scaled_curve_pairings(href)[0]
             if self.self_intersection(href) <= 0 or not all(p > 0 for p in pairings):
                 raise ValidationError(
@@ -220,7 +265,7 @@ class SurfaceModel:
 
     @cached_property
     def canonical_class(self) -> DivisorClass:
-        return DivisorClass.of(self.canonical)
+        return DivisorClass.from_integers(self.canonical)
 
     @cached_property
     def curve_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -250,7 +295,7 @@ class SurfaceModel:
         return DivisorClass.zero(self.rank)
 
     def curve_divisor(self, index: int) -> DivisorClass:
-        return DivisorClass.of(self.curves[index].coords)
+        return DivisorClass.from_integers(self.curves[index].coords)
 
     def curve_index(self, name: str) -> int:
         for i, c in enumerate(self.curves):
@@ -259,43 +304,39 @@ class SurfaceModel:
         raise UnknownCurveName(f"no curve named {name!r}")
 
     def divisor_from_curves(self, coefficients: Mapping[int, int | Fraction]) -> DivisorClass:
-        # Summed before the conversion to Fraction, so integer coefficients
-        # stay in integer arithmetic.
+        # Summed before the conversion, so integer coefficients stay in
+        # integer arithmetic.
         total = [0] * self.rank
         for idx, coeff in coefficients.items():
             for j, x in enumerate(self.curves[idx].coords):
                 if x:
                     total[j] += coeff * x
-        return DivisorClass.of(total)
+        return DivisorClass(total)
 
-    def _cleared(self, d: DivisorClass) -> tuple[list[int], int]:
-        """Integer numerators v and their common denominator m, d = v / m:
-        the pairings sum in integers and build one Fraction at the end."""
-        if d.rank != self.rank:
+    def _numerators(self, d: DivisorClass) -> tuple[int, ...]:
+        if len(d.num) != len(self.gram):
             raise RankMismatch("divisor rank does not match the model")
-        m = lcm(*(c.denominator for c in d.coords))
-        return [c.numerator * (m // c.denominator) for c in d.coords], m
+        return d.num
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-        v1, m1 = self._cleared(d1)
-        v2, m2 = self._cleared(d2)
+        v1, v2 = self._numerators(d1), self._numerators(d2)
         total = sum(
             x * sum(g * y for g, y in zip(row, v2) if y) for x, row in zip(v1, self.gram) if x
         )
-        return Q(total, m1 * m2)
+        return Q(total, d1.den * d2.den)
 
     def self_intersection(self, d: DivisorClass) -> Fraction:
         return self.intersect(d, d)
 
     def pair_curve(self, d: DivisorClass, index: int) -> Fraction:
-        v, m = self._cleared(d)
-        return Q(sum(x * g for x, g in zip(v, self.curve_rows[index]) if x), m)
+        v = self._numerators(d)
+        return Q(sum(x * g for x, g in zip(v, self.curve_rows[index]) if x), d.den)
 
     def scaled_curve_pairings(self, d: DivisorClass) -> tuple[list[int], int]:
-        """The integers m*D.C_i for every listed curve, and m, the common
-        denominator of d. As m > 0, each has the sign of D.C_i."""
-        v, m = self._cleared(d)
-        return [sum(x * g for x, g in zip(v, row) if x) for row in self.curve_rows], m
+        """The integers m*D.C_i for every listed curve, and m = d.den, the
+        common denominator of d. As m > 0, each has the sign of D.C_i."""
+        v = self._numerators(d)
+        return [sum(x * g for x, g in zip(v, row) if x) for row in self.curve_rows], d.den
 
     def canonical_pairing(self, d: DivisorClass) -> Fraction:
         return self.intersect(self.canonical_class, d)
@@ -320,7 +361,7 @@ class SurfaceModel:
                 "model declares no ample reference class; cannot certify "
                 "pseudo-effectivity"
             )
-        return self.intersect(d, DivisorClass.of(self.ample_reference)) >= 0
+        return self.intersect(d, DivisorClass.from_integers(self.ample_reference)) >= 0
 
     # -- exceptional configurations ---------------------------------------
 

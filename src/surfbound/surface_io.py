@@ -32,6 +32,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import lcm
 from typing import Union
 
 from .errors import ParseError, UnknownCurveName, ValidationError
@@ -116,9 +117,10 @@ def surface_to_data(model: SurfaceModel) -> dict:
 
 
 # The key is the text with its origin, so a rewritten file is parsed again
-# and an error names its own path; a failure raises and is not cached. 64
-# holds the 51 models of the benchmark's oracle_crosscheck workload, which
-# revisits each of them.
+# and an error names its own path; a failure raises and is not cached. 64 is
+# fewer than the 95 models (80 generated, 15 fixtures) that the benchmark's
+# oracle_crosscheck workload revisits, so about a quarter of its loads miss
+# and parse and validate the model again.
 MODEL_CACHE_SIZE = 64
 
 
@@ -151,19 +153,20 @@ def load_surface_file(path: Union[str, os.PathLike]) -> SurfaceModel:
     return _model_from_text(text, origin)
 
 
+_FIXTURES = resources.files(__package__) / "fixtures"  # resolved once per process
+
+
 def fixture_names() -> tuple[str, ...]:
-    root = resources.files(__package__) / "fixtures"
     names = [
         entry.name[: -len(".json")]
-        for entry in root.iterdir()
+        for entry in _FIXTURES.iterdir()
         if entry.name.endswith(".json")
     ]
     return tuple(sorted(names))
 
 
 def load_fixture(name: str) -> SurfaceModel:
-    root = resources.files(__package__) / "fixtures"
-    entry = root / f"{name}.json"
+    entry = _FIXTURES / f"{name}.json"
     try:
         text = entry.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError) as exc:
@@ -194,28 +197,38 @@ _TERM_RE = re.compile(
 )
 
 
-def _coefficient(text: str, number: str) -> Fraction:
-    """A coefficient that the patterns above matched: digits, an optional
-    /digits and an optional sign, so only the denominator can be wrong."""
+def _coefficient(text: str, number: str) -> tuple[int, int]:
+    """A coefficient that the patterns above matched, as (numerator,
+    denominator): digits, an optional /digits and an optional sign, so only
+    the denominator or the number of digits can be wrong."""
+    top, _, bottom = number.partition("/")
     try:
-        return Fraction(number)
-    except ZeroDivisionError:
+        p, q = int(top), int(bottom or 1)
+    except ValueError:
+        # int() refuses digit strings beyond the process's conversion limit.
+        raise ParseError(
+            f"divisor: a coefficient has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for reading an integer"
+        ) from None
+    if q == 0:
         raise ParseError(
             f"divisor {text!r}: coefficient {number!r} has a zero denominator"
-        ) from None
+        )
+    return p, q
 
 
 def _parse_coords(model: SurfaceModel, text: str) -> DivisorClass:
-    parts = [p.strip().replace(" ", "") for p in text.split(",")]
+    parts = ["".join(p.split()) for p in text.split(",")]
     if len(parts) != model.rank:
         raise ParseError(
             f"divisor {text!r}: expected {model.rank} coordinates, got {len(parts)}"
         )
-    return model.divisor([_coefficient(text, p) for p in parts])
+    return DivisorClass(Fraction(*_coefficient(text, p)) for p in parts)
 
 
 def parse_divisor(model: SurfaceModel, text: str) -> DivisorClass:
-    """Parse "0", "K", a coordinate list, or a curve-name expression."""
+    """Parse "0", "K", a coordinate list, or a curve-name expression, which
+    is summed in integers over the common denominator of its coefficients."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("divisor expression is empty")
@@ -223,40 +236,45 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivisorClass:
         return model.zero_divisor()
     if _COORD_RE.fullmatch(stripped):
         return _parse_coords(model, stripped)
-    total = model.zero_divisor()
+    terms = []  # (numerator, denominator, integer coordinates)
     pos = 0
-    first = True
     while pos < len(stripped):
         match = _TERM_RE.match(stripped, pos)
         if not match:
             raise ParseError(
                 f"divisor {text!r}: cannot read a term at position {pos}"
             )
-        if not first and match.group("sign") is None:
+        if terms and match.group("sign") is None:
             raise ParseError(
                 f"divisor {text!r}: missing + or - before position {match.start('name')}"
             )
-        coeff = _coefficient(text, match.group("coeff") or "1")
+        p, q = _coefficient(text, match.group("coeff") or "1")
         if match.group("sign") == "-":
-            coeff = -coeff
+            p = -p
         name = match.group("name")
         if name == "K":
-            base = model.canonical_class
+            base = model.canonical
         else:
             try:
-                base = model.curve_divisor(model.curve_index(name))
+                base = model.curves[model.curve_index(name)].coords
             except UnknownCurveName:
                 known = ", ".join(c.name for c in model.curves)
                 raise UnknownCurveName(
                     f"divisor {text!r}: unknown name {name!r}; "
                     f"curve names are {known}, plus K"
                 ) from None
-        total = total + coeff * base
+        terms.append((p, q, base))
         pos = match.end()
-        first = False
         while pos < len(stripped) and stripped[pos].isspace():
             pos += 1
-    return total
+    den = lcm(*(q for _, q, _ in terms))
+    total = [0] * model.rank
+    for p, q, base in terms:
+        f = p * (den // q)
+        for j, x in enumerate(base):
+            if x:
+                total[j] += f * x
+    return DivisorClass.from_integers(total, den)
 
 
 def parse_curve_list(model: SurfaceModel, text: str) -> tuple[int, ...]:

@@ -18,9 +18,11 @@ rather than an accident of the draw:
 
 It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec)
 and the leading principal minors (leading_principal_minors), kept as
-references for the integer kernel of surfbound.lattice, and the
+references for the integer kernel of surfbound.lattice, the
 level-by-level search (least_points_by_level), kept as a reference for the
-depth-first search of the cycle oracle.
+depth-first search of the cycle oracle, and a divisor class as a plain
+tuple of Fractions (FractionDivisor, fraction_pairing), kept as a reference
+for the integer fields of surfbound.surface.DivisorClass.
 """
 
 from __future__ import annotations
@@ -119,6 +121,56 @@ def least_points_by_level(gram, box) -> list[tuple[int, ...]]:
         if found:
             return found
     return []
+
+
+# -- reference Fraction-tuple divisor classes -----------------------------------
+
+
+class FractionDivisor(tuple):
+    """A divisor class as the plain tuple of its Fraction coordinates, with
+    the operations of DivisorClass done coordinate by coordinate."""
+
+    def __add__(self, other):
+        return FractionDivisor(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other):
+        return FractionDivisor(a - b for a, b in zip(self, other))
+
+    def __neg__(self):
+        return FractionDivisor(-a for a in self)
+
+    def scale(self, factor):
+        return FractionDivisor(Fraction(factor) * a for a in self)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self)
+
+    @property
+    def is_integral(self) -> bool:
+        return all(a.denominator == 1 for a in self)
+
+
+def fraction_pairing(gram, u, v) -> Fraction:
+    """u'.gram.v, summed in Fractions."""
+    return sum(
+        (Fraction(x) * g * y for x, row in zip(u, gram) for g, y in zip(row, v)), Fraction(0)
+    )
+
+
+def random_rational(rng: random.Random, den=None) -> Fraction:
+    """Zero a quarter of the time, otherwise either sign, with numerator and
+    denominator of 1 to 30 digits; den fixes the denominator before
+    reduction."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    digits = rng.choice([1, 2, 6, 30])
+    p = rng.choice([-1, 1]) * rng.randint(1, 10**digits)
+    return Fraction(p, den or rng.choice([1, rng.randint(1, 10**digits)]))
+
+
+def random_rationals(rng: random.Random, rank: int, den=None) -> FractionDivisor:
+    return FractionDivisor(random_rational(rng, den) for _ in range(rank))
 
 
 # -- random models --------------------------------------------------------------

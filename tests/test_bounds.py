@@ -490,7 +490,10 @@ class TestObstructionEnumeration:
         assert obs.entries != slow.entries[:2]
         assert obs.entries[-1] == slow.entries[-1]
         assert list(obs.entries) == list(obs.entries)  # every pass searches again
-        assert all(type(x) is int for e in obs.entries for x in e.divisor.coords)
+        assert all(
+            e.divisor.den == 1 and all(type(x) is int for x in e.divisor.num)
+            for e in obs.entries
+        )
 
     def test_pairing_condition_empties_the_set(self, rng):
         # after subtracting the correction divisor the pairing condition

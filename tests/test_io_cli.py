@@ -31,6 +31,9 @@ from surfbound.surface_io import (
     surface_from_data,
     surface_to_data,
 )
+from surfbound.surface import DivisorClass
+
+from generators import random_rational, random_rationals
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -255,6 +258,7 @@ class TestParseDivisor:
         assert parse_divisor(f2, "3,1").coords == (Q(3), Q(1))
         assert parse_divisor(f2, " 3/2, -1 ").coords == (Q(3, 2), Q(-1))
         assert parse_divisor(f2, "-2,+1").coords == (Q(-2), Q(1))
+        assert parse_divisor(f2, "+\t3,\t-1").coords == (Q(3), Q(-1))
 
     def test_expressions(self, f2):
         assert parse_divisor(f2, "2*f + s").coords == (Q(2), Q(1))
@@ -262,6 +266,22 @@ class TestParseDivisor:
         assert parse_divisor(f2, "f - K").coords == (Q(5), Q(2))
         assert parse_divisor(f2, "1/2 * s").coords == (Q(0), Q(1, 2))
         assert parse_divisor(f2, "K").coords == (Q(-4), Q(-2))
+
+    def test_random_expressions_agree_with_fraction_sums(self, fixture_models, rng):
+        # the parser sums in integers; the reference sums Fraction coordinates
+        model = fixture_models["ade_e6"]
+        bases = [("K", model.canonical)] + [(c.name, c.coords) for c in model.curves]
+        for _ in range(100):
+            text, want = "", [Q(0)] * model.rank
+            for name, base in rng.sample(bases, rng.randint(1, 5)):
+                coeff = random_rational(rng)
+                sign = "-" if coeff < 0 else "+"
+                text += f"{sign} {abs(coeff)}*{name} "
+                want = [w + coeff * x for w, x in zip(want, base)]
+            d = parse_divisor(model, text.removeprefix("+ "))
+            assert d.coords == tuple(want) and d == DivisorClass(want)
+            coords = random_rationals(rng, model.rank)
+            assert parse_divisor(model, ", ".join(map(str, coords))) == DivisorClass(coords)
 
     def test_wrong_coordinate_count(self, f2):
         with pytest.raises(ParseError, match="expected 2 coordinates"):
@@ -388,6 +408,23 @@ class TestCommandLine:
         assert captured.err == (
             f"error: divisor {argv[-1].removeprefix('--twist=')!r}: "
             "coefficient '1/0' has a zero denominator\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau", "--surface", "ade_a2", "--divisor", "h", f"--twist={'9' * 4301}*c1"],
+            ["zariski", "--surface", "ade_a2", "--divisor", f"1/{'7' * 4301},0,0"],
+        ],
+        ids=["expression", "coordinates"],
+    )
+    def test_coefficient_beyond_digit_limit_exits_one(self, capsys, argv):
+        assert run_subcommand(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: divisor: a coefficient has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for reading an integer\n"
         )
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,13 @@ from generators import (
     big_class,
     block_model,
     construct_polarization,
+    fraction_pairing,
     hodge_model,
+    plumbing_chain,
+    plumbing_tree,
     polarization,
+    random_rational,
+    random_rationals,
 )
 
 F2 = dict(
@@ -276,3 +282,86 @@ class TestDivisorClass:
 
         with pytest.raises(RankMismatch):
             DivisorClass.zero(2) + DivisorClass.zero(3)
+
+
+def assert_matches(d: DivisorClass, ref) -> None:
+    """d holds the reference's coordinates in lowest terms over den > 0."""
+    assert d.coords == ref and all(type(c) is Q for c in d.coords)
+    assert d.den > 0 and gcd(d.den, *d.num) == 1
+    assert all(type(x) is int for x in d.num)
+    assert d.den == lcm(*(c.denominator for c in ref))
+    assert (d.rank, d.is_zero, d.is_integral) == (len(ref), ref.is_zero, ref.is_integral)
+
+
+class TestIntegerFields:
+    """DivisorClass on random rational vectors against FractionDivisor, the
+    Fraction-tuple reference: large numerators and denominators, both
+    signs, zero entries, and pairs with and without a shared denominator."""
+
+    def draw_pair(self, rng):
+        rank = rng.randint(1, 6)
+        den = rng.choice([None, None, 1, rng.randint(2, 10**12)])
+        return random_rationals(rng, rank, den), random_rationals(rng, rank, den)
+
+    def test_arithmetic_agrees_with_the_reference(self, rng):
+        for _ in range(400):
+            u, v = self.draw_pair(rng)
+            f = random_rational(rng)
+            du, dv = DivisorClass(u), DivisorClass(v)
+            assert_matches(du, u)
+            assert_matches(du + dv, u + v)
+            assert_matches(du - dv, u - v)
+            assert_matches(du - du, u - u)
+            assert_matches(-du, -u)
+            assert_matches(du.scale(f), u.scale(f))
+            assert_matches(f * du, u.scale(f))
+            assert_matches(du.scale(f.numerator), u.scale(f.numerator))
+
+    def test_equality_and_hash_agree_with_the_reference(self, rng):
+        for _ in range(200):
+            u, v = self.draw_pair(rng)
+            du, dv = DivisorClass(u), DivisorClass(v)
+            routes = [
+                DivisorClass.of(map(str, u)),
+                (du + dv) - dv,
+                -(-du),
+                du.scale(Q(3, 7)).scale(Q(7, 3)),
+                DivisorClass.from_integers([5 * x for x in du.num], 5 * du.den),
+            ]
+            for d in routes:
+                assert d == du and hash(d) == hash(du)
+                assert (d.num, d.den) == (du.num, du.den)
+            assert (du == dv) == (u == v)
+            assert (du != dv) == (u != v)
+        # equal classes collapse in a set exactly as their coordinate tuples do
+        vectors = [random_rationals(rng, 3, rng.choice([None, 1, 4])) for _ in range(60)]
+        vectors += vectors[:20]
+        assert len({DivisorClass(u) for u in vectors}) == len(set(vectors))
+
+    def test_from_integers_reduces(self):
+        d = DivisorClass.from_integers([4, -6, 0], 8)
+        assert (d.num, d.den) == ((2, -3, 0), 4)
+        z = DivisorClass.from_integers([0, 0], 5)
+        assert (z.num, z.den) == ((0, 0), 1) and z == DivisorClass.zero(2)
+
+    def test_pairings_agree_with_fraction_dot_products(self, rng):
+        models = [
+            block_model(rng, [2, 3], extra_multiples=2),
+            plumbing_chain(rng, 4),
+            plumbing_tree(rng, 5),
+            hodge_model(rng, 4)[0],
+            make(),
+        ]
+        for model in models:
+            for _ in range(25):
+                u = random_rationals(rng, model.rank, rng.choice([None, 1, 12]))
+                v = random_rationals(rng, model.rank)
+                d, e = DivisorClass(u), DivisorClass(v)
+                assert model.intersect(d, e) == fraction_pairing(model.gram, u, v)
+                assert model.self_intersection(d) == fraction_pairing(model.gram, u, u)
+                scaled, m = model.scaled_curve_pairings(d)
+                assert m == lcm(*(c.denominator for c in u))
+                for i, curve in enumerate(model.curves):
+                    pairing = fraction_pairing(model.gram, u, curve.coords)
+                    assert model.pair_curve(d, i) == pairing
+                    assert scaled[i] == m * pairing
