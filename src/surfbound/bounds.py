@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import product
-from math import floor, lcm
+from math import floor
 from operator import add, eq, mul
 from typing import Iterator, Optional, Sequence
 
@@ -89,21 +89,15 @@ def vanishing_threshold(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -
 class HodgeDefect:
     """h = (A.(T-K))^2 - A^2 (T-K)^2, with the proportionality witness.
 
-    For big A the Hodge index shape of the lattice forces h >= 0 with
-    equality exactly when T - K is a rational multiple of A."""
+    Every model's Gram matrix is nondegenerate of signature (1, r-1), so for
+    big A it is negative definite on the classes orthogonal to A. By this,
+    the Hodge index theorem, h >= 0 with equality exactly when T - K is a
+    rational multiple of A: proportional is h == 0, and then the multiple is
+    ratio = A.(T-K) / A^2."""
 
     value: Fraction
     proportional: bool
     ratio: Optional[Fraction]
-
-
-def _proportionality(a: DivisorClass, v: DivisorClass) -> tuple[bool, Optional[Fraction]]:
-    """Is v = ratio * a as coordinate vectors? a is big, so not zero."""
-    pivot = next(i for i, c in enumerate(a.coords) if c != 0)
-    ratio = v.coords[pivot] / a.coords[pivot]
-    if all(v.coords[i] == ratio * a.coords[i] for i in range(a.rank)):
-        return True, ratio
-    return False, None
 
 
 @dataclass(frozen=True)
@@ -244,8 +238,9 @@ class ObstructionEntries(Sequence):
         if not analysis.support:
             return
         reverse = analysis.support[::-1]
-        linear = analysis.obstruction_form[1][::-1]
-        runs = search.fincke_pohst(analysis.elimination(reverse), linear, self._bound)
+        linear, m = analysis.obstruction_form
+        top = floor(m * self._bound)
+        runs = search.fincke_pohst(analysis.elimination(reverse), linear[::-1], m, top)
         curves = [
             [(j, x) for j, x in enumerate(analysis.model.curves[i].coords) if x]
             for i in analysis.support
@@ -276,25 +271,25 @@ def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
 
 
 def _sublevel_box(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[int], m: int, top: int
 ) -> Optional[list[tuple[int, int]]]:
-    """Integer bounding box for {n >= 0 : n'Qn + linear.n <= bound} with Q
+    """Integer bounding box for {n >= 0 : m n'Qn + linear.n <= top} with Q
     positive definite. Completing the square gives the centre -c for
-    c = Q^-1 linear / 2 and the radius R = bound + linear'Q^-1 linear / 4;
-    the per-coordinate half-width is sqrt(R * (Q^-1)_ii). Q^-1 is adj(Q) /
-    det(Q), each cofactor a lattice.determinant. Outward rounding keeps the
-    box sound."""
+    c = Q^-1 linear / 2m and the radius R = top / m + linear'Q^-1 linear /
+    4m^2; the per-coordinate half-width is sqrt(R * (Q^-1)_ii). Q^-1 is
+    adj(Q) / det(Q), each cofactor a lattice.determinant. Outward rounding
+    keeps the box sound."""
     r = len(linear)
     det = lattice.determinant(q_matrix)
     minor = lambda i, j: [row[:j] + row[j + 1 :] for t, row in enumerate(q_matrix) if t != i]
     adj = [[(-1) ** (i + j) * lattice.determinant(minor(i, j)) for j in range(r)] for i in range(r)]
     adj_linear = [sum(map(mul, row, linear)) for row in adj]
-    radius = bound + sum(map(mul, linear, adj_linear)) / (4 * det)
+    radius = Q(4 * det * m * top + sum(map(mul, linear, adj_linear)), 4 * det * m * m)
     if radius < 0:
         return None
     box = []
     for i in range(r):
-        center = Q(adj_linear[i], 2 * det)
+        center = Q(adj_linear[i], 2 * det * m)
         half = lattice.sqrt_upper(radius * adj[i][i] / det)
         low = max(0, -floor(center + half))  # ceil(-c - half) = -floor(c + half)
         high = floor(-center + half)
@@ -305,43 +300,39 @@ def _sublevel_box(
 
 
 def _box_product(
-    q_matrix: Sequence[Sequence[int]], linear: Sequence[Fraction], bound: Fraction
+    q_matrix: Sequence[Sequence[int]], linear: Sequence[int], m: int, top: int
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Every point of the bounding box, tested one by one. With
-    mu the common denominator of the linear term and the bound, a point is
-    scored by the integer mu*(n'Qn + linear.n): for each head of the point,
-    a quadratic in its last coordinate v."""
-    box = _sublevel_box(q_matrix, linear, bound)
+    """Every point of the bounding box, tested one by one. A point is scored
+    by the integer m n'Qn + linear.n: for each head of the point, a
+    quadratic in its last coordinate v. Its value is the score over m."""
+    box = _sublevel_box(q_matrix, linear, m, top)
     if box is None:
         return []
-    mu = lcm(bound.denominator, *(x.denominator for x in linear))
-    scaled = [[mu * x for x in row] for row in q_matrix]
-    lin = [x.numerator * (mu // x.denominator) for x in linear]
-    top = bound.numerator * (mu // bound.denominator)
+    scaled = [[m * x for x in row] for row in q_matrix]
     *heads, (low, high) = box
     hits = []
     for head in product(*(range(lo, hi + 1) for lo, hi in heads)):
-        base = sum(c * (sum(map(mul, row, head)) + l) for c, row, l in zip(head, scaled, lin))
-        slope = 2 * sum(map(mul, scaled[-1], head)) + lin[-1]
+        base = sum(c * (sum(map(mul, row, head)) + l) for c, row, l in zip(head, scaled, linear))
+        slope = 2 * sum(map(mul, scaled[-1], head)) + linear[-1]
         for v in range(low, high + 1):
             score = base + v * (slope + v * scaled[-1][-1])
             if score <= top and (v or any(head)):
-                hits.append(((*head, v), Q(score, mu)))
+                hits.append(((*head, v), Q(score, m)))
     return hits
 
 
 def obstruction_oracle(analysis: Analysis, k) -> ObstructionSet:
     """Brute-force cross-check of Analysis.enumerate_obstructions: every
     point of the outward-rounded bounding box of the sublevel ellipsoid is
-    tested. With the search it shares only the obstruction form (the Gram
-    block, which it negates to Q, and the linear term); it packs its hits
-    into entries itself. Its cost is the box volume, so it is meant for
-    small inputs."""
+    tested. With the search it shares only the linear term of the
+    obstruction form; it negates the Gram block of the support to Q and packs
+    its hits into entries itself. Its cost is the box volume, so it is meant
+    for small inputs."""
     bound = Q(k)
     model, support = analysis.model, analysis.support
-    gram, linear = analysis.obstruction_form
-    q_matrix = [[-x for x in row] for row in gram]
-    hits = _box_product(q_matrix, linear, bound) if support else []
+    linear, m = analysis.obstruction_form
+    q_matrix = [[-x for x in row] for row in model.curve_gram(support)]
+    hits = _box_product(q_matrix, linear, m, floor(m * bound)) if support else []
     columns = list(zip(*(model.curves[i].coords for i in support)))
     divisor = lambda coeffs: DivisorClass(tuple(sum(map(mul, c, coeffs)) for c in columns))
     entries = tuple(ObstructionEntry(n, divisor(n), value) for n, value in sorted(hits))
@@ -485,8 +476,8 @@ class Analysis:
     def hodge(self) -> HodgeDefect:
         w = self.t - self.model.canonical_class
         value = self.aw * self.aw - self.a2 * self.model.self_intersection(w)
-        proportional, ratio = _proportionality(self.a, w)
-        return HodgeDefect(value=value, proportional=proportional, ratio=ratio)
+        ratio = self.aw / self.a2 if value == 0 else None
+        return HodgeDefect(value=value, proportional=value == 0, ratio=ratio)
 
     @_memoized
     def multiple_gap(self, k: int) -> RootBracket:
@@ -541,12 +532,13 @@ class Analysis:
         return self.model.scaled_curve_pairings(self.model.canonical_class - twist)
 
     @cached_property
-    def obstruction_form(self) -> tuple[list[list[int]], list[Fraction]]:
-        """The Gram block G of the support and the linear term (T - K).C_i
-        of the obstruction form linear.n - n'Gn, whose value is T.D - K.D -
-        D^2 for D = sum n_i C_i."""
+    def obstruction_form(self) -> tuple[list[int], int]:
+        """The linear term of the obstruction form linear.n / m - n'Gn, G
+        the Gram block of the support, whose value is T.D - K.D - D^2 for D =
+        sum n_i C_i: the integers linear_i = m (T - K).C_i on the support,
+        and m, the common denominator of T - K."""
         dc, m = self.deficits(self.t)
-        return self.model.curve_gram(self.support), [Q(-dc[i], m) for i in self.support]
+        return [-dc[i] for i in self.support], m
 
     @_memoized
     def obstruction_count(self, k) -> int:
@@ -557,8 +549,9 @@ class Analysis:
         its bounding box. D = 0 has value 0, so it is counted when k >= 0."""
         if not self.support:
             return 0
-        linear = self.obstruction_form[1]
-        return search.count_points(self.elimination(self.support), linear, Q(k)) - (k >= 0)
+        linear, m = self.obstruction_form
+        top = floor(m * k)  # m times a value is an integer
+        return search.count_points(self.elimination(self.support), linear, m, top) - (k >= 0)
 
     @_memoized
     def enumerate_obstructions(self, k) -> ObstructionSet:
@@ -577,9 +570,10 @@ class Analysis:
         without listing the set."""
         if not self.support:
             return INFINITY
-        gram, linear = self.obstruction_form
-        single = min(x - gram[j][j] for j, x in enumerate(linear))
-        tau = search.least_value(self.elimination(self.support), linear, Q(single))
+        linear, m = self.obstruction_form
+        pairings = self.model.curve_pairings
+        single = min(x - m * pairings[i][i] for i, x in zip(self.support, linear))
+        tau = search.least_value(self.elimination(self.support), linear, m, single)
         if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau
@@ -600,16 +594,16 @@ class Analysis:
         dc, m = self.deficits(t)
         scaled = [max(dc[i] + k * m, 0) for i in support]
         # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
-        # is positive definite with determinant |det|
+        # is positive definite with determinant |det|; the solve gives m x
         det_abs, rows = self.elimination(support)
-        solved = [Q(y, m) for y in lattice.adjugate_solve(rows, scaled)]
-        for i, x in zip(support, solved):
-            if x.denominator != 1 or x < 0:
+        solved = lattice.adjugate_solve(rows, scaled)
+        for i, y in zip(support, solved):
+            if y % m or y < 0:
                 raise IntegralityFailure(
-                    f"correction coefficient for curve {model.curves[i].name} is {x}; "
+                    f"correction coefficient for curve {model.curves[i].name} is {Q(y, m)}; "
                     "expected a nonnegative integer"
                 )
-        coeffs = tuple(int(x) for x in solved)
+        coeffs = tuple(y // m for y in solved)
         return CorrectionDivisor(
             level=k,
             support=support,
@@ -635,10 +629,11 @@ class Analysis:
         return SeparatingDivisor(self.model.divisor_from_curves(total), tuple(pieces))
 
     def condition_check(self, k: int) -> ConditionFlags:
+        linear, m = self.obstruction_form
         return ConditionFlags(
             k=k,
             matsusaka=self.ample,
-            laufer_ramanujam=all(x >= k for x in self.obstruction_form[1]),
+            laufer_ramanujam=all(x >= k * m for x in linear),
             artin=self.rational,
         )
 

@@ -1,12 +1,16 @@
 """Integer points of the sublevel sets of positive definite forms.
 
-An obstruction set is the set of nonzero n >= 0 with n'Qn + linear.n <=
-bound, for Q = -G and G the Gram block of the curves orthogonal to A. Each
-function takes the (det, rows) that lattice.negated_elimination makes of G,
-so the caller factors a block once for every search on it. This module finds
-those points by the short-vector search of Fincke and Pohst in integers,
-counts them without keeping them, and finds their least value by branch and
-bound. Every step is exact.
+An obstruction set is the set of nonzero n >= 0 with n'Qn + linear.n / m <=
+bound, for Q = -G and G the Gram block of the curves orthogonal to A: the
+integers linear_i = m (T - K).C_i carry the one denominator m of T - K.
+Each value times m is an integer, so the condition reads m n'Qn + linear.n
+<= top for the integer top = floor(m bound), and each function takes m and
+top. Each also takes the (det, rows) that lattice.negated_elimination makes
+of G, so the caller factors a block once for every search on it. This
+module finds those points by the short-vector search of Fincke and Pohst in
+integers, counts them without keeping them, and finds their least value by
+branch and bound. Every step is exact, and no Fraction is made but the values
+reported.
 """
 
 from __future__ import annotations
@@ -23,40 +27,37 @@ Eliminated = tuple[int, list[list[int]]]  # (det(Q), rows) of lattice.negated_el
 
 
 class _SearchForm(NamedTuple):
-    """The search for n'Qn + linear.n <= bound in integers, Q = -G.
+    """The search for m n'Qn + linear.n <= top in integers, Q = -G.
 
     The elimination of the Gram block G gives the column
     numerators of Q = L D L' and, on their diagonal, the leading minors
-    D_1..D_r of Q. With mu the common denominator of linear and bound, g =
-    2 D_r mu and C = adj(Q)(mu linear), the centre of the ellipsoid is -c for
-    c = C / g, and the condition reads (n + c)'Q(n + c) <= R with g^2 R = B =
-    g^2 bound + D_r (mu linear).C, an integer. Writing W_j = D_j g y_j for
-    the coordinates y of L'(n + c), it becomes sum_j e_j W_j^2 <= P B, where
-    P = lcm(D_j D_{j-1}) and e_j = P / (D_j D_{j-1}). W_j = D_j g n_j + sh_j,
-    and sh_j depends only on the coordinates after j."""
+    D_1..D_r of Q. With g = 2 D_r m and C = adj(Q) linear, the centre of the
+    ellipsoid is -c for c = C / g, and the condition reads (n + c)'Q(n + c)
+    <= R with g^2 R = B = 4 D_r^2 m top + D_r linear.C, an integer. Writing
+    W_j = D_j g y_j for the coordinates y of L'(n + c), it becomes sum_j e_j
+    W_j^2 <= P B, where P = lcm(D_j D_{j-1}) and e_j = P / (D_j D_{j-1}).
+    W_j = D_j g n_j + sh_j, and sh_j depends only on the coordinates after
+    j."""
 
     budget: int  # P B
     weight: list[int]  # e_j
     scale: list[int]  # D_j g
     base: list[int]  # the part of sh_j that does not depend on n
     tails: list[list[int]]  # g L_ij D_j for i > j: sh_j = base_j + tails_j . n_{j+1..}
-    den: int  # P g^2: a leaf with budget `rest` left has value bound - rest / den
+    den: int  # P g^2: a leaf with budget `rest` left has value top / m - rest / den
 
 
 def _search_form(
-    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[int], m: int, top: int
 ) -> Optional[_SearchForm]:
     """The integer set-up of the search on the eliminated Gram block, or
     None when the sublevel set is empty (B < 0)."""
     r = len(linear)
     det, rows = eliminated
     minors = [rows[k][k] for k in range(r)]
-    mu = lcm(bound.denominator, *(x.denominator for x in linear))
-    scaled = [x.numerator * (mu // x.denominator) for x in linear]
-    g = 2 * det * mu
-    centre = lattice.adjugate_solve(rows, scaled)
-    top = 4 * det * det * mu * bound.numerator * (mu // bound.denominator)
-    budget = top + det * sum(map(mul, scaled, centre))
+    g = 2 * det * m
+    centre = lattice.adjugate_solve(rows, linear)
+    budget = 4 * det * det * m * top + det * sum(map(mul, linear, centre))
     if budget < 0:
         return None
     pairs = [low * high for low, high in zip([1, *minors], minors)]
@@ -110,41 +111,38 @@ def _intervals(form: _SearchForm, point: list[int]) -> Iterator[tuple[int, int, 
         j -= 1
 
 
-def count_points(
-    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
-) -> int:
-    """The number of n >= 0, zero included, with linear.n - n'Gn <= bound:
+def count_points(eliminated: Eliminated, linear: Sequence[int], m: int, top: int) -> int:
+    """The number of n >= 0, zero included, with linear.n - m n'Gn <= top:
     the descent adds the length of each interval of n_0 and keeps no point."""
-    form = _search_form(eliminated, linear, bound)
+    form = _search_form(eliminated, linear, m, top)
     if form is None:
         return 0
     return sum(high - low + 1 for low, high, _, _ in _intervals(form, [0] * len(form.weight)))
 
 
 def fincke_pohst(
-    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[int], m: int, top: int
 ) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
-    """All nonzero n >= 0 with linear.n - n'Gn <= bound, with their values,
-    by the depth-first short-vector search of Fincke and Pohst (Math. Comp.
-    44, 1985), in integers, on the set-up of _SearchForm and the descent of
-    _intervals.
+    """All nonzero n >= 0 with linear.n - m n'Gn <= top, with their values
+    (linear.n - m n'Gn) / m, by the depth-first short-vector search of
+    Fincke and Pohst (Math. Comp. 44, 1985), in integers, on the set-up of
+    _SearchForm and the descent of _intervals.
 
     The hits come run by run, as (tail, first, values): the points (v,
     *tail) for v = first, first + 1, ... have these values, in this order.
     So the search meets points in the lexicographic order of their reversed
     coordinate tuples. Every condition is exact, so every leaf is a hit, and
-    the budget `rest` left at a leaf gives its value bound - rest / (P g^2),
-    one Fraction per distinct value. The set-up runs on the call; the
+    the budget `rest` left at a leaf gives its value top / m - rest / (P
+    g^2), one Fraction per distinct value. The set-up runs on the call; the
     points are searched as the iterator is read."""
-    form = _search_form(eliminated, linear, bound)
-    return iter(()) if form is None else _runs(form, bound)
+    form = _search_form(eliminated, linear, m, top)
+    return iter(()) if form is None else _runs(form, m, top)
 
 
 def _runs(
-    form: _SearchForm, bound: Fraction
+    form: _SearchForm, m: int, top: int
 ) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
     e, a, den = form.weight[0], form.scale[0], form.den
-    num, dnm = bound.numerator, bound.denominator
     # One Fraction per distinct value, by the budget left at the leaf: the
     # values repeat, as they lie between tau and the bound with a bounded
     # denominator. The cap keeps the memory flat whatever the input.
@@ -162,23 +160,23 @@ def _runs(
             if value is None:
                 if len(values) > 4096:
                     values.clear()
-                value = values[rest] = Q(num * den - dnm * rest, dnm * den)
+                value = values[rest] = Q(top * den - m * rest, m * den)
             run.append(value)
         if run:
             yield tail, low, run
 
 
 def least_value(
-    eliminated: Eliminated, linear: Sequence[Fraction], bound: Fraction
+    eliminated: Eliminated, linear: Sequence[int], m: int, top: int
 ) -> Optional[Fraction]:
-    """The least value of linear.n - n'Gn over nonzero n >= 0 in the
-    sublevel set at bound, or None when that set is empty.
+    """The least value (linear.n - m n'Gn) / m over nonzero n >= 0 in the
+    sublevel set at top, or None when that set is empty.
 
     Branch and bound on the descent that _intervals makes: the least value is
     the leaf with the largest budget left. Each interval is tried from its
     centre outward, so the budget falls along it; a node whose budget is no
     larger than the best leaf's ends the interval."""
-    form = _search_form(eliminated, linear, bound)
+    form = _search_form(eliminated, linear, m, top)
     if form is None:
         return None
     budget, weight, scale, base, tails, den = form
@@ -204,4 +202,4 @@ def least_value(
         point[j] = 0
 
     descend(len(linear) - 1, budget)
-    return None if best < 0 else bound - Q(best, den)
+    return None if best < 0 else Q(top * den - m * best, m * den)

@@ -303,15 +303,15 @@ class SurfaceModel:
                 return i
         raise UnknownCurveName(f"no curve named {name!r}")
 
-    def divisor_from_curves(self, coefficients: Mapping[int, int | Fraction]) -> DivisorClass:
-        # Summed before the conversion, so integer coefficients stay in
-        # integer arithmetic.
+    def divisor_from_curves(self, coefficients: Mapping[int, int], den: int = 1) -> DivisorClass:
+        # The integer coefficients n_i of curves i give the class
+        # sum_i n_i C_i / den, summed in integers and reduced once.
         total = [0] * self.rank
         for idx, coeff in coefficients.items():
             for j, x in enumerate(self.curves[idx].coords):
                 if x:
                     total[j] += coeff * x
-        return DivisorClass(total)
+        return DivisorClass.from_integers(total, den)
 
     def _numerators(self, d: DivisorClass) -> tuple[int, ...]:
         if len(d.num) != len(self.gram):

@@ -29,7 +29,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import lcm
@@ -223,7 +222,9 @@ def _parse_coords(model: SurfaceModel, text: str) -> DivisorClass:
         raise ParseError(
             f"divisor {text!r}: expected {model.rank} coordinates, got {len(parts)}"
         )
-    return DivisorClass(Fraction(*_coefficient(text, p)) for p in parts)
+    coefficients = [_coefficient(text, p) for p in parts]
+    den = lcm(*(q for _, q in coefficients))
+    return DivisorClass.from_integers([p * (den // q) for p, q in coefficients], den)
 
 
 def parse_divisor(model: SurfaceModel, text: str) -> DivisorClass:

@@ -65,16 +65,17 @@ def _pseudo_effective_precheck(model: SurfaceModel, d: DivisorClass) -> None:
 
 
 def _finalize(
-    model: SurfaceModel, d: DivisorClass, solved: dict[int, Fraction]
+    model: SurfaceModel, d: DivisorClass, solved: dict[int, int], den: int
 ) -> ZariskiDecomposition:
-    support = tuple(i for i in sorted(solved) if solved[i] != 0)
-    coeffs = tuple(solved[i] for i in support)
-    if any(c < 0 for c in coeffs):
+    """The decomposition whose negative part has the coefficients
+    solved[i] / den, solved in integers and den = det*m > 0."""
+    support = tuple(i for i in sorted(solved) if solved[i])
+    if any(solved[i] < 0 for i in support):
         raise NotPseudoEffective(
             "negative part acquired a negative coefficient; the divisor is "
             "not pseudo-effective on this model or the curve list is incomplete"
         )
-    negative = model.divisor_from_curves(dict(zip(support, coeffs)))
+    negative = model.divisor_from_curves({i: solved[i] for i in support}, den)
     positive = d - negative
     for i, p in enumerate(model.scaled_curve_pairings(positive)[0]):
         if p < 0:
@@ -83,6 +84,7 @@ def _finalize(
             raise ModelInconsistent("positive part meets its own support")
     if not lattice.is_negative_definite(model.curve_gram(support)):
         raise ModelInconsistent("support Gram lost negative definiteness")
+    coeffs = tuple(Q(solved[i], den) for i in support)
     return ZariskiDecomposition(positive, negative, support, coeffs)
 
 
@@ -94,8 +96,6 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     enlarged support. The support only grows, so the loop ends after at most
     one pass per curve.
     """
-    if d.rank != model.rank:
-        d = model.divisor(d.coords)
     _pseudo_effective_precheck(model, d)
     dc, m = model.scaled_curve_pairings(d)
     support: tuple[int, ...] = ()
@@ -103,7 +103,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     for _ in range(len(model.curves) + 1):
         violators = [j for j, x in enumerate(p) if x < 0]
         if not violators:
-            return _finalize(model, d, {i: Q(yi, det * m) for i, yi in zip(support, y) if yi})
+            return _finalize(model, d, dict(zip(support, y)), det * m)
         support = tuple(sorted(set(support) | set(violators)))
         eliminated = lattice.negated_elimination(model.curve_gram(support))
         if eliminated is None:
@@ -221,8 +221,6 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
     sum_i N_i C_i.C_j <= D.C_j for every curve j}, solved as a linear
     program in the integers m*N_i. An empty polyhedron means that no
     subdivisor of D is nef."""
-    if d.rank != model.rank:
-        d = model.divisor(d.coords)
     _pseudo_effective_precheck(model, d)
     dc, m = model.scaled_curve_pairings(d)
     solved = _least_point(model.curve_pairings, dc)
@@ -233,7 +231,7 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
             "is incomplete"
         )
     det, x = solved
-    return _finalize(model, d, {i: Q(v, det * m) for i, v in x.items()})
+    return _finalize(model, d, x, det * m)
 
 
 def kappa_is_two(model: SurfaceModel, decomposition: ZariskiDecomposition) -> bool:

@@ -22,7 +22,9 @@ references for the integer kernel of surfbound.lattice, the
 level-by-level search (least_points_by_level), kept as a reference for the
 depth-first search of the cycle oracle, and a divisor class as a plain
 tuple of Fractions (FractionDivisor, fraction_pairing), kept as a reference
-for the integer fields of surfbound.surface.DivisorClass.
+for the integer fields of surfbound.surface.DivisorClass, and the
+coordinate test of proportionality (coordinate_ratio), kept as a reference
+for the Hodge defect.
 """
 
 from __future__ import annotations
@@ -171,6 +173,15 @@ def random_rational(rng: random.Random, den=None) -> Fraction:
 
 def random_rationals(rng: random.Random, rank: int, den=None) -> FractionDivisor:
     return FractionDivisor(random_rational(rng, den) for _ in range(rank))
+
+
+def coordinate_ratio(a: DivisorClass, v: DivisorClass):
+    """The rational lambda with v = lambda * a coordinate by coordinate, or
+    None when there is none; a is not zero. The reference for the Hodge
+    defect's proportionality, which reads the pairings instead."""
+    pivot = next(i for i, c in enumerate(a.coords) if c)
+    ratio = v.coords[pivot] / a.coords[pivot]
+    return ratio if all(x == ratio * y for x, y in zip(v.coords, a.coords)) else None
 
 
 # -- random models --------------------------------------------------------------

@@ -7,6 +7,7 @@ before being asserted here.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -42,8 +43,13 @@ from surfbound.surface_io import parse_divisor
 
 from generators import (
     ADE_TYPES,
+    any_class,
+    big_class,
     block_model,
     construct_polarization,
+    coordinate_ratio,
+    hodge_model,
+    plumbing_configuration,
     plumbing_elliptic,
     polarization,
     solve_linear,
@@ -69,8 +75,9 @@ def count_calls(monkeypatch, calls: Counter, owner, name: str) -> None:
 
 def single_curve_value(analysis: Analysis) -> Q:
     """The least value of one orthogonal curve, where tau's search starts."""
-    gram, linear = analysis.obstruction_form
-    return min(x - gram[j][j] for j, x in enumerate(linear))
+    linear, m = analysis.obstruction_form
+    pairings = analysis.model.curve_pairings
+    return min(Q(x, m) - pairings[i][i] for i, x in zip(analysis.support, linear))
 
 
 def assert_search_matches_box(analysis: Analysis, levels) -> None:
@@ -92,11 +99,11 @@ def forward_hits(analysis: Analysis, k) -> list:
     in its own order, unsorted: the reference for the ordered search."""
     if not analysis.support:
         return []
-    linear = analysis.obstruction_form[1]
+    linear, m = analysis.obstruction_form
     return [
         ((v, *tail), value)
         for tail, first, values in search.fincke_pohst(
-            analysis.elimination(analysis.support), linear, Q(k)
+            analysis.elimination(analysis.support), linear, m, math.floor(m * k)
         )
         for v, value in enumerate(values, first)
     ]
@@ -201,6 +208,33 @@ class TestHodgeDefect:
         defect = Analysis(f2, a, f2.canonical_class).hodge
         assert defect.value == 0
         assert defect.proportional and defect.ratio == 0
+
+    def test_proportionality_agrees_with_the_coordinates(self, rng):
+        # the defect decides proportionality by the Hodge index theorem, the
+        # reference by dividing coordinates; the twists are T = K + lambda A,
+        # the same moved by a unit vector or a random class, and a random T
+        for trial in range(90):
+            if trial % 3 == 0:
+                model, change = hodge_model(rng, rng.randint(2, 5))
+                a = big_class(rng, model, change)
+            else:
+                if trial % 3 == 1:
+                    model = block_model(rng, rng.choice(([2], [3], [1, 2])), extra_multiples=1)
+                else:
+                    model = plumbing_configuration(rng)
+                a = polarization(model).scale(rng.randint(1, 3))
+            k = model.canonical_class
+            on_line = k + a.scale(Q(rng.randint(-6, 6), rng.randint(1, 4)))
+            j = rng.randrange(model.rank)
+            unit = model.divisor([int(i == j) for i in range(model.rank)])
+            nudge = Q(rng.choice((-1, 1)), rng.randint(1, 5))
+            twists = (on_line, on_line + unit.scale(nudge),
+                      on_line + any_class(rng, model), any_class(rng, model))
+            for t in twists:
+                defect = Analysis(model, a, t).hodge
+                ratio = coordinate_ratio(a, t - k)
+                assert defect.proportional == (ratio is not None)
+                assert defect.ratio == ratio
 
 
 class TestThresholdHolds:
@@ -901,7 +935,7 @@ class TestAnalysis:
         count_calls(monkeypatch, calls, zariski, "zariski_decompose")
         # the Hodge defect and the gap bracket, each derived once although
         # the report, the quadratic and the check all read them
-        count_calls(monkeypatch, calls, bounds, "_proportionality")
+        count_calls(monkeypatch, calls, bounds, "HodgeDefect")
         count_calls(monkeypatch, calls, bounds, "_bracket_shifted_sqrt")
         system = ["--surface", "ade_e6", "--divisor", "2*h", "--twist=1*h+c1",
                   "-k", "2", "-n", "5", "--json"]
@@ -912,13 +946,13 @@ class TestAnalysis:
             "_enumerate_box": 1,
             "fundamental_cycle": 1,
             "zariski_decompose": 1,
-            "_proportionality": 1,
+            "HodgeDefect": 1,
             "_bracket_shifted_sqrt": 1,
         }
         calls.clear()
         assert run_subcommand(["bounds", *system]) == 0
         assert capsys.readouterr().out
-        assert calls["_proportionality"] == 1
+        assert calls["HodgeDefect"] == 1
         assert calls["_bracket_shifted_sqrt"] == 1
 
     def test_report_compares_with_the_classical_bounds_from_the_analysis(

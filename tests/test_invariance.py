@@ -1,4 +1,5 @@
-"""The analysis commands do not depend on the basis of the lattice.
+"""The analysis commands do not depend on the basis of the lattice, nor on
+the order of the curve list.
 
 A unimodular U changes the basis: the Gram matrix becomes U'GU, and every
 class v (K, the curves, the ample reference, a command's --divisor and
@@ -6,7 +7,15 @@ class v (K, the curves, the ample reference, a command's --divisor and
 payload in the new basis, with the coordinates of its divisors mapped back
 through U, is the payload in the old one, and a failing command fails with
 the same message. These routes have no independent oracle; this is their
-cross-check on every fixture and on seeded block and plumbing models.
+cross-check on every fixture and on seeded block, plumbing and blown-up
+plane models.
+
+A permutation of the curve list changes only what follows the list order:
+the raw curve indices, the order of the coefficients of an obstruction
+entry (and so the sorted order of the entries and the witness entry, the
+first least one), and the order of lists of curve names. With those taken
+out, the payloads of the permuted model, alone or in a new basis as well,
+are the payloads of the old one.
 """
 
 from __future__ import annotations
@@ -15,7 +24,10 @@ import contextlib
 import io
 import json
 import random
+import re
 from fractions import Fraction as Q
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -26,6 +38,7 @@ from generators import (
     _matmul,
     _transpose,
     block_model,
+    blown_up_plane,
     mat_vec,
     matrix_inverse,
     plumbing_chain,
@@ -34,12 +47,16 @@ from generators import (
     random_unimodular,
 )
 
-SEEDED = ("block-0", "block-1", "chain", "tree")
+SEEDED = ("block-0", "block-1", "chain", "tree", "plane-3", "plane-5")
 
 
 def _model(name: str) -> tuple[SurfaceModel, str]:
     """The model and the expression of a nef and big class A on it with
     curves orthogonal to A where the model has some."""
+    if name.startswith("plane"):
+        # A = 2L - E_1: the curves E_2.. are orthogonal to it
+        model = blown_up_plane(int(name[-1]))
+        return model, "2,-1" + ",0" * (model.rank - 2)
     if name in SEEDED:
         rng = random.Random(name)
         if name.startswith("block"):
@@ -54,9 +71,14 @@ def _model(name: str) -> tuple[SurfaceModel, str]:
     return model, {"hirzebruch_f2": "2*f+s", "blowup_p2": "L+E"}.get(name, "h")
 
 
-def _in_basis(model: SurfaceModel, u, inverse) -> dict:
-    """The model file of model in the basis of the columns of u."""
+def _in_basis(model: SurfaceModel, u, inverse, order=None) -> dict:
+    """The model file of model in the basis of the columns of u, with the
+    curves listed in the given order of their indices."""
     data = surface_io.surface_to_data(model)
+    if order is not None:
+        data["curves"] = [data["curves"][i] for i in order]
+    if u is None:
+        return data
     new = lambda v: [int(x) for x in mat_vec(inverse, v)]  # integral: det u = +-1
     data["gram"] = _matmul(_transpose(u), _matmul(data["gram"], u))
     data["canonical"] = new(data["canonical"])
@@ -82,8 +104,13 @@ def _mapped(payload, u):
     if not isinstance(payload, dict):
         return payload
     if set(payload) == {"coords", "text"}:
-        coords = [Q(c["exact"]) for c in payload["coords"]]
-        return tuple(mat_vec(u, coords) if u else coords)
+        # mapped in integers over the common denominator of the coordinates
+        exact = [c["exact"].partition("/") for c in payload["coords"]]
+        den = lcm(*(int(q or 1) for _, _, q in exact))
+        nums = [int(p) * (den // int(q or 1)) for p, _, q in exact]
+        if u:
+            nums = [sum(map(mul, row, nums)) for row in u]
+        return tuple(Q(x, den) for x in nums)
     return {key: _mapped(value, u) for key, value in payload.items()}
 
 
@@ -126,3 +153,103 @@ def test_payloads_do_not_depend_on_the_basis(name, tmp_path):
         new_code, new, new_err = _run(argv("new", command, **classes) + rest)
         assert (new_code, new_err) == (old_code, old_err), command
         assert _mapped(new, u) == _mapped(old, None), command
+
+
+# Fields that align with a list of curve indices under "support" or
+# "component".
+_ALIGNED = ("coefficients", "sigma")
+
+
+def _names_in_order(names):
+    """Sorts each run of curve names joined by "+" in a string: a component
+    is named by its curves in list order."""
+    run = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    pattern = re.compile(f"(?:{run})(?:\\+(?:{run}))+")
+    return lambda text: pattern.sub(lambda m: "+".join(sorted(m.group().split("+"))), text)
+
+
+def _canonical(payload, names, u, order_free):
+    """_mapped(payload, u), with what follows the curve order taken out:
+    curve indices become names, fields aligned with them maps from names,
+    every list is sorted, an obstruction entry is its (divisor, value) and
+    the witness entry is dropped."""
+    if isinstance(payload, str):
+        return order_free(payload)
+    if isinstance(payload, list):
+        items = [_canonical(x, names, u, order_free) for x in payload]
+        return sorted(items, key=lambda x: json.dumps(x, sort_keys=True, default=str))
+    if not isinstance(payload, dict):
+        return payload
+    if set(payload) == {"coords", "text"}:
+        return _mapped(payload, u)
+    payload = dict(payload)
+    payload.pop("witness_minimum", None)
+    if set(payload) == {"coefficients", "divisor", "value"}:
+        del payload["coefficients"]  # an obstruction entry
+    for key in ("support", "component"):
+        indices = payload.get(key)
+        if indices and all(isinstance(i, int) for i in indices):
+            curves = [names[i] for i in indices]
+            payload[key] = curves
+            for field in _ALIGNED:
+                if field in payload:
+                    payload[field] = dict(zip(curves, payload[field]))
+    if "components" in payload and all(isinstance(c, list) for c in payload["components"]):
+        payload["components"] = [[names[i] for i in c] for c in payload["components"]]
+    if "complement_coefficients" in payload:
+        payload["complement_coefficients"] = {
+            names[int(i)]: c for i, c in payload["complement_coefficients"].items()
+        }
+    return {
+        "|".join(sorted(order_free(key).split("|"))): _canonical(value, names, u, order_free)
+        for key, value in payload.items()
+    }
+
+
+@pytest.mark.parametrize("name", [*surface_io.fixture_names(), *SEEDED])
+def test_payloads_do_not_depend_on_the_curve_order(name, tmp_path):
+    model, a_text = _model(name)
+    rng = random.Random(f"order:{name}")
+    order = list(range(len(model.curves)))
+    while len(order) > 1 and order == sorted(order):
+        rng.shuffle(order)
+    u = random_unimodular(rng, model.rank)
+    inverse = matrix_inverse(u)
+    a = surface_io.parse_divisor(model, a_text)
+    d = a + model.curve_divisor(0)
+    t = model.canonical_class + model.curve_divisor(len(model.curves) - 1)
+    h = model.divisor(model.ample_reference) if model.ample_reference else a
+    commands = [
+        ("tau", dict(divisor=a, twist=t), []),
+        ("obstructions", dict(divisor=a, twist=t), ["-k", "1"]),
+        ("thresholds", dict(divisor=a, twist=t), ["-k", "1", "-n", "4"]),
+        ("bounds", dict(divisor=a, twist=t), ["-k", "1", "-n", "4"]),
+        ("ek", dict(divisor=a, twist=t), ["-k", "1"]),
+        ("exceptional", dict(divisor=a), []),
+        ("compare-matsusaka", dict(divisor=h), []),
+        ("zariski", dict(divisor=d), []),
+        ("report", dict(divisor=d, twist=t), ["-k", "1", "-n", "4"]),
+    ]
+    names = [c.name for c in model.curves]
+    order_free = _names_in_order(names)
+    sides = {}
+    for side, data, basis in (
+        ("old", surface_io.surface_to_data(model), None),
+        ("order", _in_basis(model, None, None, order), None),
+        ("both", _in_basis(model, u, inverse, order), u),
+    ):
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(data))
+        side_names = [curve["name"] for curve in data["curves"]]
+        results = []
+        for command, classes, rest in commands:
+            args = [command, "--surface", str(path)]
+            for option, v in classes.items():
+                coords = v.coords if basis is None else mat_vec(inverse, v.coords)
+                args.append(f"--{option}={','.join(map(str, coords))}")
+            code, payload, err = _run(args + rest)
+            results.append((code, _canonical(payload, side_names, basis, order_free), err))
+        sides[side] = results
+    for command, old, order, both in zip(commands, sides["old"], sides["order"], sides["both"]):
+        assert order == old, command[0]
+        assert both == old, command[0]

@@ -10,7 +10,8 @@ import pytest
 
 from surfbound import surface_io, zariski
 from surfbound.cli import run_subcommand
-from surfbound.errors import NotPseudoEffective
+from surfbound.errors import NotPseudoEffective, RankMismatch
+from surfbound.surface import DivisorClass
 from surfbound.zariski import h1_correction, kappa_is_two, zariski_decompose, zariski_oracle
 
 from generators import (
@@ -176,6 +177,17 @@ class TestDualRoutes:
                 dec = zariski_oracle(model, d)
                 assert dec == zariski_decompose(model, d)
                 check_defining_properties(model, d, dec)
+
+    @pytest.mark.parametrize("route", [zariski_decompose, zariski_oracle])
+    def test_a_class_of_another_rank_raises_rank_mismatch(self, fixture_models, route):
+        # with an ample reference the pseudo-effectivity check pairs D
+        # first; without one the curve pairings do
+        f2, plane = fixture_models["hirzebruch_f2"], blown_up_plane(2)
+        assert f2.ample_reference is not None and plane.ample_reference is None
+        for model in (f2, plane):
+            for rank in (model.rank - 1, model.rank + 1):
+                with pytest.raises(RankMismatch):
+                    route(model, DivisorClass.of([1] * rank))
 
     def test_idempotence_on_random_draws(self, rng):
         for trial in range(20):
