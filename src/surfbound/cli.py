@@ -5,6 +5,12 @@ or a standard output closed early, 2 usage error, 3 oracle cross-check
 mismatch. All handlers resolve the computational entry points through
 their modules at call time, so a test harness can swap implementations in
 and out.
+
+A handler returns the values it computed, and run_subcommand makes the
+payload of them with one reporting.to_payload call. A value that can only
+be known while the payload is written, such as the count of streamed
+obstruction entries, enters it as a reporting.Later, which makes the
+payload value when the writer reaches it.
 """
 
 from __future__ import annotations
@@ -16,15 +22,7 @@ import sys
 
 from . import bounds, cycles, zariski
 from .errors import CalculatorError, OracleMismatch
-from .reporting import (
-    Later,
-    curve_names,
-    divisor_payload,
-    dump_json,
-    exact_value,
-    render_text,
-    to_payload,
-)
+from .reporting import Later, dump_json, render_text, to_payload
 from .surface_io import fixture_names, load_surface, parse_curve_list, parse_divisor
 
 
@@ -205,34 +203,32 @@ def build_parser() -> argparse.ArgumentParser:
 # -- handlers ---------------------------------------------------------------
 
 
+def _curve_names(model, indices) -> list[str]:
+    return [model.curves[i].name for i in indices]
+
+
 def _cmd_validate(args) -> dict:
     model = load_surface(args.surface)
-    payload = {
+    result = {
         "surface": model.name,
         "valid": True,
         "rank": model.rank,
         # loading proved the signature is (1, rank - 1, 0)
         "signature": {"positive": 1, "negative": model.rank - 1, "zero": 0},
-        "canonical_self_intersection": exact_value(
-            model.self_intersection(model.canonical_class)
-        ),
+        "canonical_self_intersection": model.self_intersection(model.canonical_class),
         "curves": [
             {
                 "name": c.name,
-                "coords": list(c.coords),
-                "self_intersection": exact_value(
-                    model.self_intersection(model.curve_divisor(i))
-                ),
+                "coords": c.coords,
+                "self_intersection": model.self_intersection(model.curve_divisor(i)),
                 "genus": model.arithmetic_genus(model.curve_divisor(i)),
             }
             for i, c in enumerate(model.curves)
         ],
     }
     if model.ample_reference is not None:
-        payload["ample_reference"] = divisor_payload(
-            model.divisor(model.ample_reference)
-        )
-    return payload
+        result["ample_reference"] = model.divisor(model.ample_reference)
+    return result
 
 
 def _cmd_zariski(args) -> dict:
@@ -247,25 +243,17 @@ def _cmd_zariski(args) -> dict:
                 f"the linear program gave {ref.positive.coords}"
             )
     correction = zariski.h1_correction(model, dec)
+    names = _curve_names(model, dec.support)
     return {
         "surface": model.name,
-        "input": divisor_payload(d),
-        "positive": divisor_payload(dec.positive),
-        "negative": divisor_payload(dec.negative),
-        "support": curve_names(model, dec.support),
-        "coefficients": {
-            model.curves[i].name: exact_value(c)
-            for i, c in zip(dec.support, dec.coefficients)
-        },
-        "positive_self_intersection": exact_value(
-            model.self_intersection(dec.positive)
-        ),
+        "input": d,
+        "positive": dec.positive,
+        "negative": dec.negative,
+        "support": names,
+        "coefficients": dict(zip(names, dec.coefficients)),
+        "positive_self_intersection": model.self_intersection(dec.positive),
         "kappa_is_two": zariski.kappa_is_two(model, dec),
-        "h1_correction": {
-            "c2": exact_value(correction.c2),
-            "c1": exact_value(correction.c1),
-            "c0_at_1": exact_value(correction.c0(1)),
-        },
+        "h1_correction": {"c2": correction.c2, "c1": correction.c1, "c0_at_1": correction.c0(1)},
         "oracle_checked": bool(args.oracle),
     }
 
@@ -282,14 +270,12 @@ def _cmd_fundcycle(args) -> dict:
                 f"stepwise construction gave {cycle.coefficients}, "
                 f"the box search gave {ref.coefficients}"
             )
+    names = _curve_names(model, cycle.component)
     return {
         "surface": model.name,
-        "component": curve_names(model, cycle.component),
-        "coefficients": {
-            model.curves[i].name: c
-            for i, c in zip(cycle.component, cycle.coefficients)
-        },
-        "divisor": divisor_payload(cycle.divisor),
+        "component": names,
+        "coefficients": dict(zip(names, cycle.coefficients)),
+        "divisor": cycle.divisor,
         "multiplicity": cycle.multiplicity,
         "genus": cycle.genus,
         "rational": cycle.genus == 0,
@@ -298,39 +284,37 @@ def _cmd_fundcycle(args) -> dict:
 
 
 def _analysis(args) -> bounds.Analysis:
-    """The analysis of --divisor and --twist on --surface."""
+    """The analysis of --divisor and --twist on --surface; the twist is 0
+    for a subcommand without --twist."""
     model = load_surface(args.surface)
     a = parse_divisor(model, args.divisor)
-    return bounds.Analysis(model, a, parse_divisor(model, args.twist))
+    twist = getattr(args, "twist", None)
+    t = model.zero_divisor() if twist is None else parse_divisor(model, twist)
+    return bounds.Analysis(model, a, t)
 
 
 def _system(analysis: bounds.Analysis) -> dict:
-    """Surface, class and twist: the head of every payload about n*A + T."""
-    return {
-        "surface": analysis.model.name,
-        "class": divisor_payload(analysis.a),
-        "twist": divisor_payload(analysis.t),
-    }
+    """Surface, class and twist: the head of every result about n*A + T."""
+    return {"surface": analysis.model.name, "class": analysis.a, "twist": analysis.t}
 
 
 def _cmd_exceptional(args) -> dict:
-    model = load_surface(args.surface)
-    a = parse_divisor(model, args.divisor)
-    analysis = bounds.Analysis(model, a, model.zero_divisor())
+    analysis = _analysis(args)
+    model = analysis.model
     components = []
     for comp in analysis.components:
         cycle = analysis.cycle(comp)
         components.append({
-            "curves": curve_names(model, comp),
+            "curves": _curve_names(model, comp),
             "rational": cycle.genus == 0,
             "multiplicity": cycle.multiplicity,
             "genus": cycle.genus,
         })
     return {
         "surface": model.name,
-        "class": divisor_payload(a),
-        "self_intersection": exact_value(analysis.a2),
-        "orthogonal_curves": curve_names(model, analysis.support),
+        "class": analysis.a,
+        "self_intersection": analysis.a2,
+        "orthogonal_curves": _curve_names(model, analysis.support),
         "components": components,
         "all_rational": all(c["rational"] for c in components),
     }
@@ -341,15 +325,14 @@ def _cmd_tau(args) -> dict:
     value = analysis.obstruction_minimum
     return {
         **_system(analysis),
-        "tau": exact_value(value),
+        "tau": value,
         "finite": value is not bounds.INFINITY,
-        "orthogonal_curves": curve_names(analysis.model, analysis.support),
+        "orthogonal_curves": _curve_names(analysis.model, analysis.support),
     }
 
 
 def _cmd_obstructions(args) -> dict:
     analysis = _analysis(args)
-    model = analysis.model
     obs = analysis.enumerate_obstructions(args.cluster)
     if args.oracle:
         ref = bounds.obstruction_oracle(analysis, args.cluster)
@@ -365,13 +348,13 @@ def _cmd_obstructions(args) -> dict:
                     f"search found {coeffs} with value {value}, "
                     f"box found {ref_coeffs} with value {ref_value}"
                 )
-    payload = to_payload(obs)
-    entries = payload["entries"]  # streamed by the writer, which counts them
-    payload["support_names"] = curve_names(model, obs.support)
-    payload["count"] = Later(lambda: entries.count)
-    payload["witness_minimum"] = Later(entries.witness_minimum)
-    payload["oracle_checked"] = bool(args.oracle)
-    return {**_system(analysis), "obstructions": payload}
+    result = to_payload(obs)
+    entries = result["entries"]  # streamed by the writer, which counts them
+    result["support_names"] = _curve_names(analysis.model, obs.support)
+    result["count"] = Later(lambda: entries.count)
+    result["witness_minimum"] = Later(entries.witness_minimum)
+    result["oracle_checked"] = bool(args.oracle)
+    return {**_system(analysis), "obstructions": result}
 
 
 def _cmd_ek(args) -> dict:
@@ -379,12 +362,12 @@ def _cmd_ek(args) -> dict:
     model = analysis.model
     corr = analysis.correction_divisor(args.cluster)
     sep = analysis.separating_divisor
-    corr_payload = to_payload(corr)
-    corr_payload["support_names"] = curve_names(model, corr.support)
-    sep_payload = to_payload(sep)
-    for piece, raw in zip(sep.pieces, sep_payload["pieces"]):
-        raw["component_names"] = curve_names(model, piece.component)
-    return {**_system(analysis), "correction": corr_payload, "separating": sep_payload}
+    correction = to_payload(corr)
+    correction["support_names"] = _curve_names(model, corr.support)
+    separating = to_payload(sep)
+    for piece, raw in zip(sep.pieces, separating["pieces"]):
+        raw["component_names"] = _curve_names(model, piece.component)
+    return {**_system(analysis), "correction": correction, "separating": separating}
 
 
 def _cmd_bounds(args) -> dict:
@@ -392,23 +375,23 @@ def _cmd_bounds(args) -> dict:
     model, t = analysis.model, analysis.t
     k = args.cluster
     threshold = analysis.threshold_at(t)
-    payload = {
+    result = {
         **_system(analysis),
         "k": k,
-        "threshold": exact_value(threshold),
+        "threshold": threshold,
         "level": analysis.level_at(t),
-        "threshold_plus_k": exact_value(k + threshold),
-        "canonical_threshold": exact_value(analysis.threshold_at(model.canonical_class)),
-        "hodge": to_payload(analysis.hodge),
-        "tau": exact_value(analysis.obstruction_minimum),
-        "conditions": to_payload(analysis.condition_check(k)),
-        "degree_caps": {str(x): exact_value(analysis.degree_cap(k, x)) for x in (1, 2, 3)},
+        "threshold_plus_k": k + threshold,
+        "canonical_threshold": analysis.threshold_at(model.canonical_class),
+        "hodge": analysis.hodge,
+        "tau": analysis.obstruction_minimum,
+        "conditions": analysis.condition_check(k),
+        "degree_caps": {str(x): analysis.degree_cap(k, x) for x in (1, 2, 3)},
     }
     if args.multiple is not None:
-        payload["n"] = args.multiple
-        payload["quadratic"] = to_payload(analysis.quadratic(args.multiple, k))
-        payload["check"] = to_payload(bounds.threshold_holds(analysis, args.multiple, k))
-    return payload
+        result["n"] = args.multiple
+        result["quadratic"] = analysis.quadratic(args.multiple, k)
+        result["check"] = bounds.threshold_holds(analysis, args.multiple, k)
+    return result
 
 
 def _cmd_thresholds(args) -> dict:
@@ -420,32 +403,18 @@ def _cmd_thresholds(args) -> dict:
         no_fixed_part=args.assert_no_fixed_part,
         base_point_free=args.assert_base_point_free,
     )
-    return {
-        **_system(analysis),
-        "k": args.cluster,
-        "thresholds": {key: to_payload(entry) for key, entry in table.items()},
-    }
+    return {**_system(analysis), "k": args.cluster, "thresholds": table}
 
 
 def _cmd_compare(args) -> dict:
-    model = load_surface(args.surface)
-    h = parse_divisor(model, args.divisor)
-    cmp = bounds.matsusaka_compare(bounds.Analysis(model, h, model.zero_divisor()))
+    analysis = _analysis(args)
+    cmp = bounds.matsusaka_compare(analysis)
     return {
-        "surface": model.name,
-        "class": divisor_payload(h),
-        "k_plus_4h": {
-            "bound": exact_value(cmp.bound_k_plus_4h),
-            "least_n": cmp.least_n_k_plus_4h,
-        },
-        "k_plus_2h": {
-            "bound": exact_value(cmp.bound_k_plus_2h),
-            "least_n": cmp.least_n_k_plus_2h,
-        },
-        "here": {
-            "bound": exact_value(cmp.bound_here),
-            "least_n": cmp.least_n_here,
-        },
+        "surface": analysis.model.name,
+        "class": analysis.a,
+        "k_plus_4h": {"bound": cmp.bound_k_plus_4h, "least_n": cmp.least_n_k_plus_4h},
+        "k_plus_2h": {"bound": cmp.bound_k_plus_2h, "least_n": cmp.least_n_k_plus_2h},
+        "here": {"bound": cmp.bound_here, "least_n": cmp.least_n_here},
     }
 
 
@@ -454,28 +423,27 @@ def _cmd_report(args) -> dict:
     d = parse_divisor(model, args.divisor)
     t = parse_divisor(model, args.twist)
     dec = zariski.zariski_decompose(model, d)
-    payload = {
+    result = {
         "surface": model.name,
-        "input": divisor_payload(d),
-        "positive": divisor_payload(dec.positive),
-        "negative": divisor_payload(dec.negative),
+        "input": d,
+        "positive": dec.positive,
+        "negative": dec.negative,
         "kappa_is_two": zariski.kappa_is_two(model, dec),
     }
-    if not payload["kappa_is_two"]:
-        payload["note"] = (
+    if not result["kappa_is_two"]:
+        result["note"] = (
             "the nef part has vanishing self-intersection, so the growth of "
             "the system is below the range these thresholds describe"
         )
-        return payload
-    report = bounds.build_bound_report(
+        return result
+    result["report"] = bounds.build_bound_report(
         bounds.Analysis(model, dec.positive, t),
         k=args.cluster,
         n=args.multiple,
         no_fixed_part=args.assert_no_fixed_part,
         base_point_free=args.assert_base_point_free,
     )
-    payload["report"] = to_payload(report)
-    return payload
+    return result
 
 
 # -- driver ------------------------------------------------------------------
@@ -498,9 +466,10 @@ def run_subcommand(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        payload = args.handler(args)
-        # The writers make the payload's obstruction entries as they write
-        # them, so they run inside the handler's error boundary.
+        # Making the payload, and the obstruction entries the writers make
+        # as they write them, can fail too, so all of it runs inside the
+        # handler's error boundary.
+        payload = to_payload(args.handler(args))
         if args.json:
             dump_json(payload, sys.stdout)
         else:

@@ -1,5 +1,9 @@
 """Serialization of results for the command line.
 
+`to_payload` is the one place where a result becomes a payload: the
+command handlers return Fractions, divisors and result records, and the
+command line converts what they return once, just before it is written.
+
 Every rational is reported as {"exact": "p/q", "approx": float} so that
 scripts can consume the exact value while humans read the decimal. The
 minimum over an empty obstruction set serializes as {"exact": "inf",
@@ -31,7 +35,7 @@ from typing import Any, Callable, Iterator, Optional, TextIO
 
 from .bounds import INFINITY, ObstructionEntries, ObstructionEntry
 from .errors import CalculatorError
-from .surface import DivisorClass, SurfaceModel
+from .surface import DivisorClass
 
 # Characters of output held before they are written to the stream.
 CHUNK = 1 << 16
@@ -106,58 +110,58 @@ def divisor_payload(divisor: DivisorClass) -> dict:
     return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
 
 
-def curve_names(model: SurfaceModel, indices) -> list[str]:
-    return [model.curves[i].name for i in indices]
-
-
-_PLAIN = frozenset({type(None), str, bool, int})
+# The payload values to_payload gives back as they are: an EntriesNode and a
+# Later as the same objects.
+_PLAIN = frozenset({type(None), str, bool, int, float, EntriesNode, Later})
 # Field names per dataclass type, filled on first use: one entry per result
 # class that reaches to_payload.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def to_payload(value: Any) -> Any:
-    """Recursively convert results (dataclasses, Fractions, divisors,
-    dicts, sequences) into JSON-serializable structures.
+    """Recursively convert a result (dataclasses, Fractions, INFINITY,
+    divisors, dicts, sequences) into a payload: dicts with str keys, lists,
+    str, int, float, bool, None, EntriesNode and Later. A payload value
+    comes back unchanged, so a part converted once may sit in a result that
+    is converted again.
 
-    Exact types dispatch on type(value); subclasses, dicts and anything
-    else go through the isinstance chain of `_general_payload`. Either way
-    a dataclass keeps its field order, and so the key order."""
+    Exact types dispatch on type(value); subclasses and the first dataclass
+    of its type go through the isinstance checks after. Either way a
+    dataclass keeps its field order, and so the key order. The plain items
+    of a dict or a list are kept without a call."""
     kind = type(value)
     if kind in _PLAIN:
         return value
-    if kind is Fraction:
+    if kind is Fraction or value is INFINITY:
         return exact_value(value)
     if kind is DivisorClass:
         return divisor_payload(value)
+    if kind is dict:
+        return {
+            k if type(k) is str else str(k): v if type(v) in _PLAIN else to_payload(v)
+            for k, v in value.items()
+        }
     if kind is list or kind is tuple:
-        return [to_payload(v) for v in value]
+        return [v if type(v) in _PLAIN else to_payload(v) for v in value]
     names = _FIELD_NAMES.get(kind)
     if names is not None:
         return {name: to_payload(getattr(value, name)) for name in names}
-    return _general_payload(value)
-
-
-def _general_payload(value: Any) -> Any:
-    if value is None or isinstance(value, (str, bool)):
+    if isinstance(value, (str, int, float)):
         return value
-    if value is INFINITY or isinstance(value, Fraction):
+    if isinstance(value, Fraction):
         return exact_value(value)
-    if isinstance(value, int):
-        return value
     if isinstance(value, DivisorClass):
         return divisor_payload(value)
     if isinstance(value, ObstructionEntries):
         return EntriesNode(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        names = tuple(field.name for field in dataclasses.fields(value))
-        _FIELD_NAMES[type(value)] = names
-        return {name: to_payload(getattr(value, name)) for name in names}
+        _FIELD_NAMES[kind] = tuple(field.name for field in dataclasses.fields(value))
+        return to_payload(value)
     if isinstance(value, dict):
-        return {str(k): to_payload(v) for k, v in value.items()}
+        return to_payload(dict(value))
     if isinstance(value, (list, tuple)):
-        return [to_payload(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return to_payload(list(value))
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 class _Numbers:

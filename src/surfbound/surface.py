@@ -188,6 +188,9 @@ class SurfaceModel:
         and an error names the field path as a model file spells it."""
         if not isinstance(name, str) or not name:
             raise ValidationError("name: expected a nonempty string")
+        if not name.isprintable():
+            # text output prints the name raw: a line break would forge lines
+            raise ValidationError("name: expected printable characters, no line breaks")
         rows = _entries(gram, "gram", "rows")
         rank = len(rows)
         if rank == 0:
@@ -327,10 +330,6 @@ class SurfaceModel:
 
     def self_intersection(self, d: DivisorClass) -> Fraction:
         return self.intersect(d, d)
-
-    def pair_curve(self, d: DivisorClass, index: int) -> Fraction:
-        v = self._numerators(d)
-        return Q(sum(x * g for x, g in zip(v, self.curve_rows[index]) if x), d.den)
 
     def scaled_curve_pairings(self, d: DivisorClass) -> tuple[list[int], int]:
         """The integers m*D.C_i for every listed curve, and m = d.den, the

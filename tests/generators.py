@@ -271,7 +271,9 @@ def construct_polarization(model: SurfaceModel, indices, h: DivisorClass) -> Div
         raise NotNegativeDefinite("requested curve collection is not negative definite")
     det, rows = eliminated
     assert h.is_integral
-    e = lattice.adjugate_solve(rows, [int(model.pair_curve(h, i)) for i in idx])
+    e = lattice.adjugate_solve(
+        rows, [int(model.intersect(h, model.curve_divisor(i))) for i in idx]
+    )
     assert all(x >= 0 for x in e)
     result = det * h + model.divisor_from_curves(dict(zip(idx, e)))
     assert set(idx) <= set(model.exceptional_curves(result))

@@ -147,7 +147,7 @@ def test_criterion_4_fundamental_cycles(fixture_models, rng):
             assert fast.genus >= 0
             assert all(c >= 1 for c in fast.coefficients)
             for i in component:
-                assert model.pair_curve(fast.divisor, i) <= 0
+                assert model.intersect(fast.divisor, model.curve_divisor(i)) <= 0
     assert_budget(started, 30.0)
 
 

@@ -657,7 +657,9 @@ class TestCorrectionDivisor:
                 analysis = Analysis(model, a, t)
                 support = analysis.support
                 w = model.canonical_class - t
-                sigma = [max(model.pair_curve(w, i) + k, Q(0)) for i in support]
+                sigma = [
+                    max(model.intersect(w, model.curve_divisor(i)) + k, Q(0)) for i in support
+                ]
                 gram = model.curve_gram(support)
                 det_abs = abs(lattice.determinant(gram))
                 want = solve_linear(gram, [-det_abs * x for x in sigma])

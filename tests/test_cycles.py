@@ -119,7 +119,7 @@ class TestDualRoutes:
                 assert all(c >= 1 for c in fast.coefficients)
                 # defining property: Z pairs nonpositively with its support
                 for i in comp:
-                    assert model.pair_curve(fast.divisor, i) <= 0
+                    assert model.intersect(fast.divisor, model.curve_divisor(i)) <= 0
 
 
 class TestBoxSearch:

@@ -222,6 +222,11 @@ MALFORMED_FILES = {
         lambda: b"[" * 100_000 + b"]" * 100_000,
         "invalid JSON: nested too deeply",
     ),
+    # text output prints the name raw, so a line break would forge lines
+    "name-with-line-break": (
+        lambda: json.dumps(variant(name="x\nvalid: False\nrank: 99")).encode(),
+        "name: expected printable characters",
+    ),
     # a rule of the model, not of the JSON layout
     "asymmetric-gram": (
         lambda: json.dumps(variant(gram=[[0, 1], [2, -2]])).encode(),
@@ -798,3 +803,75 @@ class TestPayload:
             got = to_payload(value)
             assert got == payload
             assert dumped(got) == json.dumps(payload, indent=2) + "\n"
+
+
+# Per fixture: a nef and big class with orthogonal curves, an ample class,
+# and a connected negative definite curve set.
+CONTRACT_FIXTURES = {
+    "a2_resolution": ("h", "2,-1,-1", "c1,c2"),
+    "ade_d4": ("h", "5,-3,-5,-3,-3", "c1,c2,c3,c4"),
+    "hirzebruch_f2": ("2*f+s", "3,1", "s"),
+}
+
+
+def _handler_argvs(surface: str) -> list[list[str]]:
+    """One command line of each subcommand on the fixture."""
+    a, ample, curves = CONTRACT_FIXTURES[surface]
+    common = ["--surface", surface]
+    system = common + ["--divisor", a, "--twist", "K"]
+    return [
+        ["validate", *common],
+        ["zariski", *common, "--divisor", a],
+        ["fundcycle", *common, "--curves", curves],
+        ["exceptional", *common, "--divisor", a],
+        ["tau", *system],
+        ["obstructions", *system, "-k", "1"],
+        ["ek", *system, "-k", "1"],
+        ["bounds", *system, "-k", "1", "-n", "3"],
+        ["thresholds", *system, "-k", "1", "-n", "3"],
+        ["compare-matsusaka", *common, "--divisor", ample],
+        ["report", *system, "-k", "1", "-n", "3"],
+    ]
+
+
+class TestPayloadContract:
+    """A handler returns results; to_payload makes the payload, and gives a
+    payload value back unchanged."""
+
+    @pytest.mark.parametrize("surface", sorted(CONTRACT_FIXTURES))
+    def test_payload_of_a_payload_is_itself(self, surface):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        commands = _handler_argvs(surface)
+        assert [argv[0] for argv in commands] == list(sub.choices)
+        for argv in commands:
+            args = parser.parse_args(argv)
+            once = to_payload(args.handler(args))
+            assert to_payload(once) == once, argv
+
+    def test_entries_and_later_come_back_as_the_same_objects(self):
+        from surfbound.bounds import Analysis
+        from surfbound.reporting import EntriesNode, Later
+
+        model = load_fixture("ade_d4")
+        analysis = Analysis(model, parse_divisor(model, "h"), model.zero_divisor())
+        node = to_payload(analysis.enumerate_obstructions(1))["entries"]
+        later = Later(lambda: node.count)
+        assert type(node) is EntriesNode
+        assert to_payload(node) is node
+        assert to_payload(later) is later
+        payload = to_payload({"entries": node, "count": [later]})
+        assert payload["entries"] is node
+        assert payload["count"][0] is later
+
+    def test_floats_and_converted_values_pass_unchanged(self):
+        converted = to_payload({"x": Q(1, 2), "y": DivisorClass((Q(1, 3), 2))})
+        assert converted == {
+            "x": HALF,
+            "y": {
+                "coords": [{"exact": "1/3", "approx": 1 / 3}, {"exact": "2", "approx": 2.0}],
+                "text": "1/3,2",
+            },
+        }
+        assert to_payload(converted) == converted
+        assert to_payload(0.25) == 0.25

@@ -58,7 +58,7 @@ def assert_streamed_as_materialized(capsys, argv: list[str]) -> Optional[dict]:
     gives None."""
     args = cli._parser().parse_args(argv)
     try:
-        payload = materialize(args.handler(args))
+        payload = materialize(to_payload(args.handler(args)))
     except CalculatorError:
         assert cli.run_subcommand(argv) == 1
         assert capsys.readouterr().out == ""

@@ -137,39 +137,12 @@ class TestPairings:
         assert model.canonical_pairing(f) == -2
         assert model.canonical_pairing(s) == 0
 
-    def test_pair_curve_matches_intersect_on_fixtures(self, fixture_models, rng):
-        for name, model in fixture_models.items():
-            for _ in range(3):
-                d = model.divisor(
-                    [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(model.rank)]
-                )
-                for i in range(len(model.curves)):
-                    got = model.pair_curve(d, i)
-                    assert got == model.intersect(d, model.curve_divisor(i)), name
-                    assert isinstance(got, Q)
-
-    def test_pair_curve_matches_intersect_on_hodge_models(self, rng):
-        # hodge models carry no curves: one random nonzero class is a valid
-        # curve list, since a single curve has no partner to meet negatively
-        for _ in range(40):
-            rank = rng.randint(1, 5)
-            bare, _ = hodge_model(rng, rank)
-            coords = [rng.randint(-3, 3) for _ in range(rank - 1)] + [rng.randint(1, 3)]
-            model = SurfaceModel.create(
-                name=bare.name, gram=bare.gram, canonical=bare.canonical,
-                curves=[("c", coords)],
-            )
-            d = model.divisor(
-                [Q(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rank)]
-            )
-            assert model.pair_curve(d, 0) == model.intersect(d, model.curve_divisor(0))
-
-    def test_pair_curve_rejects_wrong_rank(self):
+    def test_scaled_curve_pairings_rejects_wrong_rank(self):
         from surfbound.errors import RankMismatch
 
         model = make()
         with pytest.raises(RankMismatch):
-            model.pair_curve(DivisorClass.zero(3), 0)
+            model.scaled_curve_pairings(DivisorClass.zero(3))
 
     def test_divisor_arithmetic(self):
         model = make()
@@ -248,9 +221,9 @@ class TestExceptionalConfigurations:
         ample = model.divisor(model.ample_reference)
         built = construct_polarization(model, [1, 2], ample)
         assert built.is_integral
-        assert model.pair_curve(built, 1) == 0
-        assert model.pair_curve(built, 2) == 0
-        assert model.pair_curve(built, 0) > 0
+        assert model.intersect(built, model.curve_divisor(1)) == 0
+        assert model.intersect(built, model.curve_divisor(2)) == 0
+        assert model.intersect(built, model.curve_divisor(0)) > 0
         assert model.self_intersection(built) > 0
 
     def test_construct_polarization_needs_ample(self):
@@ -363,5 +336,5 @@ class TestIntegerFields:
                 assert m == lcm(*(c.denominator for c in u))
                 for i, curve in enumerate(model.curves):
                     pairing = fraction_pairing(model.gram, u, curve.coords)
-                    assert model.pair_curve(d, i) == pairing
+                    assert model.intersect(d, model.curve_divisor(i)) == pairing
                     assert scaled[i] == m * pairing

@@ -30,7 +30,7 @@ def check_defining_properties(model, d, dec):
     assert dec.support == tuple(sorted(dec.support))
     # P nef against every listed curve, orthogonal to the support of N
     for i in range(len(model.curves)):
-        p = model.pair_curve(dec.positive, i)
+        p = model.intersect(dec.positive, model.curve_divisor(i))
         assert p >= 0
         if i in dec.support:
             assert p == 0
