@@ -424,8 +424,10 @@ def _memoized(method):
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """The system n*A + T for a nef and big class A, and everything derived
-    from it. Building one checks A once (model.exceptional_curves); each
-    derived value is computed on first use and kept on the instance."""
+    from it. Building one checks A once: model.exceptional_curves checks
+    that A is nef and big, and the elimination of the curves orthogonal to
+    A that their block is negative definite. Each derived value is computed
+    on first use and kept on the instance."""
 
     model: SurfaceModel
     a: DivisorClass
@@ -436,6 +438,11 @@ class Analysis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", self.model.exceptional_curves(self.a))
         object.__setattr__(self, "_memo", {})
+        if self.elimination(self.support) is None:
+            raise ModelInconsistent(
+                "curves orthogonal to a big class must span a negative "
+                "definite block"
+            )
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -522,7 +529,7 @@ class Analysis:
     @_memoized
     def elimination(self, curves: tuple[int, ...]) -> search.Eliminated:
         """lattice.negated_elimination of the Gram block of curves, a subset
-        of the support: negative definite, as exceptional_curves checked."""
+        of the support: negative definite, as building the analysis checked."""
         return lattice.negated_elimination(self.model.curve_gram(curves))
 
     @_memoized
@@ -998,7 +1005,7 @@ def theorem_thresholds(
 class BoundReport:
     threshold: Fraction
     level: int
-    canonical_threshold: Fraction  # vanishing_threshold(A, K), equals 1/A^2
+    canonical_threshold: Fraction  # 1/A^2, which is vanishing_threshold(A, K)
     hodge: HodgeDefect
     tau: object  # Fraction or INFINITY
     conditions: ConditionFlags
@@ -1020,7 +1027,7 @@ def build_bound_report(
     no_fixed_part: bool = False,
     base_point_free: bool = False,
 ) -> BoundReport:
-    model, t = analysis.model, analysis.t
+    t = analysis.t
     quadratic = None
     check = None
     if n is not None:
@@ -1029,7 +1036,7 @@ def build_bound_report(
     return BoundReport(
         threshold=analysis.threshold_at(t),
         level=analysis.level_at(t),
-        canonical_threshold=analysis.threshold_at(model.canonical_class),
+        canonical_threshold=1 / analysis.a2,
         hodge=analysis.hodge,
         tau=analysis.obstruction_minimum,
         conditions=analysis.condition_check(k),

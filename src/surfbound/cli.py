@@ -39,6 +39,52 @@ def _int_at_least(least: int):
     return parse
 
 
+def _option(*flags, **keywords):
+    """The arguments of one parser.add_argument call."""
+    return flags, keywords
+
+
+# Each subcommand takes the options of the groups COMMANDS lists for it.
+OPTION_GROUPS = {
+    "surface": (
+        _option("--surface", required=True, metavar="FILE_OR_NAME",
+                help="surface model: a JSON file path or a bundled fixture name"),
+        _option("--json", action="store_true", help="JSON output instead of plain text"),
+    ),
+    "divisor": (
+        _option("--divisor", required=True, metavar="EXPR",
+                help="divisor class: coordinates like 2,1 or an expression like s+2*f"),
+    ),
+    "twist": (
+        _option("-T", "--twist", default="0", metavar="EXPR",
+                help="fixed summand T of the system n*A + T (default 0)"),
+    ),
+    "level": (
+        _option("-k", "--cluster", type=_int_at_least(0), default=0, metavar="K",
+                help="separation level k >= 0: the system should be (k-1)-very ample "
+                "(default 0)"),
+    ),
+    "multiple": (
+        _option("-n", "--multiple", type=_int_at_least(1), default=None, metavar="N",
+                help="concrete multiple n >= 1 to evaluate (optional)"),
+    ),
+    "asserts": (
+        _option("--assert-no-fixed-part", action="store_true",
+                help="caller asserts the system of the class itself has no fixed part"),
+        _option("--assert-base-point-free", action="store_true",
+                help="caller asserts the system of the class itself is base point free"),
+    ),
+    "oracle": (
+        _option("--oracle", action="store_true",
+                help="cross-check the result against an independent brute-force method"),
+    ),
+    "curves": (
+        _option("--curves", required=True, metavar="NAMES",
+                help="comma-separated curve names forming the component"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfbound",
@@ -50,153 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    surface = argparse.ArgumentParser(add_help=False)
-    surface.add_argument(
-        "--surface",
-        required=True,
-        metavar="FILE_OR_NAME",
-        help="surface model: a JSON file path or a bundled fixture name",
-    )
-    surface.add_argument("--json", action="store_true", help="JSON output instead of plain text")
-
-    divisor = argparse.ArgumentParser(add_help=False)
-    divisor.add_argument(
-        "--divisor",
-        required=True,
-        metavar="EXPR",
-        help="divisor class: coordinates like 2,1 or an expression like s+2*f",
-    )
-
-    twist = argparse.ArgumentParser(add_help=False)
-    twist.add_argument(
-        "-T",
-        "--twist",
-        default="0",
-        metavar="EXPR",
-        help="fixed summand T of the system n*A + T (default 0)",
-    )
-
-    level = argparse.ArgumentParser(add_help=False)
-    level.add_argument(
-        "-k",
-        "--cluster",
-        type=_int_at_least(0),
-        default=0,
-        metavar="K",
-        help="separation level k >= 0: the system should be (k-1)-very ample (default 0)",
-    )
-
-    multiple = argparse.ArgumentParser(add_help=False)
-    multiple.add_argument(
-        "-n",
-        "--multiple",
-        type=_int_at_least(1),
-        default=None,
-        metavar="N",
-        help="concrete multiple n >= 1 to evaluate (optional)",
-    )
-
-    asserts = argparse.ArgumentParser(add_help=False)
-    asserts.add_argument(
-        "--assert-no-fixed-part",
-        action="store_true",
-        help="caller asserts the system of the class itself has no fixed part",
-    )
-    asserts.add_argument(
-        "--assert-base-point-free",
-        action="store_true",
-        help="caller asserts the system of the class itself is base point free",
-    )
-
-    oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check the result against an independent brute-force method",
-    )
-
-    p = sub.add_parser(
-        "validate", parents=[surface], help="check a surface model file"
-    )
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser(
-        "zariski",
-        parents=[surface, divisor, oracle],
-        help="decompose a divisor into nef and negative parts",
-    )
-    p.set_defaults(handler=_cmd_zariski)
-
-    p = sub.add_parser(
-        "fundcycle",
-        parents=[surface, oracle],
-        help="fundamental cycle of a connected negative-definite curve set",
-    )
-    p.add_argument(
-        "--curves",
-        required=True,
-        metavar="NAMES",
-        help="comma-separated curve names forming the component",
-    )
-    p.set_defaults(handler=_cmd_fundcycle)
-
-    p = sub.add_parser(
-        "exceptional",
-        parents=[surface, divisor],
-        help="curves orthogonal to a nef and big class, by component",
-    )
-    p.set_defaults(handler=_cmd_exceptional)
-
-    p = sub.add_parser(
-        "tau",
-        parents=[surface, divisor, twist],
-        help="minimal obstruction value over the orthogonal curves",
-    )
-    p.set_defaults(handler=_cmd_tau)
-
-    p = sub.add_parser(
-        "obstructions",
-        parents=[surface, divisor, twist, level, oracle],
-        help="enumerate obstruction divisors up to a level",
-    )
-    p.set_defaults(handler=_cmd_obstructions)
-
-    p = sub.add_parser(
-        "ek",
-        parents=[surface, divisor, twist, level],
-        help="determinant-scaled correction divisor and the separating divisor",
-    )
-    p.set_defaults(handler=_cmd_ek)
-
-    p = sub.add_parser(
-        "bounds",
-        parents=[surface, divisor, twist, level, multiple],
-        help="vanishing threshold, obstruction quadratic, degree caps",
-    )
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser(
-        "thresholds",
-        parents=[surface, divisor, twist, level, multiple, asserts],
-        help="table of effective statements with exact n-thresholds",
-    )
-    p.set_defaults(handler=_cmd_thresholds)
-
-    p = sub.add_parser(
-        "compare-matsusaka",
-        parents=[surface, divisor],
-        help="compare against the classical general-surface bounds",
-    )
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser(
-        "report",
-        parents=[surface, divisor, twist, level, multiple, asserts],
-        help="decompose, then run the full bound analysis on the nef part",
-    )
-    p.set_defaults(handler=_cmd_report)
-
+    # one parser per group, whose options each subcommand of the group copies
+    parents = {group: argparse.ArgumentParser(add_help=False) for group in OPTION_GROUPS}
+    for group, options in OPTION_GROUPS.items():
+        for flags, keywords in options:
+            parents[group].add_argument(*flags, **keywords)
+    for name, groups, text, handler in COMMANDS:
+        p = sub.add_parser(name, parents=[parents[group] for group in groups], help=text)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -283,14 +190,19 @@ def _cmd_fundcycle(args) -> dict:
     }
 
 
-def _analysis(args) -> bounds.Analysis:
-    """The analysis of --divisor and --twist on --surface; the twist is 0
-    for a subcommand without --twist."""
+def _read_system(args):
+    """The model of --surface, and the classes of --divisor and --twist on
+    it; the twist is 0 for a subcommand without --twist."""
     model = load_surface(args.surface)
     a = parse_divisor(model, args.divisor)
     twist = getattr(args, "twist", None)
     t = model.zero_divisor() if twist is None else parse_divisor(model, twist)
-    return bounds.Analysis(model, a, t)
+    return model, a, t
+
+
+def _analysis(args) -> bounds.Analysis:
+    """The analysis of --divisor and --twist on --surface."""
+    return bounds.Analysis(*_read_system(args))
 
 
 def _system(analysis: bounds.Analysis) -> dict:
@@ -372,7 +284,7 @@ def _cmd_ek(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     analysis = _analysis(args)
-    model, t = analysis.model, analysis.t
+    t = analysis.t
     k = args.cluster
     threshold = analysis.threshold_at(t)
     result = {
@@ -381,7 +293,7 @@ def _cmd_bounds(args) -> dict:
         "threshold": threshold,
         "level": analysis.level_at(t),
         "threshold_plus_k": k + threshold,
-        "canonical_threshold": analysis.threshold_at(model.canonical_class),
+        "canonical_threshold": 1 / analysis.a2,
         "hodge": analysis.hodge,
         "tau": analysis.obstruction_minimum,
         "conditions": analysis.condition_check(k),
@@ -419,9 +331,7 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_report(args) -> dict:
-    model = load_surface(args.surface)
-    d = parse_divisor(model, args.divisor)
-    t = parse_divisor(model, args.twist)
+    model, d, t = _read_system(args)
     dec = zariski.zariski_decompose(model, d)
     result = {
         "surface": model.name,
@@ -446,6 +356,33 @@ def _cmd_report(args) -> dict:
     return result
 
 
+# (name, option groups, help, handler) of each subcommand. The help texts
+# list the subcommands, and each one's options, in the order given here.
+COMMANDS = (
+    ("validate", ("surface",), "check a surface model file", _cmd_validate),
+    ("zariski", ("surface", "divisor", "oracle"),
+     "decompose a divisor into nef and negative parts", _cmd_zariski),
+    ("fundcycle", ("surface", "oracle", "curves"),
+     "fundamental cycle of a connected negative-definite curve set", _cmd_fundcycle),
+    ("exceptional", ("surface", "divisor"),
+     "curves orthogonal to a nef and big class, by component", _cmd_exceptional),
+    ("tau", ("surface", "divisor", "twist"),
+     "minimal obstruction value over the orthogonal curves", _cmd_tau),
+    ("obstructions", ("surface", "divisor", "twist", "level", "oracle"),
+     "enumerate obstruction divisors up to a level", _cmd_obstructions),
+    ("ek", ("surface", "divisor", "twist", "level"),
+     "determinant-scaled correction divisor and the separating divisor", _cmd_ek),
+    ("bounds", ("surface", "divisor", "twist", "level", "multiple"),
+     "vanishing threshold, obstruction quadratic, degree caps", _cmd_bounds),
+    ("thresholds", ("surface", "divisor", "twist", "level", "multiple", "asserts"),
+     "table of effective statements with exact n-thresholds", _cmd_thresholds),
+    ("compare-matsusaka", ("surface", "divisor"),
+     "compare against the classical general-surface bounds", _cmd_compare),
+    ("report", ("surface", "divisor", "twist", "level", "multiple", "asserts"),
+     "decompose, then run the full bound analysis on the nef part", _cmd_report),
+)
+
+
 # -- driver ------------------------------------------------------------------
 
 
@@ -459,9 +396,10 @@ def _parser() -> argparse.ArgumentParser:
 def run_subcommand(argv) -> int:
     try:
         args = _parser().parse_args(argv)
-        # argparse turns --divisor=-- into [], whatever the option's type
-        for name in ("surface", "divisor", "twist", "curves"):
-            if getattr(args, name, "") == []:
+        # argparse turns --name=-- into [], whatever the option's type, and
+        # the dest of every option that takes a value is its long name
+        for name, value in vars(args).items():
+            if value == []:
                 _parser().error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lattice
 from .errors import (
-    ModelInconsistent,
     NoAmpleReference,
     NonIntegralGenus,
     NotNefBig,
@@ -158,8 +157,10 @@ class DivisorClass:
 @dataclass(frozen=True)
 class CurveClass:
     """A prime-curve class: integer coordinates plus a self-declared
-    effectiveness flag. The flag is carried as metadata and echoed in
-    reports; no computation branches on it."""
+    effectiveness flag. The flag is parsed, checked, stored and written
+    back by surface_io.surface_to_data; no output prints it and no
+    computation branches on it, so every listed curve counts as a prime
+    curve."""
 
     name: str
     coords: tuple[int, ...]
@@ -368,24 +369,17 @@ class SurfaceModel:
         return [[self.curve_pairings[i][j] for j in indices] for i in indices]
 
     def exceptional_curves(self, a: DivisorClass) -> tuple[int, ...]:
-        """Indices of listed curves orthogonal to a nef and big class a.
-
-        The spanned Gram block must be negative definite; by the Hodge index
-        shape of the lattice anything orthogonal to a big class is negative,
-        so a failure here means the curve list is inconsistent.
+        """Indices of listed curves orthogonal to a nef and big class a,
+        after checking that a is nef and big. By the Hodge index shape of
+        the lattice their Gram block should be negative definite;
+        bounds.Analysis checks that when it factors the block.
         """
         pairings = self.scaled_curve_pairings(a)[0]
         if any(p < 0 for p in pairings):
             raise NotNefBig("class is not nef against the listed curves")
         if self.self_intersection(a) <= 0:
             raise NotNefBig("class needs positive self-intersection")
-        exc = tuple(i for i, p in enumerate(pairings) if p == 0)
-        if not lattice.is_negative_definite(self.curve_gram(exc)):
-            raise ModelInconsistent(
-                "curves orthogonal to a big class must span a negative "
-                "definite block"
-            )
-        return exc
+        return tuple(i for i, p in enumerate(pairings) if p == 0)
 
     def connected_components(
         self, indices: Sequence[int]

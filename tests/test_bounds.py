@@ -962,25 +962,26 @@ class TestAnalysis:
     ):
         # the comparison reads the analysis' ampleness and its threshold at
         # T = 0: A is ample as no curve is orthogonal to it, so its curve
-        # pairings are made once, by exceptional_curves, and the report's
-        # two twists (0 and K) get one threshold each
+        # pairings are made once, by exceptional_curves; the report's one
+        # threshold is at T = 0, as its canonical threshold is 1/A^2
         calls = Counter()
         count_calls(monkeypatch, calls, SurfaceModel, "exceptional_curves")
         count_calls(monkeypatch, calls, bounds, "vanishing_threshold")
         system = ["--surface", "double_cover_d5", "--divisor", "H", "-k", "2", "-n", "5"]
         assert run_subcommand(["report", *system]) == 0
         assert "k_plus_4h" in capsys.readouterr().out
-        assert calls == {"exceptional_curves": 1, "vanishing_threshold": 2}
+        assert calls == {"exceptional_curves": 1, "vanishing_threshold": 1}
 
     @pytest.mark.parametrize(
         "command, limits",
         [
-            ("thresholds --surface ade_e6 --divisor h --twist=K -k 1", (3, 3, 13)),
-            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (5, 5, 18)),
-            ("ek --surface ade_d6 --divisor h -k 1", (3, 2, 4)),
+            ("thresholds --surface ade_e6 --divisor h --twist=K -k 1", (2, 3, 13)),
+            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (4, 5, 18)),
+            ("ek --surface ade_d6 --divisor h -k 1", (2, 2, 4)),
             ("compare-matsusaka --surface double_cover_d5 --divisor H", (1, 1, 6)),
+            ("bounds --surface ade_e6 --divisor 2*h --twist=1*h+c1 -k 2 -n 5", (2, 2, 10)),
         ],
-        ids=["thresholds", "report", "ek", "compare-matsusaka"],
+        ids=["thresholds", "report", "ek", "compare-matsusaka", "bounds"],
     )
     def test_a_command_derives_each_datum_once(self, command, limits, monkeypatch, capsys):
         # with the model cache warm, the calls left are the analysis' own:

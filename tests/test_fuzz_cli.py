@@ -214,6 +214,18 @@ def _problem(argv: list[str]) -> str | None:
     return None
 
 
+def test_options_name_the_option_groups_of_every_subcommand():
+    # OPTIONS keeps its own order, as the seeded draws and OVER_WALL depend
+    # on it; a subcommand or option group added to cli.COMMANDS must still
+    # be drawn here
+    labels = {"level": "k", "multiple": "n"}
+    groups = {
+        name: {labels.get(group, group) for group in groups if group != "surface"}
+        for name, groups, _, _ in cli.COMMANDS
+    }
+    assert {name: set(options) for name, options in OPTIONS.items()} == groups
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_draw_ends_cleanly(seed, tmp_path):
     problems = []

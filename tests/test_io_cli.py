@@ -310,6 +310,31 @@ class TestParseDivisor:
             parse_curve_list(f2, "f,zz")
 
 
+def _dashdash_cases() -> list:
+    """One command line per option that takes a value, in each of its
+    spellings, on every subcommand that has it, with the option's long
+    spelling: the option is written -x=-- or --name=--, and each other
+    required option gets a value."""
+    required = {"surface": "ade_a3", "divisor": "h", "curves": "c1"}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = []
+    for command, parser in sub.choices.items():
+        values = [a for a in parser._actions if a.option_strings and a.nargs is None]
+        for action in values:
+            others = [
+                arg
+                for a in values
+                if a.required and a is not action
+                for arg in (a.option_strings[-1], required[a.dest])
+            ]
+            for flag in action.option_strings:
+                cases.append(pytest.param(
+                    [command, *others, f"{flag}=--"], action.option_strings[-1],
+                    id=f"{command}{flag}",
+                ))
+    return cases
+
+
 def run_json(capsys, argv):
     code = run_subcommand(argv + ["--json"])
     out = capsys.readouterr().out
@@ -447,23 +472,33 @@ class TestCommandLine:
         assert captured.out == ""
         assert "must be at least" in captured.err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["tau", "--surface", "ade_a3", "--divisor=--"],
-            ["tau", "--surface", "ade_a3", "--divisor", "h", "--twist=--"],
-            ["fundcycle", "--surface", "ade_a3", "--curves=--"],
-            ["validate", "--surface=--"],
-        ],
-        ids=["divisor", "twist", "curves", "surface"],
-    )
-    def test_dashdash_as_a_value_exits_two(self, capsys, argv):
-        # argparse gives an option written --name=-- the value []
+    def test_orthogonal_block_that_is_not_negative_definite_exits_one(self, tmp_path, capsys):
+        # A = (1, 0) is nef and big, and both curves are orthogonal to it,
+        # but c and d = -c span the singular block [[-2, 2], [2, -2]]; with
+        # no ample reference nothing rejects the model when it is loaded
+        data = {
+            "schema": 1,
+            "name": "semidefinite",
+            "gram": [[2, 0], [0, -2]],
+            "canonical": [0, 0],
+            "curves": [{"name": "c", "coords": [0, 1]}, {"name": "d", "coords": [0, -1]}],
+        }
+        target = write_model(tmp_path / "model.json", data)
+        assert run_subcommand(["tau", "--surface", str(target), "--divisor", "1,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: curves orthogonal to a big class must span a negative definite block\n"
+        )
+
+    @pytest.mark.parametrize("argv, option", _dashdash_cases())
+    def test_dashdash_as_a_value_exits_two(self, capsys, argv, option):
+        # argparse gives an option written --name=-- or -x=-- the value []
         assert run_subcommand(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        option = argv[-1].removesuffix("=--")
-        assert f"error: argument {option}: expected one argument" in captured.err
+        line = f"surfbound: error: argument {option}: expected one argument"
+        assert captured.err.splitlines()[1:] == [line]
 
     def test_closed_stdout_exits_quietly(self):
         # the reader is gone before the first write, as in `... | head -0`
