@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
             parents[group].add_argument(*flags, **keywords)
     for name, groups, text, handler in COMMANDS:
         p = sub.add_parser(name, parents=[parents[group] for group in groups], help=text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
@@ -400,7 +400,7 @@ def run_subcommand(argv) -> int:
         # the dest of every option that takes a value is its long name
         for name, value in vars(args).items():
             if value == []:
-                _parser().error(f"argument --{name}: expected one argument")
+                args.parser.error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -8,7 +8,8 @@ Every rational is reported as {"exact": "p/q", "approx": float} so that
 scripts can consume the exact value while humans read the decimal. The
 minimum over an empty obstruction set serializes as {"exact": "inf",
 "approx": null}, and so does the approximation of a value beyond float
-range: its "exact" string stays whole. The text renderer walks the same
+range: its "exact" string stays whole. That dict is an _Exact, a leaf that
+both writers know by its type, and the text renderer walks the same
 payload, so both output modes always carry identical exact values.
 
 `dump_json` writes the --json output: indented by 2 spaces, ASCII-escaped,
@@ -31,6 +32,7 @@ import dataclasses
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, Callable, Iterator, Optional, TextIO
 
 from .bounds import INFINITY, ObstructionEntries, ObstructionEntry
@@ -41,13 +43,31 @@ from .surface import DivisorClass
 CHUNK = 1 << 16
 
 
-def exact_value(value) -> dict:
+class _Exact(dict):
+    """The payload of a rational: a leaf that the writers know by its type."""
+
+    __slots__ = ()
+
+    def json(self, pad: str) -> str:
+        """The --json text of the value at the indent `pad`."""
+        approx = self["approx"]
+        return (
+            f'{{\n{pad}  "exact": {encode_basestring_ascii(self["exact"])},\n'
+            f'{pad}  "approx": {"null" if approx is None else float.__repr__(approx)}\n{pad}}}'
+        )
+
+
+def exact_value(value) -> _Exact:
+    """The payload of INFINITY, an int or a Fraction."""
     if value is INFINITY:
-        return {"exact": "inf", "approx": None}
-    kind = type(value)
-    if kind is not Fraction and kind is not int:
-        value = Fraction(value)
-    n, d = value.numerator, value.denominator
+        return _Exact(exact="inf", approx=None)
+    return _exact(value.numerator, value.denominator)
+
+
+def _exact(n: int, d: int) -> _Exact:
+    """The payload of n/d, for d > 0."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
     try:
         approx = n / d  # float(frac), correctly rounded
     except OverflowError:
@@ -61,7 +81,7 @@ def exact_value(value) -> dict:
             f"a result has more than {sys.get_int_max_str_digits()} digits, "
             "the limit for printing an integer"
         ) from None
-    return {"exact": exact, "approx": approx}
+    return _Exact(exact=exact, approx=approx)
 
 
 class EntriesNode:
@@ -106,13 +126,13 @@ class Later:
 
 
 def divisor_payload(divisor: DivisorClass) -> dict:
-    coords = [exact_value(c) for c in divisor.coords]
+    coords = [_exact(x, divisor.den) for x in divisor.num]
     return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
 
 
 # The payload values to_payload gives back as they are: an EntriesNode and a
 # Later as the same objects.
-_PLAIN = frozenset({type(None), str, bool, int, float, EntriesNode, Later})
+_PLAIN = frozenset({type(None), str, bool, int, float, _Exact, EntriesNode, Later})
 # Field names per dataclass type, filled on first use: one entry per result
 # class that reaches to_payload.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
@@ -128,7 +148,7 @@ def to_payload(value: Any) -> Any:
     Exact types dispatch on type(value); subclasses and the first dataclass
     of its type go through the isinstance checks after. Either way a
     dataclass keeps its field order, and so the key order. The plain items
-    of a dict or a list are kept without a call."""
+    of a dict, a list or a dataclass are kept without a call."""
     kind = type(value)
     if kind in _PLAIN:
         return value
@@ -145,7 +165,8 @@ def to_payload(value: Any) -> Any:
         return [v if type(v) in _PLAIN else to_payload(v) for v in value]
     names = _FIELD_NAMES.get(kind)
     if names is not None:
-        return {name: to_payload(getattr(value, name)) for name in names}
+        fields = zip(names, [getattr(value, name) for name in names])
+        return {name: v if type(v) in _PLAIN else to_payload(v) for name, v in fields}
     if isinstance(value, (str, int, float)):
         return value
     if isinstance(value, Fraction):
@@ -166,8 +187,8 @@ def to_payload(value: Any) -> Any:
 
 class _Numbers:
     """Memoized renderings of numbers, each made once from exact_value: the
-    exact string, the text rendering, and the JSON layout of the
-    exact_value dict at the indent `pad`."""
+    exact string, the text rendering, and the JSON layout of the exact
+    value at the indent `pad`."""
 
     def __init__(self, pad: str) -> None:
         self.pad = pad
@@ -179,14 +200,9 @@ class _Numbers:
         for x in values:
             if x not in self.exact:
                 payload = exact_value(x)
-                exact, approx = payload["exact"], payload["approx"]
-                self.exact[x] = exact
+                self.exact[x] = payload["exact"]
                 self.text[x] = _render_scalar(payload)
-                self.json[x] = (
-                    f'{{\n{self.pad}  "exact": {encode_basestring_ascii(exact)},\n'
-                    f'{self.pad}  "approx": {"null" if approx is None else float.__repr__(approx)}'
-                    f"\n{self.pad}}}"
-                )
+                self.json[x] = payload.json(self.pad)
 
 
 def _json_entry(item: str) -> Callable[[tuple], str]:
@@ -246,6 +262,10 @@ def _text_entry(indent: int) -> Callable[[tuple], str]:
     return entry
 
 
+_BASES = (dict, list, tuple, str, int, float)
+_WRITTEN = frozenset({*_BASES, _Exact, bool, type(None), EntriesNode, Later})
+
+
 def dump_json(payload: Any, out: TextIO) -> None:
     """Write `json.dumps(payload, indent=2)` and a newline to `out`, in one
     pass over a payload tree of dicts with str keys, lists, tuples, str,
@@ -261,19 +281,13 @@ def dump_json(payload: Any, out: TextIO) -> None:
     append = parts.append
 
     def write(value: Any, pad: str) -> None:
-        if isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, float):
-            append(float.__repr__(value))
-        elif isinstance(value, dict):
+        kind = type(value)
+        if kind not in _WRITTEN:
+            # a subclass is written as the type it derives from
+            kind = next((t for t in _BASES if isinstance(value, t)), kind)
+        if kind is _Exact:
+            append(value.json(pad))
+        elif kind is dict:
             if not value:
                 append("{}")
                 return
@@ -287,7 +301,7 @@ def dump_json(payload: Any, out: TextIO) -> None:
                 lead = sep
                 write(item, inner)
             append("\n" + pad + "}")
-        elif isinstance(value, (list, tuple)):
+        elif kind is list or kind is tuple:
             if not value:
                 append("[]")
                 return
@@ -299,9 +313,17 @@ def dump_json(payload: Any, out: TextIO) -> None:
                 lead = sep
                 write(item, inner)
             append("\n" + pad + "]")
-        elif type(value) is EntriesNode:
+        elif kind is str:
+            append(encode_basestring_ascii(value))
+        elif kind is int or kind is float:
+            append(kind.__repr__(value))
+        elif kind is bool:
+            append("true" if value else "false")
+        elif value is None:
+            append("null")
+        elif kind is EntriesNode:
             write_entries(value, pad)
-        elif type(value) is Later:
+        elif kind is Later:
             write(value.make(), pad)
         else:
             raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -328,15 +350,8 @@ def dump_json(payload: Any, out: TextIO) -> None:
     out.write("".join(parts))
 
 
-def _is_exact_value(value: Any) -> bool:
-    return (
-        isinstance(value, dict)
-        and set(value) == {"exact", "approx"}
-    )
-
-
 def _render_scalar(value: Any) -> str:
-    if _is_exact_value(value):
+    if type(value) is _Exact:
         exact = value["exact"]
         approx = value["approx"]
         if approx is None or "/" not in exact:
@@ -352,10 +367,10 @@ def _render_scalar(value: Any) -> str:
 def _is_scalar(value: Any) -> bool:
     """A value rendered on its key's line; an empty mapping renders as {}."""
     return (
-        value is None
+        type(value) is _Exact
+        or value is None
         or isinstance(value, (str, bool, int, float))
         or value == {}
-        or _is_exact_value(value)
     )
 
 
@@ -369,7 +384,7 @@ def render_text(payload: Any, out: TextIO) -> None:
 
     def write(payload: Any, indent: int) -> None:
         pad = "  " * indent
-        if isinstance(payload, dict) and not _is_exact_value(payload):
+        if isinstance(payload, dict) and type(payload) is not _Exact:
             for key, value in payload.items():
                 if type(value) is Later:
                     value = value.make()

@@ -18,9 +18,10 @@ fail loudly instead of silently dropping data. Divisors on the command line
 are either coordinate lists ("3/2,-1") or expressions in curve names and K
 ("2*s + f - K").
 
-One process parses and validates each distinct model text once: files and
-fixtures are read on every load, and a text already seen returns the same
-SurfaceModel, from a cache of MODEL_CACHE_SIZE texts.
+One process parses and validates each distinct model text once: a file is
+read on every load, a bundled fixture's text once per process, and a text
+already seen returns the same SurfaceModel, from a cache of MODEL_CACHE_SIZE
+texts.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ def load_surface_file(path: Union[str, os.PathLike]) -> SurfaceModel:
 
 
 _FIXTURES = resources.files(__package__) / "fixtures"  # resolved once per process
+_FIXTURE_NAME = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 def fixture_names() -> tuple[str, ...]:
@@ -164,11 +166,19 @@ def fixture_names() -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+# Only a read that succeeds is kept, and only names of _FIXTURE_NAME reach it:
+# at most one text per bundled fixture.
+@lru_cache(maxsize=None)
+def _fixture_text(name: str) -> str:
+    return (_FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+
+
 def load_fixture(name: str) -> SurfaceModel:
-    entry = _FIXTURES / f"{name}.json"
     try:
-        text = entry.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
+        if not _FIXTURE_NAME.fullmatch(name):
+            raise FileNotFoundError(name)
+        text = _fixture_text(name)
+    except OSError as exc:
         known = ", ".join(fixture_names())
         raise ParseError(
             f"no bundled surface named {name!r}; available: {known}"
@@ -181,7 +191,7 @@ def load_surface(spec: str) -> SurfaceModel:
     the name of a bundled fixture."""
     if os.path.exists(spec):
         return load_surface_file(spec)
-    if re.fullmatch(r"[A-Za-z0-9_\-]+", spec):
+    if _FIXTURE_NAME.fullmatch(spec):
         return load_fixture(spec)
     raise ParseError(f"{spec}: no such file")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import enum
 import io
 import json
 import os
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from surfbound import search, surface_io
 from surfbound.cli import build_parser, run_subcommand
-from surfbound.reporting import dump_json, exact_value, to_payload
+from surfbound.bounds import INFINITY
+from surfbound.reporting import dump_json, exact_value, render_text, to_payload
 from surfbound.errors import CalculatorError, ParseError, UnknownCurveName
 from surfbound.surface_io import (
     fixture_names,
@@ -199,6 +201,33 @@ class TestModelCache:
                 surface_io.load_surface_file(target)
         write_model(target, VALID)
         assert surface_io.load_surface_file(target).name == "f2"
+
+    def test_fixture_text_is_read_once(self):
+        surface_io._fixture_text.cache_clear()
+        first = load_surface("ade_e8")
+        surface_io._model_from_text.cache_clear()
+        again = load_surface("ade_e8")
+        assert again is not first and again == first
+        info = surface_io._fixture_text.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("name", ["not_a_fixture", "../fixtures/ade_e8", "ade_e8.json"])
+    def test_unknown_fixture_is_not_kept(self, name):
+        surface_io._fixture_text.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError, match="no bundled surface named") as info:
+                load_fixture(name)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert surface_io._fixture_text.cache_info().currsize == 0
+
+    def test_file_named_like_a_kept_fixture_wins(self, tmp_path, monkeypatch):
+        assert load_surface("ade_e8").name == "ade_e8"
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path / "ade_e8", VALID)
+        assert load_surface("ade_e8").name == "f2"
+        assert load_fixture("ade_e8").name == "ade_e8"
 
     def test_cache_is_bounded(self, tmp_path):
         count = surface_io.MODEL_CACHE_SIZE + 6
@@ -497,8 +526,10 @@ class TestCommandLine:
         assert run_subcommand(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        line = f"surfbound: error: argument {option}: expected one argument"
-        assert captured.err.splitlines()[1:] == [line]
+        command = argv[0]
+        assert captured.err.startswith(f"usage: surfbound {command} [-h] ")
+        line = f"surfbound {command}: error: argument {option}: expected one argument"
+        assert captured.err.splitlines()[-1] == line
 
     def test_closed_stdout_exits_quietly(self):
         # the reader is gone before the first write, as in `... | head -0`
@@ -710,7 +741,17 @@ class TestCommandLine:
 _JSON_STRINGS = st.text() | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "caf\u00e9 \u20ac \U0001f600", ""]
 )
+# exact_value leaves: ints, Fractions, values beyond float range (approx
+# null) and INFINITY
+_EXACT_VALUES = st.one_of(
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.fractions(max_denominator=10**12),
+    st.builds(Q, st.integers(min_value=-(10**400), max_value=10**400),
+              st.integers(min_value=1, max_value=10**60)),
+    st.sampled_from([Q(10**400, 3), -(10**309), INFINITY]),
+).map(exact_value)
 _JSON_SCALARS = st.one_of(
+    _EXACT_VALUES,
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**100), max_value=2**100),
@@ -748,6 +789,24 @@ class TestDumpJson:
     def test_other_types_raise(self, tree):
         with pytest.raises(TypeError):
             dumped(tree)
+
+    def test_subclasses_are_written_as_their_base(self):
+        class Text(str):
+            pass
+
+        level = enum.IntEnum("Level", "LOW HIGH")
+        tree = _Mapping(a=_Pair(Text("x"), level.HIGH), b=[True, 2.5, Text("")])
+        assert dumped(tree) == json.dumps(tree, indent=2) + "\n"
+
+    def test_text_writes_an_exact_value_as_a_leaf(self):
+        tree = {
+            "tau": exact_value(2),
+            "bound": exact_value(Q(9, 4)),
+            "coords": [exact_value(Q(-7, 2)), exact_value(5), exact_value(INFINITY)],
+        }
+        out = io.StringIO()
+        render_text(tree, out)
+        assert out.getvalue() == "tau: 2\nbound: 9/4 (2.25)\ncoords: [-7/2 (-3.5), 5, inf]\n"
 
 
 def _float_or_none(frac: Q):

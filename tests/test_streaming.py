@@ -37,7 +37,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def materialize(value):
     """The payload as the generic writers see it, made in payload order: an
     EntriesNode becomes the list of to_payload of its entries, a Later the
-    value it makes."""
+    value it makes. Only plain dicts are copied, so an exact value stays the
+    leaf type that render_text knows."""
     if isinstance(value, EntriesNode):
         return [
             to_payload(ObstructionEntry(c, DivisorClass(coords), v))
@@ -45,7 +46,7 @@ def materialize(value):
         ]
     if isinstance(value, Later):
         return materialize(value.make())
-    if isinstance(value, dict):
+    if type(value) is dict:
         return {key: materialize(item) for key, item in value.items()}
     if isinstance(value, list):
         return [materialize(item) for item in value]
