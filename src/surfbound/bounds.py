@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import product
+from itertools import combinations, product
 from math import floor
 from operator import add, eq, mul
 from typing import Iterator, Optional, Sequence
@@ -133,14 +133,6 @@ class RootBracket:
     low: Fraction
     high: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
-
-    @property
-    def is_exact(self) -> bool:
-        return self.low == self.high
-
 
 def _bracket_shifted_sqrt(
     offset: Fraction, radicand: Fraction, scale: Fraction, width: Fraction
@@ -167,14 +159,6 @@ class ObstructionQuadratic:
     discriminant: Fraction
     small_root: Optional[RootBracket]
     square_gap_root: RootBracket
-
-    @property
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (Q(1), -self.linear, self.constant)
-
-    def value(self, x) -> Fraction:
-        x = Q(x)
-        return x * x - self.linear * x + self.constant
 
 
 # -- obstruction enumeration ------------------------------------------------
@@ -738,19 +722,6 @@ class ThresholdEntry:
     extras: dict = field(default_factory=dict)
 
 
-def _entry(key, statement, bound, established, requires=(), caveats=(), extras=None):
-    return ThresholdEntry(
-        key=key,
-        statement=statement,
-        bound=bound,
-        least_n=None if bound is None else least_integer_above(bound),
-        established=established,
-        requires=tuple(requires),
-        caveats=tuple(caveats),
-        extras=extras or {},
-    )
-
-
 def theorem_thresholds(
     analysis: Analysis,
     *,
@@ -762,20 +733,48 @@ def theorem_thresholds(
     """Exact n-thresholds for the calculator's effectivity statements.
 
     Every entry reports its rational bound, the least admissible integer n,
-    whether its hypotheses were verified (or user-asserted), and what it
-    relies on. Inapplicable statements stay in the table with
-    established=False and an explanation rather than disappearing.
+    whether its hypothesis holds (verified on the model or asserted), and
+    what it relies on. Each entry names at most one hypothesis, a triple
+    (holds, requires, caveat), and one rule makes the entry from it: the
+    entry is established exactly when the hypothesis holds, lists its
+    requires, and adds the caveat when it fails. An entry without a
+    hypothesis is established and requires nothing. Inapplicable statements
+    stay in the table with established=False and an explanation rather than
+    disappearing.
     """
     model, t = analysis.model, analysis.t
     zero = model.zero_divisor()
     conditions = analysis.condition_check(k)
     components = analysis.components
+    names = ["+".join(model.curves[i].name for i in comp) for comp in components]
+    cycles = [analysis.cycle(comp) for comp in components]
     base = analysis.threshold_at(zero)
     level = analysis.level_at(t)
     entries: dict[str, ThresholdEntry] = {}
 
-    def add(entry: ThresholdEntry) -> None:
-        entries[entry.key] = entry
+    def add(key, statement, bound, hypothesis=None, caveats=(), extras=None):
+        holds, requires, caveat = hypothesis or (True, (), None)
+        entries[key] = ThresholdEntry(
+            key=key,
+            statement=statement,
+            bound=bound,
+            least_n=None if bound is None else least_integer_above(bound),
+            established=holds,
+            requires=tuple(requires),
+            caveats=caveats + (() if holds else (caveat,)),
+            extras=extras or {},
+        )
+
+    rational = (
+        conditions.artin,
+        ("rational orthogonal configuration",),
+        "the orthogonal configuration is not rational",
+    )
+    asserted = (
+        no_fixed_part,
+        ("asserted: |A| has no fixed part",),
+        "not asserted: |A| may have a fixed part",
+    )
 
     # k-very-ampleness via the obstruction mechanism.
     count = analysis.obstruction_count(k)
@@ -786,18 +785,18 @@ def theorem_thresholds(
         requires.append(f"pairing condition at k={k}")
     if not count:
         requires.append("empty obstruction set")
-    add(_entry(
+    add(
         "k_very_ample",
         f"n*A + T is {k - 1}-very ample for n above the bound",
         k + analysis.threshold_at(t),
-        established=bool(requires),
-        requires=requires,
-        caveats=() if requires else (
+        (
+            bool(requires),
+            requires,
             "no sufficient condition verified: obstruction divisors exist "
             "and neither the ample nor the pairing condition holds",
         ),
         extras={"k": k, "obstruction_count": count},
-    ))
+    )
 
     # Degree of very-ampleness from the minimal obstruction value.
     tau = analysis.obstruction_minimum
@@ -806,194 +805,139 @@ def theorem_thresholds(
         cap = n - level - 1
         degree = cap if tau is INFINITY else min(tau - 2, cap)
         min_degree_extras["degree_at_n"] = degree
-    add(_entry(
+    add(
         "min_degree",
         "n*A + T is min(tau - 2, n - level - 1)-very ample for n >= level",
         Q(level - 1),
-        established=tau >= 1,
-        requires=("tau >= 1",),
-        caveats=() if tau >= 1 else ("tau < 1: no degree is certified",),
+        (tau >= 1, ("tau >= 1",), "tau < 1: no degree is certified"),
         extras=min_degree_extras,
-    ))
+    )
 
     # Rational configuration: cohomology vanishing and freeness for T = 0.
-    add(_entry(
-        "h1_vanishes_rational",
-        "h^1(n*A) = 0",
-        base,
-        established=conditions.artin,
-        requires=("rational orthogonal configuration",),
-        caveats=() if conditions.artin else (
-            "the orthogonal configuration is not rational",
-        ),
-    ))
-    add(_entry(
-        "base_point_free_rational",
-        "|n*A| is base point free",
-        1 + base,
-        established=conditions.artin,
-        requires=("rational orthogonal configuration",),
-        caveats=() if conditions.artin else (
-            "the orthogonal configuration is not rational",
-        ),
-    ))
+    add("h1_vanishes_rational", "h^1(n*A) = 0", base, rational)
+    add("base_point_free_rational", "|n*A| is base point free", 1 + base, rational)
 
     # h^1 localizes on the level-0 correction divisor.
     e0 = analysis.correction_divisor(0)
-    add(_entry(
+    add(
         "h1_localizes",
         "h^1(n*A + T) equals its restriction to the level-0 correction divisor",
         analysis.threshold_at(t - e0.divisor),
-        established=True,
         caveats=("threshold only; the restricted value itself is not computed",),
         extras={"correction": e0},
-    ))
+    )
 
     # The fixed part of |n*A + T| is bounded by the level-1 correction.
     e1 = analysis.correction_divisor(1)
-    add(_entry(
+    add(
         "fixed_part_bounded",
         "the fixed part of |n*A + T| is at most the level-1 correction divisor",
         1 + analysis.threshold_at(t - e1.divisor),
-        established=True,
         extras={"correction": e1},
-    ))
+    )
 
     # Per rational component: the fixed part of |n*A| avoids it (T = 0).
     e1_zero = analysis._correction(zero, 1, analysis.support)
-    for comp in components:
-        comp_names = "+".join(model.curves[i].name for i in comp)
-        rational_comp = analysis.cycle(comp).genus == 0
+    for comp, comp_names, cycle in zip(components, names, cycles):
         rest = {
             i: c
             for i, c in zip(e1_zero.support, e1_zero.coefficients)
             if i not in comp
         }
         rest_divisor = model.divisor_from_curves(rest)
-        add(_entry(
+        add(
             f"fixed_part_avoids_{comp_names}",
             f"the fixed part of |n*A| is supported away from {comp_names}",
             1 + analysis.threshold_at(-rest_divisor),
-            established=rational_comp,
-            requires=(f"component {comp_names} is rational",),
-            caveats=() if rational_comp else ("component is not rational",),
+            (
+                cycle.genus == 0,
+                (f"component {comp_names} is rational",),
+                "component is not rational",
+            ),
             extras={"component": comp, "complement_coefficients": rest},
-        ))
+        )
 
     # Asserted absence of a fixed part.
-    add(_entry(
+    add(
         "base_point_free_asserted",
         "|n*A| is base point free",
         1 + base,
-        established=no_fixed_part,
-        requires=("asserted: |A| has no fixed part",),
-        caveats=(
-            ("relies on a user assertion",)
-            if no_fixed_part
-            else ("not asserted: |A| may have a fixed part",)
-        ),
-    ))
-    h0_bound = max(1 + base, 1 + analysis.threshold_at(t - e1.divisor))
-    add(_entry(
+        asserted,
+        caveats=("relies on a user assertion",) if no_fixed_part else (),
+    )
+    add(
         "h0_chi_offset",
         "h^0(n*A + T) equals chi(n*A + T) plus a constant independent of n",
-        h0_bound,
-        established=no_fixed_part,
-        requires=("asserted: |A| has no fixed part",),
-        caveats=("threshold only; the constant itself is not computed",)
-        + (() if no_fixed_part else ("not asserted: |A| may have a fixed part",)),
-    ))
+        max(1 + base, 1 + analysis.threshold_at(t - e1.divisor)),
+        asserted,
+        caveats=("threshold only; the constant itself is not computed",),
+    )
 
-    # Birational morphism contracting exactly the orthogonal curves.
-    birational_ok = base_point_free or conditions.artin
-    birational_requires = []
-    if base_point_free:
-        birational_requires.append("asserted: |A| is base point free")
+    # Birational morphism contracting exactly the orthogonal curves, and its
+    # connected fibers: free in the rational case, otherwise via the
+    # separating divisor. Both rest on base point freeness or rationality.
+    morphism_requires = ["asserted: |A| is base point free"] if base_point_free else []
     if conditions.artin:
-        birational_requires.append("rational orthogonal configuration")
-    multiplicities = {}
-    if conditions.artin:
-        for comp in components:
-            comp_names = "+".join(model.curves[i].name for i in comp)
-            multiplicities[comp_names] = analysis.cycle(comp).multiplicity
-    add(_entry(
+        morphism_requires += rational[1]  # what the rational hypothesis requires
+        multiplicities = {name: cycle.multiplicity for name, cycle in zip(names, cycles)}
+        fiber_bound = 2 + base
+        fiber_extras: dict = {}
+    else:
+        multiplicities = {}
+        sep = analysis.separating_divisor
+        fiber_bound = max(2 + base, analysis.threshold_at(-sep.divisor))
+        fiber_extras = {"separating": sep}
+    morphism = (
+        base_point_free or conditions.artin,
+        morphism_requires or ("base point freeness or rationality",),
+    )
+    add(
         "birational_morphism",
         "n*A maps the model onto a normal surface, an isomorphism away from "
         "the orthogonal curves, contracting each component to a point",
         2 + base,
-        established=birational_ok,
-        requires=tuple(birational_requires) or ("base point freeness or rationality",),
-        caveats=() if birational_ok else (
-            "neither base point freeness (assertable) nor rationality holds",
-        ),
+        (*morphism, "neither base point freeness (assertable) nor rationality holds"),
         extras={"components": components, "multiplicities": multiplicities},
-    ))
-
-    # Connected fibers: free in the rational case, otherwise via the
-    # separating divisor.
-    if conditions.artin:
-        fiber_bound = 2 + base
-        fiber_extras: dict = {}
-    else:
-        sep = analysis.separating_divisor
-        fiber_bound = max(2 + base, analysis.threshold_at(-sep.divisor))
-        fiber_extras = {"separating": sep}
-    add(_entry(
+    )
+    add(
         "connected_fibers",
         "the contraction above has connected fibers",
         fiber_bound,
-        established=birational_ok,
-        requires=tuple(birational_requires) or ("base point freeness or rationality",),
-        caveats=() if birational_ok else (
-            "inherits the birational morphism hypotheses",
-        ),
+        (*morphism, "inherits the birational morphism hypotheses"),
         extras=fiber_extras,
-    ))
+    )
 
     # Sharper separation of component images in the rational case.
     if conditions.artin and len(components) >= 2:
-        pair_bounds = {}
-        for x in range(len(components)):
-            for y in range(x + 1, len(components)):
-                mx = analysis.cycle(components[x]).multiplicity
-                my = analysis.cycle(components[y]).multiplicity
-                names = (
-                    "+".join(model.curves[i].name for i in components[x]),
-                    "+".join(model.curves[i].name for i in components[y]),
-                )
-                pair_bounds["|".join(names)] = 2 + base - Q(mx + my, 4)
-        add(_entry(
+        pair_bounds = {
+            f"{x}|{y}": 2 + base - Q(cx.multiplicity + cy.multiplicity, 4)
+            for (x, cx), (y, cy) in combinations(zip(names, cycles), 2)
+        }
+        add(
             "component_separation",
             "images of distinct orthogonal components are separated",
             max(pair_bounds.values()),
-            established=True,
-            requires=("rational orthogonal configuration",),
+            rational,
             extras={"pair_bounds": pair_bounds},
-        ))
+        )
 
     # Ring generation.
     try:
         ring = analysis.ring_generation_threshold(no_fixed_part=no_fixed_part)
-        add(_entry(
-            "ring_generated",
-            "the section ring of A is generated in degrees <= m",
-            ring.doubled_bound / 2,
-            established=True,
-            requires=(
-                ("rational orthogonal configuration",)
-                if ring.case == "rational"
-                else ("asserted: |A| has no fixed part",)
-            ),
-            extras={"ring": ring},
-        ))
     except (NonpositiveLP, UnverifiableHypothesis) as exc:
-        add(_entry(
-            "ring_generated",
-            "the section ring of A is generated in degrees <= m",
-            None,
-            established=False,
-            caveats=(f"not applicable: {exc}",),
-        ))
+        ring_bound, ring_extras = None, None
+        ring_hypothesis = (False, (), f"not applicable: {exc}")
+    else:
+        ring_bound = ring.doubled_bound / 2
+        ring_hypothesis = rational if ring.case == "rational" else asserted
+        ring_extras = {"ring": ring}
+    add(
+        "ring_generated",
+        "the section ring of A is generated in degrees <= m",
+        ring_bound,
+        ring_hypothesis,
+        extras=ring_extras,
+    )
 
     return entries
 

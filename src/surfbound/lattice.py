@@ -235,9 +235,11 @@ def sqrt_bracket(x: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
         raise ValueError("bracket width must be positive")
     num, den = x.numerator, x.denominator
     big = num * den
-    shift = 0
-    while Q(1, (1 << shift) * den) > max_width:
-        shift += 1
+    # the least shift with 1 / (2^shift den) <= p / q: 2^shift >= need,
+    # need = ceil(q / (p den))
+    p, q = max_width.numerator, max_width.denominator
+    need = -(-q // (p * den))
+    shift = (need - 1).bit_length()
     scaled = big << (2 * shift)
     s = isqrt(scaled)
     lo = Q(s, (1 << shift) * den)

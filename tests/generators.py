@@ -383,7 +383,7 @@ def effective_combination(rng: random.Random, model: SurfaceModel, cap: int = 3)
 # -- plumbing configurations in a blown-up plane lattice ----------------------
 
 
-def _blowup_model(classes, name: str) -> SurfaceModel:
+def _blowup_model(classes, name: str, ample_reference=None) -> SurfaceModel:
     rank = max(len(c) for c in classes)
     padded = [list(c) + [0] * (rank - len(c)) for c in classes]
     gram = [[0] * rank for _ in range(rank)]
@@ -393,7 +393,11 @@ def _blowup_model(classes, name: str) -> SurfaceModel:
     canonical = [-3] + [1] * (rank - 1)
     curves = [(f"c{i + 1}", coords) for i, coords in enumerate(padded)]
     return SurfaceModel.create(
-        name=name, gram=gram, canonical=canonical, curves=curves
+        name=name,
+        gram=gram,
+        canonical=canonical,
+        curves=curves,
+        ample_reference=ample_reference,
     )
 
 
@@ -461,6 +465,24 @@ def plumbing_elliptic(rng: random.Random) -> SurfaceModel:
     points = rng.randint(10, 12)
     cls = [3] + [-1] * points
     return _blowup_model([cls], "elliptic")
+
+
+def plumbing_mixed(rng: random.Random) -> SurfaceModel:
+    """A plane cubic through 10..12 blown-up points beside a chain of one to
+    three (-2)-curves E_i - E_(i+1) on further points: one component of
+    genus one and one rational component. The ample reference (c + 3) L -
+    (c + 1) E_(p+1) - ... - E_(p+c+1), for a chain of c curves on the points
+    after the first p, pairs positively with every curve."""
+    points = rng.randint(10, 12)
+    chain = rng.randint(1, 3)
+    rank = points + chain + 2
+    classes = [[3] + [-1] * points]
+    for j in range(points + 1, points + chain + 1):
+        cls = [0] * rank
+        cls[j], cls[j + 1] = 1, -1
+        classes.append(cls)
+    ample = [chain + 3] + [0] * points + list(range(-chain - 1, 0))
+    return _blowup_model(classes, "mixed", ample)
 
 
 def plumbing_configuration(rng: random.Random) -> SurfaceModel:

@@ -261,7 +261,7 @@ def test_criterion_7_quadratic_identity(rng):
         quad = analysis.quadratic(n, k)
         threshold = bounds.vanishing_threshold(model, a, t)
         assert quad.f_at_one == square * (k + threshold - n)
-        assert quad.value(1) == quad.f_at_one
+        assert 1 - quad.linear + quad.constant == quad.f_at_one
         defect = analysis.hodge
         assert defect.value >= 0
         assert (defect.value == 0) == defect.proportional

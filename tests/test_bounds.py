@@ -7,13 +7,17 @@ before being asserted here.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
+import random
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
-from surfbound import bounds, lattice, search, zariski
+from surfbound import bounds, lattice, reporting, search, zariski
 from surfbound.cli import run_subcommand
 from surfbound.bounds import (
     BRACKET_WIDTH,
@@ -51,6 +55,7 @@ from generators import (
     hodge_model,
     plumbing_configuration,
     plumbing_elliptic,
+    plumbing_mixed,
     polarization,
     solve_linear,
 )
@@ -286,15 +291,19 @@ class TestObstructionQuadratic:
             threshold = vanishing_threshold(model, a, t)
             expected = model.self_intersection(a) * (k + threshold - n)
             assert quad.f_at_one == expected
-            assert quad.value(1) == expected
-            assert quad.value(0) == quad.f_at_zero == quad.constant
+            assert 1 - quad.linear + quad.constant == expected
+            assert quad.f_at_zero == quad.constant
 
     def test_coefficients_match_value(self, f2):
+        # f(x) = x^2 - (A.L) x + h/4 + k A^2 for L = n*A + T - K, from its
+        # fields, against A.L on the model and the stored values of f
         a = f2.divisor([2, 1])
         quad = Analysis(f2, a, f2.zero_divisor()).quadratic(n=3, k=1)
-        one, minus_l, const = quad.coefficients
-        for x in (Q(0), Q(1), Q(-2), Q(7, 3)):
-            assert quad.value(x) == one * x * x + minus_l * x + const
+        f = lambda x: x * x - quad.linear * x + quad.constant
+        assert quad.linear == f2.intersect(a, 3 * a - f2.canonical_class)
+        assert f(0) == quad.f_at_zero
+        assert f(1) == quad.f_at_one
+        assert quad.discriminant == quad.linear**2 - 4 * quad.constant
 
     def test_exact_root_at_proportional_boundary(self):
         # T = K and n at the threshold: f(0) = f(1)-ish degenerate case where
@@ -304,7 +313,8 @@ class TestObstructionQuadratic:
         quad = Analysis(model, h, model.canonical_class).quadratic(n=1, k=0)
         assert quad.f_at_zero == 0
         assert quad.f_at_one == 0
-        assert quad.small_root is not None and quad.small_root.is_exact
+        assert quad.small_root is not None
+        assert quad.small_root.low == quad.small_root.high
         assert quad.small_root.low == 0
 
     def test_negative_discriminant_drops_root(self):
@@ -319,9 +329,10 @@ class TestObstructionQuadratic:
         quad = Analysis(f2, a, f2.zero_divisor()).quadratic(n=4, k=0)
         root = quad.small_root
         assert root is not None
-        assert root.width <= BRACKET_WIDTH
-        assert quad.value(root.low) >= 0
-        assert quad.value(root.high) <= 0
+        assert root.high - root.low <= BRACKET_WIDTH
+        f = lambda x: x * x - quad.linear * x + quad.constant
+        assert f(root.low) >= 0
+        assert f(root.high) <= 0
 
     def test_accepts_rational_n(self, f2):
         a = f2.divisor([2, 1])
@@ -337,7 +348,7 @@ class TestMultipleGapBracket:
             t = model.zero_divisor()
             for k in (0, 1, 3):
                 gap = Analysis(model, a, t).multiple_gap(k)
-                assert gap.width <= BRACKET_WIDTH
+                assert gap.high - gap.low <= BRACKET_WIDTH
                 # strictly past the bracket the square gap holds
                 n = gap.high + Q(1, 1000)
                 ell = n * a + t - model.canonical_class
@@ -347,7 +358,7 @@ class TestMultipleGapBracket:
         model = plane()
         h = model.divisor([1])
         gap = Analysis(model, h, model.canonical_class).multiple_gap(1)
-        assert gap.is_exact and gap.low == 2
+        assert gap.low == gap.high == 2
 
     def test_independent_of_n(self, f2):
         a = f2.divisor([2, 1])
@@ -791,7 +802,64 @@ class TestMatsusakaComparison:
             matsusaka_compare(Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor()))
 
 
+def _nonrational_tables():
+    """(system, options, table) for seeded systems whose orthogonal
+    curves are not a rational configuration, which no fixture has: one
+    elliptic curve, and an elliptic curve beside a chain of three rational
+    curves, each contracted by A. T is 0 or K, k is 0 or 1, and every
+    combination of the two assertions is taken."""
+    elliptic = plumbing_elliptic(random.Random("thresholds"))
+    mixed = plumbing_mixed(random.Random("thresholds"))
+    for model, h in (
+        (elliptic, polarization(elliptic)),
+        (mixed, mixed.divisor(mixed.ample_reference)),
+    ):
+        a = construct_polarization(model, range(len(model.curves)), h)
+        for twist, t in (("0", model.zero_divisor()), ("K", model.canonical_class)):
+            analysis = Analysis(model, a, t)
+            for options in product((0, 1), (False, True), (False, True)):
+                k, no_fixed_part, base_point_free = options
+                table = theorem_thresholds(
+                    analysis,
+                    k=k,
+                    n=3,
+                    no_fixed_part=no_fixed_part,
+                    base_point_free=base_point_free,
+                )
+                yield f"{model.name} T={twist}", options, table
+
+
 class TestTheoremThresholds:
+    # sha256 of the JSON tables of _nonrational_tables, per model and twist;
+    # no fixture reaches these branches, so neither the golden snapshots nor
+    # the benchmark digests would see them change
+    NONRATIONAL_DIGESTS = {
+        "elliptic T=0": "98059ef1d83043a81b72c01f53eac83826a0ac50c4b2253ffc6ab39b26976fb7",
+        "elliptic T=K": "2c4c3371c1c975513137920d049c757adb6463933e985c89a491016401aff688",
+        "mixed T=0": "62c2772d57d2756299600f9cd8d468effe4cd134755e4140aa1859d422dbd464",
+        "mixed T=K": "3a5e5f90b44ff6c12ebd3641b84997ae280a98c10eb41338944df03ace6e73e8",
+    }
+
+    def test_nonrational_tables_are_pinned(self):
+        digests = {}
+        for system, (_, no_fixed_part, base_point_free), table in _nonrational_tables():
+            # the branches that only a configuration that is not rational reaches
+            assert not table["h1_vanishes_rational"].established
+            assert not table["fixed_part_avoids_c1"].established
+            assert "separating" in table["connected_fibers"].extras
+            assert table["birational_morphism"].established == base_point_free
+            ring = table["ring_generated"]
+            if no_fixed_part:
+                assert ring.established and ring.extras["ring"].case == "no_fixed_part"
+            else:
+                assert ring.caveats[0].startswith("not applicable")
+            if system.startswith("mixed"):
+                assert table["fixed_part_avoids_c2+c3+c4"].established  # the chain
+            out = io.StringIO()
+            reporting.dump_json(reporting.to_payload(table), out)
+            digests.setdefault(system, hashlib.sha256()).update(out.getvalue().encode())
+        assert {key: d.hexdigest() for key, d in digests.items()} == self.NONRATIONAL_DIGESTS
+
     def test_ruled_table(self, f2):
         a = f2.divisor([2, 1])
         table = theorem_thresholds(Analysis(f2, a, f2.zero_divisor()), k=0, n=1)
@@ -836,16 +904,20 @@ class TestTheoremThresholds:
         assert any("not applicable" in c for c in ring.caveats)
 
     def test_bound_least_n_consistency(self, fixture_models):
+        tables = [table for *_, table in _nonrational_tables()]
         for name in ("ade_a2", "ade_d4", "hirzebruch_f2"):
             model = fixture_models[name]
             a = model.divisor(model.ample_reference)
-            table = theorem_thresholds(Analysis(model, a, model.zero_divisor()))
+            tables.append(theorem_thresholds(Analysis(model, a, model.zero_divisor())))
+        for table in tables:
             for entry in table.values():
                 if entry.bound is None:
                     assert entry.least_n is None
                 else:
                     assert entry.least_n == least_integer_above(entry.bound)
                     assert entry.least_n > entry.bound >= entry.least_n - 1
+                # an entry whose hypothesis fails says why
+                assert entry.established or entry.caveats, entry.key
 
     def test_component_separation_needs_two_components(self):
         # two disjoint (-2)-curves inside a blown-up plane lattice
@@ -907,7 +979,7 @@ class TestBoundReport:
         assert report.quadratic is not None and report.check is not None
         assert report.check.holds
         assert report.matsusaka is None  # a is not ample on this model
-        assert report.multiple_gap.width <= BRACKET_WIDTH
+        assert report.multiple_gap.high - report.multiple_gap.low <= BRACKET_WIDTH
 
     def test_ample_report_carries_comparison(self):
         model = double_cover(5)

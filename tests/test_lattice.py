@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as Q
 from math import lcm
 
@@ -394,6 +395,24 @@ class TestSqrtBrackets:
         low, up = lattice.sqrt_bracket(x, width)
         assert low * low <= x <= up * up
         assert up - low <= width
+
+    @given(
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
+        st.builds(Q, st.integers(1, 10**4), st.integers(1, 10**9)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bracket_matches_the_stepwise_refinement(self, x, width):
+        # the reference takes one dyadic step at a time until a step of
+        # 1 / (2^shift den) fits the width; the bracket is the same
+        den = x.denominator
+        shift = 0
+        while Q(1, (1 << shift) * den) > width:
+            shift += 1
+        scaled = (x.numerator * den) << (2 * shift)
+        s = math.isqrt(scaled)
+        low = Q(s, (1 << shift) * den)
+        high = low if s * s == scaled else Q(s + 1, (1 << shift) * den)
+        assert lattice.sqrt_bracket(x, width) == (low, high)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
