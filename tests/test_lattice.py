@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction as Q
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -409,7 +408,7 @@ class TestSqrtBrackets:
         while Q(1, (1 << shift) * den) > width:
             shift += 1
         scaled = (x.numerator * den) << (2 * shift)
-        s = math.isqrt(scaled)
+        s = isqrt(scaled)
         low = Q(s, (1 << shift) * den)
         high = low if s * s == scaled else Q(s + 1, (1 << shift) * den)
         assert lattice.sqrt_bracket(x, width) == (low, high)
