@@ -20,10 +20,11 @@ pure-Python one; `dump_json` keeps the stdlib's C string escaper and writes
 the layout itself in one pass.
 
 An obstruction set can hold hundreds of thousands of entries, so its
-entries enter a payload as an EntriesNode. Both writers stream it: each
-entry is written from the search's row in the fixed layout that
-`to_payload` and the generic writer give an ObstructionEntry, and the output
-goes to the stream in pieces of about CHUNK characters.
+entries enter a payload as an EntriesNode. Both writers stream it through
+one loop, _stream: each entry is written from the search's row in the fixed
+layout that `to_payload` and the generic writer give an ObstructionEntry,
+each number in it rendered once per writer, and the output goes to the
+stream in pieces of about CHUNK characters.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, TextIO
 
 from .bounds import INFINITY, ObstructionEntries, ObstructionEntry
@@ -140,15 +142,16 @@ _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 def to_payload(value: Any) -> Any:
     """Recursively convert a result (dataclasses, Fractions, INFINITY,
-    divisors, dicts, sequences) into a payload: dicts with str keys, lists,
-    str, int, float, bool, None, EntriesNode and Later. A payload value
-    comes back unchanged, so a part converted once may sit in a result that
-    is converted again.
+    divisors, dicts, lists and tuples) into a payload: dicts with str keys,
+    lists, str, int, float, bool, None, EntriesNode and Later. A payload
+    value comes back unchanged, so a part converted once may sit in a result
+    that is converted again.
 
-    Exact types dispatch on type(value); subclasses and the first dataclass
-    of its type go through the isinstance checks after. Either way a
-    dataclass keeps its field order, and so the key order. The plain items
-    of a dict, a list or a dataclass are kept without a call."""
+    Values dispatch on type(value), and a subclass of any of these types
+    raises TypeError, except that of a dataclass. A dataclass keeps its
+    field order, and so the key order; its field names are read once per
+    type. The plain items of a dict, a list or a dataclass are kept without
+    a call."""
     kind = type(value)
     if kind in _PLAIN:
         return value
@@ -167,42 +170,27 @@ def to_payload(value: Any) -> Any:
     if names is not None:
         fields = zip(names, [getattr(value, name) for name in names])
         return {name: v if type(v) in _PLAIN else to_payload(v) for name, v in fields}
-    if isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, Fraction):
-        return exact_value(value)
-    if isinstance(value, DivisorClass):
-        return divisor_payload(value)
-    if isinstance(value, ObstructionEntries):
+    if kind is ObstructionEntries:
         return EntriesNode(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         _FIELD_NAMES[kind] = tuple(field.name for field in dataclasses.fields(value))
         return to_payload(value)
-    if isinstance(value, dict):
-        return to_payload(dict(value))
-    if isinstance(value, (list, tuple)):
-        return to_payload(list(value))
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-class _Numbers:
-    """Memoized renderings of numbers, each made once from exact_value: the
-    exact string, the text rendering, and the JSON layout of the exact
-    value at the indent `pad`."""
+class _Rendered(dict):
+    """Renderings of numbers, keyed by the number: a missing one is made
+    once, by `render` from its exact_value. An int and an equal Fraction
+    share a key."""
 
-    def __init__(self, pad: str) -> None:
-        self.pad = pad
-        self.exact: dict[Any, str] = {}
-        self.text: dict[Any, str] = {}
-        self.json: dict[Any, str] = {}
+    __slots__ = ("render",)
 
-    def add(self, values) -> None:
-        for x in values:
-            if x not in self.exact:
-                payload = exact_value(x)
-                self.exact[x] = payload["exact"]
-                self.text[x] = _render_scalar(payload)
-                self.json[x] = payload.json(self.pad)
+    def __init__(self, render: Callable[[_Exact], str]) -> None:
+        self.render = render
+
+    def __missing__(self, number) -> str:
+        text = self[number] = self.render(exact_value(number))
+        return text
 
 
 def _json_entry(item: str) -> Callable[[tuple], str]:
@@ -213,24 +201,18 @@ def _json_entry(item: str) -> Callable[[tuple], str]:
     q3 = q2 + "  "
     coeff_sep = ",\n" + q2
     coord_sep = ",\n" + q3
-    coordinates = _Numbers(q3)
-    values = _Numbers(q1)
-    exact, cells, value_json = coordinates.exact, coordinates.json, values.json
+    exact = _Rendered(itemgetter("exact")).__getitem__
+    cells = _Rendered(lambda payload: payload.json(q3)).__getitem__
+    values = _Rendered(lambda payload: payload.json(q1))
 
     def entry(row: tuple) -> str:
         coefficients, coords, value = row
-        try:
-            text = ",".join(map(exact.__getitem__, coords))
-            value_text = value_json[value]
-        except KeyError:
-            coordinates.add(coords)
-            values.add((value,))
-            return entry(row)
         return (
             f'{{\n{q1}"coefficients": [\n{q2}{coeff_sep.join(map(int.__repr__, coefficients))}'
             f'\n{q1}],\n{q1}"divisor": {{\n{q2}"coords": [\n{q3}'
-            f'{coord_sep.join(map(cells.__getitem__, coords))}\n{q2}],\n{q2}"text": '
-            f'{encode_basestring_ascii(text)}\n{q1}}},\n{q1}"value": {value_text}\n{item}}}'
+            f'{coord_sep.join(map(cells, coords))}\n{q2}],\n{q2}"text": '
+            f'{encode_basestring_ascii(",".join(map(exact, coords)))}\n{q1}}},\n'
+            f'{q1}"value": {values[value]}\n{item}}}'
         )
 
     return entry
@@ -240,39 +222,50 @@ def _text_entry(indent: int) -> Callable[[tuple], str]:
     """The text lines of an obstruction entry, from its row, as render_text
     renders to_payload of the ObstructionEntry as a list item at `indent`."""
     p1, p2, p3 = ("  " * (indent + i) for i in range(3))
-    coordinates = _Numbers("")
-    values = _Numbers("")  # apart from the int coordinates, whose keys equal Fraction values
-    exact, cells, value_text = coordinates.exact, coordinates.text, values.text
+    # the coordinates are ints, whose rendering is their exact string
+    rendered = _Rendered(_render_scalar)
 
     def entry(row: tuple) -> str:
         coefficients, coords, value = row
-        try:
-            text = ",".join(map(exact.__getitem__, coords))
-            rendered = ", ".join(map(cells.__getitem__, coords))
-            rendered_value = value_text[value]
-        except KeyError:
-            coordinates.add(coords)
-            values.add((value,))
-            return entry(row)
+        cells = list(map(rendered.__getitem__, coords))
         return (
             f"{p1}-\n{p2}coefficients: [{', '.join(map(str, coefficients))}]\n"
-            f"{p2}divisor:\n{p3}coords: [{rendered}]\n{p3}text: {text}\n{p2}value: {rendered_value}"
+            f"{p2}divisor:\n{p3}coords: [{', '.join(cells)}]\n{p3}text: {','.join(cells)}\n"
+            f"{p2}value: {rendered[value]}"
         )
 
     return entry
 
 
-_BASES = (dict, list, tuple, str, int, float)
-_WRITTEN = frozenset({*_BASES, _Exact, bool, type(None), EntriesNode, Later})
+def _stream(
+    node: EntriesNode, entry: Callable[[tuple], str], lead: str, sep: str,
+    parts: list[str], out: TextIO,
+) -> bool:
+    """Append each entry of node to parts, as entry renders its row, after
+    lead for the first and sep for the others. The text held is written to
+    out after each entry that brings it to CHUNK characters. Returns whether
+    node had any entry."""
+    append = parts.append
+    size = sum(map(len, parts))
+    for row in node.rows():
+        text = lead + entry(row)
+        append(text)
+        lead = sep
+        size += len(text)
+        if size >= CHUNK:
+            out.write("".join(parts))
+            parts.clear()
+            size = 0
+    return node.count > 0
 
 
 def dump_json(payload: Any, out: TextIO) -> None:
     """Write `json.dumps(payload, indent=2)` and a newline to `out`, in one
     pass over a payload tree of dicts with str keys, lists, tuples, str,
     int, finite float, bool, None, EntriesNode (written as the list of its
-    entries) and Later (written as the value it makes). A piece is written
-    after each entry that brings the text held to CHUNK characters, the
-    rest at the end.
+    entries) and Later (written as the value it makes). Any other type,
+    a subclass of these too, raises TypeError. The text is held and written
+    in pieces, as _stream writes it, the rest at the end.
 
     The recursion is a closure, so a tracer that wraps this module's
     functions sees one call per document, not one per node.
@@ -282,9 +275,6 @@ def dump_json(payload: Any, out: TextIO) -> None:
 
     def write(value: Any, pad: str) -> None:
         kind = type(value)
-        if kind not in _WRITTEN:
-            # a subclass is written as the type it derives from
-            kind = next((t for t in _BASES if isinstance(value, t)), kind)
         if kind is _Exact:
             append(value.json(pad))
         elif kind is dict:
@@ -295,7 +285,7 @@ def dump_json(payload: Any, out: TextIO) -> None:
             sep = ",\n" + inner
             lead = "{\n" + inner
             for key, item in value.items():
-                if not isinstance(key, str):
+                if type(key) is not str:
                     raise TypeError(f"cannot serialize key of type {type(key).__name__}")
                 append(lead + encode_basestring_ascii(key) + ": ")
                 lead = sep
@@ -322,28 +312,15 @@ def dump_json(payload: Any, out: TextIO) -> None:
         elif value is None:
             append("null")
         elif kind is EntriesNode:
-            write_entries(value, pad)
+            inner = pad + "  "
+            if _stream(value, _json_entry(inner), "[\n" + inner, ",\n" + inner, parts, out):
+                append("\n" + pad + "]")
+            else:
+                append("[]")
         elif kind is Later:
             write(value.make(), pad)
         else:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-
-    def write_entries(node: EntriesNode, pad: str) -> None:
-        inner = pad + "  "
-        entry = _json_entry(inner)
-        sep = ",\n" + inner
-        lead = "[\n" + inner
-        size = sum(map(len, parts))
-        for row in node.rows():
-            text = entry(row)
-            append(lead + text)
-            lead = sep
-            size += len(text)
-            if size >= CHUNK:
-                out.write("".join(parts))
-                parts.clear()
-                size = 0
-        append("\n" + pad + "]" if lead is sep else "[]")
+            raise TypeError(f"cannot serialize {kind.__name__}")
 
     write(payload, "")
     append("\n")
@@ -377,10 +354,10 @@ def _is_scalar(value: Any) -> bool:
 def render_text(payload: Any, out: TextIO) -> None:
     """Write indented key/value lines of a payload tree to `out`, each with
     a newline; an EntriesNode renders as the list of its entries, and a
-    Later as the value it makes. A piece is written after each entry that
-    brings the text held to CHUNK characters, the rest at the end."""
-    lines: list[str] = []
-    append = lines.append
+    Later as the value it makes. The text is held and written in pieces, as
+    _stream writes it, the rest at the end."""
+    parts: list[str] = []
+    append = parts.append
 
     def write(payload: Any, indent: int) -> None:
         pad = "  " * indent
@@ -389,42 +366,28 @@ def render_text(payload: Any, out: TextIO) -> None:
                 if type(value) is Later:
                     value = value.make()
                 if type(value) is EntriesNode:
-                    write_entries(key, value, indent)
+                    # each entry's lines follow a line break, as does the last
+                    append(f"{pad}{key}:")
+                    entry = _text_entry(indent + 1)
+                    append("\n" if _stream(value, entry, "\n", "\n", parts, out) else " []\n")
                 elif _is_scalar(value):
-                    append(f"{pad}{key}: {_render_scalar(value)}")
+                    append(f"{pad}{key}: {_render_scalar(value)}\n")
                 elif isinstance(value, list) and all(_is_scalar(v) for v in value):
                     rendered = ", ".join(_render_scalar(v) for v in value)
-                    append(f"{pad}{key}: [{rendered}]")
+                    append(f"{pad}{key}: [{rendered}]\n")
                 else:
-                    append(f"{pad}{key}:")
+                    append(f"{pad}{key}:\n")
                     write(value, indent + 1)
         elif isinstance(payload, list):
             for value in payload:
                 if _is_scalar(value):
-                    append(f"{pad}- {_render_scalar(value)}")
+                    append(f"{pad}- {_render_scalar(value)}\n")
                 else:
-                    append(f"{pad}-")
+                    append(f"{pad}-\n")
                     write(value, indent + 1)
         else:
-            append(f"{pad}{_render_scalar(payload)}")
-
-    def write_entries(key: str, node: EntriesNode, indent: int) -> None:
-        entry = _text_entry(indent + 1)
-        append(f"{'  ' * indent}{key}:")
-        empty = True
-        size = sum(map(len, lines))
-        for row in node.rows():
-            text = entry(row)
-            append(text)
-            empty = False
-            size += len(text)
-            if size >= CHUNK:
-                out.write("\n".join(lines) + "\n")
-                lines.clear()
-                size = 0
-        if empty:
-            lines[-1] += " []"
+            append(f"{pad}{_render_scalar(payload)}\n")
 
     write(payload, 0)
-    if lines:
-        out.write("\n".join(lines) + "\n")
+    if parts:
+        out.write("".join(parts))

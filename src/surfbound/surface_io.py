@@ -13,8 +13,9 @@ A model file is JSON with a fixed schema (version 1):
       "notes": "optional free text"
     }
 
-All numeric entries are integers. Unknown keys are rejected so that typos
-fail loudly instead of silently dropping data. Divisors on the command line
+All numeric entries are integers, "schema" too. Unknown keys, and a key
+given twice in one object, are rejected so that typos fail loudly instead
+of silently dropping data. Divisors on the command line
 are either coordinate lists ("3/2,-1") or expressions in curve names and K
 ("2*s + f - K").
 
@@ -62,10 +63,10 @@ def surface_from_data(data, origin: str = "<data>") -> SurfaceModel:
     for key in _TOP_REQUIRED:
         if key not in data:
             raise _fail(origin, key, "missing required field")
-    if data["schema"] != SCHEMA_VERSION:
+    if type(data["schema"]) is not int or data["schema"] != SCHEMA_VERSION:
         raise _fail(
             origin, "schema",
-            f"unsupported schema {data['schema']!r}; this reader handles {SCHEMA_VERSION}",
+            f"unsupported schema {json.dumps(data['schema'])}; this reader handles {SCHEMA_VERSION}",
         )
     if not isinstance(data["curves"], list):
         raise _fail(origin, "curves", "expected a list of curve objects")
@@ -126,8 +127,16 @@ MODEL_CACHE_SIZE = 64
 
 @lru_cache(maxsize=MODEL_CACHE_SIZE)
 def _model_from_text(text: str, origin: str) -> SurfaceModel:
+    def unique(pairs: list) -> dict:
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise _fail(origin, "", f"duplicate key {json.dumps(key)}")
+        return data
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{origin}: invalid JSON: {exc}") from exc
     except ValueError as exc:

@@ -18,7 +18,8 @@ factorization, and adjugate_solve gives y = det*m*N on the support; P is
 nef exactly when det*m*D.C_j - sum_i y_i C_i.C_j >= 0 for every curve j.
 
 Both enforce the full contract before returning: P nef against the model,
-N effective with negative definite support, and P orthogonal to every
+N effective with negative definite support (support growth by its
+elimination, the oracle by a test of its own), and P orthogonal to every
 support curve.
 """
 
@@ -68,7 +69,8 @@ def _finalize(
     model: SurfaceModel, d: DivisorClass, solved: dict[int, int], den: int
 ) -> ZariskiDecomposition:
     """The decomposition whose negative part has the coefficients
-    solved[i] / den, solved in integers and den = det*m > 0."""
+    solved[i] / den, solved in integers and den = det*m > 0. The caller
+    answers for the negative definiteness of the support."""
     support = tuple(i for i in sorted(solved) if solved[i])
     if any(solved[i] < 0 for i in support):
         raise NotPseudoEffective(
@@ -82,8 +84,6 @@ def _finalize(
             raise ModelInconsistent("positive part is not nef after stabilizing")
         if i in support and p != 0:
             raise ModelInconsistent("positive part meets its own support")
-    if not lattice.is_negative_definite(model.curve_gram(support)):
-        raise ModelInconsistent("support Gram lost negative definiteness")
     coeffs = tuple(Q(solved[i], den) for i in support)
     return ZariskiDecomposition(positive, negative, support, coeffs)
 
@@ -103,6 +103,8 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     for _ in range(len(model.curves) + 1):
         violators = [j for j, x in enumerate(p) if x < 0]
         if not violators:
+            # the support was eliminated, so each block inside it is
+            # negative definite too
             return _finalize(model, d, dict(zip(support, y)), det * m)
         support = tuple(sorted(set(support) | set(violators)))
         eliminated = lattice.negated_elimination(model.curve_gram(support))
@@ -231,7 +233,10 @@ def zariski_oracle(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition
             "is incomplete"
         )
     det, x = solved
-    return _finalize(model, d, x, det * m)
+    decomposition = _finalize(model, d, x, det * m)
+    if not lattice.is_negative_definite(model.curve_gram(decomposition.support)):
+        raise ModelInconsistent("support Gram is not negative definite")
+    return decomposition
 
 
 def kappa_is_two(model: SurfaceModel, decomposition: ZariskiDecomposition) -> bool:

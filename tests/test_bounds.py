@@ -1048,12 +1048,13 @@ class TestAnalysis:
         "command, limits",
         [
             ("thresholds --surface ade_e6 --divisor h --twist=K -k 1", (2, 3, 13)),
-            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (4, 5, 18)),
+            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (3, 5, 18)),
             ("ek --surface ade_d6 --divisor h -k 1", (2, 2, 4)),
             ("compare-matsusaka --surface double_cover_d5 --divisor H", (1, 1, 6)),
             ("bounds --surface ade_e6 --divisor 2*h --twist=1*h+c1 -k 2 -n 5", (2, 2, 10)),
+            ("zariski --surface ade_e8 --divisor h+c1", (1, 2, 5)),
         ],
-        ids=["thresholds", "report", "ek", "compare-matsusaka", "bounds"],
+        ids=["thresholds", "report", "ek", "compare-matsusaka", "bounds", "zariski"],
     )
     def test_a_command_derives_each_datum_once(self, command, limits, monkeypatch, capsys):
         # with the model cache warm, the calls left are the analysis' own:
