@@ -202,7 +202,7 @@ class ObstructionEntries(Sequence):
 
     def __iter__(self) -> Iterator[ObstructionEntry]:
         for coefficients, coords, value in self.rows():
-            yield ObstructionEntry(coefficients, DivisorClass(coords), value)
+            yield ObstructionEntry(coefficients, DivisorClass.from_integers(coords), value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -318,7 +318,7 @@ def obstruction_oracle(analysis: Analysis, k) -> ObstructionSet:
     q_matrix = [[-x for x in row] for row in model.curve_gram(support)]
     hits = _box_product(q_matrix, linear, m, floor(m * bound)) if support else []
     columns = list(zip(*(model.curves[i].coords for i in support)))
-    divisor = lambda coeffs: DivisorClass(tuple(sum(map(mul, c, coeffs)) for c in columns))
+    divisor = lambda coeffs: DivisorClass.from_integers(sum(map(mul, c, coeffs)) for c in columns)
     entries = tuple(ObstructionEntry(n, divisor(n), value) for n, value in sorted(hits))
     return ObstructionSet(support=support, bound=bound, entries=entries)
 

@@ -248,7 +248,7 @@ def _cmd_obstructions(args) -> dict:
     obs = analysis.enumerate_obstructions(args.cluster)
     if args.oracle:
         ref = bounds.obstruction_oracle(analysis, args.cluster)
-        found = [(e.coefficients, e.value) for e in obs.entries]
+        found = [(coeffs, value) for coeffs, _, value in obs.entries.rows()]
         boxed = [(e.coefficients, e.value) for e in ref.entries]
         if len(found) != len(boxed):
             raise OracleMismatch(

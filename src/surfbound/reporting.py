@@ -4,27 +4,27 @@
 command handlers return Fractions, divisors and result records, and the
 command line converts what they return once, just before it is written.
 
-Every rational is reported as {"exact": "p/q", "approx": float} so that
-scripts can consume the exact value while humans read the decimal. The
-minimum over an empty obstruction set serializes as {"exact": "inf",
-"approx": null}, and so does the approximation of a value beyond float
-range: its "exact" string stays whole. That dict is an _Exact, a leaf that
-both writers know by its type, and the text renderer walks the same
-payload, so both output modes always carry identical exact values.
+Every rational is reported as {"exact": "p/q", "approx": float}, the exact
+value for scripts and the decimal for humans. INFINITY, the minimum over an
+empty obstruction set, is {"exact": "inf", "approx": null}, and "approx" is
+null for a value beyond float range too. That dict is an _Exact, a leaf
+known by its type, so both output modes carry identical exact values.
 
-`dump_json` writes the --json output: indented by 2 spaces, ASCII-escaped,
-and byte for byte equal to `json.dumps(payload, indent=2)` on every payload
-`to_payload` builds, once its EntriesNode and Later values are made into
-lists and values. With an indent, `json.dumps` leaves its C encoder for a
-pure-Python one; `dump_json` keeps the stdlib's C string escaper and writes
-the layout itself in one pass.
+A payload tree holds dicts with str keys, lists, tuples, _Exact, str, int,
+finite float, bool, None, EntriesNode and Later. The three walkers,
+to_payload, dump_json and render_text, dispatch on exact types and raise
+TypeError on the same values: a subclass of one of these types (a dataclass
+aside, which to_payload converts) or a type that none of them knows. The
+two writers take exactly these trees, and refuse a key that is not a str.
 
-An obstruction set can hold hundreds of thousands of entries, so its
-entries enter a payload as an EntriesNode. Both writers stream it through
-one loop, _stream: each entry is written from the search's row in the fixed
-layout that `to_payload` and the generic writer give an ObstructionEntry,
-each number in it rendered once per writer, and the output goes to the
-stream in pieces of about CHUNK characters.
+`dump_json` writes the --json output, byte for byte `json.dumps(payload,
+indent=2)` once EntriesNode and Later values are made into lists and values,
+in one pass that keeps the stdlib's C string escaper.
+
+An obstruction set can hold hundreds of thousands of entries, so it enters
+a payload as an EntriesNode. Both writers stream it through one loop,
+_stream, which writes each entry from the search's row, counts the entries
+and keeps the least for the Later values after them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Optional, TextIO
 
 from .bounds import INFINITY, ObstructionEntries, ObstructionEntry
 from .errors import CalculatorError
@@ -86,79 +86,54 @@ def _exact(n: int, d: int) -> _Exact:
     return _Exact(exact=exact, approx=approx)
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class EntriesNode:
-    """The entries of an obstruction set in a payload. A writer reads its
-    rows once, one at a time; reading them also counts them and keeps the
-    least by (value, coefficients), which payload values after the node
-    report through Later."""
+    """The entries of an obstruction set in a payload. The writer that
+    streams them (_stream) sets count and the least row by (value,
+    coefficients), which payload values after the node report through Later."""
 
-    __slots__ = ("entries", "count", "least")
-
-    def __init__(self, entries: ObstructionEntries) -> None:
-        self.entries = entries
-        self.count = 0
-        self.least = None
-
-    def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-        count, least = 0, None
-        for row in self.entries.rows():
-            count += 1
-            # rows come sorted by coefficients, so the first least value
-            # wins; equal values are often the same object
-            if least is None or row[2] is not least[2] and row[2] < least[2]:
-                least = row
-            yield row
-        self.count, self.least = count, least
+    entries: ObstructionEntries
+    count: int = 0
+    least: Optional[tuple] = None
 
     def witness_minimum(self) -> Optional[dict]:
         if self.least is None:
             return None
         coefficients, coords, value = self.least
-        return to_payload(ObstructionEntry(coefficients, DivisorClass(coords), value))
+        return to_payload(ObstructionEntry(coefficients, DivisorClass.from_integers(coords), value))
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class Later:
     """A payload value made when a writer reaches it, after every value
     before it in the payload has been written."""
 
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[], Any]) -> None:
-        self.make = make
+    make: Callable[[], Any]
 
 
-def divisor_payload(divisor: DivisorClass) -> dict:
-    coords = [_exact(x, divisor.den) for x in divisor.num]
-    return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
-
-
-# The payload values to_payload gives back as they are: an EntriesNode and a
-# Later as the same objects.
+# The payload values to_payload gives back as they are, as the same objects.
 _PLAIN = frozenset({type(None), str, bool, int, float, _Exact, EntriesNode, Later})
-# Field names per dataclass type, filled on first use: one entry per result
-# class that reaches to_payload.
+# Field names per dataclass type, filled when to_payload first meets it.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def to_payload(value: Any) -> Any:
     """Recursively convert a result (dataclasses, Fractions, INFINITY,
-    divisors, dicts, lists and tuples) into a payload: dicts with str keys,
-    lists, str, int, float, bool, None, EntriesNode and Later. A payload
-    value comes back unchanged, so a part converted once may sit in a result
-    that is converted again.
+    divisors, dicts, lists and tuples) into a payload tree. A payload value
+    comes back unchanged, so a part converted once may sit in a result that
+    is converted again. A key that is not a str becomes its str.
 
-    Values dispatch on type(value), and a subclass of any of these types
-    raises TypeError, except that of a dataclass. A dataclass keeps its
-    field order, and so the key order; its field names are read once per
-    type. The plain items of a dict, a list or a dataclass are kept without
-    a call."""
+    A dataclass, or a subclass of one, converts as its fields in their order,
+    read once per type. The plain items of a dict, a list or a dataclass are
+    kept without a call."""
     kind = type(value)
     if kind in _PLAIN:
         return value
     if kind is Fraction or value is INFINITY:
         return exact_value(value)
     if kind is DivisorClass:
-        return divisor_payload(value)
+        coords = [_exact(x, value.den) for x in value.num]
+        return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
     if kind is dict:
         return {
             k if type(k) is str else str(k): v if type(v) in _PLAIN else to_payload(v)
@@ -179,9 +154,8 @@ def to_payload(value: Any) -> Any:
 
 
 class _Rendered(dict):
-    """Renderings of numbers, keyed by the number: a missing one is made
-    once, by `render` from its exact_value. An int and an equal Fraction
-    share a key."""
+    """Renderings of numbers keyed by the number, each made once by `render`
+    from its exact_value; an int and an equal Fraction share a key."""
 
     __slots__ = ("render",)
 
@@ -223,7 +197,7 @@ def _text_entry(indent: int) -> Callable[[tuple], str]:
     renders to_payload of the ObstructionEntry as a list item at `indent`."""
     p1, p2, p3 = ("  " * (indent + i) for i in range(3))
     # the coordinates are ints, whose rendering is their exact string
-    rendered = _Rendered(_render_scalar)
+    rendered = _Rendered(_leaf)
 
     def entry(row: tuple) -> str:
         coefficients, coords, value = row
@@ -231,7 +205,7 @@ def _text_entry(indent: int) -> Callable[[tuple], str]:
         return (
             f"{p1}-\n{p2}coefficients: [{', '.join(map(str, coefficients))}]\n"
             f"{p2}divisor:\n{p3}coords: [{', '.join(cells)}]\n{p3}text: {','.join(cells)}\n"
-            f"{p2}value: {rendered[value]}"
+            f"{p2}value: {rendered[value]}\n"
         )
 
     return entry
@@ -243,11 +217,17 @@ def _stream(
 ) -> bool:
     """Append each entry of node to parts, as entry renders its row, after
     lead for the first and sep for the others. The text held is written to
-    out after each entry that brings it to CHUNK characters. Returns whether
-    node had any entry."""
+    out after each entry that brings it to CHUNK characters. The same loop
+    sets node.count and node.least. Returns whether node had any entry."""
     append = parts.append
     size = sum(map(len, parts))
-    for row in node.rows():
+    count, least = 0, None
+    for row in node.entries.rows():
+        count += 1
+        # rows come sorted by coefficients, so the first least value wins;
+        # equal values are often the same object
+        if least is None or row[2] is not least[2] and row[2] < least[2]:
+            least = row
         text = lead + entry(row)
         append(text)
         lead = sep
@@ -256,20 +236,16 @@ def _stream(
             out.write("".join(parts))
             parts.clear()
             size = 0
-    return node.count > 0
+    node.count, node.least = count, least
+    return count > 0
 
 
 def dump_json(payload: Any, out: TextIO) -> None:
-    """Write `json.dumps(payload, indent=2)` and a newline to `out`, in one
-    pass over a payload tree of dicts with str keys, lists, tuples, str,
-    int, finite float, bool, None, EntriesNode (written as the list of its
-    entries) and Later (written as the value it makes). Any other type,
-    a subclass of these too, raises TypeError. The text is held and written
-    in pieces, as _stream writes it, the rest at the end.
-
-    The recursion is a closure, so a tracer that wraps this module's
-    functions sees one call per document, not one per node.
-    """
+    """Write `json.dumps(payload, indent=2)` and a newline to `out` in one
+    pass over a payload tree: an EntriesNode as the list of its entries, a
+    Later as the value it makes. The text is held and written in pieces, as
+    _stream writes it, the rest at the end. The recursion is a closure, so a
+    tracer that wraps this module's functions sees one call per document."""
     parts: list[str] = []
     append = parts.append
 
@@ -327,66 +303,89 @@ def dump_json(payload: Any, out: TextIO) -> None:
     out.write("".join(parts))
 
 
-def _render_scalar(value: Any) -> str:
-    if type(value) is _Exact:
+def _leaf(value: Any) -> Optional[str]:
+    """The text of a leaf on its line, or None for a container: a dict with
+    items, a list, a tuple or an EntriesNode. Any other type raises TypeError."""
+    kind = type(value)
+    if kind is _Exact:
         exact = value["exact"]
         approx = value["approx"]
-        if approx is None or "/" not in exact:
-            return exact
-        return f"{exact} ({approx:.6g})"
-    if isinstance(value, bool):
+        return exact if approx is None or "/" not in exact else f"{exact} ({approx:.6g})"
+    if kind is str:
+        return value
+    if kind is int or kind is float:
+        return kind.__repr__(value)
+    if kind is bool:
         return "yes" if value else "no"
     if value is None:
         return "-"
-    return str(value)
-
-
-def _is_scalar(value: Any) -> bool:
-    """A value rendered on its key's line; an empty mapping renders as {}."""
-    return (
-        type(value) is _Exact
-        or value is None
-        or isinstance(value, (str, bool, int, float))
-        or value == {}
-    )
+    if kind is dict:
+        return None if value else "{}"
+    if kind is list or kind is tuple or kind is EntriesNode:
+        return None
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def render_text(payload: Any, out: TextIO) -> None:
     """Write indented key/value lines of a payload tree to `out`, each with
-    a newline; an EntriesNode renders as the list of its entries, and a
-    Later as the value it makes. The text is held and written in pieces, as
-    _stream writes it, the rest at the end."""
+    a newline; a tuple renders as a list, an EntriesNode as the list of its
+    entries, and a Later as the value it makes. The text is held and written
+    in pieces, as _stream writes it, the rest at the end."""
     parts: list[str] = []
     append = parts.append
 
-    def write(payload: Any, indent: int) -> None:
+    def items(values: Any, indent: int, head: Optional[str] = None) -> None:
+        """The lines of a list, tuple or EntriesNode at indent. After head,
+        its key's line, the items stay on that line while they are leaves."""
         pad = "  " * indent
-        if isinstance(payload, dict) and type(payload) is not _Exact:
+        if type(values) is EntriesNode:
+            lead = "" if head is None else f"{head}\n"
+            if not _stream(values, _text_entry(indent), lead, "", parts, out) and head is not None:
+                append(f"{head} []\n")
+            return
+        texts = []
+        for value in values:
+            while type(value) is Later:
+                value = value.make()
+            text = _leaf(value)
+            if text is None:
+                if head is not None:
+                    append(f"{head}\n")
+                    parts.extend(f"{pad}- {leaf}\n" for leaf in texts)
+                    head = None
+                append(f"{pad}-\n")
+                write(value, indent + 1)
+            elif head is None:
+                append(f"{pad}- {text}\n")
+            else:
+                texts.append(text)
+        if head is not None:
+            append(f"{head} [{', '.join(texts)}]\n")
+
+    def write(payload: Any, indent: int) -> None:
+        if type(payload) is dict:
+            pad = "  " * indent
             for key, value in payload.items():
-                if type(value) is Later:
+                if type(key) is not str:
+                    raise TypeError(f"cannot serialize key of type {type(key).__name__}")
+                while type(value) is Later:
                     value = value.make()
-                if type(value) is EntriesNode:
-                    # each entry's lines follow a line break, as does the last
-                    append(f"{pad}{key}:")
-                    entry = _text_entry(indent + 1)
-                    append("\n" if _stream(value, entry, "\n", "\n", parts, out) else " []\n")
-                elif _is_scalar(value):
-                    append(f"{pad}{key}: {_render_scalar(value)}\n")
-                elif isinstance(value, list) and all(_is_scalar(v) for v in value):
-                    rendered = ", ".join(_render_scalar(v) for v in value)
-                    append(f"{pad}{key}: [{rendered}]\n")
-                else:
+                text = _leaf(value)
+                if text is not None:
+                    append(f"{pad}{key}: {text}\n")
+                elif type(value) is dict:
                     append(f"{pad}{key}:\n")
                     write(value, indent + 1)
-        elif isinstance(payload, list):
-            for value in payload:
-                if _is_scalar(value):
-                    append(f"{pad}- {_render_scalar(value)}\n")
                 else:
-                    append(f"{pad}-\n")
-                    write(value, indent + 1)
-        else:
-            append(f"{pad}{_render_scalar(payload)}\n")
+                    items(value, indent + 1, f"{pad}{key}:")
+        elif type(payload) is Later:
+            write(payload.make(), indent)
+        else:  # a container in a list, or a leaf at the top
+            text = _leaf(payload)
+            if text is None:
+                items(payload, indent)
+            else:
+                append(f"{text}\n")
 
     write(payload, 0)
     if parts:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from surfbound import search, surface_io
 from surfbound.cli import build_parser, run_subcommand
 from surfbound.bounds import INFINITY
-from surfbound.reporting import dump_json, exact_value, render_text, to_payload
+from surfbound.reporting import Later, dump_json, exact_value, render_text, to_payload
 from surfbound.errors import CalculatorError, ParseError, UnknownCurveName
 from surfbound.surface_io import (
     fixture_names,
@@ -794,6 +794,32 @@ def dumped(tree) -> str:
     return out.getvalue()
 
 
+def rendered(tree) -> str:
+    out = io.StringIO()
+    render_text(tree, out)
+    return out.getvalue()
+
+
+def _listed(tree):
+    """The tree with each tuple made a list and each Later its value."""
+    if type(tree) is Later:
+        return _listed(tree.make())
+    if type(tree) is dict:
+        return {key: _listed(value) for key, value in tree.items()}
+    if type(tree) in (list, tuple):
+        return [_listed(item) for item in tree]
+    return tree
+
+
+def _lazy(tree):
+    """The tree with each item of a list or a tuple made a Later."""
+    if type(tree) is dict:
+        return {key: _lazy(value) for key, value in tree.items()}
+    if type(tree) in (list, tuple):
+        return type(tree)(Later(lambda item=_lazy(item): item) for item in tree)
+    return tree
+
+
 class TestDumpJson:
     @settings(max_examples=300, deadline=None)
     @given(JSON_TREES)
@@ -807,6 +833,15 @@ class TestDumpJson:
     def test_other_types_raise(self, tree):
         with pytest.raises(TypeError):
             dumped(tree)
+        with pytest.raises(TypeError):
+            rendered(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_text_renders_a_tuple_as_a_list_and_a_later_as_its_value(self, tree):
+        text = rendered(_listed(tree))
+        assert rendered(tree) == text
+        assert rendered(_lazy(tree)) == text
 
     def test_text_writes_an_exact_value_as_a_leaf(self):
         tree = {
@@ -922,6 +957,8 @@ class TestPayload:
             to_payload(value)
         with pytest.raises(TypeError, match="cannot serialize"):
             dumped(value)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            rendered(value)
 
 
 # Per fixture: a nef and big class with orthogonal curves, an ample class,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -53,3 +54,19 @@ def test_large_outputs_prints_a_row():
         r"sha256 c5d59752894abbb43b6fa1f752a72edf9d0cefe22fa209663ceb72c304bbaef7",
         row,
     ), row
+
+
+def test_make_fixtures_reproduces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script inserts src
+    path = ROOT / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = tmp_path
+    script.main()
+    assert capsys.readouterr().out.endswith("25 fixtures\n")
+    bundled = ROOT / "src" / "surfbound" / "fixtures"
+    names = sorted(entry.name for entry in tmp_path.iterdir())
+    assert names == sorted(entry.name for entry in bundled.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name

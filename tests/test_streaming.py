@@ -40,10 +40,11 @@ def materialize(value):
     value it makes. Only plain dicts are copied, so an exact value stays the
     leaf type that render_text knows."""
     if isinstance(value, EntriesNode):
-        return [
-            to_payload(ObstructionEntry(c, DivisorClass(coords), v))
-            for c, coords, v in value.rows()
-        ]
+        rows = list(value.entries.rows())
+        # what the writers' loop counts and keeps for the Later values after it
+        value.count = len(rows)
+        value.least = min(rows, key=lambda row: (row[2], row[0]), default=None)
+        return [to_payload(ObstructionEntry(c, DivisorClass(coords), v)) for c, coords, v in rows]
     if isinstance(value, Later):
         return materialize(value.make())
     if type(value) is dict:
