@@ -556,9 +556,9 @@ class Analysis:
         orthogonal to A; positive infinity when no curve is orthogonal.
 
         A single curve C_i already realizes the value (T-K).C_i - C_i^2, so
-        the sublevel set at the best single-curve value is nonempty, and a
-        branch-and-bound descent over it (search.least_value) finds the minimum
-        without listing the set."""
+        the sublevel set at the best single-curve value is nonempty, and the
+        one descent of the search, with a floor that rises with each better
+        leaf (search.least_value), finds the minimum without listing the set."""
         if not self.support:
             return INFINITY
         linear, m = self.obstruction_form

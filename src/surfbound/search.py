@@ -8,9 +8,9 @@ Each value times m is an integer, so the condition reads m n'Qn + linear.n
 top. Each also takes the (det, rows) that lattice.negated_elimination makes
 of G, so the caller factors a block once for every search on it. This
 module finds those points by the short-vector search of Fincke and Pohst in
-integers, counts them without keeping them, and finds their least value by
-branch and bound. Every step is exact, and no Fraction is made but the values
-reported.
+integers, counts them without keeping them, and finds their least value, all
+by one descent with a floor on the budget that a leaf keeps. Every step is
+exact, and no Fraction is made but the values reported.
 """
 
 from __future__ import annotations
@@ -72,17 +72,20 @@ def _search_form(
     )
 
 
-def _intervals(form: _SearchForm, point: list[int]) -> Iterator[tuple[int, int, int, int]]:
+def _intervals(
+    form: _SearchForm, point: list[int], floor: Sequence[int] = (0,)
+) -> Iterator[tuple[int, int, int, int]]:
     """The depth-first descent of the search, without its last level.
 
     Coordinates are fixed from last to first, each over a rising interval.
-    Once n_{j+1..r-1} are fixed, the budget left bounds n_j: e_j W_j^2 <=
-    left exactly when |W_j| <= isqrt(left // e_j), which floor divisions turn
-    into an interval of n_j. For each nonempty interval of n_0 this yields
-    (low, high, sh_0, left), with n_1..n_{r-1} in point[1:]: every n_0 in
-    [low, high] is a point of the sublevel set, and its leaf has budget
-    left - e_0 W_0^2 left over. The descent is a loop, not a recursion, so a
-    consumer resumes one frame per interval."""
+    Once n_{j+1..r-1} are fixed, the budget left above the floor, floor[0],
+    bounds n_j: e_j W_j^2 <= left - floor[0] exactly when |W_j| <=
+    isqrt((left - floor[0]) // e_j), never when left < floor[0], and floor
+    divisions turn that into an interval of n_j. For each nonempty interval
+    of n_0 this yields (low, high, sh_0, left), with n_1..n_{r-1} in
+    point[1:]: each n_0 in [low, high] is a point of the set whose leaf keeps
+    left - e_0 W_0^2 >= floor[0]. The loop resumes one frame per interval,
+    and a consumer may raise the floor between intervals."""
     budget, weight, scale, base, tails, _ = form
     r = len(weight)
     lefts = [0] * r + [budget]  # lefts[j + 1]: the budget left for n_0..n_j
@@ -91,9 +94,9 @@ def _intervals(form: _SearchForm, point: list[int]) -> Iterator[tuple[int, int, 
     j = r - 1
     while True:
         shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
-        a = scale[j]
-        s = isqrt(lefts[j + 1] // weight[j])
-        low, high = max(0, -((s + shift) // a)), (s - shift) // a
+        spare = lefts[j + 1] - floor[0]
+        s = isqrt(spare // weight[j]) if spare >= 0 else -1
+        low, high = max(0, -((s + shift) // scale[j])), (s - shift) // scale[j]
         if j and low <= high:
             point[j], highs[j], shifts[j] = low, high, shift
         else:
@@ -172,34 +175,31 @@ def least_value(
     """The least value (linear.n - m n'Gn) / m over nonzero n >= 0 in the
     sublevel set at top, or None when that set is empty.
 
-    Branch and bound on the descent that _intervals makes: the least value is
-    the leaf with the largest budget left. Each interval is tried from its
-    centre outward, so the budget falls along it; a node whose budget is no
-    larger than the best leaf's ends the interval."""
+    The least value is the leaf that keeps the most budget, which the
+    descent of _intervals finds with a rising floor. The floor starts at the
+    budget of a seed, if nonzero and in the set: each coordinate, from last
+    to first, takes the value nearest its centre, clamped at 0. The best
+    leaf of each interval of n_0 is the n_0 nearest -sh_0 / (D_0 g) but the
+    zero point, and it raises the floor to one above its budget."""
     form = _search_form(eliminated, linear, m, top)
     if form is None:
         return None
     budget, weight, scale, base, tails, den = form
     point = [0] * len(linear)
-    best = -1
-
-    def descend(j: int, left: int) -> None:
-        nonlocal best
+    rest = budget
+    for j in reversed(range(len(linear))):
         shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
-        a, e = scale[j], weight[j]
-        s = isqrt(left // e)
-        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
-        for v in sorted(values, key=lambda v: abs(a * v + shift)):
+        point[j] = max(0, (scale[j] - 2 * shift) // (2 * scale[j]))
+        w = scale[j] * point[j] + shift
+        rest -= weight[j] * w * w
+    floor = [rest if rest >= 0 and any(point) else 0]
+    e, a = weight[0], scale[0]
+    best = -1
+    for low, high, shift, left in _intervals(form, point, floor):
+        lowest = 0 if any(point[1:]) else 1  # the zero point is no leaf
+        v = min(max((a - 2 * shift) // (2 * a), low, lowest), high)
+        if v >= lowest:
             w = a * v + shift
-            rest = left - e * w * w
-            if rest <= best:
-                break
-            point[j] = v
-            if j:
-                descend(j - 1, rest)
-            elif any(point):
-                best = rest
-        point[j] = 0
-
-    descend(len(linear) - 1, budget)
+            best = left - e * w * w
+            floor[0] = best + 1
     return None if best < 0 else Q(top * den - m * best, m * den)

@@ -20,19 +20,22 @@ It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec)
 and the leading principal minors (leading_principal_minors), kept as
 references for the integer kernel of surfbound.lattice, the
 level-by-level search (least_points_by_level), kept as a reference for the
-depth-first search of the cycle oracle, and a divisor class as a plain
-tuple of Fractions (FractionDivisor, fraction_pairing), kept as a reference
-for the integer fields of surfbound.surface.DivisorClass, and the
-coordinate test of proportionality (coordinate_ratio), kept as a reference
-for the Hodge defect.
+depth-first search of the cycle oracle, the recursive branch and bound of
+tau (least_value_reference), kept as a reference for search.least_value,
+and a divisor class as a plain tuple of Fractions (FractionDivisor,
+fraction_pairing), kept as a reference for the integer fields of
+surfbound.surface.DivisorClass, and the coordinate test of proportionality
+(coordinate_ratio), kept as a reference for the Hodge defect.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
-from surfbound import lattice
+from surfbound import lattice, search
 from surfbound.errors import CalculatorError, NotAmple, NotNegativeDefinite, RankMismatch
 from surfbound.surface import DivisorClass, SurfaceModel
 
@@ -123,6 +126,43 @@ def least_points_by_level(gram, box) -> list[tuple[int, ...]]:
         if found:
             return found
     return []
+
+
+def least_value_reference(eliminated, linear, m, top):
+    """The least value (linear.n - m n'Gn) / m over nonzero n >= 0 in the
+    sublevel set at top, or None when that set is empty.
+
+    Branch and bound on the descent that search._intervals makes: the least
+    value is the leaf with the largest budget left. Each interval is tried
+    from its centre outward, so the budget falls along it; a node whose
+    budget is no larger than the best leaf's ends the interval."""
+    form = search._search_form(eliminated, linear, m, top)
+    if form is None:
+        return None
+    budget, weight, scale, base, tails, den = form
+    point = [0] * len(linear)
+    best = -1
+
+    def descend(j: int, left: int) -> None:
+        nonlocal best
+        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
+        a, e = scale[j], weight[j]
+        s = isqrt(left // e)
+        values = range(max(0, -((s + shift) // a)), (s - shift) // a + 1)
+        for v in sorted(values, key=lambda v: abs(a * v + shift)):
+            w = a * v + shift
+            rest = left - e * w * w
+            if rest <= best:
+                break
+            point[j] = v
+            if j:
+                descend(j - 1, rest)
+            elif any(point):
+                best = rest
+        point[j] = 0
+
+    descend(len(linear) - 1, budget)
+    return None if best < 0 else Fraction(top * den - m * best, m * den)
 
 
 # -- reference Fraction-tuple divisor classes -----------------------------------

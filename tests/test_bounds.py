@@ -53,6 +53,7 @@ from generators import (
     construct_polarization,
     coordinate_ratio,
     hodge_model,
+    least_value_reference,
     plumbing_configuration,
     plumbing_elliptic,
     plumbing_mixed,
@@ -88,8 +89,8 @@ def single_curve_value(analysis: Analysis) -> Q:
 def assert_search_matches_box(analysis: Analysis, levels) -> None:
     """The integer search against the box oracle at every level and at the
     single-curve value: the same entries, values included, the count
-    without entries, and the branch-and-bound tau against the least value
-    the box finds."""
+    without entries, and the tau of the descent with a floor against the
+    least value the box finds."""
     single = single_curve_value(analysis)
     for k in (*levels, single):
         slow = obstruction_oracle(analysis, k)
@@ -483,7 +484,7 @@ class TestObstructionEnumeration:
             analysis = Analysis(model, polarization(model), t)
             assert_search_matches_box(analysis, (1,))
             below += analysis.obstruction_minimum < single_curve_value(analysis)
-        assert below >= 5  # the branch and bound had to go past one curve
+        assert below >= 5  # the floor had to rise past one curve's value
 
     def test_counts_and_tau_build_no_entries(self, fixture_models, monkeypatch):
         calls = Counter()
@@ -570,6 +571,38 @@ class TestObstructionMinimum:
             a = model.divisor(model.ample_reference)
             tau = Analysis(model, a, model.zero_divisor()).obstruction_minimum
             assert (tau is INFINITY) == (model.exceptional_curves(a) == ())
+
+    def test_least_value_matches_the_reference_descent(self, fixture_models, rng):
+        # the search that tau runs, on what obstruction_minimum hands it,
+        # against the recursive branch and bound it replaced: seeded twists
+        # on the ADE fixtures, and the twist family whose centre moves out of
+        # the orthant as N grows
+        names = [f"ade_{kind}{size}" for kind, size in ADE_TYPES if kind != "a" or size >= 3]
+        draws = []
+        for _ in range(150):
+            model = fixture_models[rng.choice(names)]
+            coefficients = [Q(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(model.rank)]
+            t = model.divisor(coefficients)
+            if rng.random() < 0.3:
+                t = t + model.canonical_class
+            a = model.curve_divisor(model.curve_index("h")).scale(rng.randint(1, 3))
+            draws.append(Analysis(model, a, t))
+        d7 = fixture_models["ade_d7"]
+        for n in (25, 50, 100, 200):
+            t = d7.divisor([0, Q(3, 2), 1, 2, Q(-n, 2), Q(1, 3), 0, 1])
+            draws.append(Analysis(d7, parse_divisor(d7, "1/2*h"), t))
+        outside = 0
+        for analysis in draws:
+            linear, m = analysis.obstruction_form
+            top = int(m * single_curve_value(analysis))  # m times a value is an integer
+            args = analysis.elimination(analysis.support), linear, m, top
+            tau = search.least_value(*args)
+            assert tau == least_value_reference(*args)
+            assert search.least_value(*args[:3], int(m * tau) - 1) is None
+            gram = [[analysis.model.curve_pairings[i][j] for j in analysis.support]
+                    for i in analysis.support]
+            outside += min(solve_linear(gram, linear)) < 0  # the centre, times 2m
+        assert outside >= 120, outside  # 151 of the 154
 
     def test_minimum_is_attained_and_sharp(self, a2):
         h = a2.divisor([1, 0, 0])

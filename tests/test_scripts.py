@@ -56,6 +56,16 @@ def test_large_outputs_prints_a_row():
     ), row
 
 
+def test_tau_scale_prints_a_row():
+    proc = subprocess.run(
+        [sys.executable, "scripts/tau_scale.py", "--n", "25"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert re.fullmatch(r"N = 25: exit 0, [\d.]+ s, tau -84", row), row
+
+
 def test_make_fixtures_reproduces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script inserts src
     path = ROOT / "scripts" / "make_fixtures.py"
