@@ -61,10 +61,9 @@ z0 = a2.zero_divisor()
 ah = bounds.Analysis(a2, h, z0)
 assert ah.obstruction_minimum == 2
 obs2 = ah.enumerate_obstructions(2)
-got = {e.coefficients: e.value for e in obs2.entries}
+got = {coefficients: value for coefficients, _, value in obs2.entries.rows()}
 assert got == {(1, 0): 2, (0, 1): 2, (1, 1): 2}, got
-obs1 = ah.enumerate_obstructions(1)
-assert obs1.is_empty
+assert ah.obstruction_count(1) == 0
 ek2 = ah.correction_divisor(2)
 assert ek2.coefficients == (6, 6) == tuple(
     int(c) for c in ek2.divisor.coords[1:]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations, product
 from math import floor
-from operator import add, eq, mul
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from . import lattice, search
@@ -163,6 +163,9 @@ class ObstructionQuadratic:
 
 # -- obstruction enumeration ------------------------------------------------
 
+# (coefficients, divisor coordinates, value): the form of an obstruction entry
+Row = tuple[tuple[int, ...], tuple[int, ...], Fraction]
+
 
 @dataclass(frozen=True)
 class ObstructionEntry:
@@ -175,18 +178,13 @@ class ObstructionEntry:
 class ObstructionSet:
     support: tuple[int, ...]  # curve indices orthogonal to A
     bound: Fraction  # entries satisfy value <= bound
-    entries: Sequence[ObstructionEntry]  # sorted by coefficients
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
+    entries: ObstructionEntries
 
 
-class ObstructionEntries(Sequence):
-    """The entries of the obstruction set of an analysis at one bound, made
-    on demand and in the order of their coefficients. Nothing is kept: each
-    pass runs the search again, and len() is the counting descent
-    (Analysis.obstruction_count)."""
+class ObstructionEntries:
+    """The entries of the obstruction set of an analysis at one bound, as
+    rows made by the ordered search each time rows() is called; nothing is
+    kept. len() is the counting descent (Analysis.obstruction_count)."""
 
     __slots__ = ("_analysis", "_bound")
 
@@ -197,21 +195,8 @@ class ObstructionEntries(Sequence):
     def __len__(self) -> int:
         return self._analysis.obstruction_count(self._bound)
 
-    def __getitem__(self, index):
-        return tuple(self)[index]  # a full pass: nothing in the package indexes entries
-
-    def __iter__(self) -> Iterator[ObstructionEntry]:
-        for coefficients, coords, value in self.rows():
-            yield ObstructionEntry(coefficients, DivisorClass.from_integers(coords), value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-        """(coefficients, divisor coordinates, value) of each entry, in
-        order, for writers that need no entry objects.
+    def rows(self) -> Iterator[Row]:
+        """The row of each entry, sorted by coefficients.
 
         The search meets points in the lexicographic order of their reversed
         coordinate tuples, so on the reversed support it meets the
@@ -244,12 +229,12 @@ class ObstructionEntries(Sequence):
 
 
 def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
-    """The obstruction set at level k. Its entries (ObstructionEntries) are
-    made by the ordered search each time they are read, so the set holds
-    none. The benchmark's tracer (perfbench/tracing.py) wraps this function
-    by name and sums len() of the entries, so it keeps the name of the box
-    loop it replaced. Only callers that print entries come here; counts and
-    emptiness run the counting descent (Analysis.obstruction_count)."""
+    """The obstruction set at level k. Its entries keep no row: the ordered
+    search runs each time their rows() is called. The benchmark's
+    tracer (perfbench/tracing.py) wraps this function by name and sums len()
+    of the entries, so it keeps the name of the box loop it replaced. Only
+    callers that print entries come here; counts and emptiness run the
+    counting descent (Analysis.obstruction_count)."""
     bound = Q(k)
     return ObstructionSet(analysis.support, bound, ObstructionEntries(analysis, bound))
 
@@ -305,22 +290,22 @@ def _box_product(
     return hits
 
 
-def obstruction_oracle(analysis: Analysis, k) -> ObstructionSet:
-    """Brute-force cross-check of Analysis.enumerate_obstructions: every
-    point of the outward-rounded bounding box of the sublevel ellipsoid is
-    tested. With the search it shares only the linear term of the
-    obstruction form; it negates the Gram block of the support to Q and packs
-    its hits into entries itself. Its cost is the box volume, so it is meant
-    for small inputs."""
-    bound = Q(k)
+def obstruction_oracle(analysis: Analysis, k) -> list[Row]:
+    """Brute-force cross-check of Analysis.enumerate_obstructions: the rows
+    of the obstruction set at level k, sorted as ObstructionEntries.rows()
+    yields them, from every point of the outward-rounded bounding box of the
+    sublevel ellipsoid. With the search it shares only the linear term of
+    the obstruction form; it negates the Gram block of the support to Q and
+    packs each divisor from the curve columns itself. Its cost is the box
+    volume, so it is meant for small inputs."""
     model, support = analysis.model, analysis.support
+    if not support:
+        return []
     linear, m = analysis.obstruction_form
     q_matrix = [[-x for x in row] for row in model.curve_gram(support)]
-    hits = _box_product(q_matrix, linear, m, floor(m * bound)) if support else []
     columns = list(zip(*(model.curves[i].coords for i in support)))
-    divisor = lambda coeffs: DivisorClass.from_integers(sum(map(mul, c, coeffs)) for c in columns)
-    entries = tuple(ObstructionEntry(n, divisor(n), value) for n, value in sorted(hits))
-    return ObstructionSet(support=support, bound=bound, entries=entries)
+    hits = sorted(_box_product(q_matrix, linear, m, floor(m * Q(k))))
+    return [(n, tuple(sum(map(mul, c, n)) for c in columns), value) for n, value in hits]
 
 
 # -- correction divisors -----------------------------------------------------
@@ -546,8 +531,8 @@ class Analysis:
 
     @_memoized
     def enumerate_obstructions(self, k) -> ObstructionSet:
-        """The obstruction set at level k, its entries sorted
-        lexicographically by coefficients and made on demand."""
+        """The obstruction set at level k, whose rows the ordered search
+        makes on demand, sorted lexicographically by coefficients."""
         return _enumerate_box(self, k)
 
     @cached_property

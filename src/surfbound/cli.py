@@ -22,7 +22,7 @@ import sys
 
 from . import bounds, cycles, zariski
 from .errors import CalculatorError, OracleMismatch
-from .reporting import Later, dump_json, render_text, to_payload
+from .reporting import EntriesNode, Later, dump_json, render_text, to_payload
 from .surface_io import fixture_names, load_surface, parse_curve_list, parse_divisor
 
 
@@ -246,21 +246,27 @@ def _cmd_tau(args) -> dict:
 def _cmd_obstructions(args) -> dict:
     analysis = _analysis(args)
     obs = analysis.enumerate_obstructions(args.cluster)
+    result = to_payload(obs)
     if args.oracle:
-        ref = bounds.obstruction_oracle(analysis, args.cluster)
-        found = [(coeffs, value) for coeffs, _, value in obs.entries.rows()]
-        boxed = [(e.coefficients, e.value) for e in ref.entries]
-        if len(found) != len(boxed):
+        # the search runs once: the writer streams the rows checked here
+        rows = list(obs.entries.rows())
+        boxed = bounds.obstruction_oracle(analysis, args.cluster)
+        if len(rows) != len(boxed):
             raise OracleMismatch(
-                f"search found {len(found)} obstructions, box found {len(boxed)}"
+                f"search found {len(rows)} obstructions, box found {len(boxed)}"
             )
-        for (coeffs, value), (ref_coeffs, ref_value) in zip(found, boxed):
+        for (coeffs, coords, value), (ref_coeffs, ref_coords, ref_value) in zip(rows, boxed):
             if (coeffs, value) != (ref_coeffs, ref_value):
                 raise OracleMismatch(
                     f"search found {coeffs} with value {value}, "
                     f"box found {ref_coeffs} with value {ref_value}"
                 )
-    result = to_payload(obs)
+            if coords != ref_coords:
+                raise OracleMismatch(
+                    f"search found {coeffs} with divisor {coords}, "
+                    f"box found {ref_coeffs} with divisor {ref_coords}"
+                )
+        result["entries"] = EntriesNode(rows.__iter__)
     entries = result["entries"]  # streamed by the writer, which counts them
     result["support_names"] = _curve_names(analysis.model, obs.support)
     result["count"] = Later(lambda: entries.count)

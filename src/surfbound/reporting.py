@@ -22,9 +22,9 @@ indent=2)` once EntriesNode and Later values are made into lists and values,
 in one pass that keeps the stdlib's C string escaper.
 
 An obstruction set can hold hundreds of thousands of entries, so it enters
-a payload as an EntriesNode. Both writers stream it through one loop,
-_stream, which writes each entry from the search's row, counts the entries
-and keeps the least for the Later values after them.
+a payload as an EntriesNode, a source of its rows. Both writers stream it
+through one loop, _stream, which writes each entry from its row, counts the
+entries and keeps the least for the Later values after them.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, TextIO
+from typing import Any, Callable, Iterator, Optional, TextIO
 
-from .bounds import INFINITY, ObstructionEntries, ObstructionEntry
+from .bounds import INFINITY, ObstructionEntries, ObstructionEntry, Row
 from .errors import CalculatorError
 from .surface import DivisorClass
 
@@ -88,13 +88,17 @@ def _exact(n: int, d: int) -> _Exact:
 
 @dataclasses.dataclass(eq=False, slots=True)
 class EntriesNode:
-    """The entries of an obstruction set in a payload. The writer that
-    streams them (_stream) sets count and the least row by (value,
-    coefficients), which payload values after the node report through Later."""
+    """The entries of an obstruction set in a payload, as the source of their
+    rows (bounds.Row): a callable that gives a new iterator over the rows,
+    sorted by coefficients, each time it is called, such as
+    ObstructionEntries.rows or the __iter__ of a list of rows, so a payload
+    written twice has its entries both times. The writer that streams them
+    (_stream) sets count and the least row by (value, coefficients), which
+    payload values after the node report through Later."""
 
-    entries: ObstructionEntries
+    rows: Callable[[], Iterator[Row]]
     count: int = 0
-    least: Optional[tuple] = None
+    least: Optional[Row] = None
 
     def witness_minimum(self) -> Optional[dict]:
         if self.least is None:
@@ -146,7 +150,7 @@ def to_payload(value: Any) -> Any:
         fields = zip(names, [getattr(value, name) for name in names])
         return {name: v if type(v) in _PLAIN else to_payload(v) for name, v in fields}
     if kind is ObstructionEntries:
-        return EntriesNode(value)
+        return EntriesNode(value.rows)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         _FIELD_NAMES[kind] = tuple(field.name for field in dataclasses.fields(value))
         return to_payload(value)
@@ -222,7 +226,7 @@ def _stream(
     append = parts.append
     size = sum(map(len, parts))
     count, least = 0, None
-    for row in node.entries.rows():
+    for row in node.rows():
         count += 1
         # rows come sorted by coefficients, so the first least value wins;
         # equal values are often the same object

@@ -215,7 +215,7 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
         tau = bounds.Analysis(model, a, model.zero_divisor()).obstruction_minimum
         assert (tau is INFINITY) == (not model.exceptional_curves(a)), name
         assert tau is INFINITY  # ample references pair positively everywhere
-        assert bounds.Analysis(model, a, model.zero_divisor()).enumerate_obstructions(3).is_empty
+        assert bounds.Analysis(model, a, model.zero_divisor()).obstruction_count(3) == 0
     small = ("ade_a1", "ade_a2", "ade_a3", "ade_a4", "ade_d4", "a2_resolution")
     structured = [(fixture_models[n], fixture_models[n].curve_divisor(0)) for n in small]
     structured.append((f2, f2.divisor([2, 1])))
@@ -224,12 +224,13 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
         tau = bounds.Analysis(model, a, zero).obstruction_minimum
         assert tau is not INFINITY
         for k in range(3):
-            fast = bounds.Analysis(model, a, zero).enumerate_obstructions(k)
+            analysis = bounds.Analysis(model, a, zero)
+            fast = list(analysis.enumerate_obstructions(k).entries.rows())
             slow = bounds.obstruction_oracle(bounds.Analysis(model, a, zero), k)
-            assert fast.entries == slow.entries
-            assert fast.is_empty == (k < tau)
-            if not fast.is_empty:
-                assert min(e.value for e in fast.entries) == tau
+            assert fast == slow
+            assert (analysis.obstruction_count(k) == 0) == (k < tau)
+            if fast:
+                assert min(value for _, _, value in fast) == tau
     for trial in range(100):
         sizes = rng.choice(([2], [3], [1, 2]))
         model = block_model(
@@ -238,11 +239,12 @@ def test_criterion_6_obstruction_enumeration(fixture_models, rng):
         a = polarization(model)
         t = model.divisor([rng.randint(-2, 2) for _ in range(model.rank)])
         k = rng.randint(0, 2)
-        fast = bounds.Analysis(model, a, t).enumerate_obstructions(k)
+        analysis = bounds.Analysis(model, a, t)
+        fast = list(analysis.enumerate_obstructions(k).entries.rows())
         slow = bounds.obstruction_oracle(bounds.Analysis(model, a, t), k)
-        assert fast.entries == slow.entries
+        assert fast == slow
         tau = bounds.Analysis(model, a, t).obstruction_minimum
-        assert fast.is_empty == (tau > k)
+        assert (analysis.obstruction_count(k) == 0) == (tau > k)
     assert_budget(started, 30.0)
 
 

@@ -94,10 +94,10 @@ def assert_search_matches_box(analysis: Analysis, levels) -> None:
     single = single_curve_value(analysis)
     for k in (*levels, single):
         slow = obstruction_oracle(analysis, k)
-        assert analysis.enumerate_obstructions(k).entries == slow.entries
-        assert analysis.obstruction_count(k) == len(slow.entries)
-    witnesses = obstruction_oracle(analysis, single).entries
-    assert analysis.obstruction_minimum == min(e.value for e in witnesses)
+        assert list(analysis.enumerate_obstructions(k).entries.rows()) == slow
+        assert analysis.obstruction_count(k) == len(slow)
+    witnesses = obstruction_oracle(analysis, single)
+    assert analysis.obstruction_minimum == min(value for _, _, value in witnesses)
 
 
 def forward_hits(analysis: Analysis, k) -> list:
@@ -398,21 +398,20 @@ class TestObstructionEnumeration:
         h = a2.divisor([1, 0, 0])
         obs = Analysis(a2, h, a2.zero_divisor()).enumerate_obstructions(2)
         assert obs.support == (1, 2)  # curve 0 is the plane class h
-        got = {e.coefficients: e.value for e in obs.entries}
+        rows = list(obs.entries.rows())
+        got = {coefficients: value for coefficients, _, value in rows}
         assert got == {(1, 0): 2, (0, 1): 2, (1, 1): 2}
-        assert [e.coefficients for e in obs.entries] == sorted(
-            e.coefficients for e in obs.entries
-        )
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
 
     def test_root_configuration_level_one_empty(self, a2):
         h = a2.divisor([1, 0, 0])
-        assert Analysis(a2, h, a2.zero_divisor()).enumerate_obstructions(1).is_empty
+        assert Analysis(a2, h, a2.zero_divisor()).obstruction_count(1) == 0
 
     def test_ample_class_sees_nothing(self):
         model = double_cover(4)
         h = model.divisor([1])
         for k in (0, 1, 5, 50):
-            assert Analysis(model, h, model.zero_divisor()).enumerate_obstructions(k).is_empty
+            assert Analysis(model, h, model.zero_divisor()).obstruction_count(k) == 0
 
     @pytest.mark.parametrize("kind,size", ADE_TYPES)
     def test_level_two_finds_exactly_the_positive_roots(self, fixture_models, kind, size):
@@ -423,11 +422,11 @@ class TestObstructionEnumeration:
         zero = model.zero_divisor()
         obs = Analysis(model, h, zero).enumerate_obstructions(2)
         assert len(obs.entries) == POSITIVE_ROOTS[kind](size)
-        for entry in obs.entries:
-            assert model.self_intersection(entry.divisor) == -2
-            assert entry.value == 2
-        assert Analysis(model, h, zero).enumerate_obstructions(0).is_empty
-        assert Analysis(model, h, zero).enumerate_obstructions(1).is_empty
+        for _, coords, value in obs.entries.rows():
+            assert model.self_intersection(DivisorClass(coords)) == -2
+            assert value == 2
+        assert Analysis(model, h, zero).obstruction_count(0) == 0
+        assert Analysis(model, h, zero).obstruction_count(1) == 0
 
     @pytest.mark.parametrize("name,levels", [("ade_e6", (0, 1, 2)), ("ade_e7", (0,))])
     def test_search_matches_box_on_exceptional_types(self, fixture_models, rng, name, levels):
@@ -443,7 +442,7 @@ class TestObstructionEnumeration:
             for k in levels:
                 fast = Analysis(model, h, t).enumerate_obstructions(k)
                 slow = obstruction_oracle(Analysis(model, h, t), k)
-                assert fast.entries == slow.entries
+                assert list(fast.entries.rows()) == slow
 
     def test_search_matches_box_on_random_blocks(self, rng):
         for trial in range(40):
@@ -454,7 +453,7 @@ class TestObstructionEnumeration:
             for k in range(4):
                 fast = Analysis(model, a, t).enumerate_obstructions(k)
                 slow = obstruction_oracle(Analysis(model, a, t), k)
-                assert fast.entries == slow.entries
+                assert list(fast.entries.rows()) == slow
 
     @pytest.mark.parametrize("name", ["ade_a4", "ade_a5", "ade_d4", "ade_d5", "ade_e6"])
     def test_search_matches_box_on_rational_twists(self, fixture_models, name):
@@ -526,20 +525,15 @@ class TestObstructionEnumeration:
                 analysis, (-1, 0, 1, 2, 3, Q(7, 2), single_curve_value(analysis))
             )
 
-    def test_entries_are_an_immutable_sequence_made_on_demand(self, a2):
+    def test_entries_are_rows_made_on_demand(self, a2):
         h = a2.divisor([1, 0, 0])
         obs = Analysis(a2, h, a2.zero_divisor()).enumerate_obstructions(2)
         slow = obstruction_oracle(Analysis(a2, h, a2.zero_divisor()), 2)
         assert len(obs.entries) == 3
-        assert obs.entries == slow.entries and slow.entries == obs.entries
-        assert obs.entries == list(slow.entries)
-        assert obs.entries != slow.entries[:2]
-        assert obs.entries[-1] == slow.entries[-1]
-        assert list(obs.entries) == list(obs.entries)  # every pass searches again
-        assert all(
-            e.divisor.den == 1 and all(type(x) is int for x in e.divisor.num)
-            for e in obs.entries
-        )
+        rows = list(obs.entries.rows())
+        assert rows == slow
+        assert list(obs.entries.rows()) == rows  # every call searches again
+        assert all(type(x) is int for _, coords, _ in rows + slow for x in coords)
 
     def test_pairing_condition_empties_the_set(self, rng):
         # after subtracting the correction divisor the pairing condition
@@ -552,7 +546,7 @@ class TestObstructionEnumeration:
                 repair = Analysis(model, a, t).correction_divisor(k)
                 repaired = Analysis(model, a, t - repair.divisor)
                 assert all(v == 0 for v in repaired.correction_divisor(k).sigma)
-                assert repaired.enumerate_obstructions(k).is_empty
+                assert repaired.obstruction_count(k) == 0
 
 
 class TestObstructionMinimum:
@@ -608,10 +602,10 @@ class TestObstructionMinimum:
         h = a2.divisor([1, 0, 0])
         zero = a2.zero_divisor()
         tau = Analysis(a2, h, zero).obstruction_minimum
-        at = Analysis(a2, h, zero).enumerate_obstructions(tau)
-        assert not at.is_empty
-        assert min(e.value for e in at.entries) == tau
-        assert Analysis(a2, h, zero).enumerate_obstructions(tau - 1).is_empty
+        at = list(Analysis(a2, h, zero).enumerate_obstructions(tau).entries.rows())
+        assert at
+        assert min(value for _, _, value in at) == tau
+        assert Analysis(a2, h, zero).obstruction_count(tau - 1) == 0
 
     def test_infinity_comparisons(self):
         assert INFINITY > 10**12
@@ -1023,9 +1017,10 @@ class TestBoundReport:
 
     def test_report_without_n_still_brackets_gap(self, a2):
         h = a2.divisor([1, 0, 0])
-        report = build_bound_report(Analysis(a2, h, a2.zero_divisor()), k=1)
+        analysis = Analysis(a2, h, a2.zero_divisor())
+        report = build_bound_report(analysis, k=1)
         assert report.multiple_gap is not None
-        assert report.obstructions.is_empty  # level 1 has no obstructions
+        assert analysis.obstruction_count(1) == 0  # level 1 has no obstructions
         assert report.correction.level == 1
 
 

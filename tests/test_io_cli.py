@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from surfbound import search, surface_io
 from surfbound.cli import build_parser, run_subcommand
-from surfbound.bounds import INFINITY
+from surfbound.bounds import INFINITY, ObstructionEntries
 from surfbound.reporting import Later, dump_json, exact_value, render_text, to_payload
 from surfbound.errors import CalculatorError, ParseError, UnknownCurveName
 from surfbound.surface_io import (
@@ -663,6 +663,66 @@ class TestCommandLine:
         assert captured.err == (
             "oracle mismatch: search found (0, 1) with value 3, box found (0, 1) with value 2\n"
         )
+
+    def test_oracle_catches_a_wrong_divisor(self, capsys, monkeypatch):
+        # the search keeps every point and value but moves the first divisor
+        rows = ObstructionEntries.rows
+
+        def shifted(self):
+            for i, (coefficients, coords, value) in enumerate(rows(self)):
+                yield coefficients, (coords[0] + (i == 0), *coords[1:]), value
+
+        monkeypatch.setattr(ObstructionEntries, "rows", shifted)
+        argv = ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "-k", "2"]
+        assert run_subcommand(argv) == 0  # nothing checks a divisor without the oracle
+        capsys.readouterr()
+        assert run_subcommand(argv + ["--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oracle mismatch: search found (0, 1) with divisor (1, 0, 1), "
+            "box found (0, 1) with divisor (0, 0, 1)\n"
+        )
+
+    def test_oracle_runs_the_search_once(self, capsys, monkeypatch):
+        # the writer streams the rows the oracle checked, so the output is
+        # the same as without the oracle but for oracle_checked
+        calls = []
+        found = search.fincke_pohst
+
+        def counted(*args):
+            calls.append(args)
+            return found(*args)
+
+        monkeypatch.setattr(search, "fincke_pohst", counted)
+        argv = [
+            "obstructions", "--surface", "ade_d4", "--divisor", "h", "--twist=K", "-k", "2", "--json"
+        ]
+        outs = []
+        for extra in ([], ["--oracle"]):
+            calls.clear()
+            assert run_subcommand(argv + extra) == 0
+            assert len(calls) == 1, extra
+            outs.append(capsys.readouterr().out)
+        plain, checked = outs
+        assert json.loads(plain)["obstructions"]["count"] == 12
+        assert '"oracle_checked": false' in plain
+        assert checked == plain.replace('"oracle_checked": false', '"oracle_checked": true')
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_obstructions_payload_writes_whole_twice(self, oracle):
+        # the entries are a source of rows, which each writer pass reads anew
+        argv = ["obstructions", "--surface", "ade_d4", "--divisor", "h", "-k", "2", *oracle]
+        args = build_parser().parse_args(argv)
+        payload = to_payload(args.handler(args))
+        texts = []
+        for write in (dump_json, dump_json, render_text, render_text):
+            out = io.StringIO()
+            write(payload, out)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1] and texts[2] == texts[3]
+        obs = json.loads(texts[1])["obstructions"]
+        assert len(obs["entries"]) == obs["count"] == 12  # the positive roots of D4
 
     def test_ek_payload(self, capsys):
         code, payload = run_json(

@@ -40,7 +40,7 @@ def materialize(value):
     value it makes. Only plain dicts are copied, so an exact value stays the
     leaf type that render_text knows."""
     if isinstance(value, EntriesNode):
-        rows = list(value.entries.rows())
+        rows = list(value.rows())
         # what the writers' loop counts and keeps for the Later values after it
         value.count = len(rows)
         value.least = min(rows, key=lambda row: (row[2], row[0]), default=None)
