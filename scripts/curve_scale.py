@@ -1,0 +1,67 @@
+"""Time commands on Du Val chains with many curves, one fresh process each.
+
+For each n, the model A_n of `make_fixtures.du_val_model("a", n)` (rank
+n + 1: the class h and the chain c1..cn, each curve a unit vector) is
+written to a temporary file, which is not timed: its ample reference takes
+several seconds to make at n = 500. Then `validate`, `zariski --divisor h`
+and `tau --divisor h` each run on it in their own Python process. Each row
+prints n, the command, the exit code and the wall time. A process that runs
+past --timeout is killed, and its row prints `timeout`.
+
+    python3 scripts/curve_scale.py                  # n = 20 60 120 250 500
+    python3 scripts/curve_scale.py --n 250          # other n
+    python3 scripts/curve_scale.py --src other/src  # another source tree
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from make_fixtures import du_val_model
+
+RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); from surfbound.cli import main; main()"
+
+COMMANDS = (["validate"], ["zariski", "--divisor", "h"], ["tau", "--divisor", "h"])
+
+
+def run_row(src: Path, n: int, path: Path, command: list[str], timeout: float) -> str:
+    argv = [sys.executable, "-c", RUNNER, str(src), command[0], "--surface", str(path), *command[1:]]
+    label = f"n = {n}: {' '.join(command)}"
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return f"{label}: timeout after {timeout:g} s"
+    wall = time.perf_counter() - start
+    return f"{label}: exit {proc.returncode}, {wall:.2f} s"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="source tree that holds the surfbound package (default: this repo's)")
+    parser.add_argument("--n", type=int, nargs="+", default=[20, 60, 120, 250, 500],
+                        help="chain lengths n (default: 20 60 120 250 500)")
+    parser.add_argument("--timeout", type=float, default=60.0,
+                        help="seconds before a row's process is killed (default: 60)")
+    args = parser.parse_args(argv)
+    print(f"# {args.src.resolve()}, Du Val chains A_n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in args.n:
+            path = Path(tmp) / f"ade_a{n}.json"
+            path.write_text(json.dumps(du_val_model("a", n)), encoding="utf-8")
+            for command in COMMANDS:
+                print(run_row(args.src, n, path, command, args.timeout), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from .bounds import (
     CorrectionDivisor,
     HodgeDefect,
     MatsusakaComparison,
-    ObstructionEntry,
     ObstructionQuadratic,
     ObstructionSet,
     RingGeneration,
@@ -90,7 +89,6 @@ __all__ = [
     "NotBig",
     "NotNefBig",
     "NotPseudoEffective",
-    "ObstructionEntry",
     "ObstructionQuadratic",
     "ObstructionSet",
     "OracleMismatch",

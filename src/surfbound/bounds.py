@@ -168,13 +168,6 @@ Row = tuple[tuple[int, ...], tuple[int, ...], Fraction]
 
 
 @dataclass(frozen=True)
-class ObstructionEntry:
-    coefficients: tuple[int, ...]  # aligned with the support indices
-    divisor: DivisorClass
-    value: Fraction  # T.D - K.D - D^2
-
-
-@dataclass(frozen=True)
 class ObstructionSet:
     support: tuple[int, ...]  # curve indices orthogonal to A
     bound: Fraction  # entries satisfy value <= bound
@@ -210,15 +203,13 @@ class ObstructionEntries:
         linear, m = analysis.obstruction_form
         top = floor(m * self._bound)
         runs = search.fincke_pohst(analysis.elimination(reverse), linear[::-1], m, top)
-        curves = [
-            [(j, x) for j, x in enumerate(analysis.model.curves[i].coords) if x]
-            for i in analysis.support
-        ]
-        last = analysis.model.curves[analysis.support[-1]].coords
+        model = analysis.model
+        terms = [model.curve_terms[i] for i in analysis.support]
+        last = model.curves[analysis.support[-1]].coords
         for tail, first, values in runs:
             head = tail[::-1]
             coords = [first * x for x in last]
-            for coeff, curve in zip(head, curves):
+            for coeff, curve in zip(head, terms):
                 if coeff:
                     for j, x in curve:
                         coords[j] += coeff * x

@@ -37,7 +37,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, TextIO
 
-from .bounds import INFINITY, ObstructionEntries, ObstructionEntry, Row
+from .bounds import INFINITY, ObstructionEntries, Row
 from .errors import CalculatorError
 from .surface import DivisorClass
 
@@ -104,7 +104,8 @@ class EntriesNode:
         if self.least is None:
             return None
         coefficients, coords, value = self.least
-        return to_payload(ObstructionEntry(coefficients, DivisorClass.from_integers(coords), value))
+        divisor = DivisorClass.from_integers(coords)
+        return to_payload({"coefficients": coefficients, "divisor": divisor, "value": value})
 
 
 @dataclasses.dataclass(eq=False, slots=True)
@@ -173,7 +174,7 @@ class _Rendered(dict):
 
 def _json_entry(item: str) -> Callable[[tuple], str]:
     """The --json text of an obstruction entry, from its row, as dump_json
-    writes to_payload of the ObstructionEntry at indent `item`."""
+    writes the row's payload (EntriesNode.witness_minimum) at indent `item`."""
     q1 = item + "  "
     q2 = q1 + "  "
     q3 = q2 + "  "
@@ -198,7 +199,8 @@ def _json_entry(item: str) -> Callable[[tuple], str]:
 
 def _text_entry(indent: int) -> Callable[[tuple], str]:
     """The text lines of an obstruction entry, from its row, as render_text
-    renders to_payload of the ObstructionEntry as a list item at `indent`."""
+    renders the row's payload (EntriesNode.witness_minimum) as a list item
+    at `indent`."""
     p1, p2, p3 = ("  " * (indent + i) for i in range(3))
     # the coordinates are ints, whose rendering is their exact string
     rendered = _Rendered(_leaf)

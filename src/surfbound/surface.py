@@ -242,7 +242,7 @@ class SurfaceModel:
             if curve.name in seen:
                 raise ValidationError(f"{where}: duplicate curve name")
             seen.add(curve.name)
-            if all(x == 0 for x in curve.coords):
+            if not self.curve_terms[idx]:
                 raise ValidationError(f"{where}: curve class must be nonzero")
         # Distinct prime curves on a surface never meet negatively.
         for i in range(len(self.curves)):
@@ -272,21 +272,28 @@ class SurfaceModel:
         return DivisorClass.from_integers(self.canonical)
 
     @cached_property
+    def curve_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The pairs (j, x) of the nonzero coordinates x of each curve. Every
+        sum over a curve's coordinates reads these, so it costs what the
+        curve holds rather than the rank."""
+        return tuple(tuple((j, x) for j, x in enumerate(c.coords) if x) for c in self.curves)
+
+    @cached_property
     def curve_rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer rows G.C_i: pairing a divisor with curve i is one dot
-        product with row i."""
-        mul = operator.mul
+        product with row i. As G is symmetric, G.C_i is the sum of x times
+        row j of G over the terms (j, x) of curve i."""
+        gram = self.gram
         return tuple(
-            tuple(sum(map(mul, row, c.coords)) for row in self.gram)
-            for c in self.curves
+            tuple(map(sum, zip(*([x * g for g in gram[j]] for j, x in terms))))
+            for terms in self.curve_terms
         )
 
     @cached_property
     def curve_pairings(self) -> tuple[tuple[int, ...], ...]:
-        mul = operator.mul
+        terms = self.curve_terms
         return tuple(
-            tuple(sum(map(mul, row, b.coords)) for b in self.curves)
-            for row in self.curve_rows
+            tuple([sum(row[j] * x for j, x in t) for t in terms]) for row in self.curve_rows
         )
 
     def divisor(self, values: Iterable) -> DivisorClass:
@@ -312,9 +319,8 @@ class SurfaceModel:
         # sum_i n_i C_i / den, summed in integers and reduced once.
         total = [0] * self.rank
         for idx, coeff in coefficients.items():
-            for j, x in enumerate(self.curves[idx].coords):
-                if x:
-                    total[j] += coeff * x
+            for j, x in self.curve_terms[idx]:
+                total[j] += coeff * x
         return DivisorClass.from_integers(total, den)
 
     def _numerators(self, d: DivisorClass) -> tuple[int, ...]:

@@ -25,7 +25,8 @@ tau (least_value_reference), kept as a reference for search.least_value,
 and a divisor class as a plain tuple of Fractions (FractionDivisor,
 fraction_pairing), kept as a reference for the integer fields of
 surfbound.surface.DivisorClass, and the coordinate test of proportionality
-(coordinate_ratio), kept as a reference for the Hodge defect.
+(coordinate_ratio), kept as a reference for the Hodge defect. model_in_basis
+writes a model's file in another basis of its lattice.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from surfbound import lattice, search
+from surfbound import lattice, search, surface_io
 from surfbound.errors import CalculatorError, NotAmple, NotNegativeDefinite, RankMismatch
 from surfbound.surface import DivisorClass, SurfaceModel
 
@@ -256,6 +257,24 @@ def random_unimodular(rng: random.Random, rank: int):
         else:
             u[i] = [-x for x in u[i]]
     return u
+
+
+def model_in_basis(model: SurfaceModel, u, inverse, order=None) -> dict:
+    """The model file of model in the basis of the columns of u, with the
+    curves listed in the given order of their indices."""
+    data = surface_io.surface_to_data(model)
+    if order is not None:
+        data["curves"] = [data["curves"][i] for i in order]
+    if u is None:
+        return data
+    new = lambda v: [int(x) for x in mat_vec(inverse, v)]  # integral: det u = +-1
+    data["gram"] = _matmul(_transpose(u), _matmul(data["gram"], u))
+    data["canonical"] = new(data["canonical"])
+    for curve in data["curves"]:
+        curve["coords"] = new(curve["coords"])
+    if "ample_reference" in data:
+        data["ample_reference"] = new(data["ample_reference"])
+    return data
 
 
 def _solve_int(matrix, rhs):

@@ -35,12 +35,11 @@ from surfbound import cli, surface_io
 from surfbound.surface import SurfaceModel
 
 from generators import (
-    _matmul,
-    _transpose,
     block_model,
     blown_up_plane,
     mat_vec,
     matrix_inverse,
+    model_in_basis,
     plumbing_chain,
     plumbing_tree,
     polarization,
@@ -69,24 +68,6 @@ def _model(name: str) -> tuple[SurfaceModel, str]:
     if name.startswith("double_cover"):
         return model, "H"
     return model, {"hirzebruch_f2": "2*f+s", "blowup_p2": "L+E"}.get(name, "h")
-
-
-def _in_basis(model: SurfaceModel, u, inverse, order=None) -> dict:
-    """The model file of model in the basis of the columns of u, with the
-    curves listed in the given order of their indices."""
-    data = surface_io.surface_to_data(model)
-    if order is not None:
-        data["curves"] = [data["curves"][i] for i in order]
-    if u is None:
-        return data
-    new = lambda v: [int(x) for x in mat_vec(inverse, v)]  # integral: det u = +-1
-    data["gram"] = _matmul(_transpose(u), _matmul(data["gram"], u))
-    data["canonical"] = new(data["canonical"])
-    for curve in data["curves"]:
-        curve["coords"] = new(curve["coords"])
-    if "ample_reference" in data:
-        data["ample_reference"] = new(data["ample_reference"])
-    return data
 
 
 def _run(argv: list[str]) -> tuple[int, object, str]:
@@ -126,7 +107,7 @@ def test_payloads_do_not_depend_on_the_basis(name, tmp_path):
     files = {}
     for side, data in (
         ("old", surface_io.surface_to_data(model)),
-        ("new", _in_basis(model, u, inverse)),
+        ("new", model_in_basis(model, u, inverse)),
     ):
         path = tmp_path / f"{side}.json"
         path.write_text(json.dumps(data))
@@ -235,8 +216,8 @@ def test_payloads_do_not_depend_on_the_curve_order(name, tmp_path):
     sides = {}
     for side, data, basis in (
         ("old", surface_io.surface_to_data(model), None),
-        ("order", _in_basis(model, None, None, order), None),
-        ("both", _in_basis(model, u, inverse, order), u),
+        ("order", model_in_basis(model, None, None, order), None),
+        ("both", model_in_basis(model, u, inverse, order), u),
     ):
         path = tmp_path / f"{side}.json"
         path.write_text(json.dumps(data))

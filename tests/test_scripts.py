@@ -66,6 +66,19 @@ def test_tau_scale_prints_a_row():
     assert re.fullmatch(r"N = 25: exit 0, [\d.]+ s, tau -84", row), row
 
 
+def test_curve_scale_prints_a_row_per_command():
+    proc = subprocess.run(
+        [sys.executable, "scripts/curve_scale.py", "--n", "20"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    commands = ["validate", "zariski --divisor h", "tau --divisor h"]
+    assert len(rows) == len(commands), rows
+    for command, row in zip(commands, rows):
+        assert re.fullmatch(rf"n = 20: {command}: exit 0, [\d.]+ s", row), row
+
+
 def test_make_fixtures_reproduces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script inserts src
     path = ROOT / "scripts" / "make_fixtures.py"

@@ -24,7 +24,6 @@ from typing import Optional
 import pytest
 
 from surfbound import cli, reporting, search, surface_io
-from surfbound.bounds import ObstructionEntry
 from surfbound.errors import CalculatorError, ModelInconsistent
 from surfbound.reporting import EntriesNode, Later, render_text, to_payload
 from surfbound.surface import DivisorClass
@@ -44,7 +43,10 @@ def materialize(value):
         # what the writers' loop counts and keeps for the Later values after it
         value.count = len(rows)
         value.least = min(rows, key=lambda row: (row[2], row[0]), default=None)
-        return [to_payload(ObstructionEntry(c, DivisorClass(coords), v)) for c, coords, v in rows]
+        return [
+            to_payload({"coefficients": c, "divisor": DivisorClass(coords), "value": v})
+            for c, coords, v in rows
+        ]
     if isinstance(value, Later):
         return materialize(value.make())
     if type(value) is dict:

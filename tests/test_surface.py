@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfbound import surface_io
 from surfbound.errors import (
     ModelInconsistent,
     NonIntegralGenus,
@@ -21,16 +22,21 @@ from surfbound.errors import (
 from surfbound.surface import DivisorClass, SurfaceModel
 
 from generators import (
+    ade_gram,
     big_class,
     block_model,
     construct_polarization,
     fraction_pairing,
     hodge_model,
+    mat_vec,
+    matrix_inverse,
+    model_in_basis,
     plumbing_chain,
     plumbing_tree,
     polarization,
     random_rational,
     random_rationals,
+    random_unimodular,
 )
 
 F2 = dict(
@@ -338,3 +344,49 @@ class TestIntegerFields:
                     pairing = fraction_pairing(model.gram, u, curve.coords)
                     assert model.intersect(d, model.curve_divisor(i)) == pairing
                     assert scaled[i] == m * pairing
+
+
+def moved_fixture(rng, name: str) -> SurfaceModel:
+    """The bundled fixture in a random unimodular basis, drawn again until
+    some curve has nonzero coordinates of both signs."""
+    model = surface_io.load_fixture(name)
+    while True:
+        u = random_unimodular(rng, model.rank)
+        data = model_in_basis(model, u, matrix_inverse(u))
+        if any(min(c["coords"]) < 0 < max(c["coords"]) for c in data["curves"]):
+            return surface_io.surface_from_data(data, origin=name)
+
+
+def du_val_chain(n: int) -> SurfaceModel:
+    """h of square 1 and the chain c1..cn of an A_n singularity, each curve
+    a unit vector, as scripts/curve_scale.py draws them at scale."""
+    gram = [[1] + [0] * n] + [[0] + row for row in ade_gram("a", n)]
+    unit = lambda i: [int(i == j) for j in range(n + 1)]
+    curves = [("h", unit(0))] + [(f"c{i}", unit(i)) for i in range(1, n + 1)]
+    return SurfaceModel.create(f"a{n}", gram, [-3] + [0] * n, curves)
+
+
+# fixtures of rank at least 3, so that a moved curve has several coordinates
+MOVED = ("a2_resolution", "ade_a4", "ade_d6", "ade_e8")
+
+
+class TestCurveTerms:
+    """curve_rows, curve_pairings and divisor_from_curves sum over the sparse
+    curve_terms; the reference sums every coordinate in Fractions."""
+
+    @pytest.mark.parametrize("name", [*MOVED, "chain"])
+    def test_sparse_sums_equal_dense_fraction_sums(self, rng, name):
+        model = du_val_chain(20) if name == "chain" else moved_fixture(rng, name)
+        coords = [c.coords for c in model.curves]
+        assert model.curve_rows == tuple(tuple(mat_vec(model.gram, c)) for c in coords)
+        assert model.curve_pairings == tuple(
+            tuple(fraction_pairing(model.gram, c, b) for b in coords) for c in coords
+        )
+        for _ in range(20):
+            picked = rng.sample(range(len(coords)), rng.randint(1, len(coords)))
+            coefficients = {i: rng.randint(-9, 9) for i in picked}
+            den = rng.choice([1, 2, 6])
+            dense = [Q(0)] * model.rank
+            for i, n in coefficients.items():
+                dense = [t + Q(n * x, den) for t, x in zip(dense, coords[i])]
+            assert model.divisor_from_curves(coefficients, den) == DivisorClass(dense)
