@@ -17,20 +17,21 @@ obstruction search and the correction divisors of bounds.
 The other determinant-adjacent routines are deliberately independent of it
 and of one another so they can cross-check each other in tests:
 
-  * determinant        -- Bareiss fraction-free elimination with row swaps
-  * congruence_pivots  -- symmetric reduction using only det +-1 congruences,
-                          so the pivot product equals the determinant exactly;
-                          signature reads the inertia of a model's Gram from it
+  * determinant  -- Bareiss fraction-free elimination with row swaps
+  * signature    -- symmetric reduction by congruences of determinant +-1,
+                    each trailing row integers over a positive denominator,
+                    a step touching only the rows that meet its pivot; it
+                    checks a model's Gram when the model is loaded
 
 The box oracle of bounds takes the cofactors of its inverse from
-determinant. The Fraction solves and the leading minors that the tests check
-against live in the tests.
+determinant. The Fraction solves, the leading minors and the Fraction
+congruence pivots that the tests check against live in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import RankMismatch
@@ -148,56 +149,55 @@ def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
     return is_symmetric(m) and negated_elimination(m) is not None
 
 
-def congruence_pivots(m: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Diagonalize a symmetric matrix by congruence and return the diagonal.
-
-    Only three elementary moves are used, each a congruence by a matrix of
-    determinant +-1: simultaneous row/column swap, simultaneous row/column
-    addition, and the symmetric elimination step. Consequently the product
-    of the returned pivots equals the determinant exactly, not just in sign.
-    """
+def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix, by
+    congruences of determinant +-1: a swap toward a nonzero diagonal entry,
+    an off-diagonal borrow when every trailing diagonal entry is 0, and the
+    symmetric elimination step, whose row form alone gives the Schur
+    complement by symmetry. Row r of the trailing block is the integers
+    rows[r] over dens[r] > 0, so a pivot has the sign of its numerator, and a
+    step touches only the rows with a nonzero entry in the pivot column."""
     n = len(m)
-    a = [[Q(x) for x in row] for row in m]
+    rows, dens = [list(row) for row in m], [1] * n
+    if type(sum(map(sum, m), 0)) is not int:  # Fraction entries: each row over its lcm
+        dens = [lcm(*[x.denominator for x in row]) for row in m]
+        rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(m, dens)]
+    plus = zero = 0
     for i in range(n):
-        if a[i][i] == 0:
-            pivot_row = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if pivot_row is not None:
-                j = pivot_row
-                a[i], a[j] = a[j], a[i]
-                for row in a:
+        if not rows[i][i]:
+            j = next((j for j in range(i + 1, n) if rows[j][j]), None)
+            if j is not None:
+                rows[i], rows[j], dens[i], dens[j] = rows[j], rows[i], dens[j], dens[i]
+                for row in rows[i:]:
                     row[i], row[j] = row[j], row[i]
             else:
-                # Every trailing diagonal entry vanishes; borrow an
-                # off-diagonal one. With a[i][i] == a[j][j] == 0 the move
-                # leaves 2*a[i][j] on the diagonal.
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    continue  # row i is zero on the trailing block
-                j = off
-                for c in range(n):
-                    a[i][c] += a[j][c]
-                for r in range(n):
-                    a[r][i] += a[r][j]
-        p = a[i][i]
-        # Row elimination alone reproduces the congruence values on the
-        # trailing block: the new diagonal a_rr - f*a_ir already includes
-        # the -2f*a_ir + f^2*p of the two-sided update, and off-diagonal
-        # pairs stay equal by symmetry of the Schur complement.
+                # Every trailing diagonal entry vanishes: add row and column
+                # j to row and column i, which leaves 2*a_ij on the diagonal.
+                j = next((j for j in range(i + 1, n) if rows[i][j]), None)
+                if j is None:  # row i is zero on the trailing block
+                    zero += 1
+                    continue
+                di, dj = dens[i], dens[j]
+                rows[i] = [x * dj + y * di for x, y in zip(rows[i], rows[j])]
+                dens[i] = di * dj
+                for row in rows[i:]:
+                    row[i] += row[j]
+        top = rows[i]
+        p = top[i]
+        plus += p > 0
+        tail = top[i + 1 :]
         for r in range(i + 1, n):
-            f = a[r][i] / p
-            if f == 0:
-                continue
-            for c in range(i, n):
-                a[r][c] -= f * a[i][c]
-    return [a[i][i] for i in range(n)]
-
-
-def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix."""
-    pivots = congruence_pivots(m)
-    plus = sum(1 for p in pivots if p > 0)
-    minus = sum(1 for p in pivots if p < 0)
-    return plus, minus, len(pivots) - plus - minus
+            row = rows[r]
+            f = row[i]
+            if f:
+                new = [p * x - f * y for x, y in zip(row[i + 1 :], tail)]
+                den = dens[r] * p
+                if den < 0:
+                    new, den = [-x for x in new], -den
+                g = gcd(den, *new)
+                row[i + 1 :] = [x // g for x in new] if g > 1 else new
+                dens[r] = den // g
+    return plus, n - plus - zero, zero
 
 
 def is_characteristic(k: Sequence[int], m: Sequence[Sequence[int]]) -> bool:

@@ -46,16 +46,22 @@ def _entries(values, path: str, what: str) -> tuple:
 
 
 def _int_vector(values, path: str, size: int) -> tuple[int, ...]:
-    """The size entries of values as ints. operator.index takes every
-    integer type and no float, str or Fraction; bool is an int subclass, but
-    a bare true/false in a matrix is a mistake."""
+    """The size entries of values as ints, in one pass: an int as it is,
+    any other type through _index."""
     items = _entries(values, path, "integers")
     if len(items) != size:
         raise ValidationError(f"{path}: expected {size} entries, got {len(items)}")
-    for i, x in enumerate(items):
-        if isinstance(x, bool) or not hasattr(x, "__index__"):
-            raise ValidationError(f"{path}[{i}]: expected an integer, got {x!r}")
-    return tuple(map(operator.index, items))
+    return tuple(
+        [x if type(x) is int else _index(x, f"{path}[{i}]") for i, x in enumerate(items)]
+    )
+
+
+def _index(x, path: str) -> int:
+    # operator.index takes every integer type and no float, str or Fraction;
+    # bool is an int subclass, but a bare true/false in a matrix is a mistake.
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValidationError(f"{path}: expected an integer, got {x!r}")
+    return operator.index(x)
 
 
 # DivisorClass is frozen: its constructors set the fields through object.
@@ -272,6 +278,12 @@ class SurfaceModel:
         return DivisorClass.from_integers(self.canonical)
 
     @cached_property
+    def gram_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The pairs (j, g) of the nonzero entries g of each Gram row, so
+        that a pairing costs what the Gram matrix holds."""
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+
+    @cached_property
     def curve_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The pairs (j, x) of the nonzero coordinates x of each curve. Every
         sum over a curve's coordinates reads these, so it costs what the
@@ -331,7 +343,7 @@ class SurfaceModel:
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
         v1, v2 = self._numerators(d1), self._numerators(d2)
         total = sum(
-            x * sum(g * y for g, y in zip(row, v2) if y) for x, row in zip(v1, self.gram) if x
+            x * sum(g * v2[j] for j, g in terms) for x, terms in zip(v1, self.gram_terms) if x
         )
         return Q(total, d1.den * d2.den)
 

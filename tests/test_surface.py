@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -390,3 +391,34 @@ class TestCurveTerms:
             for i, n in coefficients.items():
                 dense = [t + Q(n * x, den) for t, x in zip(dense, coords[i])]
             assert model.divisor_from_curves(coefficients, den) == DivisorClass(dense)
+
+
+def dense_fixture(rng, name: str) -> SurfaceModel:
+    """The bundled fixture in a random unimodular basis, drawn again until
+    its Gram matrix has no zero entry."""
+    model = surface_io.load_fixture(name)
+    while True:
+        u = random_unimodular(rng, model.rank)
+        columns = list(zip(*u))
+        gu = [[sum(map(mul, row, col)) for col in columns] for row in model.gram]
+        # entry (i, j) of u'Gu is column i of u against column j of Gu
+        if all(sum(map(mul, a, b)) for a in columns for b in zip(*gu)):
+            data = model_in_basis(model, u, matrix_inverse(u))
+            return surface_io.surface_from_data(data, origin=name)
+
+
+class TestGramTerms:
+    """intersect sums over the sparse gram_terms; the reference sums every
+    Gram entry in Fractions."""
+
+    @pytest.mark.parametrize("name", [*MOVED, "chain"])
+    def test_pairings_equal_dense_fraction_sums(self, rng, name):
+        model = du_val_chain(60) if name == "chain" else dense_fixture(rng, name)
+        vectors = [c.coords for c in model.curves] + [model.canonical]
+        vectors += [random_rationals(rng, model.rank, rng.choice([None, 1, 6])) for _ in range(12)]
+        for _ in range(30):
+            u, v = rng.choice(vectors), rng.choice(vectors)
+            d, e = DivisorClass(map(Q, u)), DivisorClass(map(Q, v))
+            assert model.intersect(d, e) == fraction_pairing(model.gram, u, v)
+            assert model.self_intersection(d) == fraction_pairing(model.gram, u, u)
+
