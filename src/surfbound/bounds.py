@@ -520,7 +520,6 @@ class Analysis:
         top = floor(m * k)  # m times a value is an integer
         return search.count_points(self.elimination(self.support), linear, m, top) - (k >= 0)
 
-    @_memoized
     def enumerate_obstructions(self, k) -> ObstructionSet:
         """The obstruction set at level k, whose rows the ordered search
         makes on demand, sorted lexicographically by coefficients."""

@@ -31,7 +31,7 @@ congruence pivots that the tests check against live in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .errors import RankMismatch
@@ -150,7 +150,7 @@ def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
 
 
 def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix, by
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric integer matrix, by
     congruences of determinant +-1: a swap toward a nonzero diagonal entry,
     an off-diagonal borrow when every trailing diagonal entry is 0, and the
     symmetric elimination step, whose row form alone gives the Schur
@@ -159,9 +159,6 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     step touches only the rows with a nonzero entry in the pivot column."""
     n = len(m)
     rows, dens = [list(row) for row in m], [1] * n
-    if type(sum(map(sum, m), 0)) is not int:  # Fraction entries: each row over its lcm
-        dens = [lcm(*[x.denominator for x in row]) for row in m]
-        rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(m, dens)]
     plus = zero = 0
     for i in range(n):
         if not rows[i][i]:

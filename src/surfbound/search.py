@@ -9,8 +9,10 @@ top. Each also takes the (det, rows) that lattice.negated_elimination makes
 of G, so the caller factors a block once for every search on it. This
 module finds those points by the short-vector search of Fincke and Pohst in
 integers, counts them without keeping them, and finds their least value, all
-by one descent with a floor on the budget that a leaf keeps. Every step is
-exact, and no Fraction is made but the values reported.
+by the one descent of _intervals, with a floor on the budget that a leaf
+keeps: 0 for the points and their count, and for the least value a floor
+that rises with each better leaf. Every step is exact, and no Fraction is
+made but the values reported.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def _intervals(
     of n_0 this yields (low, high, sh_0, left), with n_1..n_{r-1} in
     point[1:]: each n_0 in [low, high] is a point of the set whose leaf keeps
     left - e_0 W_0^2 >= floor[0]. The loop resumes one frame per interval,
-    and a consumer may raise the floor between intervals."""
+    and a consumer may raise the floor between intervals, as least_value
+    does."""
     budget, weight, scale, base, tails, _ = form
     r = len(weight)
     lefts = [0] * r + [budget]  # lefts[j + 1]: the budget left for n_0..n_j
@@ -136,21 +139,17 @@ def fincke_pohst(
     So the search meets points in the lexicographic order of their reversed
     coordinate tuples. Every condition is exact, so every leaf is a hit, and
     the budget `rest` left at a leaf gives its value top / m - rest / (P
-    g^2), one Fraction per distinct value. The set-up runs on the call; the
-    points are searched as the iterator is read."""
+    g^2), one Fraction per distinct value. This is a generator: set-up and
+    search both run as it is read."""
     form = _search_form(eliminated, linear, m, top)
-    return iter(()) if form is None else _runs(form, m, top)
-
-
-def _runs(
-    form: _SearchForm, m: int, top: int
-) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
+    if form is None:
+        return
     e, a, den = form.weight[0], form.scale[0], form.den
     # One Fraction per distinct value, by the budget left at the leaf: the
     # values repeat, as they lie between tau and the bound with a bounded
     # denominator. The cap keeps the memory flat whatever the input.
     values: dict[int, Fraction] = {}
-    point = [0] * len(form.weight)
+    point = [0] * len(linear)
     for low, high, shift, left in _intervals(form, point):
         tail = tuple(point[1:])
         if not low and not any(tail):
@@ -176,24 +175,15 @@ def least_value(
     sublevel set at top, or None when that set is empty.
 
     The least value is the leaf that keeps the most budget, which the
-    descent of _intervals finds with a rising floor. The floor starts at the
-    budget of a seed, if nonzero and in the set: each coordinate, from last
-    to first, takes the value nearest its centre, clamped at 0. The best
-    leaf of each interval of n_0 is the n_0 nearest -sh_0 / (D_0 g) but the
-    zero point, and it raises the floor to one above its budget."""
+    descent of _intervals finds with a floor that starts at 0 and rises with
+    each better leaf. The best leaf of each interval of n_0 is the n_0
+    nearest -sh_0 / (D_0 g) but the zero point, and it raises the floor to
+    one above its budget."""
     form = _search_form(eliminated, linear, m, top)
     if form is None:
         return None
-    budget, weight, scale, base, tails, den = form
-    point = [0] * len(linear)
-    rest = budget
-    for j in reversed(range(len(linear))):
-        shift = base[j] + sum(map(mul, tails[j], point[j + 1:]))
-        point[j] = max(0, (scale[j] - 2 * shift) // (2 * scale[j]))
-        w = scale[j] * point[j] + shift
-        rest -= weight[j] * w * w
-    floor = [rest if rest >= 0 and any(point) else 0]
-    e, a = weight[0], scale[0]
+    e, a, den = form.weight[0], form.scale[0], form.den
+    point, floor = [0] * len(linear), [0]
     best = -1
     for low, high, shift, left in _intervals(form, point, floor):
         lowest = 0 if any(point[1:]) else 1  # the zero point is no leaf

@@ -83,8 +83,9 @@ def _check_decomposition(model, d, dec):
         if i in dec.support:
             assert pairing == 0
     if dec.support:
+        # curves are integer classes, so their pairings are integers
         gram = [
-            [model.intersect(model.curve_divisor(i), model.curve_divisor(j))
+            [int(model.intersect(model.curve_divisor(i), model.curve_divisor(j)))
              for j in dec.support]
             for i in dec.support
         ]

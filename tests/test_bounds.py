@@ -598,6 +598,28 @@ class TestObstructionMinimum:
             outside += min(solve_linear(gram, linear)) < 0  # the centre, times 2m
         assert outside >= 120, outside  # 151 of the 154
 
+    def test_the_floor_rises_with_each_better_leaf(self, fixture_models, monkeypatch):
+        # a floor that never rises still finds tau, but only after the
+        # descent has walked the whole sublevel set: on the twist family at
+        # N = 100 the rising floor takes 584 intervals of n_0, a flat floor
+        # far more than the cap
+        cap = 1750
+        yielded = 0
+        intervals = search._intervals
+
+        def capped(*args):
+            nonlocal yielded
+            for interval in intervals(*args):
+                yielded += 1
+                if yielded > cap:
+                    raise AssertionError(f"tau took more than {cap} intervals")
+                yield interval
+
+        monkeypatch.setattr(search, "_intervals", capped)
+        d7 = fixture_models["ade_d7"]
+        t = d7.divisor([0, Q(3, 2), 1, 2, -50, Q(1, 3), 0, 1])
+        assert Analysis(d7, parse_divisor(d7, "1/2*h"), t).obstruction_minimum == Q(-6923, 6)
+
     def test_minimum_is_attained_and_sharp(self, a2):
         h = a2.divisor([1, 0, 0])
         zero = a2.zero_divisor()

@@ -427,12 +427,12 @@ class TestIntegerSignature:
             expected = pivot_inertia(m)
             assert lattice.signature(m) == expected == descartes_inertia(sympy, m), m
 
-    def test_fraction_entries_are_rows_over_their_lcm(self, rng):
+    def test_positive_diagonal_congruence_keeps_the_inertia(self, rng):
         for trial in range(100):
             m = sparse_symmetric(rng, 1 + trial % 8)
             scales = [rng.randint(1, 6) for _ in m]
-            # D m D for D = diag(1/scale) has the inertia of m
-            q = [[Q(x, a * b) for x, b in zip(row, scales)] for row, a in zip(m, scales)]
+            # D m D for D = diag(scale) has the inertia of m
+            q = [[x * a * b for x, b in zip(row, scales)] for row, a in zip(m, scales)]
             assert lattice.signature(q) == lattice.signature(m) == pivot_inertia(q)
 
     @pytest.mark.parametrize("kind", ["a", "d", "e"])
