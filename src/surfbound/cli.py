@@ -6,11 +6,12 @@ mismatch. All handlers resolve the computational entry points through
 their modules at call time, so a test harness can swap implementations in
 and out.
 
-A handler returns the values it computed, and run_subcommand makes the
-payload of them with one reporting.to_payload call. A value that can only
-be known while the payload is written, such as the count of streamed
-obstruction entries, enters it as a reporting.Later, which makes the
-payload value when the writer reaches it.
+A handler returns the values it computed, and run_subcommand hands them
+as they are to a writer, which converts each value as it reaches it
+(reporting.to_payload). A value that can only be known while the output is
+written, such as the count of streamed obstruction entries, enters the
+result as a reporting.Later, which makes the value when the writer reaches
+it.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _cmd_tau(args) -> dict:
 def _cmd_obstructions(args) -> dict:
     analysis = _analysis(args)
     obs = analysis.enumerate_obstructions(args.cluster)
-    result = to_payload(obs)
+    result = {**to_payload(obs), "entries": to_payload(obs.entries)}
     if args.oracle:
         # the search runs once: the writer streams the rows checked here
         rows = list(obs.entries.rows())
@@ -280,11 +281,12 @@ def _cmd_ek(args) -> dict:
     model = analysis.model
     corr = analysis.correction_divisor(args.cluster)
     sep = analysis.separating_divisor
-    correction = to_payload(corr)
-    correction["support_names"] = _curve_names(model, corr.support)
+    correction = {**to_payload(corr), "support_names": _curve_names(model, corr.support)}
     separating = to_payload(sep)
-    for piece, raw in zip(sep.pieces, separating["pieces"]):
-        raw["component_names"] = _curve_names(model, piece.component)
+    separating["pieces"] = [
+        {**to_payload(piece), "component_names": _curve_names(model, piece.component)}
+        for piece in sep.pieces
+    ]
     return {**_system(analysis), "correction": correction, "separating": separating}
 
 
@@ -410,14 +412,11 @@ def run_subcommand(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        # Making the payload, and the obstruction entries the writers make
-        # as they write them, can fail too, so all of it runs inside the
+        # Converting the result, and making the obstruction entries, as the
+        # writer writes them can fail too, so all of it runs inside the
         # handler's error boundary.
-        payload = to_payload(args.handler(args))
-        if args.json:
-            dump_json(payload, sys.stdout)
-        else:
-            render_text(payload, sys.stdout)
+        write = dump_json if args.json else render_text
+        write(args.handler(args), sys.stdout)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import RankMismatch
@@ -203,10 +204,7 @@ def is_characteristic(k: Sequence[int], m: Sequence[Sequence[int]]) -> bool:
     sufficient for x.G.k = x.G.x mod 2 on the whole lattice."""
     if len(k) != len(m):
         raise RankMismatch("characteristic test needs a vector of full rank")
-    for i, row in enumerate(m):
-        if (sum(row[j] * k[j] for j in range(len(k))) + row[i]) % 2:
-            return False
-    return True
+    return not any((sum(map(mul, row, k)) + row[i]) % 2 for i, row in enumerate(m))
 
 
 def sqrt_upper(x: Fraction) -> Fraction:

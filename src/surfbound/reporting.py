@@ -1,8 +1,11 @@
 """Serialization of results for the command line.
 
-`to_payload` is the one place where a result becomes a payload: the
-command handlers return Fractions, divisors and result records, and the
-command line converts what they return once, just before it is written.
+The command handlers return Fractions, divisors, result records, and dicts
+and lists of them, and the two writers, dump_json and render_text, take
+that result as it is. Each writer walks it once: it writes a payload value
+as it reaches it, and gives any other value to `to_payload`, the one place
+where a result value gets its output form. to_payload converts that one
+value, and the writer walks on into what it gives.
 
 Every rational is reported as {"exact": "p/q", "approx": float}, the exact
 value for scripts and the decimal for humans. INFINITY, the minimum over an
@@ -10,16 +13,16 @@ empty obstruction set, is {"exact": "inf", "approx": null}, and "approx" is
 null for a value beyond float range too. That dict is an _Exact, a leaf
 known by its type, so both output modes carry identical exact values.
 
-A payload tree holds dicts with str keys, lists, tuples, _Exact, str, int,
-finite float, bool, None, EntriesNode and Later. The three walkers,
-to_payload, dump_json and render_text, dispatch on exact types and raise
-TypeError on the same values: a subclass of one of these types (a dataclass
-aside, which to_payload converts) or a type that none of them knows. The
-two writers take exactly these trees, and refuse a key that is not a str.
+The payload values (_NODES) are dicts, lists, tuples, _Exact, str, int,
+finite float, bool, None and EntriesNode, known by their exact types. A
+dict key is a str or an int, which is written as its str; both writers
+refuse any other key. Every other value goes to to_payload, which raises
+TypeError on a type it does not know, a subclass of a payload type among
+them (a subclass of a dataclass aside, which converts as its fields).
 
 `dump_json` writes the --json output, byte for byte `json.dumps(payload,
-indent=2)` once EntriesNode and Later values are made into lists and values,
-in one pass that keeps the stdlib's C string escaper.
+indent=2)` of the result converted value by value, in one pass that keeps
+the stdlib's C string escaper.
 
 An obstruction set can hold hundreds of thousands of entries, so it enters
 a payload as an EntriesNode, a source of its rows. Both writers stream it
@@ -105,7 +108,7 @@ class EntriesNode:
             return None
         coefficients, coords, value = self.least
         divisor = DivisorClass.from_integers(coords)
-        return to_payload({"coefficients": coefficients, "divisor": divisor, "value": value})
+        return {"coefficients": coefficients, "divisor": divisor, "value": value}
 
 
 @dataclasses.dataclass(eq=False, slots=True)
@@ -116,46 +119,42 @@ class Later:
     make: Callable[[], Any]
 
 
-# The payload values to_payload gives back as they are, as the same objects.
-_PLAIN = frozenset({type(None), str, bool, int, float, _Exact, EntriesNode, Later})
+# The types of the payload values, which the writers take as they are.
+_NODES = frozenset({type(None), str, bool, int, float, _Exact, dict, list, tuple, EntriesNode})
 # Field names per dataclass type, filled when to_payload first meets it.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def to_payload(value: Any) -> Any:
-    """Recursively convert a result (dataclasses, Fractions, INFINITY,
-    divisors, dicts, lists and tuples) into a payload tree. A payload value
-    comes back unchanged, so a part converted once may sit in a result that
-    is converted again. A key that is not a str becomes its str.
-
-    A dataclass, or a subclass of one, converts as its fields in their order,
-    read once per type. The plain items of a dict, a list or a dataclass are
-    kept without a call."""
+    """The payload value of one result value whose type is not in _NODES: a
+    Later gives the value it makes, a Fraction or INFINITY its exact value,
+    a divisor its coordinates and text, an ObstructionEntries an EntriesNode
+    of its rows, and a dataclass, or a subclass of one, the dict of its
+    fields in their order, read once per type. The parts of what it gives
+    are left as they are, for the writers to convert as they reach them."""
     kind = type(value)
-    if kind in _PLAIN:
-        return value
+    if kind is Later:
+        return value.make()
     if kind is Fraction or value is INFINITY:
         return exact_value(value)
     if kind is DivisorClass:
         coords = [_exact(x, value.den) for x in value.num]
         return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
-    if kind is dict:
-        return {
-            k if type(k) is str else str(k): v if type(v) in _PLAIN else to_payload(v)
-            for k, v in value.items()
-        }
-    if kind is list or kind is tuple:
-        return [v if type(v) in _PLAIN else to_payload(v) for v in value]
     names = _FIELD_NAMES.get(kind)
-    if names is not None:
-        fields = zip(names, [getattr(value, name) for name in names])
-        return {name: v if type(v) in _PLAIN else to_payload(v) for name, v in fields}
-    if kind is ObstructionEntries:
-        return EntriesNode(value.rows)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        _FIELD_NAMES[kind] = tuple(field.name for field in dataclasses.fields(value))
-        return to_payload(value)
-    raise TypeError(f"cannot serialize {kind.__name__}")
+    if names is None:
+        if kind is ObstructionEntries:
+            return EntriesNode(value.rows)
+        if not dataclasses.is_dataclass(value) or isinstance(value, type):
+            raise TypeError(f"cannot serialize {kind.__name__}")
+        names = _FIELD_NAMES[kind] = tuple(field.name for field in dataclasses.fields(value))
+    return {name: getattr(value, name) for name in names}
+
+
+def _int_key(key: Any) -> str:
+    """The text of a dict key that is not a str: an int's str, else TypeError."""
+    if type(key) is not int:
+        raise TypeError(f"cannot serialize key of type {type(key).__name__}")
+    return str(key)
 
 
 class _Rendered(dict):
@@ -246,17 +245,19 @@ def _stream(
     return count > 0
 
 
-def dump_json(payload: Any, out: TextIO) -> None:
-    """Write `json.dumps(payload, indent=2)` and a newline to `out` in one
-    pass over a payload tree: an EntriesNode as the list of its entries, a
-    Later as the value it makes. The text is held and written in pieces, as
-    _stream writes it, the rest at the end. The recursion is a closure, so a
-    tracer that wraps this module's functions sees one call per document."""
+def dump_json(result: Any, out: TextIO) -> None:
+    """Write `json.dumps(payload, indent=2)` and a newline to `out`, for the
+    payload of `result`, in one pass that converts each value as it reaches
+    it and writes an EntriesNode as the list of its entries. The text is
+    held and written in pieces, as _stream writes it, the rest at the end."""
     parts: list[str] = []
     append = parts.append
 
     def write(value: Any, pad: str) -> None:
         kind = type(value)
+        while kind not in _NODES:
+            value = to_payload(value)
+            kind = type(value)
         if kind is _Exact:
             append(value.json(pad))
         elif kind is dict:
@@ -268,7 +269,7 @@ def dump_json(payload: Any, out: TextIO) -> None:
             lead = "{\n" + inner
             for key, item in value.items():
                 if type(key) is not str:
-                    raise TypeError(f"cannot serialize key of type {type(key).__name__}")
+                    key = _int_key(key)
                 append(lead + encode_basestring_ascii(key) + ": ")
                 lead = sep
                 write(item, inner)
@@ -293,25 +294,22 @@ def dump_json(payload: Any, out: TextIO) -> None:
             append("true" if value else "false")
         elif value is None:
             append("null")
-        elif kind is EntriesNode:
+        else:  # an EntriesNode
             inner = pad + "  "
             if _stream(value, _json_entry(inner), "[\n" + inner, ",\n" + inner, parts, out):
                 append("\n" + pad + "]")
             else:
                 append("[]")
-        elif kind is Later:
-            write(value.make(), pad)
-        else:
-            raise TypeError(f"cannot serialize {kind.__name__}")
 
-    write(payload, "")
+    write(result, "")
+    del write  # it holds itself, parts and out through its cell: a cycle
     append("\n")
     out.write("".join(parts))
 
 
 def _leaf(value: Any) -> Optional[str]:
-    """The text of a leaf on its line, or None for a container: a dict with
-    items, a list, a tuple or an EntriesNode. Any other type raises TypeError."""
+    """The text of a payload value that is a leaf on its line, or None for a
+    container: a dict with items, a list, a tuple or an EntriesNode."""
     kind = type(value)
     if kind is _Exact:
         exact = value["exact"]
@@ -325,18 +323,15 @@ def _leaf(value: Any) -> Optional[str]:
         return "yes" if value else "no"
     if value is None:
         return "-"
-    if kind is dict:
-        return None if value else "{}"
-    if kind is list or kind is tuple or kind is EntriesNode:
-        return None
-    raise TypeError(f"cannot serialize {kind.__name__}")
+    return "{}" if kind is dict and not value else None
 
 
-def render_text(payload: Any, out: TextIO) -> None:
-    """Write indented key/value lines of a payload tree to `out`, each with
-    a newline; a tuple renders as a list, an EntriesNode as the list of its
-    entries, and a Later as the value it makes. The text is held and written
-    in pieces, as _stream writes it, the rest at the end."""
+def render_text(result: Any, out: TextIO) -> None:
+    """Write indented key/value lines of the payload of `result` to `out`,
+    each with a newline, converting each value as it reaches it; a tuple
+    renders as a list and an EntriesNode as the list of its entries. The
+    text is held and written in pieces, as _stream writes it, the rest at
+    the end."""
     parts: list[str] = []
     append = parts.append
 
@@ -351,8 +346,8 @@ def render_text(payload: Any, out: TextIO) -> None:
             return
         texts = []
         for value in values:
-            while type(value) is Later:
-                value = value.make()
+            while type(value) not in _NODES:
+                value = to_payload(value)
             text = _leaf(value)
             if text is None:
                 if head is not None:
@@ -373,9 +368,9 @@ def render_text(payload: Any, out: TextIO) -> None:
             pad = "  " * indent
             for key, value in payload.items():
                 if type(key) is not str:
-                    raise TypeError(f"cannot serialize key of type {type(key).__name__}")
-                while type(value) is Later:
-                    value = value.make()
+                    key = _int_key(key)
+                while type(value) not in _NODES:
+                    value = to_payload(value)
                 text = _leaf(value)
                 if text is not None:
                     append(f"{pad}{key}: {text}\n")
@@ -384,8 +379,8 @@ def render_text(payload: Any, out: TextIO) -> None:
                     write(value, indent + 1)
                 else:
                     items(value, indent + 1, f"{pad}{key}:")
-        elif type(payload) is Later:
-            write(payload.make(), indent)
+        elif type(payload) not in _NODES:  # a result at the top
+            write(to_payload(payload), indent)
         else:  # a container in a list, or a leaf at the top
             text = _leaf(payload)
             if text is None:
@@ -393,6 +388,7 @@ def render_text(payload: Any, out: TextIO) -> None:
             else:
                 append(f"{text}\n")
 
-    write(payload, 0)
+    write(result, 0)
+    del items, write  # they hold each other, parts and out through their cells
     if parts:
         out.write("".join(parts))

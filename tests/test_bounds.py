@@ -905,7 +905,7 @@ class TestTheoremThresholds:
             if system.startswith("mixed"):
                 assert table["fixed_part_avoids_c2+c3+c4"].established  # the chain
             out = io.StringIO()
-            reporting.dump_json(reporting.to_payload(table), out)
+            reporting.dump_json(table, out)
             digests.setdefault(system, hashlib.sha256()).update(out.getvalue().encode())
         assert {key: d.hexdigest() for key, d in digests.items()} == self.NONRATIONAL_DIGESTS
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surfbound import search, surface_io
+from surfbound import reporting, search, surface_io
 from surfbound.cli import build_parser, run_subcommand
 from surfbound.bounds import INFINITY, ObstructionEntries
 from surfbound.reporting import Later, dump_json, exact_value, render_text, to_payload
@@ -714,15 +718,37 @@ class TestCommandLine:
         # the entries are a source of rows, which each writer pass reads anew
         argv = ["obstructions", "--surface", "ade_d4", "--divisor", "h", "-k", "2", *oracle]
         args = build_parser().parse_args(argv)
-        payload = to_payload(args.handler(args))
+        result = args.handler(args)
         texts = []
         for write in (dump_json, dump_json, render_text, render_text):
             out = io.StringIO()
-            write(payload, out)
+            write(result, out)
             texts.append(out.getvalue())
         assert texts[0] == texts[1] and texts[2] == texts[3]
         obs = json.loads(texts[1])["obstructions"]
         assert len(obs["entries"]) == obs["count"] == 12  # the positive roots of D4
+
+    def test_writers_leave_no_garbage(self):
+        # a reference cycle through a writer's closures would keep stdout
+        # alive until the collector ran
+        argvs = (
+            ["thresholds", "--surface", "ade_e6", "--divisor", "h", "-k", "1", "--json"],
+            ["obstructions", "--surface", "ade_d4", "--divisor", "h", "-k", "2"],
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for argv in argvs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert run_subcommand(argv) == 0
+                assert out.getvalue()
+                ref = weakref.ref(out)
+                del out
+                assert ref() is None, argv
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_ek_payload(self, capsys):
         code, payload = run_json(
@@ -887,8 +913,16 @@ class TestDumpJson:
         assert dumped(tree) == json.dumps(tree, indent=2) + "\n"
 
     @pytest.mark.parametrize(
-        "tree", [{1: "a"}, {"a": {None: 0}}, {(1,): 0}, {1, 2}, [{"a": {1}}], Q(1, 2)],
-        ids=["int-key", "none-key", "tuple-key", "set", "nested-set", "fraction"],
+        "tree",
+        [
+            {"a": {None: 0}},
+            {(1,): 0},
+            {1, 2},
+            [{"a": {1}}],
+            {"a": [OrderedDict(b=1)]},
+            [[{"a": {2: {(1,): 0}}}]],
+        ],
+        ids=["none-key", "tuple-key", "set", "nested-set", "dict-subclass", "deep-tuple-key"],
     )
     def test_other_types_raise(self, tree):
         with pytest.raises(TypeError):
@@ -997,9 +1031,28 @@ class TestPayload:
     )
     def test_subclasses_serialize_as_before(self, value, payload):
         for _ in range(2):  # the second call reads the cached field names
-            got = to_payload(value)
-            assert got == payload
-            assert dumped(got) == json.dumps(payload, indent=2) + "\n"
+            assert dumped(value) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "result,payload",
+        [
+            ({1: "a", "b": {2: Q(1, 2)}}, {"1": "a", "b": {"2": exact_value(Q(1, 2))}}),
+            (Q(1, 2), exact_value(Q(1, 2))),
+            (
+                [0, [{"a": (Q(1, 3), DivisorClass((Q(1, 3), 2)), _Result(Q(-1, 2), "x"))}]],
+                [0, [{"a": [
+                    exact_value(Q(1, 3)),
+                    {"coords": [exact_value(Q(1, 3)), exact_value(2)], "text": "1/3,2"},
+                    {"value": exact_value(Q(-1, 2)), "label": "x"},
+                ]}]],
+            ),
+        ],
+        ids=["int-key", "fraction", "deep-in-a-list"],
+    )
+    def test_result_values_are_written(self, result, payload):
+        # the writers convert each value as they reach it
+        assert dumped(result) == json.dumps(payload, indent=2) + "\n"
+        assert rendered(result) == rendered(payload)
 
     @pytest.mark.parametrize(
         "value",
@@ -1013,8 +1066,9 @@ class TestPayload:
     )
     def test_other_subclasses_raise(self, value):
         # only a dataclass is converted by what it derives from
-        with pytest.raises(TypeError, match="cannot serialize"):
-            to_payload(value)
+        if type(value) is not list:  # a list is for the writers to walk
+            with pytest.raises(TypeError, match="cannot serialize"):
+                to_payload(value)
         with pytest.raises(TypeError, match="cannot serialize"):
             dumped(value)
         with pytest.raises(TypeError, match="cannot serialize"):
@@ -1051,19 +1105,31 @@ def _handler_argvs(surface: str) -> list[list[str]]:
 
 
 class TestPayloadContract:
-    """A handler returns results; to_payload makes the payload, and gives a
-    payload value back unchanged."""
+    """A handler returns results, and the writers take them as they are:
+    they write each payload value as it is, and give each other value to
+    to_payload, which converts that one value."""
 
     @pytest.mark.parametrize("surface", sorted(CONTRACT_FIXTURES))
-    def test_payload_of_a_payload_is_itself(self, surface):
+    def test_payload_of_a_payload_is_itself(self, surface, monkeypatch):
+        convert = reporting.to_payload
+
+        def checked(value):
+            assert type(value) not in reporting._NODES, value
+            return convert(value)
+
+        # the writers give to_payload only the values that are not payload values
+        monkeypatch.setattr(reporting, "to_payload", checked)
         parser = build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         commands = _handler_argvs(surface)
         assert [argv[0] for argv in commands] == list(sub.choices)
         for argv in commands:
             args = parser.parse_args(argv)
-            once = to_payload(args.handler(args))
-            assert to_payload(once) == once, argv
+            result = args.handler(args)
+            once = dumped(result)
+            rendered(result)
+            # the written payload, read back, writes as itself
+            assert dumped(json.loads(once)) == once, argv
 
     def test_entries_and_later_come_back_as_the_same_objects(self):
         from surfbound.bounds import Analysis
@@ -1071,23 +1137,25 @@ class TestPayloadContract:
 
         model = load_fixture("ade_d4")
         analysis = Analysis(model, parse_divisor(model, "h"), model.zero_divisor())
-        node = to_payload(analysis.enumerate_obstructions(1))["entries"]
+        node = to_payload(analysis.enumerate_obstructions(2).entries)
         later = Later(lambda: node.count)
         assert type(node) is EntriesNode
-        assert to_payload(node) is node
-        assert to_payload(later) is later
-        payload = to_payload({"entries": node, "count": [later]})
-        assert payload["entries"] is node
-        assert payload["count"][0] is later
+        assert to_payload(later) == 0
+        # the writer streams the node it is given, then makes the Later
+        payload = json.loads(dumped({"entries": node, "count": [later]}))
+        assert payload["count"] == [len(payload["entries"])] == [node.count] == [12]
+        assert rendered({"entries": node, "count": later}).endswith(f"count: {node.count}\n")
 
     def test_floats_and_converted_values_pass_unchanged(self):
-        converted = to_payload({"x": Q(1, 2), "y": DivisorClass((Q(1, 3), 2))})
+        result = {"x": Q(1, 2), "y": DivisorClass((Q(1, 3), 2)), "z": 0.25}
+        converted = {"x": to_payload(result["x"]), "y": to_payload(result["y"]), "z": 0.25}
         assert converted == {
             "x": HALF,
             "y": {
                 "coords": [{"exact": "1/3", "approx": 1 / 3}, {"exact": "2", "approx": 2.0}],
                 "text": "1/3,2",
             },
+            "z": 0.25,
         }
-        assert to_payload(converted) == converted
-        assert to_payload(0.25) == 0.25
+        assert dumped(result) == dumped(converted) == json.dumps(converted, indent=2) + "\n"
+        assert rendered(result) == rendered(converted)

@@ -2,8 +2,8 @@
 
 `obstructions` and `report` hand the writers an EntriesNode, which they
 write one entry at a time, and Later values, which they make after it. Each
-test here materializes the same payload into plain lists and dicts through
-the generic to_payload, and requires the streamed stdout to equal
+test here materializes the same result into plain lists and dicts, value by
+value through to_payload, and requires the streamed stdout to equal
 `json.dumps(payload, indent=2)` or the lines render_text writes of it.
 """
 
@@ -25,7 +25,7 @@ import pytest
 
 from surfbound import cli, reporting, search, surface_io
 from surfbound.errors import CalculatorError, ModelInconsistent
-from surfbound.reporting import EntriesNode, Later, render_text, to_payload
+from surfbound.reporting import EntriesNode, render_text, to_payload
 from surfbound.surface import DivisorClass
 
 from generators import block_model
@@ -34,24 +34,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def materialize(value):
-    """The payload as the generic writers see it, made in payload order: an
-    EntriesNode becomes the list of to_payload of its entries, a Later the
-    value it makes. Only plain dicts are copied, so an exact value stays the
-    leaf type that render_text knows."""
+    """The payload of a result as the generic writers see it, made in
+    payload order: each value that is not a payload value becomes its
+    to_payload, as the writers convert it, and an EntriesNode the list of the
+    payloads of its entries. Only plain dicts and sequences are copied, so an
+    exact value stays the leaf type that render_text knows."""
+    while type(value) not in reporting._NODES:
+        value = to_payload(value)
     if isinstance(value, EntriesNode):
         rows = list(value.rows())
         # what the writers' loop counts and keeps for the Later values after it
         value.count = len(rows)
         value.least = min(rows, key=lambda row: (row[2], row[0]), default=None)
         return [
-            to_payload({"coefficients": c, "divisor": DivisorClass(coords), "value": v})
+            materialize({"coefficients": c, "divisor": DivisorClass(coords), "value": v})
             for c, coords, v in rows
         ]
-    if isinstance(value, Later):
-        return materialize(value.make())
     if type(value) is dict:
         return {key: materialize(item) for key, item in value.items()}
-    if isinstance(value, list):
+    if type(value) in (list, tuple):
         return [materialize(item) for item in value]
     return value
 
@@ -62,7 +63,7 @@ def assert_streamed_as_materialized(capsys, argv: list[str]) -> Optional[dict]:
     gives None."""
     args = cli._parser().parse_args(argv)
     try:
-        payload = materialize(to_payload(args.handler(args)))
+        payload = materialize(args.handler(args))
     except CalculatorError:
         assert cli.run_subcommand(argv) == 1
         assert capsys.readouterr().out == ""
