@@ -3,10 +3,11 @@
 For each n, the model A_n of `make_fixtures.du_val_model("a", n)` (rank
 n + 1: the class h and the chain c1..cn, each curve a unit vector) is
 written to a temporary file, which is not timed: its ample reference takes
-several seconds to make at n = 500. Then `validate`, `zariski --divisor h`
-and `tau --divisor h` each run on it in their own Python process. Each row
-prints n, the command, the exit code and the wall time. A process that runs
-past --timeout is killed, and its row prints `timeout`.
+several seconds to make at n = 500. Then `validate`, `zariski --divisor h`,
+`tau --divisor h` and `report --divisor h` each run on it in their own
+Python process. Each row prints n, the command, the exit code and the wall
+time. A process that runs past --timeout is killed, and its row prints
+`timeout`.
 
     python3 scripts/curve_scale.py                  # n = 20 60 120 250 500
     python3 scripts/curve_scale.py --n 250          # other n
@@ -29,7 +30,12 @@ from make_fixtures import du_val_model
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); from surfbound.cli import main; main()"
 
-COMMANDS = (["validate"], ["zariski", "--divisor", "h"], ["tau", "--divisor", "h"])
+COMMANDS = (
+    ["validate"],
+    ["zariski", "--divisor", "h"],
+    ["tau", "--divisor", "h"],
+    ["report", "--divisor", "h"],
+)
 
 
 def run_row(src: Path, n: int, path: Path, command: list[str], timeout: float) -> str:

@@ -192,17 +192,15 @@ class ObstructionEntries:
         """The row of each entry, sorted by coefficients.
 
         The search meets points in the lexicographic order of their reversed
-        coordinate tuples, so on the reversed support it meets the
-        coefficient tuples in sorted order. A divisor is an integer sum of
-        the support curves' coordinates; along a run only the last
-        coefficient rises, by one curve at a time."""
+        coordinate tuples, so on Analysis.elimination, of the reversed
+        support, it meets the coefficient tuples in sorted order. A divisor
+        is an integer sum of the support curves' coordinates; along a run
+        only the last coefficient rises, by one curve at a time."""
         analysis = self._analysis
         if not analysis.support:
             return
-        reverse = analysis.support[::-1]
         linear, m = analysis.obstruction_form
-        top = floor(m * self._bound)
-        runs = search.fincke_pohst(analysis.elimination(reverse), linear[::-1], m, top)
+        runs = search.fincke_pohst(analysis.elimination, linear, m, floor(m * self._bound))
         model = analysis.model
         terms = [model.curve_terms[i] for i in analysis.support]
         last = model.curves[analysis.support[-1]].coords
@@ -286,16 +284,16 @@ def obstruction_oracle(analysis: Analysis, k) -> list[Row]:
     of the obstruction set at level k, sorted as ObstructionEntries.rows()
     yields them, from every point of the outward-rounded bounding box of the
     sublevel ellipsoid. With the search it shares only the linear term of
-    the obstruction form; it negates the Gram block of the support to Q and
-    packs each divisor from the curve columns itself. Its cost is the box
-    volume, so it is meant for small inputs."""
+    the obstruction form, reversed back; it negates the Gram block of the
+    support to Q and packs each divisor from the curve columns itself. Its
+    cost is the box volume, so it is meant for small inputs."""
     model, support = analysis.model, analysis.support
     if not support:
         return []
     linear, m = analysis.obstruction_form
     q_matrix = [[-x for x in row] for row in model.curve_gram(support)]
     columns = list(zip(*(model.curves[i].coords for i in support)))
-    hits = sorted(_box_product(q_matrix, linear, m, floor(m * Q(k))))
+    hits = sorted(_box_product(q_matrix, linear[::-1], m, floor(m * Q(k))))
     return [(n, tuple(sum(map(mul, c, n)) for c in columns), value) for n, value in hits]
 
 
@@ -385,9 +383,10 @@ def _memoized(method):
 class Analysis:
     """The system n*A + T for a nef and big class A, and everything derived
     from it. Building one checks A once: model.exceptional_curves checks
-    that A is nef and big, and the elimination of the curves orthogonal to
-    A that their block is negative definite. Each derived value is computed
-    on first use and kept on the instance."""
+    that A is nef and big, and the one elimination of the curves orthogonal
+    to A, which every search and solve on them reads, that their block is
+    negative definite; so the cycles of its components skip that check.
+    Each derived value is computed on first use and kept on the instance."""
 
     model: SurfaceModel
     a: DivisorClass
@@ -398,7 +397,7 @@ class Analysis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", self.model.exceptional_curves(self.a))
         object.__setattr__(self, "_memo", {})
-        if self.elimination(self.support) is None:
+        if self.elimination is None:
             raise ModelInconsistent(
                 "curves orthogonal to a big class must span a negative "
                 "definite block"
@@ -410,7 +409,7 @@ class Analysis:
 
     @_memoized
     def cycle(self, component: tuple[int, ...]) -> FundamentalCycle:
-        return fundamental_cycle(self.model, component)
+        return fundamental_cycle(self.model, component, gram=self.model.curve_gram(component))
 
     @cached_property
     def rational(self) -> bool:
@@ -486,11 +485,11 @@ class Analysis:
         f0 = self.hodge.value / 4 + k * self.a2
         return (x - self.aw + f0 / x) / self.a2
 
-    @_memoized
-    def elimination(self, curves: tuple[int, ...]) -> search.Eliminated:
-        """lattice.negated_elimination of the Gram block of curves, a subset
-        of the support: negative definite, as building the analysis checked."""
-        return lattice.negated_elimination(self.model.curve_gram(curves))
+    @cached_property
+    def elimination(self) -> Optional[search.Eliminated]:
+        """lattice.negated_elimination of the support's Gram block in reversed
+        order, as ObstructionEntries.rows needs; counts and tau do not depend on it."""
+        return lattice.negated_elimination(self.model.curve_gram(self.support[::-1]))
 
     @_memoized
     def deficits(self, twist: DivisorClass) -> tuple[list[int], int]:
@@ -503,9 +502,9 @@ class Analysis:
         """The linear term of the obstruction form linear.n / m - n'Gn, G
         the Gram block of the support, whose value is T.D - K.D - D^2 for D =
         sum n_i C_i: the integers linear_i = m (T - K).C_i on the support,
-        and m, the common denominator of T - K."""
+        reversed as in the elimination, and m, the denominator of T - K."""
         dc, m = self.deficits(self.t)
-        return [-dc[i] for i in self.support], m
+        return [-dc[i] for i in self.support[::-1]], m
 
     @_memoized
     def obstruction_count(self, k) -> int:
@@ -516,9 +515,8 @@ class Analysis:
         its bounding box. D = 0 has value 0, so it is counted when k >= 0."""
         if not self.support:
             return 0
-        linear, m = self.obstruction_form
-        top = floor(m * k)  # m times a value is an integer
-        return search.count_points(self.elimination(self.support), linear, m, top) - (k >= 0)
+        linear, m = self.obstruction_form  # m times a value is an integer
+        return search.count_points(self.elimination, linear, m, floor(m * k)) - (k >= 0)
 
     def enumerate_obstructions(self, k) -> ObstructionSet:
         """The obstruction set at level k, whose rows the ordered search
@@ -538,8 +536,8 @@ class Analysis:
             return INFINITY
         linear, m = self.obstruction_form
         pairings = self.model.curve_pairings
-        single = min(x - m * pairings[i][i] for i, x in zip(self.support, linear))
-        tau = search.least_value(self.elimination(self.support), linear, m, single)
+        single = min(x - m * pairings[i][i] for i, x in zip(self.support[::-1], linear))
+        tau = search.least_value(self.elimination, linear, m, single)
         if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau
@@ -559,10 +557,11 @@ class Analysis:
         # condition, m the common denominator of K - T
         dc, m = self.deficits(t)
         scaled = [max(dc[i] + k * m, 0) for i in support]
-        # gram x = -|det| sigma is (-gram) x = adj(-gram) sigma, and -gram
-        # is positive definite with determinant |det|; the solve gives m x
-        det_abs, rows = self.elimination(support)
-        solved = lattice.adjugate_solve(rows, scaled)
+        # gram x = -|det| sigma is adj(-gram) sigma = m x (-gram is positive definite, of
+        # det |det|), solved on the reversed block: adj(PMP') = P adj(M) P' for a reversal P
+        det_abs, rows = self.elimination if support == self.support else (
+            lattice.negated_elimination(model.curve_gram(support[::-1])))
+        solved = lattice.adjugate_solve(rows, scaled[::-1])[::-1]
         for i, y in zip(support, solved):
             if y % m or y < 0:
                 raise IntegralityFailure(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import lattice
 from .errors import (
@@ -79,21 +79,20 @@ def _build_cycle(
 
 
 def fundamental_cycle(
-    model: SurfaceModel, component: Sequence[int]
+    model: SurfaceModel, component: Sequence[int], *, gram: Optional[list[list[int]]] = None
 ) -> FundamentalCycle:
-    """Least effective cycle Z >= sum(C_i) with Z.C_i <= 0 for all i."""
-    comp, gram = _component_setup(model, component)
-    r = len(comp)
-    coeffs = [1] * r
-    # pairing[i] = Z.C_i, updated incrementally as curves are added
-    pairing = [sum(gram[i][j] for j in range(r)) for i in range(r)]
+    """Least effective cycle Z >= sum(C_i) with Z.C_i <= 0 for all i. Given gram, the Gram
+    block of a component that bounds.Analysis has checked, it skips the curve checks."""
+    comp, gram = _component_setup(model, component) if gram is None else (tuple(component), gram)
+    coeffs = [1] * len(comp)
+    # pairing[i] = Z.C_i, updated by a row of the symmetric Gram per step
+    pairing = [sum(row) for row in gram]
     for _ in range(_LAUFER_STEP_CAP):
-        bad = next((i for i in range(r) if pairing[i] > 0), None)
+        bad = next((i for i, p in enumerate(pairing) if p > 0), None)
         if bad is None:
             return _build_cycle(model, comp, coeffs)
         coeffs[bad] += 1
-        for i in range(r):
-            pairing[i] += gram[i][bad]
+        pairing = list(map(add, pairing, gram[bad]))
     raise ModelInconsistent("cycle iteration did not terminate")
 
 

@@ -6,13 +6,13 @@ integers linear_i = m (T - K).C_i carry the one denominator m of T - K.
 Each value times m is an integer, so the condition reads m n'Qn + linear.n
 <= top for the integer top = floor(m bound), and each function takes m and
 top. Each also takes the (det, rows) that lattice.negated_elimination makes
-of G, so the caller factors a block once for every search on it. This
-module finds those points by the short-vector search of Fincke and Pohst in
-integers, counts them without keeping them, and finds their least value, all
-by the one descent of _intervals, with a floor on the budget that a leaf
-keeps: 0 for the points and their count, and for the least value a floor
-that rises with each better leaf. Every step is exact, and no Fraction is
-made but the values reported.
+of G: bounds.Analysis eliminates its support once, reversed, for every search
+on it, linear reversed to match. This module finds those points by the
+short-vector search of Fincke and Pohst in integers, counts them without
+keeping them, and finds their least value, all by the one descent of
+_intervals, with a floor on the budget that a leaf keeps: 0 for the points
+and their count, and for the least value a floor that rises with each better
+leaf. Every step is exact, and no Fraction is made but the values reported.
 """
 
 from __future__ import annotations

@@ -81,9 +81,9 @@ def count_calls(monkeypatch, calls: Counter, owner, name: str) -> None:
 
 def single_curve_value(analysis: Analysis) -> Q:
     """The least value of one orthogonal curve, where tau's search starts."""
-    linear, m = analysis.obstruction_form
+    linear, m = analysis.obstruction_form  # on the support reversed
     pairings = analysis.model.curve_pairings
-    return min(Q(x, m) - pairings[i][i] for i, x in zip(analysis.support, linear))
+    return min(Q(x, m) - pairings[i][i] for i, x in zip(analysis.support[::-1], linear))
 
 
 def assert_search_matches_box(analysis: Analysis, levels) -> None:
@@ -102,14 +102,16 @@ def assert_search_matches_box(analysis: Analysis, levels) -> None:
 
 def forward_hits(analysis: Analysis, k) -> list:
     """(coefficients, value) of every hit of the search run on the support
-    in its own order, unsorted: the reference for the ordered search."""
+    in its own order, unsorted: the reference for the ordered search. It
+    eliminates the forward block itself, apart from the analysis'."""
     if not analysis.support:
         return []
     linear, m = analysis.obstruction_form
+    eliminated = lattice.negated_elimination(analysis.model.curve_gram(analysis.support))
     return [
         ((v, *tail), value)
         for tail, first, values in search.fincke_pohst(
-            analysis.elimination(analysis.support), linear, m, math.floor(m * k)
+            eliminated, linear[::-1], m, math.floor(m * k)
         )
         for v, value in enumerate(values, first)
     ]
@@ -589,20 +591,21 @@ class TestObstructionMinimum:
         for analysis in draws:
             linear, m = analysis.obstruction_form
             top = int(m * single_curve_value(analysis))  # m times a value is an integer
-            args = analysis.elimination(analysis.support), linear, m, top
+            args = analysis.elimination, linear, m, top
             tau = search.least_value(*args)
             assert tau == least_value_reference(*args)
             assert search.least_value(*args[:3], int(m * tau) - 1) is None
-            gram = [[analysis.model.curve_pairings[i][j] for j in analysis.support]
-                    for i in analysis.support]
+            order = analysis.support[::-1]  # the order of the elimination
+            gram = [[analysis.model.curve_pairings[i][j] for j in order] for i in order]
             outside += min(solve_linear(gram, linear)) < 0  # the centre, times 2m
         assert outside >= 120, outside  # 151 of the 154
 
     def test_the_floor_rises_with_each_better_leaf(self, fixture_models, monkeypatch):
         # a floor that never rises still finds tau, but only after the
         # descent has walked the whole sublevel set: on the twist family at
-        # N = 100 the rising floor takes 584 intervals of n_0, a flat floor
-        # far more than the cap
+        # N = 100 the rising floor takes 328 intervals of n_0 on the reversed
+        # support (584 on the support in its own order), a flat floor far
+        # more than the cap
         cap = 1750
         yielded = 0
         intervals = search._intervals
@@ -1097,28 +1100,40 @@ class TestAnalysis:
     @pytest.mark.parametrize(
         "command, limits",
         [
-            ("thresholds --surface ade_e6 --divisor h --twist=K -k 1", (2, 3, 13)),
-            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (3, 5, 18)),
-            ("ek --surface ade_d6 --divisor h -k 1", (2, 2, 4)),
-            ("compare-matsusaka --surface double_cover_d5 --divisor H", (1, 1, 6)),
-            ("bounds --surface ade_e6 --divisor 2*h --twist=1*h+c1 -k 2 -n 5", (2, 2, 10)),
-            ("zariski --surface ade_e8 --divisor h+c1", (1, 2, 5)),
+            ("thresholds --surface ade_e6 --divisor h --twist=K -k 1", (1, 3, 13, 1)),
+            ("report --surface ade_e6 --divisor h --twist=K -k 2 -n 5", (1, 5, 18, 1)),
+            ("ek --surface ade_d6 --divisor h -k 1", (1, 2, 4, 1)),
+            ("compare-matsusaka --surface double_cover_d5 --divisor H", (1, 1, 6, 0)),
+            ("bounds --surface ade_e6 --divisor 2*h --twist=1*h+c1 -k 2 -n 5", (1, 2, 10, 1)),
+            ("zariski --surface ade_e8 --divisor h+c1", (1, 2, 5, 0)),
+            ("exceptional --surface ade_e8 --divisor h", (1, 1, 5, 1)),
+            ("obstructions --surface ade_d4 --divisor h -k 2", (1, 2, 1, 0)),
+            ("tau --surface ade_e7 --divisor h --twist=K", (1, 2, 1, 0)),
+            # A is orthogonal to c1, c2 and to c4, c5, c6: two components,
+            # each solved on by the separating divisor
+            ("report --surface ade_d6 --divisor=2*h-c1-2*c2-3*c3-3*c4-3/2*c5-3/2*c6 -k 1",
+             (3, 4, 25, 1)),
         ],
-        ids=["thresholds", "report", "ek", "compare-matsusaka", "bounds", "zariski"],
+        ids=["thresholds", "report", "ek", "compare-matsusaka", "bounds", "zariski",
+             "exceptional", "obstructions", "tau", "report-two-components"],
     )
     def test_a_command_derives_each_datum_once(self, command, limits, monkeypatch, capsys):
         # with the model cache warm, the calls left are the analysis' own:
-        # one elimination per curve set and one set of pairings (K - T).C_i
-        # per twist; the limits are the counts this design reaches
+        # one elimination of the support, plus one of each component that a
+        # correction solves on when there are several; one set of pairings
+        # (K - T).C_i per twist; and the components found once. The limits
+        # are the counts this design reaches
         argv = command.split()
         assert run_subcommand(argv) == 0
         calls = Counter()
         count_calls(monkeypatch, calls, lattice, "negated_elimination")
         count_calls(monkeypatch, calls, SurfaceModel, "scaled_curve_pairings")
         count_calls(monkeypatch, calls, SurfaceModel, "intersect")
+        count_calls(monkeypatch, calls, SurfaceModel, "connected_components")
         assert run_subcommand(argv) == 0
         assert capsys.readouterr().out
-        names = ("negated_elimination", "scaled_curve_pairings", "intersect")
+        names = ("negated_elimination", "scaled_curve_pairings", "intersect",
+                 "connected_components")
         assert all(calls[name] <= limit for name, limit in zip(names, limits)), calls
 
     def test_rejects_a_class_that_is_not_nef_and_big(self, f2):

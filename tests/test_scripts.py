@@ -73,7 +73,7 @@ def test_curve_scale_prints_a_row_per_command():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    commands = ["validate", "zariski --divisor h", "tau --divisor h"]
+    commands = ["validate", "zariski --divisor h", "tau --divisor h", "report --divisor h"]
     assert len(rows) == len(commands), rows
     for command, row in zip(commands, rows):
         assert re.fullmatch(rf"n = 20: {command}: exit 0, [\d.]+ s", row), row
