@@ -4,10 +4,15 @@ For each n, the model A_n of `make_fixtures.du_val_model("a", n)` (rank
 n + 1: the class h and the chain c1..cn, each curve a unit vector) is
 written to a temporary file, which is not timed: its ample reference takes
 several seconds to make at n = 500. Then `validate`, `zariski --divisor h`,
-`tau --divisor h` and `report --divisor h` each run on it in their own
-Python process. Each row prints n, the command, the exit code and the wall
-time. A process that runs past --timeout is killed, and its row prints
-`timeout`.
+`zariski --divisor h+3*c1+...+3*cn`, `tau --divisor h` and `report
+--divisor h` each run on it in their own Python process. Each row prints n,
+the command, the exit code and the wall time. A process that runs past
+--timeout is killed, and its row prints `timeout`.
+
+The second `zariski` row is the growing-support case: only c1 and cn meet
+h + 3(c1 + ... + cn) negatively, so support growth takes n/2 rounds, and
+each round eliminates its support from scratch. At n = 500 it may print
+`timeout` until support growth eliminates each support once as it grows.
 
     python3 scripts/curve_scale.py                  # n = 20 60 120 250 500
     python3 scripts/curve_scale.py --n 250          # other n
@@ -30,17 +35,21 @@ from make_fixtures import du_val_model
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); from surfbound.cli import main; main()"
 
-COMMANDS = (
-    ["validate"],
-    ["zariski", "--divisor", "h"],
-    ["tau", "--divisor", "h"],
-    ["report", "--divisor", "h"],
-)
+def commands(n: int) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each row on A_n."""
+    growing = "h+" + "+".join(f"3*c{i}" for i in range(1, n + 1))
+    return [
+        ("validate", ["validate"]),
+        ("zariski --divisor h", ["zariski", "--divisor", "h"]),
+        (f"zariski --divisor h+3*c1+...+3*c{n}", ["zariski", "--divisor", growing]),
+        ("tau --divisor h", ["tau", "--divisor", "h"]),
+        ("report --divisor h", ["report", "--divisor", "h"]),
+    ]
 
 
-def run_row(src: Path, n: int, path: Path, command: list[str], timeout: float) -> str:
+def run_row(src: Path, n: int, path: Path, label: str, command: list[str], timeout: float) -> str:
     argv = [sys.executable, "-c", RUNNER, str(src), command[0], "--surface", str(path), *command[1:]]
-    label = f"n = {n}: {' '.join(command)}"
+    label = f"n = {n}: {label}"
     start = time.perf_counter()
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
@@ -64,8 +73,8 @@ def main(argv=None) -> int:
         for n in args.n:
             path = Path(tmp) / f"ade_a{n}.json"
             path.write_text(json.dumps(du_val_model("a", n)), encoding="utf-8")
-            for command in COMMANDS:
-                print(run_row(args.src, n, path, command, args.timeout), flush=True)
+            for label, command in commands(n):
+                print(run_row(args.src, n, path, label, command, args.timeout), flush=True)
     return 0
 
 

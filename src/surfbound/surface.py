@@ -4,7 +4,8 @@ A SurfaceModel carries a symmetric integer pairing of Hodge-index signature
 (1, rank-1), a characteristic vector playing the canonical class, and a
 finite list of prime-curve classes. Positivity notions (nef, ample,
 pseudo-effective) are certified against the listed curves only, never
-claimed for the ambient surface; reports carry that caveat.
+claimed for the ambient surface; reports carry that caveat. Every pairing
+goes through one integer kernel, SurfaceModel.gram_times.
 """
 
 from __future__ import annotations
@@ -290,23 +291,25 @@ class SurfaceModel:
         curve holds rather than the rank."""
         return tuple(tuple((j, x) for j, x in enumerate(c.coords) if x) for c in self.curves)
 
-    @cached_property
-    def curve_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Integer rows G.C_i: pairing a divisor with curve i is one dot
-        product with row i. As G is symmetric, G.C_i is the sum of x times
-        row j of G over the terms (j, x) of curve i."""
-        gram = self.gram
-        return tuple(
-            tuple(map(sum, zip(*([x * g for g in gram[j]] for j, x in terms))))
-            for terms in self.curve_terms
-        )
+    def gram_times(self, num: Sequence[int]) -> list[int]:
+        """G.v for integer coordinates v: x times row j of G, summed over the
+        nonzero entries x = v_j and the gram_terms of row j; G is symmetric,
+        so row j is column j. Every pairing of the model reads this kernel."""
+        out = [0] * len(num)
+        for x, terms in zip(num, self.gram_terms):
+            if x:
+                for k, g in terms:
+                    out[k] += x * g
+        return out
+
+    def curve_sums(self, w: Sequence[int]) -> list[int]:
+        """The sums of w_j x over the terms (j, x) of each curve: the
+        pairings C_i.v of every listed curve when w = gram_times(v)."""
+        return [sum([w[j] * x for j, x in t]) for t in self.curve_terms]
 
     @cached_property
     def curve_pairings(self) -> tuple[tuple[int, ...], ...]:
-        terms = self.curve_terms
-        return tuple(
-            tuple([sum(row[j] * x for j, x in t) for t in terms]) for row in self.curve_rows
-        )
+        return tuple(tuple(self.curve_sums(self.gram_times(c.coords))) for c in self.curves)
 
     def divisor(self, values: Iterable) -> DivisorClass:
         d = DivisorClass.of(values)
@@ -341,11 +344,8 @@ class SurfaceModel:
         return d.num
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-        v1, v2 = self._numerators(d1), self._numerators(d2)
-        total = sum(
-            x * sum(g * v2[j] for j, g in terms) for x, terms in zip(v1, self.gram_terms) if x
-        )
-        return Q(total, d1.den * d2.den)
+        w = self.gram_times(self._numerators(d1))
+        return Q(sum(map(operator.mul, w, self._numerators(d2))), d1.den * d2.den)
 
     def self_intersection(self, d: DivisorClass) -> Fraction:
         return self.intersect(d, d)
@@ -353,8 +353,7 @@ class SurfaceModel:
     def scaled_curve_pairings(self, d: DivisorClass) -> tuple[list[int], int]:
         """The integers m*D.C_i for every listed curve, and m = d.den, the
         common denominator of d. As m > 0, each has the sign of D.C_i."""
-        v = self._numerators(d)
-        return [sum(x * g for x, g in zip(v, row) if x) for row in self.curve_rows], d.den
+        return self.curve_sums(self.gram_times(self._numerators(d))), d.den
 
     def canonical_pairing(self, d: DivisorClass) -> Fraction:
         return self.intersect(self.canonical_class, d)
@@ -392,10 +391,12 @@ class SurfaceModel:
         the lattice their Gram block should be negative definite;
         bounds.Analysis checks that when it factors the block.
         """
-        pairings = self.scaled_curve_pairings(a)[0]
+        # one G.a gives both the curve pairings and A^2
+        w = self.gram_times(self._numerators(a))
+        pairings = self.curve_sums(w)
         if any(p < 0 for p in pairings):
             raise NotNefBig("class is not nef against the listed curves")
-        if self.self_intersection(a) <= 0:
+        if sum(map(operator.mul, w, a.num)) <= 0:
             raise NotNefBig("class needs positive self-intersection")
         return tuple(i for i, p in enumerate(pairings) if p == 0)
 

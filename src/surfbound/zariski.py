@@ -10,12 +10,12 @@ Two independent routes compute the same decomposition D = P + N:
     program that shares no code with support growth.
 
 Both work in integers, on the pairings m*D.C_j (m the common denominator of
-D) and the integer curve_pairings, and build a Fraction only for the
-coefficients that are kept. Support growth solves (D - N).C_i = 0 on a
-support: one fraction-free elimination of the negated Gram block
-(lattice.negated_elimination) is at once the definiteness test and the
-factorization, and adjugate_solve gives y = det*m*N on the support; P is
-nef exactly when det*m*D.C_j - sum_i y_i C_i.C_j >= 0 for every curve j.
+D), and build a Fraction only for the coefficients that are kept. Support
+growth solves (D - N).C_i = 0 on a support: one fraction-free elimination
+of the negated Gram block (lattice.negated_elimination) is at once the
+definiteness test and the factorization, and adjugate_solve gives
+y = det*m*N on the support. P is nef exactly when det*m*D.C_j - C_j.Y >= 0
+for every curve j: Y = sum_i y_i C_i meets all curves in one kernel call.
 
 Both enforce the full contract before returning: P nef against the model,
 N effective with negative definite support (support growth by its
@@ -116,12 +116,10 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
             )
         det, rows = eliminated
         # y = adj(-Gram)(-m*D.C) = det*m*N on the support, and then
-        # p = det*m*P.C_j for every curve j
+        # p = det*m*P.C_j = det*m*D.C_j - C_j.(sum_i y_i C_i) for every curve j
         y = lattice.adjugate_solve(rows, [-dc[i] for i in support])
-        p = [det * x for x in dc]
-        for i, yi in zip(support, y):
-            if yi:
-                p = [a - yi * g for a, g in zip(p, model.curve_pairings[i])]
+        n = model.divisor_from_curves(dict(zip(support, y))).num
+        p = [det * a - b for a, b in zip(dc, model.curve_sums(model.gram_times(n)))]
     raise ModelInconsistent("support iteration failed to stabilize")
 
 

@@ -73,10 +73,11 @@ def test_curve_scale_prints_a_row_per_command():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    commands = ["validate", "zariski --divisor h", "tau --divisor h", "report --divisor h"]
+    commands = ["validate", "zariski --divisor h", "zariski --divisor h+3*c1+...+3*c20",
+                "tau --divisor h", "report --divisor h"]
     assert len(rows) == len(commands), rows
     for command, row in zip(commands, rows):
-        assert re.fullmatch(rf"n = 20: {command}: exit 0, [\d.]+ s", row), row
+        assert re.fullmatch(rf"n = 20: {re.escape(command)}: exit 0, [\d.]+ s", row), row
 
 
 def test_make_fixtures_reproduces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):

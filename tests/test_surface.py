@@ -23,10 +23,10 @@ from surfbound.errors import (
 from surfbound.surface import DivisorClass, SurfaceModel
 
 from generators import (
-    ade_gram,
     big_class,
     block_model,
     construct_polarization,
+    du_val_chain,
     fraction_pairing,
     hodge_model,
     mat_vec,
@@ -358,28 +358,25 @@ def moved_fixture(rng, name: str) -> SurfaceModel:
             return surface_io.surface_from_data(data, origin=name)
 
 
-def du_val_chain(n: int) -> SurfaceModel:
-    """h of square 1 and the chain c1..cn of an A_n singularity, each curve
-    a unit vector, as scripts/curve_scale.py draws them at scale."""
-    gram = [[1] + [0] * n] + [[0] + row for row in ade_gram("a", n)]
-    unit = lambda i: [int(i == j) for j in range(n + 1)]
-    curves = [("h", unit(0))] + [(f"c{i}", unit(i)) for i in range(1, n + 1)]
-    return SurfaceModel.create(f"a{n}", gram, [-3] + [0] * n, curves)
-
-
 # fixtures of rank at least 3, so that a moved curve has several coordinates
 MOVED = ("a2_resolution", "ade_a4", "ade_d6", "ade_e8")
 
 
 class TestCurveTerms:
-    """curve_rows, curve_pairings and divisor_from_curves sum over the sparse
-    curve_terms; the reference sums every coordinate in Fractions."""
+    """The pairing kernel gram_times sums over the sparse gram_terms, and
+    curve_pairings and divisor_from_curves over the sparse curve_terms; the
+    reference sums every coordinate in Fractions."""
 
     @pytest.mark.parametrize("name", [*MOVED, "chain"])
     def test_sparse_sums_equal_dense_fraction_sums(self, rng, name):
         model = du_val_chain(20) if name == "chain" else moved_fixture(rng, name)
         coords = [c.coords for c in model.curves]
-        assert model.curve_rows == tuple(tuple(mat_vec(model.gram, c)) for c in coords)
+        vectors = coords + [
+            [rng.choice([0, rng.randint(-30, 30)]) for _ in range(model.rank)]
+            for _ in range(20)
+        ]
+        for v in vectors:
+            assert model.gram_times(v) == mat_vec(model.gram, v)
         assert model.curve_pairings == tuple(
             tuple(fraction_pairing(model.gram, c, b) for b in coords) for c in coords
         )
