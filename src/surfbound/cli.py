@@ -12,6 +12,11 @@ as they are to a writer, which converts each value as it reaches it
 written, such as the count of streamed obstruction entries, enters the
 result as a reporting.Later, which makes the value when the writer reaches
 it.
+
+run_subcommand reads a plain line from a table built from OPTION_GROUPS and
+COMMANDS: exact option names, flags without a value, each value as the next
+token unless it starts with "-", or after the "=" of --long=value unless it
+is "--". Other lines, and all help and error text, go to argparse.
 """
 
 from __future__ import annotations
@@ -171,8 +176,10 @@ def _cmd_fundcycle(args) -> dict:
     component = parse_curve_list(model, args.curves)
     cycle = cycles.fundamental_cycle(model, component)
     if args.oracle:
-        # Z is a solution, so the least solution lies in {1..max(Z)}^r
-        ref = cycles.cycle_bruteforce_oracle(model, component, box=max(cycle.coefficients))
+        # Z is a solution, so the least solution lies in {1..max(Z)}^r; the
+        # route has checked the component, so the oracle does not again
+        ref = cycles.cycle_bruteforce_oracle(model, cycle.component, box=max(cycle.coefficients),
+                                             gram=model.curve_gram(cycle.component))
         if ref.coefficients != cycle.coefficients:
             raise OracleMismatch(
                 f"stepwise construction gave {cycle.coefficients}, "
@@ -395,20 +402,63 @@ COMMANDS = (
 
 
 @functools.cache
+def _option_table() -> dict:
+    """Per subcommand: the Namespace attributes of the options it need not be
+    given, (dest, type) per option string (None for a flag), and all dests."""
+    table = {}
+    for name, groups, _, handler in COMMANDS:
+        values, options = {"command": name, "handler": handler}, {}
+        for flags, keywords in (option for group in groups for option in OPTION_GROUPS[group]):
+            kind = None if "action" in keywords else keywords.get("type", str)
+            dest = next((f for f in flags if f[:2] == "--"), flags[0]).lstrip("-").replace("-", "_")
+            options.update(dict.fromkeys(flags, (dest, kind)))
+            if not keywords.get("required"):
+                values[dest] = keywords.get("default", False if kind is None else None)
+        table[name] = values, options, {"command", "handler", *(d for d, _ in options.values())}
+    return table
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The Namespace, less its parser, that argparse makes of a line in the
+    table's spellings, or None for argparse to read the line."""
+    if not argv or argv[0] not in _option_table():
+        return None
+    values, options, dests = _option_table()[argv[0]]
+    values, tokens = dict(values), iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, kind = options[token]
+            if kind and (value := next(tokens, "-")).startswith("-"):
+                return None
+        else:
+            name, _, value = token.partition("=")
+            dest, kind = options.get(name, (None, None))
+            if not (kind and name[:2] == "--" and value != "--"):
+                return None
+        try:
+            values[dest] = kind(value) if kind else True
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    return argparse.Namespace(**values) if values.keys() == dests else None
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: in-process callers (tests, the
-    benchmark, embedding) then pay for it once, not once per command."""
+    """The parser, built once per process, and only for a line that the
+    table leaves to it: a plain one-shot command never builds it."""
     return build_parser()
 
 
 def run_subcommand(argv) -> int:
+    args = _read_plain(argv)
     try:
-        args = _parser().parse_args(argv)
-        # argparse turns --name=-- into [], whatever the option's type, and
-        # the dest of every option that takes a value is its long name
-        for name, value in vars(args).items():
-            if value == []:
-                args.parser.error(f"argument --{name}: expected one argument")
+        if args is None:
+            args = _parser().parse_args(argv)
+            # argparse turns --name=-- into [], whatever the option's type,
+            # and the dest of every option that takes a value is its long name
+            for name, value in vars(args).items():
+                if value == []:
+                    args.parser.error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

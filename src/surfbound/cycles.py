@@ -141,15 +141,20 @@ def _least_points(
 
 
 def cycle_bruteforce_oracle(
-    model: SurfaceModel, component: Sequence[int], box: int = 12
+    model: SurfaceModel,
+    component: Sequence[int],
+    box: int = 12,
+    *,
+    gram: Optional[list[list[int]]] = None,
 ) -> FundamentalCycle:
     """Independent brute force over the coefficient box {1..box}^r.
 
     It searches the box for the solutions of least total degree, of which
     there must be exactly one: the coordinatewise minimum of the whole
-    solution set.
+    solution set. Given gram, the Gram block of a component that the caller
+    has checked, as for fundamental_cycle, it skips the curve checks.
     """
-    comp, gram = _component_setup(model, component)
+    comp, gram = _component_setup(model, component) if gram is None else (tuple(component), gram)
     points = _least_points(gram, box)
     if not points:
         raise BoxExhausted(f"no cycle found with coefficients up to {box}")

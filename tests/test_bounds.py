@@ -1113,9 +1113,12 @@ class TestAnalysis:
             # each solved on by the separating divisor
             ("report --surface ade_d6 --divisor=2*h-c1-2*c2-3*c3-3*c4-3/2*c5-3/2*c6 -k 1",
              (3, 4, 25, 1)),
+            # the oracle searches the block that the stepwise route checked
+            ("fundcycle --surface ade_e8 --curves c1,c2,c3,c4,c5,c6,c7,c8 --oracle",
+             (1, 0, 6, 1)),
         ],
         ids=["thresholds", "report", "ek", "compare-matsusaka", "bounds", "zariski",
-             "exceptional", "obstructions", "tau", "report-two-components"],
+             "exceptional", "obstructions", "tau", "report-two-components", "fundcycle-oracle"],
     )
     def test_a_command_derives_each_datum_once(self, command, limits, monkeypatch, capsys):
         # with the model cache warm, the calls left are the analysis' own:

@@ -7,6 +7,7 @@ import contextlib
 import enum
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfbound import reporting, search, surface_io
-from surfbound.cli import build_parser, run_subcommand
+from surfbound.cli import COMMANDS, build_parser, run_subcommand
 from surfbound.bounds import INFINITY, ObstructionEntries
 from surfbound.reporting import Later, dump_json, exact_value, render_text, to_payload
 from surfbound.errors import CalculatorError, ParseError, UnknownCurveName
@@ -567,10 +568,16 @@ class TestCommandLine:
         assert proc.returncode == 1
         assert err == b""
 
-    def test_help_exits_zero(self, capsys):
-        assert run_subcommand(["--help"]) == 0
-        assert run_subcommand(["zariski", "--help"]) == 0
-        capsys.readouterr()
+    def test_help_exits_zero(self, capsys, monkeypatch):
+        # help is argparse's own text, for the top level and every subcommand
+        monkeypatch.setenv("COLUMNS", "100")
+        parser = build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(commands.choices) == [name for name, _, _, _ in COMMANDS]
+        owners = [([], parser), *(([name], sub) for name, sub in commands.choices.items())]
+        for (head, owner), flag in itertools.product(owners, ("-h", "--help")):
+            assert run_subcommand([*head, flag]) == 0
+            assert capsys.readouterr().out == owner.format_help(), [*head, flag]
 
     def test_fundcycle_with_oracle(self, capsys):
         code, payload = run_json(
