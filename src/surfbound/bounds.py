@@ -366,15 +366,24 @@ class RingGeneration:
 # -- one analysis of n*A + T -------------------------------------------------------
 
 
+# A cached analysis outlives its command, so its memo would keep an entry for
+# every k a long-lived process asks about: it keeps at most MEMO_SIZE.
+MEMO_SIZE = 32
+
+
 def _memoized(method):
-    """Keep a method's results in its analysis, keyed by the arguments."""
+    """Keep a method's results in its analysis, keyed by the arguments; past
+    MEMO_SIZE results the oldest is dropped."""
 
     @wraps(method)
     def wrapper(self, *args):
-        key = (method.__name__, *args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
+        memo, key = self._memo, (method.__name__, *args)
+        if key in memo:
+            return memo[key]
+        value = memo[key] = method(self, *args)
+        if len(memo) > MEMO_SIZE:
+            del memo[next(iter(memo))]
+        return value
 
     return wrapper
 
@@ -386,7 +395,8 @@ class Analysis:
     that A is nef and big, and the one elimination of the curves orthogonal
     to A, which every search and solve on them reads, that their block is
     negative definite; so the cycles of its components skip that check.
-    Each derived value is computed on first use and kept on the instance."""
+    Each derived value is computed on first use and kept on the instance.
+    Analysis(...) builds afresh; analysis_of keeps analyses across calls."""
 
     model: SurfaceModel
     a: DivisorClass
@@ -638,6 +648,27 @@ class Analysis:
             doubled_bound=doubled,
             least_m=least_integer_above(doubled / 2),
         )
+
+
+# Analyses by (id(model), A, T), least recently used first, so that a sweep of
+# commands over n, k and the subcommand derives one system once. Each entry's
+# analysis holds its model, so that id cannot be reused while the entry lives;
+# hashing the model by value would hash its Gram matrix at every lookup.
+ANALYSIS_CACHE_SIZE = 96
+_analyses: dict = {}
+
+
+def analysis_of(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -> Analysis:
+    """The cached analysis of n*A + T on this model object, else a new one,
+    which is stored. A build that raises stores nothing."""
+    key = (id(model), a, t)
+    analysis = _analyses.pop(key, None)
+    if analysis is None:
+        analysis = Analysis(model, a, t)
+        if len(_analyses) >= ANALYSIS_CACHE_SIZE:
+            del _analyses[next(iter(_analyses))]
+    _analyses[key] = analysis
+    return analysis
 
 
 # -- comparison with the classical bounds ---------------------------------------

@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 domain error (invalid model, non-nef class, ...)
 or a standard output closed early, 2 usage error, 3 oracle cross-check
 mismatch. All handlers resolve the computational entry points through
 their modules at call time, so a test harness can swap implementations in
-and out.
+and out. The analysis of n*A + T comes from bounds.analysis_of, which keeps
+up to bounds.ANALYSIS_CACHE_SIZE of them across the commands of one
+process, so a swapped implementation reaches a cached analysis only after
+bounds._analyses is cleared.
 
 A handler returns the values it computed, and run_subcommand hands them
 as they are to a writer, which converts each value as it reaches it
@@ -209,8 +212,8 @@ def _read_system(args):
 
 
 def _analysis(args) -> bounds.Analysis:
-    """The analysis of --divisor and --twist on --surface."""
-    return bounds.Analysis(*_read_system(args))
+    """The analysis of --divisor and --twist on --surface, from the cache."""
+    return bounds.analysis_of(*_read_system(args))
 
 
 def _system(analysis: bounds.Analysis) -> dict:
@@ -362,7 +365,7 @@ def _cmd_report(args) -> dict:
         )
         return result
     result["report"] = bounds.build_bound_report(
-        bounds.Analysis(model, dec.positive, t),
+        bounds.analysis_of(model, dec.positive, t),
         k=args.cluster,
         n=args.multiple,
         no_fixed_part=args.assert_no_fixed_part,

@@ -318,6 +318,11 @@ class SurfaceModel:
         return d
 
     def zero_divisor(self) -> DivisorClass:
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> DivisorClass:
+        # one instance per model: DivisorClass is frozen
         return DivisorClass.zero(self.rank)
 
     def curve_divisor(self, index: int) -> DivisorClass:

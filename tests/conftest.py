@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from surfbound import surface_io
+from surfbound import bounds, surface_io
 
 BASE_SEED = "surfbound-20260818"
 
@@ -23,9 +23,11 @@ def rng(request) -> random.Random:
 
 @pytest.fixture(autouse=True)
 def empty_model_cache():
-    """Start every test from an empty model cache, so that what a test
-    counts of a model load does not depend on the tests before it."""
+    """Start every test from empty model and analysis caches, so that what
+    a test counts of a model load or an analysis does not depend on the
+    tests before it."""
     surface_io._model_from_text.cache_clear()
+    bounds._analyses.clear()
 
 
 @pytest.fixture(scope="session")

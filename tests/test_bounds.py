@@ -1076,11 +1076,13 @@ class TestAnalysis:
             "HodgeDefect": 1,
             "_bracket_shifted_sqrt": 1,
         }
+        # bounds on the same system finds the report's analysis in the cache
         calls.clear()
         assert run_subcommand(["bounds", *system]) == 0
         assert capsys.readouterr().out
-        assert calls["HodgeDefect"] == 1
-        assert calls["_bracket_shifted_sqrt"] == 1
+        assert calls["HodgeDefect"] == 0
+        assert calls["_bracket_shifted_sqrt"] == 0
+        assert calls["exceptional_curves"] == 0
 
     def test_report_compares_with_the_classical_bounds_from_the_analysis(
         self, monkeypatch, capsys
@@ -1121,23 +1123,32 @@ class TestAnalysis:
              "exceptional", "obstructions", "tau", "report-two-components", "fundcycle-oracle"],
     )
     def test_a_command_derives_each_datum_once(self, command, limits, monkeypatch, capsys):
-        # with the model cache warm, the calls left are the analysis' own:
-        # one elimination of the support, plus one of each component that a
-        # correction solves on when there are several; one set of pairings
-        # (K - T).C_i per twist; and the components found once. The limits
-        # are the counts this design reaches
+        # with the model cache warm and the analysis cache empty, the calls
+        # left are the analysis' own: one elimination of the support, plus
+        # one of each component that a correction solves on when there are
+        # several; one set of pairings (K - T).C_i per twist; and the
+        # components found once. The limits are the counts this design reaches
         argv = command.split()
         assert run_subcommand(argv) == 0
+        bounds._analyses.clear()
         calls = Counter()
         count_calls(monkeypatch, calls, lattice, "negated_elimination")
         count_calls(monkeypatch, calls, SurfaceModel, "scaled_curve_pairings")
         count_calls(monkeypatch, calls, SurfaceModel, "intersect")
         count_calls(monkeypatch, calls, SurfaceModel, "connected_components")
+        count_calls(monkeypatch, calls, SurfaceModel, "exceptional_curves")
         assert run_subcommand(argv) == 0
         assert capsys.readouterr().out
         names = ("negated_elimination", "scaled_curve_pairings", "intersect",
                  "connected_components")
         assert all(calls[name] <= limit for name, limit in zip(names, limits)), calls
+        # a third run finds the analysis in the cache and derives none of it;
+        # zariski and fundcycle build no analysis
+        calls.clear()
+        assert run_subcommand(argv) == 0
+        assert capsys.readouterr().out
+        if argv[0] not in ("zariski", "fundcycle"):
+            assert calls["negated_elimination"] == calls["exceptional_curves"] == 0, calls
 
     def test_rejects_a_class_that_is_not_nef_and_big(self, f2):
         with pytest.raises(NotNefBig):
