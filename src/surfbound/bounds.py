@@ -373,17 +373,16 @@ MEMO_SIZE = 32
 
 def _memoized(method):
     """Keep a method's results in its analysis, keyed by the arguments; past
-    MEMO_SIZE results the oldest is dropped."""
+    MEMO_SIZE results the least recently used is dropped, so the entries
+    every command reads, such as threshold_at(T), stay."""
 
     @wraps(method)
     def wrapper(self, *args):
         memo, key = self._memo, (method.__name__, *args)
-        if key in memo:
-            return memo[key]
-        value = memo[key] = method(self, *args)
+        memo[key] = memo.pop(key) if key in memo else method(self, *args)
         if len(memo) > MEMO_SIZE:
             del memo[next(iter(memo))]
-        return value
+        return memo[key]
 
     return wrapper
 
@@ -653,7 +652,8 @@ class Analysis:
 # Analyses by (id(model), A, T), least recently used first, so that a sweep of
 # commands over n, k and the subcommand derives one system once. Each entry's
 # analysis holds its model, so that id cannot be reused while the entry lives;
-# hashing the model by value would hash its Gram matrix at every lookup.
+# a key by value would hash the Gram matrix at every lookup (0.5 ms for A250).
+# 96 serves every reuse within a pass of the benchmark's cli_sweep (at most 85).
 ANALYSIS_CACHE_SIZE = 96
 _analyses: dict = {}
 

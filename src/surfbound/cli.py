@@ -4,10 +4,8 @@ Exit codes: 0 success, 1 domain error (invalid model, non-nef class, ...)
 or a standard output closed early, 2 usage error, 3 oracle cross-check
 mismatch. All handlers resolve the computational entry points through
 their modules at call time, so a test harness can swap implementations in
-and out. The analysis of n*A + T comes from bounds.analysis_of, which keeps
-up to bounds.ANALYSIS_CACHE_SIZE of them across the commands of one
-process, so a swapped implementation reaches a cached analysis only after
-bounds._analyses is cleared.
+and out; bounds.analysis_of keeps analyses across commands, so a swap
+reaches them only once bounds._analyses is cleared.
 
 A handler returns the values it computed, and run_subcommand hands them
 as they are to a writer, which converts each value as it reaches it

@@ -32,12 +32,16 @@ def _output(argv: list[str]) -> str:
 
 
 def test_the_memo_of_a_long_lived_analysis_stays_bounded():
-    # ek at every k adds a correction divisor per k to the one analysis
+    # ek at every k adds a correction divisor per k to the one analysis, and
+    # reads the deficits of T, which every k shares: they are never dropped
     first = _output("ek --surface ade_d6 --divisor h -k 0".split())
+    (analysis,) = bounds._analyses.values()
+    deficits = analysis._memo["deficits", analysis.t]
     for k in range(500):
         _output(f"ek --surface ade_d6 --divisor h -k {k}".split())
-    (analysis,) = bounds._analyses.values()
+    assert list(bounds._analyses.values()) == [analysis]
     assert len(analysis._memo) <= bounds.MEMO_SIZE
+    assert analysis._memo["deficits", analysis.t] is deficits
     assert _output("ek --surface ade_d6 --divisor h -k 0".split()) == first
 
 
