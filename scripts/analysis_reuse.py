@@ -114,7 +114,7 @@ def reuse(log) -> dict:
         # the smallest LRU that serves every reuse within a pass is one more
         "reuse_within_pass_max_distance": within_max,
         "reuse_from_other_line_share": round(other_line / max(timed, 1), 4),
-        "real_cache": {"size": bounds.ANALYSIS_CACHE_SIZE, "hits": real_hits},
+        "real_cache": {"size": bounds.analysis_of.cache_info().maxsize, "hits": real_hits},
         "by_bound": {s: {"hit_share": round(sum(row[k] for k in ("within_pass", "across_passes"))
                                             / max(timed, 1), 4), **row}
                      for s, row in hits.items()},

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
 from math import floor
 from operator import add, mul
@@ -395,7 +395,8 @@ class Analysis:
     to A, which every search and solve on them reads, that their block is
     negative definite; so the cycles of its components skip that check.
     Each derived value is computed on first use and kept on the instance.
-    Analysis(...) builds afresh; analysis_of keeps analyses across calls."""
+    Analysis(...) builds afresh; analysis_of keeps analyses across calls,
+    so a swapped-in function reaches them after analysis_of.cache_clear()."""
 
     model: SurfaceModel
     a: DivisorClass
@@ -649,26 +650,11 @@ class Analysis:
         )
 
 
-# Analyses by (id(model), A, T), least recently used first, so that a sweep of
-# commands over n, k and the subcommand derives one system once. Each entry's
-# analysis holds its model, so that id cannot be reused while the entry lives;
-# a key by value would hash the Gram matrix at every lookup (0.5 ms for A250).
+# Analyses by the value of (model, A, T), so that a sweep of commands over n,
+# k and the subcommand derives one system once, also on a model parsed again.
 # 96 serves every reuse within a pass of the benchmark's cli_sweep (at most 85).
 ANALYSIS_CACHE_SIZE = 96
-_analyses: dict = {}
-
-
-def analysis_of(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -> Analysis:
-    """The cached analysis of n*A + T on this model object, else a new one,
-    which is stored. A build that raises stores nothing."""
-    key = (id(model), a, t)
-    analysis = _analyses.pop(key, None)
-    if analysis is None:
-        analysis = Analysis(model, a, t)
-        if len(_analyses) >= ANALYSIS_CACHE_SIZE:
-            del _analyses[next(iter(_analyses))]
-    _analyses[key] = analysis
-    return analysis
+analysis_of = lru_cache(maxsize=ANALYSIS_CACHE_SIZE)(Analysis)
 
 
 # -- comparison with the classical bounds ---------------------------------------

@@ -5,7 +5,7 @@ or a standard output closed early, 2 usage error, 3 oracle cross-check
 mismatch. All handlers resolve the computational entry points through
 their modules at call time, so a test harness can swap implementations in
 and out; bounds.analysis_of keeps analyses across commands, so a swap
-reaches them only once bounds._analyses is cleared.
+reaches them only after bounds.analysis_of.cache_clear().
 
 A handler returns the values it computed, and run_subcommand hands them
 as they are to a writer, which converts each value as it reaches it

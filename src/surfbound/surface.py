@@ -268,6 +268,15 @@ class SurfaceModel:
                     "ample_reference: class is not ample against the listed curves"
                 )
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.gram, self.canonical, self.curves, self.ample_reference))
+
+    def __hash__(self) -> int:
+        """The hash of the fields that == compares, computed once per model,
+        so a cache keyed by the model's value hashes it in O(1)."""
+        return self._hash
+
     # -- basic pairing ---------------------------------------------------
 
     @property

@@ -27,7 +27,7 @@ def empty_model_cache():
     a test counts of a model load or an analysis does not depend on the
     tests before it."""
     surface_io._model_from_text.cache_clear()
-    bounds._analyses.clear()
+    bounds.analysis_of.cache_clear()
 
 
 @pytest.fixture(scope="session")

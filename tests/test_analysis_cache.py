@@ -1,10 +1,11 @@
 """The analysis cache of bounds.analysis_of and the bounded memo of an analysis.
 
-A command on n*A + T takes its analysis from a process-wide cache keyed by
-the model object and the classes A and T, so a cached analysis, and the
-memo it keeps, outlive the command. These tests check the bounds of both,
-that a failed build stores nothing, that distinct models never share an
-analysis, and that a warm cache prints what a cold one does.
+A command on n*A + T takes its analysis from a process-wide
+functools.lru_cache keyed by the value of the model and the classes A and T,
+so a cached analysis, and the memo it keeps, outlive the command. These
+tests check the bounds of both, that a failed build stores nothing, that a
+model parsed again finds its analyses while distinct models never share
+one, and that a warm cache prints what a cold one does.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from surfbound import bounds
+from surfbound import bounds, surface_io
 from surfbound.cli import run_subcommand
 from surfbound.errors import NotNefBig
 from surfbound.surface_io import load_surface, parse_divisor, surface_to_data
@@ -31,15 +32,30 @@ def _output(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _cached(model, a, t) -> bounds.Analysis:
+    """The analysis of n*A + T that the cache holds, taken by a hit."""
+    hits = bounds.analysis_of.cache_info().hits
+    analysis = bounds.analysis_of(model, a, t)
+    assert bounds.analysis_of.cache_info().hits == hits + 1
+    return analysis
+
+
+def _entries() -> int:
+    return bounds.analysis_of.cache_info().currsize
+
+
 def test_the_memo_of_a_long_lived_analysis_stays_bounded():
     # ek at every k adds a correction divisor per k to the one analysis, and
     # reads the deficits of T, which every k shares: they are never dropped
     first = _output("ek --surface ade_d6 --divisor h -k 0".split())
-    (analysis,) = bounds._analyses.values()
+    model = load_surface("ade_d6")
+    system = model, parse_divisor(model, "h"), model.zero_divisor()
+    assert _entries() == 1
+    analysis = _cached(*system)
     deficits = analysis._memo["deficits", analysis.t]
     for k in range(500):
         _output(f"ek --surface ade_d6 --divisor h -k {k}".split())
-    assert list(bounds._analyses.values()) == [analysis]
+    assert _entries() == 1 and _cached(*system) is analysis
     assert len(analysis._memo) <= bounds.MEMO_SIZE
     assert analysis._memo["deficits", analysis.t] is deficits
     assert _output("ek --surface ade_d6 --divisor h -k 0".split()) == first
@@ -57,7 +73,7 @@ def test_the_cache_keeps_the_most_recently_used_analyses():
     assert bounds.analysis_of(model, h, twists[0]) is first  # a hit moves it to the end
     for t in twists[size:]:
         bounds.analysis_of(model, h, t)
-    assert len(bounds._analyses) == size
+    assert _entries() == size
     assert bounds.analysis_of(model, h, twists[0]) is first
     assert bounds.analysis_of(model, h, twists[1]) is not second  # the oldest was dropped
 
@@ -68,7 +84,7 @@ def test_a_failed_build_stores_nothing():
     for _ in range(2):
         with pytest.raises(NotNefBig):
             bounds.analysis_of(model, s, model.zero_divisor())
-    assert not bounds._analyses
+    assert _entries() == 0
 
 
 def test_models_with_one_gram_matrix_do_not_share_an_analysis(tmp_path):
@@ -78,9 +94,32 @@ def test_models_with_one_gram_matrix_do_not_share_an_analysis(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**data, "name": name}), encoding="utf-8")
         outputs.append(_output(["tau", "--surface", str(path), "--divisor", "h", "--json"]))
-    assert len(bounds._analyses) == 2
+    assert _entries() == 2  # the names differ, so the models do
     assert [json.loads(out)["surface"] for out in outputs] == ["left", "right"]
     assert outputs[0] == outputs[1].replace('"right"', '"left"')
+
+
+def test_a_model_parsed_again_finds_its_analyses(tmp_path):
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(surface_to_data(load_surface("ade_d4"))), encoding="utf-8")
+    model = load_surface(str(path))
+    analysis = bounds.analysis_of(model, parse_divisor(model, "h"), model.zero_divisor())
+    surface_io._model_from_text.cache_clear()
+    again = load_surface(str(path))
+    assert again is not model
+    assert _cached(again, parse_divisor(again, "h"), again.zero_divisor()) is analysis
+    assert _entries() == 1
+
+
+def test_files_with_one_text_share_an_analysis(tmp_path):
+    text = json.dumps(surface_to_data(load_surface("ade_d4")))
+    outputs = []
+    for name in ("left", "right"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        outputs.append(_output(["tau", "--surface", str(path), "--divisor", "h", "--json"]))
+    assert _entries() == 1
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("workload", ["cli_sweep", "ade_obstruction"])

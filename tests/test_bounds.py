@@ -1130,7 +1130,7 @@ class TestAnalysis:
         # components found once. The limits are the counts this design reaches
         argv = command.split()
         assert run_subcommand(argv) == 0
-        bounds._analyses.clear()
+        bounds.analysis_of.cache_clear()
         calls = Counter()
         count_calls(monkeypatch, calls, lattice, "negated_elimination")
         count_calls(monkeypatch, calls, SurfaceModel, "scaled_curve_pairings")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -78,6 +79,22 @@ def test_curve_scale_prints_a_row_per_command():
     assert len(rows) == len(commands), rows
     for command, row in zip(commands, rows):
         assert re.fullmatch(rf"n = 20: {re.escape(command)}: exit 0, [\d.]+ s", row), row
+
+
+def test_analysis_reuse_counts_the_hits_of_the_real_cache():
+    # the script swaps a logging function in for bounds.analysis_of and
+    # counts a request as a hit when the real cache returns the object it
+    # returned last time for the system
+    proc = subprocess.run(
+        [sys.executable, "scripts/analysis_reuse.py",
+         "--workload", "cli_sweep", "--seed", "1", "--passes", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["timed_passes"] == 1
+    assert result["real_cache"]["size"] == 96
+    assert 0 < result["real_cache"]["hits"] <= result["timed_requests"]
 
 
 def test_make_fixtures_reproduces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):

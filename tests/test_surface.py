@@ -134,6 +134,30 @@ class TestValidation:
             make(curves=[("bad name", [1, 0])])
 
 
+class TestModelValue:
+    """== compares the fields, and hash agrees with it, so a cache keyed by a
+    model's value finds what an equal model put there."""
+
+    def test_a_model_rebuilt_from_its_data_is_equal_and_hashes_alike(self, fixture_models):
+        for name, model in fixture_models.items():
+            again = surface_io.surface_from_data(surface_io.surface_to_data(model))
+            assert again is not model, name
+            assert again == model and hash(again) == hash(model), name
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(name="g"),
+            dict(gram=[[2, 1], [1, -2]]),
+            dict(curves=[("f", [1, 0]), ("s", [0, 1], False)]),
+        ],
+        ids=["name", "gram-entry", "effective-flag"],
+    )
+    def test_models_that_differ_in_one_field_are_not_equal(self, overrides):
+        assert make() == make()
+        assert make(**overrides) != make()
+
+
 class TestPairings:
     def test_intersection_numbers(self):
         model = make()
