@@ -8,6 +8,8 @@ enumeration, and the n-thresholds for very-ampleness, vanishing, freeness,
 contraction, and ring generation of n*A + T.
 """
 
+from types import ModuleType as _Module
+
 from .bounds import (
     INFINITY,
     Analysis,
@@ -70,56 +72,8 @@ from .zariski import (
 
 __version__ = "0.1.0"
 
+# every name imported above that is neither private nor a module
 __all__ = [
-    "INFINITY",
-    "Analysis",
-    "BoundReport",
-    "CalculatorError",
-    "ConditionFlags",
-    "CorrectionDivisor",
-    "CurveClass",
-    "DivisorClass",
-    "FundamentalCycle",
-    "H1Correction",
-    "HodgeDefect",
-    "IntegralityFailure",
-    "MatsusakaComparison",
-    "ModelInconsistent",
-    "NotAmple",
-    "NotBig",
-    "NotNefBig",
-    "NotPseudoEffective",
-    "ObstructionQuadratic",
-    "ObstructionSet",
-    "OracleMismatch",
-    "ParseError",
-    "RingGeneration",
-    "SeparatingDivisor",
-    "SurfaceModel",
-    "ThresholdCheck",
-    "ThresholdEntry",
-    "UnverifiableHypothesis",
-    "ValidationError",
-    "ZariskiDecomposition",
-    "build_bound_report",
-    "cycle_bruteforce_oracle",
-    "fixture_names",
-    "fundamental_cycle",
-    "h1_correction",
-    "kappa_is_two",
-    "least_integer_above",
-    "load_fixture",
-    "load_surface",
-    "load_surface_file",
-    "matsusaka_compare",
-    "obstruction_oracle",
-    "parse_divisor",
-    "ring_step_threshold",
-    "surface_from_data",
-    "surface_to_data",
-    "theorem_thresholds",
-    "threshold_holds",
-    "vanishing_threshold",
-    "zariski_decompose",
-    "zariski_oracle",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
 ]

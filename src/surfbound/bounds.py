@@ -417,14 +417,16 @@ class Analysis:
     def components(self) -> tuple[tuple[int, ...], ...]:
         return self.model.connected_components(self.support)
 
-    @_memoized
-    def cycle(self, component: tuple[int, ...]) -> FundamentalCycle:
-        return fundamental_cycle(self.model, component, gram=self.model.curve_gram(component))
+    @cached_property
+    def cycles(self) -> tuple[FundamentalCycle, ...]:
+        """The fundamental cycle of each component, in the order of components."""
+        return tuple(fundamental_cycle(self.model, comp, gram=self.model.curve_gram(comp))
+                     for comp in self.components)
 
     @cached_property
     def rational(self) -> bool:
         """Every component has a fundamental cycle of arithmetic genus 0."""
-        return all(self.cycle(comp).genus == 0 for comp in self.components)
+        return all(cycle.genus == 0 for cycle in self.cycles)
 
     @_memoized
     def threshold_at(self, twist: DivisorClass) -> Fraction:
@@ -595,10 +597,10 @@ class Analysis:
         nonempty configuration, which is what the connected-fibers
         threshold needs."""
         pieces = []
-        for comp in self.components:
+        for comp, cycle in zip(self.components, self.cycles):
             corr = self._correction(self.model.zero_divisor(), 0, comp)
             from_cycle = corr.divisor.is_zero
-            coeffs = self.cycle(comp).coefficients if from_cycle else corr.coefficients
+            coeffs = cycle.coefficients if from_cycle else corr.coefficients
             pieces.append(SeparatingPiece(comp, from_cycle, coeffs))
         total = {i: c for piece in pieces for i, c in zip(piece.component, piece.coefficients)}
         return SeparatingDivisor(self.model.divisor_from_curves(total), tuple(pieces))
@@ -738,7 +740,7 @@ def theorem_thresholds(
     conditions = analysis.condition_check(k)
     components = analysis.components
     names = ["+".join(model.curves[i].name for i in comp) for comp in components]
-    cycles = [analysis.cycle(comp) for comp in components]
+    cycles = analysis.cycles
     base = analysis.threshold_at(zero)
     level = analysis.level_at(t)
     entries: dict[str, ThresholdEntry] = {}

@@ -223,8 +223,7 @@ def _cmd_exceptional(args) -> dict:
     analysis = _analysis(args)
     model = analysis.model
     components = []
-    for comp in analysis.components:
-        cycle = analysis.cycle(comp)
+    for comp, cycle in zip(analysis.components, analysis.cycles):
         components.append({
             "curves": _curve_names(model, comp),
             "rational": cycle.genus == 0,

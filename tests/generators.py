@@ -625,7 +625,7 @@ def ade_gram(kind: str, size: int):
 
 def du_val_chain(n: int) -> SurfaceModel:
     """h of square 1 and the chain c1..cn of an A_n singularity, each curve
-    a unit vector, as scripts/curve_scale.py draws them at scale."""
+    a unit vector, as `scripts/oneshot.py chains` draws them at scale."""
     gram = [[1] + [0] * n] + [[0] + row for row in ade_gram("a", n)]
     unit = lambda i: [int(i == j) for j in range(n + 1)]
     curves = [("h", unit(0))] + [(f"c{i}", unit(i)) for i in range(1, n + 1)]

@@ -22,6 +22,7 @@ from surfbound.cli import run_subcommand
 from surfbound.errors import NotNefBig
 from surfbound.surface_io import load_surface, parse_divisor, surface_to_data
 
+from generators import blown_up_plane
 from test_benchmark_digests import EXPECTED, WORKLOADS, _run
 
 
@@ -59,6 +60,29 @@ def test_the_memo_of_a_long_lived_analysis_stays_bounded():
     assert len(analysis._memo) <= bounds.MEMO_SIZE
     assert analysis._memo["deficits", analysis.t] is deficits
     assert _output("ek --surface ade_d6 --divisor h -k 0".split()) == first
+
+
+def test_each_fundamental_cycle_is_computed_once_per_analysis(tmp_path, monkeypatch):
+    # A = L on the plane blown up in 40 points: the 40 curves E_i are
+    # orthogonal to A and to each other, so 40 components, more than the
+    # memo holds; their cycles are kept apart from it, and the commands
+    # after the first derive none of them again
+    path = tmp_path / "blowup40.json"
+    path.write_text(json.dumps(surface_to_data(blown_up_plane(40))), encoding="utf-8")
+    calls = []
+    real = bounds.fundamental_cycle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "fundamental_cycle", counted)
+    a = ",".join(["1"] + ["0"] * 40)
+    for command, expected in (("thresholds -k 1", 40), ("thresholds", 0), ("report", 0),
+                              ("exceptional", 0), ("thresholds -k 1", 0)):
+        calls.clear()
+        _output([*command.split(), "--surface", str(path), "--divisor", a])
+        assert len(calls) == expected, command
 
 
 def test_the_cache_keeps_the_most_recently_used_analyses():

@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from itertools import product
 from pathlib import Path
@@ -148,6 +149,19 @@ def test_catalogue_covers_every_fixture(golden):
 @pytest.mark.parametrize("name", surface_io.fixture_names())
 def test_output_matches_snapshot(golden, name):
     assert snapshot(name) == golden[name]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_caches_do_not_change_output(golden, seed):
+    # every command of every fixture in one process, in a shuffled order:
+    # the model cache and the analysis cache, with the memo of each
+    # analysis, carry over from one command to the next, and no command
+    # may print other than it does alone
+    recorded = {command: result for results in golden.values() for command, result in results.items()}
+    order = sorted(recorded)
+    random.Random(f"golden-order:{seed}").shuffle(order)
+    moved = [command for command in order if run(command.split()) != recorded[command]]
+    assert not moved, f"{len(moved)} of {len(order)}:\n" + "\n".join(moved[:20])
 
 
 def test_changed_lists_moved_and_new_commands():

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from surfbound.cli import run_subcommand
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,45 +48,89 @@ def test_readme_python_blocks_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_large_outputs_prints_a_row():
-    # the cheapest row; the sha256 was recorded before the obstruction
-    # entries were streamed, and again when empty mappings began to print
-    # as {} in text output
+def run_oneshot(*argv: str) -> list[str]:
+    """The rows that scripts/oneshot.py prints, after its header line."""
     proc = subprocess.run(
-        [sys.executable, "scripts/large_outputs.py", "--rows", "6"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, row = proc.stdout.splitlines()
-    assert re.fullmatch(
-        r"6\. thresholds --twist=6\*c1 -k 0: exit 0, [\d.]+ s, 4440 bytes, [\d.]+ MB, "
-        r"sha256 c5d59752894abbb43b6fa1f752a72edf9d0cefe22fa209663ceb72c304bbaef7",
-        row,
-    ), row
-
-
-def test_tau_scale_prints_a_row():
-    proc = subprocess.run(
-        [sys.executable, "scripts/tau_scale.py", "--n", "25"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, row = proc.stdout.splitlines()
-    assert re.fullmatch(r"N = 25: exit 0, [\d.]+ s, tau -84", row), row
-
-
-def test_curve_scale_prints_a_row_per_command():
-    proc = subprocess.run(
-        [sys.executable, "scripts/curve_scale.py", "--n", "20"],
+        [sys.executable, "scripts/oneshot.py", *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
+    assert header.startswith("# ")
+    return rows
+
+
+# what every finished row prints after its label
+ROW = r"exit (\d+), [\d.]+ s, (\d+) bytes, [\d.]+ MB, sha256 ([0-9a-f]{64})"
+
+
+def test_oneshot_chains_prints_a_row_per_command():
+    rows = run_oneshot("chains", "--n", "20")
     commands = ["validate", "zariski --divisor h", "zariski --divisor h+3*c1+...+3*c20",
                 "tau --divisor h", "report --divisor h"]
     assert len(rows) == len(commands), rows
     for command, row in zip(commands, rows):
-        assert re.fullmatch(rf"n = 20: {re.escape(command)}: exit 0, [\d.]+ s", row), row
+        match = re.fullmatch(rf"n = 20: {re.escape(command)}: {ROW}", row)
+        assert match and match[1] == "0", row
+
+
+def test_oneshot_tau_prints_the_digest_of_its_json():
+    digest = "79beb054668ab4b30701273e5fc9067a621abdbeef75f6e4f3601ec07cdd2cc5"
+    [row] = run_oneshot("tau", "--n", "25")
+    assert re.fullmatch(rf"N = 25: {ROW}", row).groups() == ("0", "1352", digest), row
+    # the digest is that of the JSON with tau = -84
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_subcommand(["tau", "--surface", "ade_d7", "--divisor=1/2*h",
+                               "--twist=0,3/2,1,2,-25/2,1/3,0,1", "--json"]) == 0
+    assert json.loads(out.getvalue())["tau"]["exact"] == "-84"
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_oneshot_large_prints_a_row():
+    # the cheapest row; the sha256 was recorded before the obstruction
+    # entries were streamed, and again when empty mappings began to print
+    # as {} in text output
+    [row] = run_oneshot("large", "--rows", "6")
+    assert re.fullmatch(rf"6\. thresholds --twist=6\*c1 -k 0: {ROW}", row).groups() == (
+        "0", "4440", "c5d59752894abbb43b6fa1f752a72edf9d0cefe22fa209663ceb72c304bbaef7"), row
+
+
+def test_oneshot_rows_report_their_own_peak_rss():
+    # the timer's own peak passes 64 MB before it spawns the row; a row
+    # spawned by vfork would report at least that peak as its own
+    code = ("import runpy, sys; peak = b'x' * (64 << 20); del peak; "
+            "sys.argv = ['oneshot.py', 'tau', '--n', '25']; "
+            "runpy.run_path('scripts/oneshot.py', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[-1]
+    assert float(re.search(r"([\d.]+) MB", row)[1]) < 64, row
+
+
+def test_oneshot_kills_and_reaps_a_row_past_its_timeout(monkeypatch, capsys):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    spec = importlib.util.spec_from_file_location("oneshot", ROOT / "scripts" / "oneshot.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, argv, **kwargs):
+            cached = any(Path(kwargs["env"]["PYTHONPYCACHEPREFIX"]).rglob("cli.*.pyc"))
+            super().__init__(argv, **kwargs)
+            started.append((self.pid, kwargs["env"], cached))
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(subprocess, "_USE_VFORK", subprocess._USE_VFORK)  # main turns it off
+    assert script.main(["tau", "--n", "25", "--timeout", "0.001"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["N = 25: timeout after 0.001 s"]
+    # the untimed import, then the row, which finds the package compiled
+    assert [cached for _, _, cached in started] == [False, True]
+    for pid, env, _ in started:
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # neither running nor left unreaped
 
 
 def test_analysis_reuse_counts_the_hits_of_the_real_cache():
