@@ -1,6 +1,6 @@
 """Time surfbound commands, each row in a fresh Python process.
 
-Three families of rows:
+Four families of rows:
 
   chains  `validate`, `zariski --divisor h`, `zariski --divisor
           h+3*c1+...+3*cn`, `tau --divisor h` and `report --divisor h` on
@@ -17,6 +17,10 @@ Three families of rows:
           set that `tau` searches grows with N.
   large   the commands that print large obstruction sets, on the bundled E8
           fixture with A = h.
+  startup what a process costs before and around a small command: the floor
+          `python -c pass`, `import surfbound.cli`, and `validate`, `zariski`,
+          `tau` and `thresholds -k 1` on the bundled E6 fixture with A = h.
+          Each row is run --repeat times and prints the median wall time.
 
 Each row reads its process's stdout as it arrives, without holding it, and
 prints the exit code, the wall time, the stdout size in bytes, the peak RSS
@@ -31,6 +35,7 @@ surfbound.cli, so that no row times compiling the package.
     python3 scripts/oneshot.py tau                     # N = 25 50 100 200 400
     python3 scripts/oneshot.py large --rows 2 3        # rows by number (default: all)
     python3 scripts/oneshot.py tau --src other/src     # another source tree
+    python3 scripts/oneshot.py startup --repeat 31     # runs per row (default: 15)
 """
 
 from __future__ import annotations
@@ -39,14 +44,17 @@ import argparse
 import hashlib
 import os
 import select
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 HERE = Path(__file__).resolve().parent
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); from surfbound.cli import main; main()"
+IMPORT = "import sys; sys.path.insert(0, sys.argv.pop(1)); import surfbound.cli"
 # Run from HERE: writes A_n (argv[2]) of make_fixtures.du_val_model to argv[1].
 WRITE_CHAIN = ("import json, sys; from make_fixtures import du_val_model; open(sys.argv[1], 'w', "
                "encoding='utf-8').write(json.dumps(du_val_model('a', int(sys.argv[2]))))")
@@ -60,9 +68,15 @@ LARGE = (
 )
 
 
+def cli(args, *command: str) -> list[str]:
+    """The Python arguments that run the surfbound command line on command."""
+    return ["-c", RUNNER, str(args.src), *command]
+
+
 def chains(args, tmp: Path) -> list[tuple[str, list[str]]]:
-    """(label, argv) of each row on each A_n, whose models it writes to tmp,
-    each in a process of its own, so that this one stays small (run_row)."""
+    """(label, Python arguments) of each row on each A_n, whose models it
+    writes to tmp, each in a process of its own, so that this one stays
+    small (run_row)."""
     rows = []
     for n in args.n:
         path = tmp / f"ade_a{n}.json"
@@ -70,18 +84,19 @@ def chains(args, tmp: Path) -> list[tuple[str, list[str]]]:
         surface = ["--surface", str(path)]
         growing = "h+" + "+".join(f"3*c{i}" for i in range(1, n + 1))
         rows += [
-            (f"n = {n}: validate", ["validate", *surface]),
-            (f"n = {n}: zariski --divisor h", ["zariski", *surface, "--divisor", "h"]),
-            (f"n = {n}: zariski --divisor h+3*c1+...+3*c{n}", ["zariski", *surface, "--divisor", growing]),
-            (f"n = {n}: tau --divisor h", ["tau", *surface, "--divisor", "h"]),
-            (f"n = {n}: report --divisor h", ["report", *surface, "--divisor", "h"]),
+            (f"n = {n}: validate", cli(args, "validate", *surface)),
+            (f"n = {n}: zariski --divisor h", cli(args, "zariski", *surface, "--divisor", "h")),
+            (f"n = {n}: zariski --divisor h+3*c1+...+3*c{n}",
+             cli(args, "zariski", *surface, "--divisor", growing)),
+            (f"n = {n}: tau --divisor h", cli(args, "tau", *surface, "--divisor", "h")),
+            (f"n = {n}: report --divisor h", cli(args, "report", *surface, "--divisor", "h")),
         ]
     return rows
 
 
 def tau(args, tmp: Path) -> list[tuple[str, list[str]]]:
-    return [(f"N = {n}", ["tau", "--surface", "ade_d7", "--divisor=1/2*h",
-                          f"--twist=0,3/2,1,2,-{n}/2,1/3,0,1", "--json"])
+    return [(f"N = {n}", cli(args, "tau", "--surface", "ade_d7", "--divisor=1/2*h",
+                             f"--twist=0,3/2,1,2,-{n}/2,1/3,0,1", "--json"))
             for n in args.n]
 
 
@@ -89,19 +104,30 @@ def large(args, tmp: Path) -> list[tuple[str, list[str]]]:
     rows = []
     for number in args.rows:
         command, *rest = row = LARGE[number - 1].split()
-        rows.append((f"{number}. {' '.join(row)}", [command, "--surface", "ade_e8", "--divisor", "h", *rest]))
+        rows.append((f"{number}. {' '.join(row)}",
+                     cli(args, command, "--surface", "ade_e8", "--divisor", "h", *rest)))
     return rows
 
 
-def run_row(src: Path, command: list[str], timeout: float, env: dict) -> str:
-    """One row's result; the process is reaped here in every case.
+def startup(args, tmp: Path) -> list[tuple[str, list[str]]]:
+    rows = [("python -c pass", ["-c", "pass"]), ("import surfbound.cli", ["-c", IMPORT, str(args.src)])]
+    for command in ("validate", "zariski --divisor h", "tau --divisor h", "thresholds --divisor h -k 1"):
+        name, *rest = command.split()
+        rows.append((command, cli(args, name, "--surface", "ade_e6", *rest)))
+    return rows
+
+
+def run_row(argv: list[str], timeout: float, env: dict) -> Optional[tuple[int, float, int, float, str]]:
+    """Run Python on argv: its exit code, wall time in s, stdout bytes, peak
+    RSS in MB and the sha256 of its stdout, or None if it ran past timeout
+    and was killed. The process is reaped here in every case.
 
     On Linux a child's ru_maxrss starts from the RSS of the process that
     spawned it: from its peak under vfork, which subprocess uses by
     default, and from its current anonymous memory under fork. So main
     turns vfork off, and this process keeps small: it imports no
     surfbound, builds no model and reads stdout 64 KiB at a time."""
-    argv = [sys.executable, "-c", RUNNER, str(src), *command]
+    argv = [sys.executable, *argv]
     digest = hashlib.sha256()
     size = 0
     timed_out = False
@@ -120,15 +146,34 @@ def run_row(src: Path, command: list[str], timeout: float, env: dict) -> str:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if timed_out:
-        return f"timeout after {timeout:g} s"
-    return (f"exit {proc.returncode}, {wall:.2f} s, {size} bytes, "
-            f"{usage.ru_maxrss / 1024:.1f} MB, sha256 {digest.hexdigest()}")  # ru_maxrss: KiB
+        return None
+    return proc.returncode, wall, size, usage.ru_maxrss / 1024, digest.hexdigest()  # ru_maxrss: KiB
+
+
+def row_text(argv: list[str], args, env: dict) -> str:
+    """What a row prints: its run's exit code, wall time, stdout bytes, peak
+    RSS and sha256. A startup row runs args.repeat times and prints the
+    median wall time in ms and the highest peak RSS."""
+    repeat = getattr(args, "repeat", None)
+    runs = []
+    for _ in range(repeat or 1):
+        if (run := run_row(argv, args.timeout, env)) is None:
+            return f"timeout after {args.timeout:g} s"
+        runs.append(run)
+    if len({(code, size, digest) for code, _, size, _, digest in runs}) > 1:
+        return "runs differ in exit code or stdout"
+    code, _, size, _, digest = runs[0]
+    walls = [run[1] for run in runs]
+    wall = (f"{walls[0]:.2f} s" if repeat is None
+            else f"{statistics.median(walls) * 1e3:.1f} ms median of {repeat}")
+    return f"exit {code}, {wall}, {size} bytes, {max(run[3] for run in runs):.1f} MB, sha256 {digest}"
 
 
 FAMILIES = {
     "chains": (chains, "Du Val chains A_n"),
     "tau": (tau, "tau on ade_d7 with --divisor=1/2*h"),
     "large": (large, "on ade_e8 with --divisor h"),
+    "startup": (startup, "start-up and small commands on ade_e6 with --divisor h"),
 }
 
 
@@ -147,17 +192,20 @@ def main(argv=None) -> int:
     families.add_parser("large", parents=[common]).add_argument(
         "--rows", type=int, nargs="+", metavar="N", default=range(1, len(LARGE) + 1),
         choices=range(1, len(LARGE) + 1), help=f"row numbers 1..{len(LARGE)} (default: all)")
+    families.add_parser("startup", parents=[common]).add_argument(
+        "--repeat", type=int, default=15, metavar="R", help="runs per row (default: 15)")
     args = parser.parse_args(argv)
+    if getattr(args, "repeat", 1) < 1:
+        parser.error("--repeat must be at least 1")
     rows, title = FAMILIES[args.family]
     subprocess._USE_VFORK = False  # the documented switch; see run_row
     with tempfile.TemporaryDirectory() as tmp:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import surfbound.cli",
-                        str(args.src)], env=env, check=True)
+        subprocess.run([sys.executable, "-c", IMPORT, str(args.src)], env=env, check=True)
         print(f"# {args.src.resolve()}, {title}", flush=True)
-        for label, command in rows(args, Path(tmp)):
-            print(f"{label}: {run_row(args.src, command, args.timeout, env)}", flush=True)
+        for label, argv in rows(args, Path(tmp)):
+            print(f"{label}: {row_text(argv, args, env)}", flush=True)
     return 0
 
 

@@ -15,13 +15,12 @@ two classical general-surface very-ampleness bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
 from math import floor
 from operator import add, mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import lattice, search
 from .cycles import FundamentalCycle, fundamental_cycle
@@ -35,7 +34,7 @@ from .errors import (
     NotBig,
     UnverifiableHypothesis,
 )
-from .surface import DivisorClass, SurfaceModel
+from .surface import DivisorClass, SurfaceModel, _fields_repr, _immutable
 
 Q = Fraction
 
@@ -85,8 +84,7 @@ def vanishing_threshold(model: SurfaceModel, a: DivisorClass, t: DivisorClass) -
     return (wa + 2) ** 2 / (4 * a2) - model.self_intersection(w) / 4
 
 
-@dataclass(frozen=True)
-class HodgeDefect:
+class HodgeDefect(NamedTuple):
     """h = (A.(T-K))^2 - A^2 (T-K)^2, with the proportionality witness.
 
     Every model's Gram matrix is nondegenerate of signature (1, r-1), so for
@@ -100,8 +98,7 @@ class HodgeDefect:
     ratio: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class ThresholdCheck:
+class ThresholdCheck(NamedTuple):
     holds: bool
     strict_branch: bool
     proportional_branch: bool
@@ -128,8 +125,7 @@ def threshold_holds(analysis: Analysis, n: int, k: int) -> ThresholdCheck:
 # -- the obstruction quadratic ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(NamedTuple):
     low: Fraction
     high: Fraction
 
@@ -142,8 +138,7 @@ def _bracket_shifted_sqrt(
     return RootBracket((offset + lo) / scale, (offset + hi) / scale)
 
 
-@dataclass(frozen=True)
-class ObstructionQuadratic:
+class ObstructionQuadratic(NamedTuple):
     """f(x) = x^2 - (A.L) x + h/4 + k A^2 where L = n*A + T - K.
 
     An obstruction divisor D for (k-1)-very-ampleness of n*A + T satisfies
@@ -167,8 +162,7 @@ class ObstructionQuadratic:
 Row = tuple[tuple[int, ...], tuple[int, ...], Fraction]
 
 
-@dataclass(frozen=True)
-class ObstructionSet:
+class ObstructionSet(NamedTuple):
     support: tuple[int, ...]  # curve indices orthogonal to A
     bound: Fraction  # entries satisfy value <= bound
     entries: ObstructionEntries
@@ -300,8 +294,7 @@ def obstruction_oracle(analysis: Analysis, k) -> list[Row]:
 # -- correction divisors -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrectionDivisor:
+class CorrectionDivisor(NamedTuple):
     level: int  # the k it repairs
     support: tuple[int, ...]
     sigma: tuple[Fraction, ...]  # deficiency per support curve
@@ -310,15 +303,13 @@ class CorrectionDivisor:
     divisor: DivisorClass
 
 
-@dataclass(frozen=True)
-class SeparatingPiece:
+class SeparatingPiece(NamedTuple):
     component: tuple[int, ...]
     from_fundamental_cycle: bool
     coefficients: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SeparatingDivisor:
+class SeparatingDivisor(NamedTuple):
     divisor: DivisorClass
     pieces: tuple[SeparatingPiece, ...]
 
@@ -326,8 +317,7 @@ class SeparatingDivisor:
 # -- classical conditions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionFlags:
+class ConditionFlags(NamedTuple):
     k: int
     matsusaka: bool  # A is ample against the model
     laufer_ramanujam: bool  # T.C >= K.C + k on every curve orthogonal to A
@@ -354,8 +344,7 @@ def ring_step_threshold(analysis: Analysis, l: int, p: int, v_is_zero: bool) -> 
     return max(base, alt)
 
 
-@dataclass(frozen=True)
-class RingGeneration:
+class RingGeneration(NamedTuple):
     multiplier_level: int  # l: generators live in degrees <= l... relations use it
     stability_level: int  # p: h^1 input level
     case: str  # "rational" or "no_fixed_part"
@@ -387,7 +376,6 @@ def _memoized(method):
     return wrapper
 
 
-@dataclass(frozen=True, eq=False)
 class Analysis:
     """The system n*A + T for a nef and big class A, and everything derived
     from it. Building one checks A once: model.exceptional_curves checks
@@ -401,12 +389,15 @@ class Analysis:
     model: SurfaceModel
     a: DivisorClass
     t: DivisorClass
-    support: tuple[int, ...] = field(init=False)  # curves orthogonal to A
-    _memo: dict = field(init=False, repr=False)
+    support: tuple[int, ...]  # curves orthogonal to A
+    _memo: dict
+    _FIELDS = ("model", "a", "t", "support")
+    __setattr__ = __delattr__ = _immutable
+    __repr__ = _fields_repr
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", self.model.exceptional_curves(self.a))
-        object.__setattr__(self, "_memo", {})
+    def __init__(self, model: SurfaceModel, a: DivisorClass, t: DivisorClass) -> None:
+        support = model.exceptional_curves(a)
+        vars(self).update(model=model, a=a, t=t, support=support, _memo={})
         if self.elimination is None:
             raise ModelInconsistent(
                 "curves orthogonal to a big class must span a negative "
@@ -662,8 +653,7 @@ analysis_of = lru_cache(maxsize=ANALYSIS_CACHE_SIZE)(Analysis)
 # -- comparison with the classical bounds ---------------------------------------
 
 
-@dataclass(frozen=True)
-class MatsusakaComparison:
+class MatsusakaComparison(NamedTuple):
     """Very-ampleness thresholds for n*H, H ample: the two published
     general-surface bounds built from H.(K + 4H) and H.(K + 2H), and this
     calculator's 2 + vanishing_threshold(H, 0)."""
@@ -703,16 +693,15 @@ def matsusaka_compare(analysis: Analysis) -> MatsusakaComparison:
 # -- named threshold table -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdEntry:
+class ThresholdEntry(NamedTuple):
     key: str
     statement: str
     bound: Optional[Fraction]  # conclusion holds for integer n > bound
     least_n: Optional[int]
     established: bool  # hypotheses verified on the model or asserted
-    requires: tuple[str, ...] = ()
-    caveats: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
+    requires: tuple[str, ...]
+    caveats: tuple[str, ...]
+    extras: dict
 
 
 def theorem_thresholds(
@@ -938,8 +927,7 @@ def theorem_thresholds(
 # -- aggregate report ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     threshold: Fraction
     level: int
     canonical_threshold: Fraction  # 1/A^2, which is vanishing_threshold(A, K)

@@ -15,9 +15,8 @@ is what lets the oracle look for the least total degree alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import lattice
 from .errors import (
@@ -31,8 +30,7 @@ from .surface import DivisorClass, SurfaceModel
 _LAUFER_STEP_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
+class FundamentalCycle(NamedTuple):
     component: tuple[int, ...]
     coefficients: tuple[int, ...]  # aligned with component
     divisor: DivisorClass

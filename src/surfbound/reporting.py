@@ -16,9 +16,10 @@ known by its type, so both output modes carry identical exact values.
 The payload values (_NODES) are dicts, lists, tuples, _Exact, str, int,
 finite float, bool, None and EntriesNode, known by their exact types. A
 dict key is a str or an int, which is written as its str; both writers
-refuse any other key. Every other value goes to to_payload, which raises
-TypeError on a type it does not know, a subclass of a payload type among
-them (a subclass of a dataclass aside, which converts as its fields).
+refuse any other key. Every other value goes to to_payload. It gives a
+result record (a NamedTuple, a dataclass from outside the package, or a
+subclass of either) as the dict of its fields, never as a tuple, and it
+raises TypeError on a type it does not know, a payload type's subclass too.
 
 `dump_json` writes the --json output, byte for byte `json.dumps(payload,
 indent=2)` of the result converted value by value, in one pass that keeps
@@ -32,7 +33,6 @@ entries and keeps the least for the Later values after them.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterator, Optional, TextIO
 
 from .bounds import INFINITY, ObstructionEntries, Row
 from .errors import CalculatorError
-from .surface import DivisorClass
+from .surface import DivisorClass, _fields_repr
 
 # Characters of output held before they are written to the stream.
 CHUNK = 1 << 16
@@ -89,7 +89,6 @@ def _exact(n: int, d: int) -> _Exact:
     return _Exact(exact=exact, approx=approx)
 
 
-@dataclasses.dataclass(eq=False, slots=True)
 class EntriesNode:
     """The entries of an obstruction set in a payload, as the source of their
     rows (bounds.Row): a callable that gives a new iterator over the rows,
@@ -99,9 +98,11 @@ class EntriesNode:
     (_stream) sets count and the least row by (value, coefficients), which
     payload values after the node report through Later."""
 
-    rows: Callable[[], Iterator[Row]]
-    count: int = 0
-    least: Optional[Row] = None
+    __slots__ = _FIELDS = ("rows", "count", "least")
+    __repr__ = _fields_repr
+
+    def __init__(self, rows: Callable[[], Iterator[Row]], count=0, least=None) -> None:
+        self.rows, self.count, self.least = rows, count, least
 
     def witness_minimum(self) -> Optional[dict]:
         if self.least is None:
@@ -111,17 +112,20 @@ class EntriesNode:
         return {"coefficients": coefficients, "divisor": divisor, "value": value}
 
 
-@dataclasses.dataclass(eq=False, slots=True)
 class Later:
     """A payload value made when a writer reaches it, after every value
     before it in the payload has been written."""
 
-    make: Callable[[], Any]
+    __slots__ = _FIELDS = ("make",)
+    __repr__ = _fields_repr
+
+    def __init__(self, make: Callable[[], Any]) -> None:
+        self.make = make
 
 
 # The types of the payload values, which the writers take as they are.
 _NODES = frozenset({type(None), str, bool, int, float, _Exact, dict, list, tuple, EntriesNode})
-# Field names per dataclass type, filled when to_payload first meets it.
+# Field names per record type, filled when to_payload first meets it.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
@@ -129,9 +133,9 @@ def to_payload(value: Any) -> Any:
     """The payload value of one result value whose type is not in _NODES: a
     Later gives the value it makes, a Fraction or INFINITY its exact value,
     a divisor its coordinates and text, an ObstructionEntries an EntriesNode
-    of its rows, and a dataclass, or a subclass of one, the dict of its
-    fields in their order, read once per type. The parts of what it gives
-    are left as they are, for the writers to convert as they reach them."""
+    of its rows, and a record (a NamedTuple or dataclass, or a subclass) the
+    dict of its fields in order, read once per type. The parts of what it
+    gives are left as they are, for the writers to convert as they reach them."""
     kind = type(value)
     if kind is Later:
         return value.make()
@@ -144,9 +148,13 @@ def to_payload(value: Any) -> Any:
     if names is None:
         if kind is ObstructionEntries:
             return EntriesNode(value.rows)
-        if not dataclasses.is_dataclass(value) or isinstance(value, type):
-            raise TypeError(f"cannot serialize {kind.__name__}")
-        names = _FIELD_NAMES[kind] = tuple(field.name for field in dataclasses.fields(value))
+        names = getattr(kind, "_fields", None) if issubclass(kind, tuple) else None
+        if names is None:
+            import dataclasses  # for a dataclass made outside the package
+            if not dataclasses.is_dataclass(value) or isinstance(value, type):
+                raise TypeError(f"cannot serialize {kind.__name__}")
+            names = tuple(field.name for field in dataclasses.fields(value))
+        _FIELD_NAMES[kind] = names
     return {name: getattr(value, name) for name in names}
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import lattice
 from .errors import (
@@ -65,11 +64,21 @@ def _index(x, path: str) -> int:
     return operator.index(x)
 
 
-# DivisorClass is frozen: its constructors set the fields through object.
+# DivisorClass, SurfaceModel and bounds.Analysis are immutable, as caches key
+# on them: only their constructors write fields, past _immutable.
 _setattr = object.__setattr__
 
 
-@dataclass(frozen=True, init=False)
+def _immutable(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+
+def _fields_repr(self) -> str:
+    """Name(field=value, ...) for the fields that the class names in _FIELDS."""
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+    return f"{type(self).__qualname__}({fields})"
+
+
 class DivisorClass:
     """A rational divisor class in lattice coordinates: the integers num
     over one common denominator den, in lowest terms (den > 0 and
@@ -79,6 +88,9 @@ class DivisorClass:
 
     num: tuple[int, ...]
     den: int
+    _FIELDS = ("num", "den")
+    __setattr__ = __delattr__ = _immutable
+    __repr__ = _fields_repr
 
     def __init__(self, coords: Iterable) -> None:
         """coords: integers and Fractions. The least common denominator of
@@ -87,6 +99,14 @@ class DivisorClass:
         den = lcm(*[c.denominator for c in coords])
         _setattr(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
         _setattr(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @staticmethod
     def of(values: Iterable) -> "DivisorClass":
@@ -161,8 +181,7 @@ class DivisorClass:
             )
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """A prime-curve class: integer coordinates plus a self-declared
     effectiveness flag. The flag is parsed, checked, stored and written
     back by surface_io.surface_to_data; no output prints it and no
@@ -174,13 +193,21 @@ class CurveClass:
     effective: bool = True
 
 
-@dataclass(frozen=True)
 class SurfaceModel:
     name: str
     gram: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
     curves: tuple[CurveClass, ...]
-    ample_reference: Optional[tuple[int, ...]] = None
+    ample_reference: Optional[tuple[int, ...]]
+    _FIELDS = ("name", "gram", "canonical", "curves", "ample_reference")
+    _values = property(operator.attrgetter(*_FIELDS))
+    __setattr__ = __delattr__ = _immutable
+    __repr__ = _fields_repr
+
+    def __init__(self, name, gram, canonical, curves, ample_reference=None) -> None:
+        """A model of fields as create() makes them; checks the lattice rules."""
+        vars(self).update(zip(self._FIELDS, (name, gram, canonical, curves, ample_reference)))
+        self._validate()
 
     @staticmethod
     def create(
@@ -220,9 +247,6 @@ class SurfaceModel:
         if ample_reference is not None:
             ample_reference = _int_vector(ample_reference, "ample_reference", rank)
         return SurfaceModel(name, gram, canonical, tuple(curve_list), ample_reference)
-
-    def __post_init__(self) -> None:
-        self._validate()
 
     # -- validation ------------------------------------------------------
 
@@ -268,9 +292,14 @@ class SurfaceModel:
                     "ample_reference: class is not ample against the listed curves"
                 )
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
     @cached_property
     def _hash(self) -> int:
-        return hash((self.name, self.gram, self.canonical, self.curves, self.ample_reference))
+        return hash(self._values)
 
     def __hash__(self) -> int:
         """The hash of the fields that == compares, computed once per model,

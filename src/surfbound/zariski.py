@@ -25,9 +25,8 @@ support curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import lattice
 from .errors import ModelInconsistent, NotPseudoEffective
@@ -36,16 +35,14 @@ from .surface import DivisorClass, SurfaceModel
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     positive: DivisorClass
     negative: DivisorClass
     support: tuple[int, ...]
     coefficients: tuple[Fraction, ...]  # aligned with support
 
 
-@dataclass(frozen=True)
-class H1Correction:
+class H1Correction(NamedTuple):
     """Cohomological correction data attached to the negative part F = N.
 
     The leading coefficient is c2 = -F^2/2, the linear one c1 = F.K/2, and

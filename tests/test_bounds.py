@@ -190,6 +190,43 @@ class TestVanishingThreshold:
         assert least_integer_above(Q(5, 2)) == 3
 
 
+class TestImmutableAnalysis:
+    """Analysis is a plain class that keeps the contract of a frozen record
+    compared by identity; the result records are NamedTuples."""
+
+    @pytest.mark.parametrize("field", ["model", "a", "t", "support", "_memo", "hodge", "new"])
+    def test_an_analysis_refuses_assignment(self, f2, field):
+        analysis = Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor())
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(analysis, field, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(analysis, field)
+        assert analysis.support == (f2.curve_index("s"),)
+
+    def test_records_refuse_assignment(self, f2):
+        analysis = Analysis(f2, f2.divisor([2, 1]), f2.zero_divisor())
+        report = build_bound_report(analysis, n=3)
+        for record, field in [
+            (report, "threshold"),
+            (report.hodge, "value"),
+            (report.correction, "divisor"),
+            (report.thresholds["k_very_ample"], "extras"),
+            (analysis.cycles[0], "coefficients"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_equality_is_identity_and_repr_names_the_fields(self, f2):
+        a, zero = f2.divisor([2, 1]), f2.zero_divisor()
+        analysis = Analysis(f2, a, zero)
+        assert analysis == analysis and analysis != Analysis(f2, a, zero)
+        assert hash(analysis) == object.__hash__(analysis)
+        assert repr(analysis) == (
+            f"Analysis(model={f2!r}, a=DivisorClass(num=(2, 1), den=1), "
+            f"t=DivisorClass(num=(0, 0), den=1), support={analysis.support!r})"
+        )
+
+
 class TestHodgeDefect:
     def test_rank_one_always_proportional(self):
         model = double_cover(5)

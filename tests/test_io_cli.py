@@ -146,6 +146,32 @@ def test_every_public_name_resolves():
     assert [name for name in surfbound.__all__ if not hasattr(surfbound, name)] == []
 
 
+WHY_NO_DATACLASS = (
+    "each @dataclass execs its generated methods at import, about 1 ms of every "
+    "process start, and the dataclasses module imports inspect, about 6 ms more: "
+    "define a result record as a typing.NamedTuple and any other class by hand"
+)
+
+
+def test_the_package_imports_no_dataclasses():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import surfbound.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n", f"import surfbound.cli loaded {proc.stdout.split()}: {WHY_NO_DATACLASS}"
+    import surfbound.cli  # noqa: F401, every module of the package
+
+    dataclasses = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "surfbound" or name.startswith("surfbound.")
+        for attr, value in vars(module).items()
+        if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
+    ]
+    assert dataclasses == [], f"{dataclasses} are dataclasses: {WHY_NO_DATACLASS}"
+
+
 class TestFixtureRegistry:
     def test_names_are_sorted_and_complete(self):
         names = fixture_names()
@@ -1053,11 +1079,13 @@ class TestPayload:
                     {"value": exact_value(Q(-1, 2)), "label": "x"},
                 ]}]],
             ),
+            (_Pair(Q(1, 2), 4), {"left": exact_value(Q(1, 2)), "right": 4}),
         ],
-        ids=["int-key", "fraction", "deep-in-a-list"],
+        ids=["int-key", "fraction", "deep-in-a-list", "namedtuple"],
     )
     def test_result_values_are_written(self, result, payload):
-        # the writers convert each value as they reach it
+        # the writers convert each value as they reach it; a NamedTuple is a
+        # record, written as the dict of its fields and never as a list
         assert dumped(result) == json.dumps(payload, indent=2) + "\n"
         assert rendered(result) == rendered(payload)
 
@@ -1065,14 +1093,14 @@ class TestPayload:
         "value",
         [
             enum.IntEnum("Level", "LOW HIGH").HIGH,
-            _Pair(Q(1, 2), 4),
             _Mapping({"k": [True, None]}),
             [0, _Mapping()],
         ],
-        ids=["int-enum", "namedtuple", "dict-subclass", "nested-dict-subclass"],
+        ids=["int-enum", "dict-subclass", "nested-dict-subclass"],
     )
     def test_other_subclasses_raise(self, value):
-        # only a dataclass is converted by what it derives from
+        # only a record, a NamedTuple or a dataclass, is converted by what it
+        # derives from
         if type(value) is not list:  # a list is for the writers to walk
             with pytest.raises(TypeError, match="cannot serialize"):
                 to_payload(value)

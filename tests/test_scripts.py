@@ -96,6 +96,29 @@ def test_oneshot_large_prints_a_row():
         "0", "4440", "c5d59752894abbb43b6fa1f752a72edf9d0cefe22fa209663ceb72c304bbaef7"), row
 
 
+def test_oneshot_startup_prints_the_median_of_each_row():
+    rows = run_oneshot("startup", "--repeat", "1")
+    labels = ["python -c pass", "import surfbound.cli", "validate", "zariski --divisor h",
+              "tau --divisor h", "thresholds --divisor h -k 1"]
+    median = ROW.replace(r"[\d.]+ s,", r"[\d.]+ ms median of 1,")
+    assert [row.split(": ")[0] for row in rows] == labels, rows
+    results = {}
+    for label, row in zip(labels, rows):
+        match = re.fullmatch(rf"{re.escape(label)}: {median}", row)
+        assert match and match[1] == "0", row
+        results[label] = match.groups()[1:]
+    empty = hashlib.sha256(b"").hexdigest()
+    assert results["python -c pass"] == results["import surfbound.cli"] == ("0", empty)
+    # the tau row's digest is that of the same command run in process
+    digest = "81a129149ae28e2b0ee783b5cef08f58552d678e3804ba4315ff40d0e3a0de73"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_subcommand(["tau", "--surface", "ade_e6", "--divisor", "h"]) == 0
+    stdout = out.getvalue().encode()
+    assert results["tau --divisor h"] == (str(len(stdout)), digest)
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
 def test_oneshot_rows_report_their_own_peak_rss():
     # the timer's own peak passes 64 MB before it spawns the row; a row
     # spawned by vfork would report at least that peak as its own

@@ -158,6 +158,52 @@ class TestModelValue:
         assert make(**overrides) != make()
 
 
+MODEL_FIELDS = ("name", "gram", "canonical", "curves", "ample_reference")
+
+
+class TestImmutableValues:
+    """DivisorClass and SurfaceModel are plain classes with the contract of a
+    frozen record: the caches key on their value, so no field may change
+    after construction, equal values hash alike, and repr names the fields."""
+
+    @pytest.mark.parametrize("field", ["num", "den", "coords", "new"])
+    def test_a_divisor_refuses_assignment(self, field):
+        d = DivisorClass.of([1, "1/2"])
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(d, field, (0, 0))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(d, field)
+        assert (d.num, d.den, d.coords) == ((2, 1), 2, (Q(1), Q(1, 2)))
+
+    @pytest.mark.parametrize("field", [*MODEL_FIELDS, "curve_pairings", "new"])
+    def test_a_model_and_its_curves_refuse_assignment(self, field):
+        model = make()
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(model, field, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(model, field)
+        with pytest.raises(AttributeError):
+            model.curves[0].name = "g"
+        assert model == make() and hash(model) == hash(make())
+
+    def test_equal_values_hash_alike_and_only_match_their_own_type(self):
+        d = DivisorClass.of([1, "1/2"])
+        same = DivisorClass.from_integers((4, 2), 4)
+        assert d == same and hash(d) == hash(same) == hash(((2, 1), 2))
+        assert d != ((2, 1), 2) and ((2, 1), 2) != d
+        assert d != DivisorClass.of([1, "1/3"])
+        model = make()
+        assert model != tuple(getattr(model, field) for field in MODEL_FIELDS)
+
+    def test_repr_names_each_field(self):
+        assert repr(DivisorClass.of([1, "1/2"])) == "DivisorClass(num=(2, 1), den=2)"
+        assert repr(make()) == (
+            "SurfaceModel(name='f2', gram=((0, 1), (1, -2)), canonical=(-4, -2), "
+            "curves=(CurveClass(name='f', coords=(1, 0), effective=True), "
+            "CurveClass(name='s', coords=(0, 1), effective=True)), ample_reference=(3, 1))"
+        )
+
+
 class TestPairings:
     def test_intersection_numbers(self):
         model = make()
