@@ -28,13 +28,19 @@ of that process alone (from os.wait4) and the sha256 of stdout. A process
 that runs past --timeout is killed and reaped, and its row prints
 `timeout after T s`. Before the first row, the rows' processes get a
 bytecode cache in a temporary directory, filled by one untimed import of
-surfbound.cli, so that no row times compiling the package.
+surfbound.cli per source tree, so that no row times compiling the package.
+
+With --src given more than once, each run of each row runs once per tree,
+the trees in turn, first to last on odd runs and last to first on even
+ones, so that a host whose speed drifts slows each tree alike; the row
+prints one line per tree, its label followed by [k] for the k-th --src.
 
     python3 scripts/oneshot.py chains                  # n = 20 60 120 250 500
     python3 scripts/oneshot.py chains --n 250          # other n
     python3 scripts/oneshot.py tau                     # N = 25 50 100 200 400
     python3 scripts/oneshot.py large --rows 2 3        # rows by number (default: all)
     python3 scripts/oneshot.py tau --src other/src     # another source tree
+    python3 scripts/oneshot.py large --src a/src --src b/src   # two trees, run by run
     python3 scripts/oneshot.py startup --repeat 31     # runs per row (default: 15)
 """
 
@@ -55,6 +61,8 @@ from typing import Optional
 HERE = Path(__file__).resolve().parent
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); from surfbound.cli import main; main()"
 IMPORT = "import sys; sys.path.insert(0, sys.argv.pop(1)); import surfbound.cli"
+# Stands in a row's Python arguments for the source tree that runs it.
+SRC = "{src}"
 # Run from HERE: writes A_n (argv[2]) of make_fixtures.du_val_model to argv[1].
 WRITE_CHAIN = ("import json, sys; from make_fixtures import du_val_model; open(sys.argv[1], 'w', "
                "encoding='utf-8').write(json.dumps(du_val_model('a', int(sys.argv[2]))))")
@@ -68,9 +76,9 @@ LARGE = (
 )
 
 
-def cli(args, *command: str) -> list[str]:
+def cli(*command: str) -> list[str]:
     """The Python arguments that run the surfbound command line on command."""
-    return ["-c", RUNNER, str(args.src), *command]
+    return ["-c", RUNNER, SRC, *command]
 
 
 def chains(args, tmp: Path) -> list[tuple[str, list[str]]]:
@@ -84,18 +92,18 @@ def chains(args, tmp: Path) -> list[tuple[str, list[str]]]:
         surface = ["--surface", str(path)]
         growing = "h+" + "+".join(f"3*c{i}" for i in range(1, n + 1))
         rows += [
-            (f"n = {n}: validate", cli(args, "validate", *surface)),
-            (f"n = {n}: zariski --divisor h", cli(args, "zariski", *surface, "--divisor", "h")),
+            (f"n = {n}: validate", cli("validate", *surface)),
+            (f"n = {n}: zariski --divisor h", cli("zariski", *surface, "--divisor", "h")),
             (f"n = {n}: zariski --divisor h+3*c1+...+3*c{n}",
-             cli(args, "zariski", *surface, "--divisor", growing)),
-            (f"n = {n}: tau --divisor h", cli(args, "tau", *surface, "--divisor", "h")),
-            (f"n = {n}: report --divisor h", cli(args, "report", *surface, "--divisor", "h")),
+             cli("zariski", *surface, "--divisor", growing)),
+            (f"n = {n}: tau --divisor h", cli("tau", *surface, "--divisor", "h")),
+            (f"n = {n}: report --divisor h", cli("report", *surface, "--divisor", "h")),
         ]
     return rows
 
 
 def tau(args, tmp: Path) -> list[tuple[str, list[str]]]:
-    return [(f"N = {n}", cli(args, "tau", "--surface", "ade_d7", "--divisor=1/2*h",
+    return [(f"N = {n}", cli("tau", "--surface", "ade_d7", "--divisor=1/2*h",
                              f"--twist=0,3/2,1,2,-{n}/2,1/3,0,1", "--json"))
             for n in args.n]
 
@@ -105,15 +113,15 @@ def large(args, tmp: Path) -> list[tuple[str, list[str]]]:
     for number in args.rows:
         command, *rest = row = LARGE[number - 1].split()
         rows.append((f"{number}. {' '.join(row)}",
-                     cli(args, command, "--surface", "ade_e8", "--divisor", "h", *rest)))
+                     cli(command, "--surface", "ade_e8", "--divisor", "h", *rest)))
     return rows
 
 
 def startup(args, tmp: Path) -> list[tuple[str, list[str]]]:
-    rows = [("python -c pass", ["-c", "pass"]), ("import surfbound.cli", ["-c", IMPORT, str(args.src)])]
+    rows = [("python -c pass", ["-c", "pass"]), ("import surfbound.cli", ["-c", IMPORT, SRC])]
     for command in ("validate", "zariski --divisor h", "tau --divisor h", "thresholds --divisor h -k 1"):
         name, *rest = command.split()
-        rows.append((command, cli(args, name, "--surface", "ade_e6", *rest)))
+        rows.append((command, cli(name, "--surface", "ade_e6", *rest)))
     return rows
 
 
@@ -150,16 +158,28 @@ def run_row(argv: list[str], timeout: float, env: dict) -> Optional[tuple[int, f
     return proc.returncode, wall, size, usage.ru_maxrss / 1024, digest.hexdigest()  # ru_maxrss: KiB
 
 
-def row_text(argv: list[str], args, env: dict) -> str:
-    """What a row prints: its run's exit code, wall time, stdout bytes, peak
-    RSS and sha256. A startup row runs args.repeat times and prints the
-    median wall time in ms and the highest peak RSS."""
+def row_texts(argv: list[str], args, env: dict) -> list[str]:
+    """What a row prints for each tree of args.src: its run's exit code,
+    wall time, stdout bytes, peak RSS and sha256. A startup row runs
+    args.repeat times and prints the median wall time in ms and the highest
+    peak RSS. Each run runs every tree, in turns (see the module doc)."""
     repeat = getattr(args, "repeat", None)
-    runs = []
-    for _ in range(repeat or 1):
-        if (run := run_row(argv, args.timeout, env)) is None:
-            return f"timeout after {args.timeout:g} s"
-        runs.append(run)
+    trees = [[str(src) if arg == SRC else arg for arg in argv] for src in args.src]
+    runs: list[Optional[list]] = [[] for _ in trees]
+    for number in range(repeat or 1):
+        order = range(len(trees)) if number % 2 == 0 else reversed(range(len(trees)))
+        for k in order:
+            if runs[k] is not None:
+                run = run_row(trees[k], args.timeout, env)
+                runs[k] = None if run is None else runs[k] + [run]
+    return [run_text(tree_runs, args, repeat) for tree_runs in runs]
+
+
+def run_text(runs: Optional[list], args, repeat: Optional[int]) -> str:
+    """The text of one tree's runs of a row: runs is None if one ran past
+    its timeout."""
+    if runs is None:
+        return f"timeout after {args.timeout:g} s"
     if len({(code, size, digest) for code, _, size, _, digest in runs}) > 1:
         return "runs differ in exit code or stdout"
     code, _, size, _, digest = runs[0]
@@ -180,8 +200,9 @@ FAMILIES = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--src", type=Path, default=HERE.parent / "src",
-                        help="source tree that holds the surfbound package (default: this repo's)")
+    common.add_argument("--src", type=Path, action="append",
+                        help="source tree that holds the surfbound package (default: this repo's); "
+                             "given more than once, the trees run in turns")
     common.add_argument("--timeout", type=float, default=60.0,
                         help="seconds before a row's process is killed (default: 60)")
     families = parser.add_subparsers(dest="family", required=True)
@@ -195,6 +216,7 @@ def main(argv=None) -> int:
     families.add_parser("startup", parents=[common]).add_argument(
         "--repeat", type=int, default=15, metavar="R", help="runs per row (default: 15)")
     args = parser.parse_args(argv)
+    args.src = args.src or [HERE.parent / "src"]
     if getattr(args, "repeat", 1) < 1:
         parser.error("--repeat must be at least 1")
     rows, title = FAMILIES[args.family]
@@ -202,10 +224,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run([sys.executable, "-c", IMPORT, str(args.src)], env=env, check=True)
-        print(f"# {args.src.resolve()}, {title}", flush=True)
+        for src in args.src:
+            subprocess.run([sys.executable, "-c", IMPORT, str(src)], env=env, check=True)
+        print(f"# {', '.join(str(src.resolve()) for src in args.src)}, {title}", flush=True)
         for label, argv in rows(args, Path(tmp)):
-            print(f"{label}: {row_text(argv, args, env)}", flush=True)
+            texts = row_texts(argv, args, env)
+            for k, text in enumerate(texts, 1):
+                print(f"{label}{f' [{k}]' if len(texts) > 1 else ''}: {text}", flush=True)
     return 0
 
 

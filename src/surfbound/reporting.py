@@ -2,24 +2,26 @@
 
 The command handlers return Fractions, divisors, result records, and dicts
 and lists of them, and the two writers, dump_json and render_text, take
-that result as it is. Each writer walks it once: it writes a payload value
-as it reaches it, and gives any other value to `to_payload`, the one place
-where a result value gets its output form. to_payload converts that one
-value, and the writer walks on into what it gives.
+that result as it is. Each writer walks it once and writes each value as it
+reaches it: a Fraction, INFINITY, a divisor or a record straight to text,
+and any other value of a type it does not know through `to_payload`, which
+gives the output form of one result value.
 
 Every rational is reported as {"exact": "p/q", "approx": float}, the exact
 value for scripts and the decimal for humans. INFINITY, the minimum over an
 empty obstruction set, is {"exact": "inf", "approx": null}, and "approx" is
-null for a value beyond float range too. That dict is an _Exact, a leaf
-known by its type, so both output modes carry identical exact values.
+null for a value beyond float range too. to_payload gives that dict as an
+_Exact; a writer makes the text of an exact value or a divisor once per
+call, in a _Memo: the --json text once per value and indent, the line text
+of an exact value once per value, as it is the same at every indent.
 
 The payload values (_NODES) are dicts, lists, tuples, _Exact, str, int,
 finite float, bool, None and EntriesNode, known by their exact types. A
 dict key is a str or an int, which is written as its str; both writers
-refuse any other key. Every other value goes to to_payload. It gives a
-result record (a NamedTuple, a dataclass from outside the package, or a
-subclass of either) as the dict of its fields, never as a tuple, and it
-raises TypeError on a type it does not know, a payload type's subclass too.
+refuse any other key. A result record (a NamedTuple, a dataclass from
+outside the package, or a subclass of either, as _record decides) is
+written as the dict of its fields, never as a tuple; to_payload raises
+TypeError on a type it does not know, a payload type's subclass too.
 
 `dump_json` writes the --json output, byte for byte `json.dumps(payload,
 indent=2)` of the result converted value by value, in one pass that keeps
@@ -37,8 +39,8 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, TextIO
+from itertools import repeat
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from .bounds import INFINITY, ObstructionEntries, Row
 from .errors import CalculatorError
@@ -53,14 +55,6 @@ class _Exact(dict):
 
     __slots__ = ()
 
-    def json(self, pad: str) -> str:
-        """The --json text of the value at the indent `pad`."""
-        approx = self["approx"]
-        return (
-            f'{{\n{pad}  "exact": {encode_basestring_ascii(self["exact"])},\n'
-            f'{pad}  "approx": {"null" if approx is None else float.__repr__(approx)}\n{pad}}}'
-        )
-
 
 def exact_value(value) -> _Exact:
     """The payload of INFINITY, an int or a Fraction."""
@@ -72,13 +66,18 @@ def exact_value(value) -> _Exact:
 def _exact(n: int, d: int) -> _Exact:
     """The payload of n/d, for d > 0."""
     g = gcd(n, d)
-    n, d = n // g, d // g
+    return _Exact(zip(("exact", "approx"), _parts(n // g, d // g)))
+
+
+def _parts(n: int, d: int) -> tuple[str, Optional[float]]:
+    """The exact text and the float of n/d in lowest terms, d > 0, the
+    float None beyond float range."""
     try:
         approx = n / d  # float(frac), correctly rounded
     except OverflowError:
         approx = None
     try:
-        exact = str(n) if d == 1 else f"{n}/{d}"
+        return (str(n) if d == 1 else f"{n}/{d}"), approx
     except ValueError:
         # str() refuses an int beyond the process's conversion limit, which
         # is left as it is.
@@ -86,7 +85,55 @@ def _exact(n: int, d: int) -> _Exact:
             f"a result has more than {sys.get_int_max_str_digits()} digits, "
             "the limit for printing an integer"
         ) from None
-    return _Exact(exact=exact, approx=approx)
+
+
+def _json_exact(exact: str, approx: Optional[float], pad: str) -> str:
+    """The --json text of an exact value at the indent pad."""
+    return (f'{{\n{pad}  "exact": {encode_basestring_ascii(exact)},\n'
+            f'{pad}  "approx": {"null" if approx is None else float.__repr__(approx)}\n{pad}}}')
+
+
+def _line_exact(exact: str, approx: Optional[float]) -> str:
+    """The text of an exact value on its line, at any indent."""
+    return exact if approx is None or "/" not in exact else f"{exact} ({approx:.6g})"
+
+
+def _cells(cell: Callable[[int, int], str], divisor: DivisorClass) -> tuple[list[str], str]:
+    """The texts of divisor's coordinates, cell(n, d) of each in lowest terms
+    n/d, and the divisor's text: their exact texts, joined by commas."""
+    den, cells, exacts = divisor.den, [], []
+    for x in divisor.num:
+        g = gcd(x, den)
+        cells.append(cell(x // g, den // g))  # first: it checks the digit limit
+        exacts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return cells, ",".join(exacts)
+
+
+def _json_divisor(exacts: "_Memo", divisor: DivisorClass, pad: str) -> str:
+    """The --json text of divisor at the indent pad; exacts is dump_json's."""
+    inner = pad + "    "
+    cells, text = _cells(lambda n, d: exacts[n, d, inner], divisor)
+    coords = "[\n" + inner + (",\n" + inner).join(cells) + "\n" + pad + "  ]" if cells else "[]"
+    return f'{{\n{pad}  "coords": {coords},\n{pad}  "text": {encode_basestring_ascii(text)}\n{pad}}}'
+
+
+def _line_divisor(exacts: "_Memo", divisor: DivisorClass, pad: str) -> str:
+    """The lines of divisor at the indent pad; exacts is render_text's."""
+    cells, text = _cells(lambda n, d: exacts[n, d], divisor)
+    return f"{pad}coords: [{', '.join(cells)}]\n{pad}text: {text}\n"
+
+
+class _Memo(dict):
+    """Texts of one writer call, each made once by make(key)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], str]) -> None:
+        self.make = make
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.make(key)
+        return text
 
 
 class EntriesNode:
@@ -125,8 +172,17 @@ class Later:
 
 # The types of the payload values, which the writers take as they are.
 _NODES = frozenset({type(None), str, bool, int, float, _Exact, dict, list, tuple, EntriesNode})
-# Field names per record type, filled when to_payload first meets it.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+# Per record type, filled when _record first meets it: its field names, the
+# --json text of each as a key, and what gives a record's values in their order.
+_RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...], Callable[[Any], Iterable]]] = {}
+# The types that a writer writes as they are, and each record type once met.
+_KNOWN = {*_NODES, Fraction, DivisorClass, type(INFINITY)}
+# The --json and the line text of the leaves that a writer writes inline.
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+_LINE_LEAVES = {str: str, int: int.__repr__, float: float.__repr__,
+                bool: {True: "yes", False: "no"}.__getitem__, type(None): lambda _: "-",
+                type(INFINITY): lambda _: "inf", _Exact: lambda e: _line_exact(e["exact"], e["approx"])}
 
 
 def to_payload(value: Any) -> Any:
@@ -144,18 +200,41 @@ def to_payload(value: Any) -> Any:
     if kind is DivisorClass:
         coords = [_exact(x, value.den) for x in value.num]
         return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
-    names = _FIELD_NAMES.get(kind)
-    if names is None:
-        if kind is ObstructionEntries:
-            return EntriesNode(value.rows)
+    if kind is ObstructionEntries:
+        return EntriesNode(value.rows)
+    names, _, values = _record(kind)
+    return dict(zip(names, values(value)))
+
+
+def _record(kind: type) -> tuple[tuple[str, ...], tuple[str, ...], Callable[[Any], Iterable]]:
+    """The entry of _RECORDS for a record type (a NamedTuple or dataclass,
+    or a subclass), made once per type, or TypeError for a type that is not
+    one. A NamedTuple's values are its items."""
+    record = _RECORDS.get(kind)
+    if record is None:
         names = getattr(kind, "_fields", None) if issubclass(kind, tuple) else None
+        values = iter
         if names is None:
             import dataclasses  # for a dataclass made outside the package
-            if not dataclasses.is_dataclass(value) or isinstance(value, type):
+            if not dataclasses.is_dataclass(kind):
                 raise TypeError(f"cannot serialize {kind.__name__}")
-            names = tuple(field.name for field in dataclasses.fields(value))
-        _FIELD_NAMES[kind] = names
-    return {name: getattr(value, name) for name in names}
+            names = tuple(field.name for field in dataclasses.fields(kind))
+            values = lambda value: [getattr(value, name) for name in names]
+        keys = tuple(f"{encode_basestring_ascii(name)}: " for name in names)
+        record = _RECORDS[kind] = names, keys, values
+    return record
+
+
+def _resolved(value: Any) -> Any:
+    """value, if its type is in _KNOWN, else what to_payload gives for it,
+    resolved in turn; a record type joins _KNOWN, written from _RECORDS."""
+    while (kind := type(value)) not in _KNOWN:
+        if kind is Later or kind is ObstructionEntries:
+            value = to_payload(value)
+        else:
+            _record(kind)
+            _KNOWN.add(kind)
+    return value
 
 
 def _int_key(key: Any) -> str:
@@ -165,69 +244,50 @@ def _int_key(key: Any) -> str:
     return str(key)
 
 
-class _Rendered(dict):
-    """Renderings of numbers keyed by the number, each made once by `render`
-    from its exact_value; an int and an equal Fraction share a key."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render: Callable[[_Exact], str]) -> None:
-        self.render = render
-
-    def __missing__(self, number) -> str:
-        text = self[number] = self.render(exact_value(number))
-        return text
-
-
-def _json_entry(item: str) -> Callable[[tuple], str]:
+def _json_entry(item: str, exacts: _Memo) -> Callable[[tuple], str]:
     """The --json text of an obstruction entry, from its row, as dump_json
     writes the row's payload (EntriesNode.witness_minimum) at indent `item`."""
-    q1 = item + "  "
-    q2 = q1 + "  "
-    q3 = q2 + "  "
+    q1, q2, q3 = item + "  ", item + "    ", item + "      "
     coeff_sep = ",\n" + q2
     coord_sep = ",\n" + q3
-    exact = _Rendered(itemgetter("exact")).__getitem__
-    cells = _Rendered(lambda payload: payload.json(q3)).__getitem__
-    values = _Rendered(lambda payload: payload.json(q1))
+    cell = _Memo(lambda x: exacts[x, 1, q3]).__getitem__
+    digits = _Memo(str).__getitem__
 
     def entry(row: tuple) -> str:
         coefficients, coords, value = row
+        cells = coord_sep.join(map(cell, coords))
         return (
-            f'{{\n{q1}"coefficients": [\n{q2}{coeff_sep.join(map(int.__repr__, coefficients))}'
-            f'\n{q1}],\n{q1}"divisor": {{\n{q2}"coords": [\n{q3}'
-            f'{coord_sep.join(map(cells, coords))}\n{q2}],\n{q2}"text": '
-            f'{encode_basestring_ascii(",".join(map(exact, coords)))}\n{q1}}},\n'
-            f'{q1}"value": {values[value]}\n{item}}}'
+            f'{{\n{q1}"coefficients": [\n{q2}{coeff_sep.join(map(digits, coefficients))}'
+            f'\n{q1}],\n{q1}"divisor": {{\n{q2}"coords": [\n{q3}{cells}\n{q2}],\n{q2}"text": '
+            f'"{",".join(map(digits, coords))}"\n{q1}}},\n'
+            f'{q1}"value": {exacts[value.numerator, value.denominator, q1]}\n{item}}}'
         )
 
     return entry
 
 
-def _text_entry(indent: int) -> Callable[[tuple], str]:
+def _text_entry(indent: int, exacts: _Memo) -> Callable[[tuple], str]:
     """The text lines of an obstruction entry, from its row, as render_text
     renders the row's payload (EntriesNode.witness_minimum) as a list item
     at `indent`."""
-    p1, p2, p3 = ("  " * (indent + i) for i in range(3))
-    # the coordinates are ints, whose rendering is their exact string
-    rendered = _Rendered(_leaf)
+    p1, p2, p3 = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
+    cell = _Memo(lambda x: exacts[x, 1]).__getitem__
 
     def entry(row: tuple) -> str:
         coefficients, coords, value = row
-        cells = list(map(rendered.__getitem__, coords))
+        # the coordinates are ints, whose text is their exact string
+        cells = list(map(cell, coords))
         return (
             f"{p1}-\n{p2}coefficients: [{', '.join(map(str, coefficients))}]\n"
             f"{p2}divisor:\n{p3}coords: [{', '.join(cells)}]\n{p3}text: {','.join(cells)}\n"
-            f"{p2}value: {rendered[value]}\n"
+            f"{p2}value: {exacts[value.numerator, value.denominator]}\n"
         )
 
     return entry
 
 
-def _stream(
-    node: EntriesNode, entry: Callable[[tuple], str], lead: str, sep: str,
-    parts: list[str], out: TextIO,
-) -> bool:
+def _stream(node: EntriesNode, entry: Callable[[tuple], str], lead: str, sep: str,
+            parts: list[str], out: TextIO) -> bool:
     """Append each entry of node to parts, as entry renders its row, after
     lead for the first and sep for the others. The text held is written to
     out after each entry that brings it to CHUNK characters. The same loop
@@ -255,59 +315,57 @@ def _stream(
 
 def dump_json(result: Any, out: TextIO) -> None:
     """Write `json.dumps(payload, indent=2)` and a newline to `out`, for the
-    payload of `result`, in one pass that converts each value as it reaches
-    it and writes an EntriesNode as the list of its entries. The text is
-    held and written in pieces, as _stream writes it, the rest at the end."""
+    payload of `result`, in one pass that writes each value as it reaches
+    it and an EntriesNode as the list of its entries. The text is held and
+    written in pieces, as _stream writes it, the rest at the end."""
     parts: list[str] = []
     append = parts.append
+    exacts = _Memo(lambda key: _json_exact(*_parts(key[0], key[1]), key[2]))
+    divisors = _Memo(lambda key: _json_divisor(exacts, *key))
+    leaves = _JSON_LEAVES.get
 
     def write(value: Any, pad: str) -> None:
         kind = type(value)
-        while kind not in _NODES:
-            value = to_payload(value)
-            kind = type(value)
-        if kind is _Exact:
-            append(value.json(pad))
-        elif kind is dict:
-            if not value:
-                append("{}")
-                return
-            inner = pad + "  "
-            sep = ",\n" + inner
-            lead = "{\n" + inner
-            for key, item in value.items():
-                if type(key) is not str:
-                    key = _int_key(key)
-                append(lead + encode_basestring_ascii(key) + ": ")
-                lead = sep
-                write(item, inner)
-            append("\n" + pad + "}")
+        if kind is dict:
+            pairs, brackets = value.items(), "{}"
+        elif kind in _RECORDS:
+            _, keys, values = _RECORDS[kind]
+            pairs, brackets = zip(keys, values(value)), "{}"
         elif kind is list or kind is tuple:
-            if not value:
-                append("[]")
-                return
+            pairs, brackets = zip(repeat(""), value), "[]"
+        elif kind not in _KNOWN:
+            return write(_resolved(value), pad)
+        elif kind is EntriesNode:
             inner = pad + "  "
-            sep = ",\n" + inner
-            lead = "[\n" + inner
-            for item in value:
-                append(lead)
-                lead = sep
-                write(item, inner)
-            append("\n" + pad + "]")
-        elif kind is str:
-            append(encode_basestring_ascii(value))
-        elif kind is int or kind is float:
-            append(kind.__repr__(value))
-        elif kind is bool:
-            append("true" if value else "false")
-        elif value is None:
-            append("null")
-        else:  # an EntriesNode
-            inner = pad + "  "
-            if _stream(value, _json_entry(inner), "[\n" + inner, ",\n" + inner, parts, out):
-                append("\n" + pad + "]")
+            streamed = _stream(value, _json_entry(inner, exacts), "[\n" + inner, ",\n" + inner, parts, out)
+            return append("\n" + pad + "]" if streamed else "[]")
+        elif kind is Fraction:
+            return append(exacts[value.numerator, value.denominator, pad])
+        elif kind is DivisorClass:
+            return append(divisors[value, pad])
+        elif kind is _Exact:
+            return append(_json_exact(value["exact"], value["approx"], pad))
+        elif value is INFINITY:
+            return append(_json_exact("inf", None, pad))
+        else:
+            return append(_JSON_LEAVES[kind](value))
+        # each item of a dict, a record, a list or a tuple, after the text
+        # of its key: a record's is made once per type, and a list's is ""
+        inner = pad + "  "
+        lead, sep = brackets[0] + "\n" + inner, ",\n" + inner
+        for key, item in pairs:
+            if kind is dict:
+                key = f"{encode_basestring_ascii(key if type(key) is str else _int_key(key))}: "
+            leaf = leaves(type(item))
+            if leaf is not None:
+                append(f"{lead}{key}{leaf(item)}")
+            elif type(item) is Fraction:
+                append(f"{lead}{key}{exacts[item.numerator, item.denominator, inner]}")
             else:
-                append("[]")
+                append(lead + key)
+                write(item, inner)
+            lead = sep
+        append(f"\n{pad}{brackets[1]}" if lead is sep else brackets)
 
     write(result, "")
     del write  # it holds itself, parts and out through its cell: a cycle
@@ -315,33 +373,29 @@ def dump_json(result: Any, out: TextIO) -> None:
     out.write("".join(parts))
 
 
-def _leaf(value: Any) -> Optional[str]:
-    """The text of a payload value that is a leaf on its line, or None for a
-    container: a dict with items, a list, a tuple or an EntriesNode."""
-    kind = type(value)
-    if kind is _Exact:
-        exact = value["exact"]
-        approx = value["approx"]
-        return exact if approx is None or "/" not in exact else f"{exact} ({approx:.6g})"
-    if kind is str:
-        return value
-    if kind is int or kind is float:
-        return kind.__repr__(value)
-    if kind is bool:
-        return "yes" if value else "no"
-    if value is None:
-        return "-"
-    return "{}" if kind is dict and not value else None
-
-
 def render_text(result: Any, out: TextIO) -> None:
     """Write indented key/value lines of the payload of `result` to `out`,
-    each with a newline, converting each value as it reaches it; a tuple
+    each with a newline, writing each value as it reaches it; a tuple
     renders as a list and an EntriesNode as the list of its entries. The
     text is held and written in pieces, as _stream writes it, the rest at
     the end."""
     parts: list[str] = []
     append = parts.append
+    exacts = _Memo(lambda key: _line_exact(*_parts(*key)))
+    divisors = _Memo(lambda key: _line_divisor(exacts, *key))
+
+    def leaf(value: Any) -> Optional[str]:
+        """The text of a value in _KNOWN that is a leaf on its line, or None
+        for a dict or record with items, a divisor or a sequence."""
+        kind = type(value)
+        text = _LINE_LEAVES.get(kind)
+        if text is not None:
+            return text(value)
+        if kind is Fraction:
+            return exacts[value.numerator, value.denominator]
+        if kind is dict:
+            return None if value else "{}"
+        return "{}" if kind in _RECORDS and not _RECORDS[kind][0] else None
 
     def items(values: Any, indent: int, head: Optional[str] = None) -> None:
         """The lines of a list, tuple or EntriesNode at indent. After head,
@@ -349,54 +403,53 @@ def render_text(result: Any, out: TextIO) -> None:
         pad = "  " * indent
         if type(values) is EntriesNode:
             lead = "" if head is None else f"{head}\n"
-            if not _stream(values, _text_entry(indent), lead, "", parts, out) and head is not None:
+            if not _stream(values, _text_entry(indent, exacts), lead, "", parts, out) and head is not None:
                 append(f"{head} []\n")
             return
-        texts = []
+        leaves = []
         for value in values:
-            while type(value) not in _NODES:
-                value = to_payload(value)
-            text = _leaf(value)
+            if type(value) not in _KNOWN:
+                value = _resolved(value)
+            text = leaf(value)
             if text is None:
                 if head is not None:
                     append(f"{head}\n")
-                    parts.extend(f"{pad}- {leaf}\n" for leaf in texts)
+                    parts.extend(f"{pad}- {item}\n" for item in leaves)
                     head = None
                 append(f"{pad}-\n")
                 write(value, indent + 1)
             elif head is None:
                 append(f"{pad}- {text}\n")
             else:
-                texts.append(text)
+                leaves.append(text)
         if head is not None:
-            append(f"{head} [{', '.join(texts)}]\n")
+            append(f"{head} [{', '.join(leaves)}]\n")
 
-    def write(payload: Any, indent: int) -> None:
-        if type(payload) is dict:
-            pad = "  " * indent
-            for key, value in payload.items():
-                if type(key) is not str:
-                    key = _int_key(key)
-                while type(value) not in _NODES:
-                    value = to_payload(value)
-                text = _leaf(value)
-                if text is not None:
-                    append(f"{pad}{key}: {text}\n")
-                elif type(value) is dict:
-                    append(f"{pad}{key}:\n")
-                    write(value, indent + 1)
-                else:
-                    items(value, indent + 1, f"{pad}{key}:")
-        elif type(payload) not in _NODES:  # a result at the top
-            write(to_payload(payload), indent)
-        else:  # a container in a list, or a leaf at the top
-            text = _leaf(payload)
-            if text is None:
-                items(payload, indent)
+    def write(value: Any, indent: int) -> None:
+        """The lines at indent of a dict, record, divisor or list, or a leaf at the top."""
+        kind = type(value)
+        pad = "  " * indent
+        if kind is DivisorClass:
+            return append(divisors[value, pad])
+        record = _RECORDS.get(kind)
+        if record is None and kind is not dict:
+            text = leaf(value)
+            return items(value, indent) if text is None else append(f"{text}\n")
+        for key, item in value.items() if record is None else zip(record[0], record[2](value)):
+            if type(key) is not str:
+                key = _int_key(key)
+            if type(item) not in _KNOWN:
+                item = _resolved(item)
+            text = leaf(item)
+            if text is not None:
+                append(f"{pad}{key}: {text}\n")
+            elif type(item) in (list, tuple, EntriesNode):
+                items(item, indent + 1, f"{pad}{key}:")
             else:
-                append(f"{text}\n")
+                append(f"{pad}{key}:\n")
+                write(item, indent + 1)
 
-    write(result, 0)
+    write(_resolved(result), 0)
     del items, write  # they hold each other, parts and out through their cells
     if parts:
         out.write("".join(parts))

@@ -32,7 +32,6 @@ import os
 import re
 import sys
 from functools import lru_cache
-from importlib import resources
 from math import lcm
 from typing import Union
 
@@ -163,14 +162,20 @@ def load_surface_file(path: Union[str, os.PathLike]) -> SurfaceModel:
     return _model_from_text(text, origin)
 
 
-_FIXTURES = resources.files(__package__) / "fixtures"  # resolved once per process
+def _fixtures():
+    """The directory of the bundled fixtures: importlib.resources, which
+    imports pathlib, zipfile and more, loads when a fixture is first named."""
+    from importlib import resources
+    return resources.files(__package__) / "fixtures"
+
+
 _FIXTURE_NAME = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 def fixture_names() -> tuple[str, ...]:
     names = [
         entry.name[: -len(".json")]
-        for entry in _FIXTURES.iterdir()
+        for entry in _fixtures().iterdir()
         if entry.name.endswith(".json")
     ]
     return tuple(sorted(names))
@@ -180,7 +185,7 @@ def fixture_names() -> tuple[str, ...]:
 # at most one text per bundled fixture.
 @lru_cache(maxsize=None)
 def _fixture_text(name: str) -> str:
-    return (_FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+    return (_fixtures() / f"{name}.json").read_text(encoding="utf-8")
 
 
 def load_fixture(name: str) -> SurfaceModel:

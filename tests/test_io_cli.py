@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +170,41 @@ def test_the_package_imports_no_dataclasses():
         if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
     ]
     assert dataclasses == [], f"{dataclasses} are dataclasses: {WHY_NO_DATACLASS}"
+
+
+# Run under python -S: the package's path, then a command. Prints whether
+# importlib.resources was loaded after the import and after the command,
+# the exit code and the sha256 of stdout.
+ONE_COMMAND = """import contextlib, hashlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from surfbound.cli import run_subcommand
+loaded = ['importlib.resources' in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run_subcommand(sys.argv[2:])
+loaded.append('importlib.resources' in sys.modules)
+print(*loaded, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_importlib_resources_loads_when_a_fixture_is_named(tmp_path):
+    # it imports pathlib, tempfile, zipfile and more, about 10 ms of a
+    # process start, which a model read by path does not need
+    model = tmp_path / "e6.json"
+    model.write_bytes((SRC / "surfbound" / "fixtures" / "ade_e6.json").read_bytes())
+    tau = ["tau", "--divisor", "h"]
+    results = []
+    for surface in (str(model), "ade_e6"):
+        proc = subprocess.run([sys.executable, "-S", "-c", ONE_COMMAND, str(SRC), *tau, "--surface", surface],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        results.append(proc.stdout.split())
+    by_path, by_name = results
+    assert by_path[:3] == ["False", "False", "0"]
+    # the digest that tests/test_scripts.py records for this command
+    assert by_name == ["False", "True", "0",
+                       "81a129149ae28e2b0ee783b5cef08f58552d678e3804ba4315ff40d0e3a0de73"]
+    assert by_path[3] == by_name[3]
 
 
 class TestFixtureRegistry:
@@ -1108,6 +1143,123 @@ class TestPayload:
             dumped(value)
         with pytest.raises(TypeError, match="cannot serialize"):
             rendered(value)
+
+
+class _Cell(NamedTuple):
+    value: Any
+    label: str
+
+
+class _NoFields(NamedTuple):
+    pass
+
+
+# More digits than str() writes: no output mode may print such a value. A
+# Later holds it, as no repr may show it either.
+_PAST_DIGIT_LIMIT = Later(lambda: Q(10 ** sys.get_int_max_str_digits(), 7))
+# Raw result values as the handlers return them: Fractions, beyond float
+# range too, ints, INFINITY and divisors with a denominator, in lists,
+# tuples, dicts, NamedTuple records and Laters.
+_RAW_LEAVES = st.one_of(
+    st.fractions(max_denominator=10**12),
+    st.builds(Q, st.integers(min_value=-(10**400), max_value=10**400),
+              st.integers(min_value=1, max_value=10**60)),
+    st.sampled_from([Q(10**400, 3), Q(-(10**309)), INFINITY, _NoFields()]),
+    st.lists(st.fractions(max_denominator=12) | st.integers(-9, 9), max_size=4).map(DivisorClass),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.none() | st.booleans() | _JSON_STRINGS | st.floats(allow_nan=False, allow_infinity=False),
+)
+RAW_TREES = st.recursive(
+    _RAW_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS | st.integers(-3, 3), children, max_size=4),
+        st.builds(_Cell, children, _JSON_STRINGS),
+        children.map(lambda tree: Later(lambda: tree)),
+    ),
+    max_leaves=20,
+)
+
+
+def _reference(value):
+    """The --json payload of a raw result, made from str() and float() alone."""
+    if type(value) is Later:
+        return _reference(value.make())
+    if value is INFINITY:
+        return {"exact": "inf", "approx": None}
+    if type(value) is Q:
+        return {"exact": str(value), "approx": _float_or_none(value)}
+    if type(value) is DivisorClass:
+        coords = [Q(x, value.den) for x in value.num]
+        return {"coords": [_reference(c) for c in coords], "text": ",".join(map(str, coords))}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _reference(item) for name, item in zip(value._fields, value)}
+    if type(value) is dict:
+        return {key: _reference(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return [_reference(item) for item in value]
+    return value
+
+
+def _converted(value):
+    """The raw result converted value by value through to_payload."""
+    while type(value) not in reporting._NODES:
+        value = to_payload(value)
+    if type(value) is dict:
+        return {key: _converted(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(_converted(item) for item in value)
+    return value
+
+
+def _at_two_depths(tree):
+    """The tree's values at the top and three levels below it."""
+    return {"top": tree, "deep": [[{"again": tree}], tree]}
+
+
+class TestRawResults:
+    """The writers render exact values, divisors and records straight to
+    text, each once per value and indent; the output is as if each value
+    had been converted to its payload first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(RAW_TREES)
+    @example([_PAST_DIGIT_LIMIT])
+    @example(_Cell(Later(lambda: DivisorClass([_PAST_DIGIT_LIMIT.make(), 1])), "x"))
+    @example([Q(1, 3), [Q(1, 3), DivisorClass([Q(1, 3)]), [DivisorClass([Q(1, 3)])]]])
+    def test_json_equals_stdlib_on_the_reference(self, tree):
+        tree = _at_two_depths(tree)
+        try:
+            expected = json.dumps(_reference(tree), indent=2) + "\n"
+        except ValueError:  # str() refuses an int beyond the digit limit
+            with pytest.raises(CalculatorError, match="digits"):
+                dumped(tree)
+            return
+        assert dumped(tree) == expected
+
+    @pytest.mark.parametrize("tree,text", [
+        ({}, ""), (_NoFields(), ""), ([], ""), ([{}], "- {}\n"), ([[]], "-\n"),
+        ({"a": {}}, "a: {}\n"), ({"a": _NoFields()}, "a: {}\n"), ([_NoFields()], "- {}\n"),
+        (Q(1, 2), "1/2 (0.5)\n"), (INFINITY, "inf\n"), (None, "-\n"),
+    ])
+    def test_text_at_the_top(self, tree, text):
+        # an empty mapping at the top writes no line, and {} as a value
+        assert rendered(tree) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(RAW_TREES)
+    @example([_PAST_DIGIT_LIMIT])
+    @example([Q(1, 3), [Q(1, 3), DivisorClass([Q(1, 3)]), [DivisorClass([Q(1, 3)])]]])
+    def test_text_equals_the_converted_tree(self, tree):
+        tree = _at_two_depths(tree)
+        try:
+            converted = _converted(tree)
+        except CalculatorError:
+            with pytest.raises(CalculatorError, match="digits"):
+                rendered(tree)
+            return
+        assert rendered(tree) == rendered(converted)
 
 
 # Per fixture: a nef and big class with orthogonal curves, an ample class,

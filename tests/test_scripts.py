@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,47 @@ def test_oneshot_startup_prints_the_median_of_each_row():
     assert hashlib.sha256(stdout).hexdigest() == digest
 
 
+def load_oneshot(monkeypatch):
+    """scripts/oneshot.py as a module; main's switch of subprocess is undone
+    after the test."""
+    monkeypatch.setattr(subprocess, "_USE_VFORK", subprocess._USE_VFORK)
+    spec = importlib.util.spec_from_file_location("oneshot", ROOT / "scripts" / "oneshot.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_oneshot_runs_two_trees_in_turns(monkeypatch, capsys, tmp_path):
+    script = load_oneshot(monkeypatch)
+    trees = [str(ROOT / "src"), str(tmp_path / "other")]
+    started = []
+
+    def run_row(argv, timeout, env):
+        started.append([tree for tree in trees if tree in argv])
+        return 0, 0.001 * len(started), 10, 1.0, "0" * 64
+
+    monkeypatch.setattr(script, "run_row", run_row)
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: None)  # the untimed imports
+    assert script.main(["startup", "--repeat", "3", "--src", trees[0], "--src", trees[1]]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == f"# {trees[0]}, {Path(trees[1]).resolve()}, " + script.FAMILIES["startup"][1]
+    labels = ["python -c pass", "import surfbound.cli", "validate", "zariski --divisor h",
+              "tau --divisor h", "thresholds --divisor h -k 1"]
+    assert [row.split(": ")[0] for row in rows] == [f"{label} [{k}]" for label in labels for k in (1, 2)]
+    # each run runs both trees, the first tree first on odd runs
+    first, second = [trees[0]], [trees[1]]
+    assert started[6:12] == [first, second, second, first, first, second]  # import surfbound.cli
+    assert started[0:6] == [[]] * 6  # python -c pass names no tree
+
+
+def test_oneshot_two_trees_print_the_same_digest(tmp_path):
+    other = shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    rows = run_oneshot("large", "--rows", "6", "--src", "src", "--src", str(other))
+    label = r"6\. thresholds --twist=6\*c1 -k 0"
+    assert [re.fullmatch(rf"{label} \[{k}\]: {ROW}", row).groups() for k, row in enumerate(rows, 1)] == [(
+        "0", "4440", "c5d59752894abbb43b6fa1f752a72edf9d0cefe22fa209663ceb72c304bbaef7")] * 2, rows
+
+
 def test_oneshot_rows_report_their_own_peak_rss():
     # the timer's own peak passes 64 MB before it spawns the row; a row
     # spawned by vfork would report at least that peak as its own
@@ -133,9 +175,7 @@ def test_oneshot_rows_report_their_own_peak_rss():
 
 def test_oneshot_kills_and_reaps_a_row_past_its_timeout(monkeypatch, capsys):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    spec = importlib.util.spec_from_file_location("oneshot", ROOT / "scripts" / "oneshot.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_oneshot(monkeypatch)
     started = []
 
     class Recorded(subprocess.Popen):
@@ -145,7 +185,6 @@ def test_oneshot_kills_and_reaps_a_row_past_its_timeout(monkeypatch, capsys):
             started.append((self.pid, kwargs["env"], cached))
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
-    monkeypatch.setattr(subprocess, "_USE_VFORK", subprocess._USE_VFORK)  # main turns it off
     assert script.main(["tau", "--n", "25", "--timeout", "0.001"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["N = 25: timeout after 0.001 s"]
     # the untimed import, then the row, which finds the package compiled

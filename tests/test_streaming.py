@@ -25,7 +25,7 @@ import pytest
 
 from surfbound import cli, reporting, search, surface_io
 from surfbound.errors import CalculatorError, ModelInconsistent
-from surfbound.reporting import EntriesNode, render_text, to_payload
+from surfbound.reporting import EntriesNode, dump_json, render_text, to_payload
 from surfbound.surface import DivisorClass
 
 from generators import block_model
@@ -160,6 +160,37 @@ def test_failure_while_entries_are_made_leaves_stdout_empty(capsys, monkeypatch,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the search failed\n"
+
+
+def test_stream_writes_fresh_value_objects_as_a_reference_does():
+    # Every row carries a new Fraction object, of 6000 values: 2000 come
+    # once and 4000 twice, the least (-2498/3) first at row 358 and again
+    # at row 5358, so the first least row must win by value, not by object.
+    n = 10_000
+
+    def value(i: int) -> Q:
+        return Q(i * 7919 % 5000 - 2500, 3 + i % 2 * 4) if i % 5 else Q(i, 11)
+
+    def rows():
+        for i in range(n):
+            yield (i // 100, i % 100), (i % 7, -i, 1), value(i)
+
+    plain = list(rows())
+    least = min(range(n), key=lambda i: (plain[i][2], i))
+    expected = materialize({"entries": EntriesNode(plain.__iter__)})
+    for write in (dump_json, render_text):
+        node = EntriesNode(rows)
+        out = io.StringIO()
+        write({"entries": node}, out)
+        if write is dump_json:
+            assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
+        else:
+            text = io.StringIO()
+            render_text(expected, text)
+            assert out.getvalue() == text.getvalue()
+        assert node.count == n and node.least == plain[least]
+        assert node.witness_minimum() == {"coefficients": plain[least][0], "value": plain[least][2],
+                                          "divisor": DivisorClass.from_integers(plain[least][1])}
 
 
 # sha256 of stdout at the commit before the entries were streamed
