@@ -73,6 +73,7 @@ LARGE = (
     "report --twist=6*c1 -n 30 --json",
     "thresholds -k 40",
     "thresholds --twist=6*c1 -k 0",
+    "obstructions -k 6 --json",
 )
 
 

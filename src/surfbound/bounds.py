@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product
 from math import floor
-from operator import add, mul
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import lattice, search
@@ -169,51 +169,42 @@ class ObstructionSet(NamedTuple):
 
 
 class ObstructionEntries:
-    """The entries of the obstruction set of an analysis at one bound, as
-    rows made by the ordered search each time rows() is called; nothing is
-    kept. len() is the counting descent (Analysis.obstruction_count)."""
+    """The entries of the obstruction set of an analysis at one bound, in
+    runs (search.divisor_runs) that the ordered search makes each time
+    runs() is called, sorted by coefficients; nothing is kept. step is the
+    last support curve, and value(rest) the value of an entry whose leaf
+    keeps the budget rest. rows() expands the runs. len() is the counting
+    descent (Analysis.obstruction_count)."""
 
-    __slots__ = ("_analysis", "_bound")
+    __slots__ = ("_analysis", "_top", "_bound", "step")
 
     def __init__(self, analysis: Analysis, bound: Fraction) -> None:
-        self._analysis = analysis
-        self._bound = bound
+        support = analysis.support
+        self._analysis, self._bound = analysis, bound
+        self._top = floor(analysis.obstruction_form[1] * bound)  # m times a value is an integer
+        self.step = analysis.model.curves[support[-1]].coords if support else ()
 
     def __len__(self) -> int:
         return self._analysis.obstruction_count(self._bound)
 
-    def rows(self) -> Iterator[Row]:
-        """The row of each entry, sorted by coefficients.
+    def value(self, rest: int) -> Fraction:
+        return self._analysis.search_form.value(self._top, rest)
 
-        The search meets points in the lexicographic order of their reversed
-        coordinate tuples, so on Analysis.elimination, of the reversed
-        support, it meets the coefficient tuples in sorted order. A divisor
-        is an integer sum of the support curves' coordinates; along a run
-        only the last coefficient rises, by one curve at a time."""
+    def runs(self) -> Iterator[search.Run]:
         analysis = self._analysis
         if not analysis.support:
-            return
-        linear, m = analysis.obstruction_form
-        runs = search.fincke_pohst(analysis.elimination, linear, m, floor(m * self._bound))
-        model = analysis.model
-        terms = [model.curve_terms[i] for i in analysis.support]
-        last = model.curves[analysis.support[-1]].coords
-        for tail, first, values in runs:
-            head = tail[::-1]
-            coords = [first * x for x in last]
-            for coeff, curve in zip(head, terms):
-                if coeff:
-                    for j, x in curve:
-                        coords[j] += coeff * x
-            coords = tuple(coords)
-            for v, value in enumerate(values, first):
-                yield (*head, v), coords, value
-                coords = tuple(map(add, coords, last))
+            return iter(())
+        terms = [analysis.model.curve_terms[i] for i in analysis.support]
+        found = search.fincke_pohst(analysis.search_form, self._top)
+        return search.divisor_runs(found, terms, self.step)
+
+    def rows(self) -> Iterator[Row]:
+        return search.expand(self.runs(), self.step, self.value)
 
 
 def _enumerate_box(analysis: Analysis, k) -> ObstructionSet:
     """The obstruction set at level k. Its entries keep no row: the ordered
-    search runs each time their rows() is called. The benchmark's
+    search runs each time their runs() are read. The benchmark's
     tracer (perfbench/tracing.py) wraps this function by name and sums len()
     of the entries, so it keeps the name of the box loop it replaced. Only
     callers that print entries come here; counts and emptiness run the
@@ -491,8 +482,13 @@ class Analysis:
     @cached_property
     def elimination(self) -> Optional[search.Eliminated]:
         """lattice.negated_elimination of the support's Gram block in reversed
-        order, as ObstructionEntries.rows needs; counts and tau do not depend on it."""
+        order, as ObstructionEntries.runs needs; counts and tau do not depend on it."""
         return lattice.negated_elimination(self.model.curve_gram(self.support[::-1]))
+
+    @cached_property
+    def search_form(self) -> search.SearchForm:
+        """The search on the support, set up once for every level it runs at."""
+        return search.search_form(self.elimination, *self.obstruction_form)
 
     @_memoized
     def deficits(self, twist: DivisorClass) -> tuple[list[int], int]:
@@ -518,8 +514,8 @@ class Analysis:
         its bounding box. D = 0 has value 0, so it is counted when k >= 0."""
         if not self.support:
             return 0
-        linear, m = self.obstruction_form  # m times a value is an integer
-        return search.count_points(self.elimination, linear, m, floor(m * k)) - (k >= 0)
+        top = floor(self.obstruction_form[1] * k)  # m times a value is an integer
+        return search.count_points(self.search_form, top) - (k >= 0)
 
     def enumerate_obstructions(self, k) -> ObstructionSet:
         """The obstruction set at level k, whose rows the ordered search
@@ -540,7 +536,7 @@ class Analysis:
         linear, m = self.obstruction_form
         pairings = self.model.curve_pairings
         single = min(x - m * pairings[i][i] for i, x in zip(self.support[::-1], linear))
-        tau = search.least_value(self.elimination, linear, m, single)
+        tau = search.least_value(self.search_form, single)
         if tau is None:
             raise ModelInconsistent("sublevel set lost its single-curve witness")
         return tau

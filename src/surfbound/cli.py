@@ -27,7 +27,7 @@ import functools
 import os
 import sys
 
-from . import bounds, cycles, zariski
+from . import bounds, cycles, search, zariski
 from .errors import CalculatorError, OracleMismatch
 from .reporting import EntriesNode, Later, dump_json, render_text, to_payload
 from .surface_io import fixture_names, load_surface, parse_curve_list, parse_divisor
@@ -256,8 +256,10 @@ def _cmd_obstructions(args) -> dict:
     obs = analysis.enumerate_obstructions(args.cluster)
     result = {**to_payload(obs), "entries": to_payload(obs.entries)}
     if args.oracle:
-        # the search runs once: the writer streams the rows checked here
-        rows = list(obs.entries.rows())
+        # the search runs once: the writer streams the runs checked here
+        entries = obs.entries
+        runs = list(entries.runs())
+        rows = list(search.expand(runs, entries.step, entries.value))
         boxed = bounds.obstruction_oracle(analysis, args.cluster)
         if len(rows) != len(boxed):
             raise OracleMismatch(
@@ -274,7 +276,7 @@ def _cmd_obstructions(args) -> dict:
                     f"search found {coeffs} with divisor {coords}, "
                     f"box found {ref_coeffs} with divisor {ref_coords}"
                 )
-        result["entries"] = EntriesNode(rows.__iter__)
+        result["entries"] = EntriesNode(runs.__iter__, entries.value, entries.step)
     entries = result["entries"]  # streamed by the writer, which counts them
     result["support_names"] = _curve_names(analysis.model, obs.support)
     result["count"] = Later(lambda: entries.count)

@@ -28,9 +28,16 @@ indent=2)` of the result converted value by value, in one pass that keeps
 the stdlib's C string escaper.
 
 An obstruction set can hold hundreds of thousands of entries, so it enters
-a payload as an EntriesNode, a source of its rows. Both writers stream it
-through one loop, _stream, which writes each entry from its row, counts the
-entries and keeps the least for the Later values after them.
+a payload as an EntriesNode, a source of its runs of integer budgets (see
+bounds.ObstructionEntries). Both writers stream it through one loop,
+_stream, a run at a time: it makes the text up to a run's last coefficient
+once per run, and from one entry to the next only the cells of the
+coordinates that the run's step changes. Each call keeps two memos: the
+text of a value keyed by the integer rest of an entry, and the cell of a
+coordinate keyed by the integer; both fill from the writer's memo of exact
+values. The same loop counts the entries and keeps the least, as the first
+largest rest, for the Later values after them, and makes its one Fraction
+at the end.
 """
 
 from __future__ import annotations
@@ -40,9 +47,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .bounds import INFINITY, ObstructionEntries, Row
+from .bounds import INFINITY, ObstructionEntries
+from .search import Run
 from .errors import CalculatorError
 from .surface import DivisorClass, _fields_repr
 
@@ -138,18 +146,22 @@ class _Memo(dict):
 
 class EntriesNode:
     """The entries of an obstruction set in a payload, as the source of their
-    rows (bounds.Row): a callable that gives a new iterator over the rows,
-    sorted by coefficients, each time it is called, such as
-    ObstructionEntries.rows or the __iter__ of a list of rows, so a payload
-    written twice has its entries both times. The writer that streams them
-    (_stream) sets count and the least row by (value, coefficients), which
-    payload values after the node report through Later."""
+    runs (search.Run): runs, a callable that gives a new iterator over the
+    runs, sorted by coefficients, each time it is called, such as
+    ObstructionEntries.runs or the __iter__ of a list of runs, so a payload
+    written twice has its entries both times; value, the map from the rest
+    of an entry to its value, the larger rest the smaller value; and step,
+    the coordinates that one entry of a run adds to the one before. The
+    writer that streams them (_stream) sets count and the least row
+    (bounds.Row) by (value, coefficients), which payload values after the
+    node report through Later."""
 
-    __slots__ = _FIELDS = ("rows", "count", "least")
+    __slots__ = _FIELDS = ("runs", "value", "step", "count", "least")
     __repr__ = _fields_repr
 
-    def __init__(self, rows: Callable[[], Iterator[Row]], count=0, least=None) -> None:
-        self.rows, self.count, self.least = rows, count, least
+    def __init__(self, runs: Callable[[], Iterator[Run]], value: Callable[[int], Fraction],
+                 step: tuple[int, ...], count=0, least=None) -> None:
+        self.runs, self.value, self.step, self.count, self.least = runs, value, step, count, least
 
     def witness_minimum(self) -> Optional[dict]:
         if self.least is None:
@@ -201,7 +213,7 @@ def to_payload(value: Any) -> Any:
         coords = [_exact(x, value.den) for x in value.num]
         return {"coords": coords, "text": ",".join(c["exact"] for c in coords)}
     if kind is ObstructionEntries:
-        return EntriesNode(value.rows)
+        return EntriesNode(value.runs, value.value, value.step)
     names, _, values = _record(kind)
     return dict(zip(names, values(value)))
 
@@ -244,71 +256,111 @@ def _int_key(key: Any) -> str:
     return str(key)
 
 
-def _json_entry(item: str, exacts: _Memo) -> Callable[[tuple], str]:
-    """The --json text of an obstruction entry, from its row, as dump_json
-    writes the row's payload (EntriesNode.witness_minimum) at indent `item`."""
+class _EntryText(NamedTuple):
+    """How a writer writes the entries of a run: head, the text of an entry
+    up to its last coefficient, from the coefficients before it; cell, the
+    text of an integer coordinate; value, the text of a value; and entry,
+    the text of an entry from its head's text, its last coefficient, its
+    coordinates, their cells and its value's text."""
+
+    head: Callable[[tuple[int, ...]], str]
+    cell: Callable[[int], str]
+    value: Callable[[Fraction], str]
+    entry: Callable[[str, int, list[int], list[str], str], str]
+
+
+def _json_entry(item: str, exacts: _Memo) -> _EntryText:
+    """The --json text of an obstruction entry, as dump_json writes the
+    payload of its row (EntriesNode.witness_minimum) at indent `item`."""
     q1, q2, q3 = item + "  ", item + "    ", item + "      "
+    start = f'{{\n{q1}"coefficients": [\n{q2}'
     coeff_sep = ",\n" + q2
     coord_sep = ",\n" + q3
-    cell = _Memo(lambda x: exacts[x, 1, q3]).__getitem__
     digits = _Memo(str).__getitem__
 
-    def entry(row: tuple) -> str:
-        coefficients, coords, value = row
-        cells = coord_sep.join(map(cell, coords))
+    def entry(head: str, v: int, coords: list[int], cells: list[str], value: str) -> str:
         return (
-            f'{{\n{q1}"coefficients": [\n{q2}{coeff_sep.join(map(digits, coefficients))}'
-            f'\n{q1}],\n{q1}"divisor": {{\n{q2}"coords": [\n{q3}{cells}\n{q2}],\n{q2}"text": '
-            f'"{",".join(map(digits, coords))}"\n{q1}}},\n'
-            f'{q1}"value": {exacts[value.numerator, value.denominator, q1]}\n{item}}}'
+            f'{head}{v}\n{q1}],\n{q1}"divisor": {{\n{q2}"coords": [\n{q3}{coord_sep.join(cells)}'
+            f'\n{q2}],\n{q2}"text": "{",".join(map(digits, coords))}"\n{q1}}},\n'
+            f'{q1}"value": {value}\n{item}}}'
         )
 
-    return entry
+    return _EntryText(
+        head=lambda head: start + coeff_sep.join([*map(digits, head), ""]),
+        cell=_Memo(lambda x: exacts[x, 1, q3]).__getitem__,
+        value=lambda value: exacts[value.numerator, value.denominator, q1],
+        entry=entry,
+    )
 
 
-def _text_entry(indent: int, exacts: _Memo) -> Callable[[tuple], str]:
-    """The text lines of an obstruction entry, from its row, as render_text
-    renders the row's payload (EntriesNode.witness_minimum) as a list item
-    at `indent`."""
+def _text_entry(indent: int, exacts: _Memo) -> _EntryText:
+    """The text lines of an obstruction entry, as render_text renders the
+    payload of its row (EntriesNode.witness_minimum) as a list item at
+    `indent`."""
     p1, p2, p3 = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
-    cell = _Memo(lambda x: exacts[x, 1]).__getitem__
+    start = f"{p1}-\n{p2}coefficients: ["
 
-    def entry(row: tuple) -> str:
-        coefficients, coords, value = row
+    def entry(head: str, v: int, coords: list[int], cells: list[str], value: str) -> str:
         # the coordinates are ints, whose text is their exact string
-        cells = list(map(cell, coords))
         return (
-            f"{p1}-\n{p2}coefficients: [{', '.join(map(str, coefficients))}]\n"
-            f"{p2}divisor:\n{p3}coords: [{', '.join(cells)}]\n{p3}text: {','.join(cells)}\n"
-            f"{p2}value: {exacts[value.numerator, value.denominator]}\n"
+            f"{head}{v}]\n{p2}divisor:\n{p3}coords: [{', '.join(cells)}]\n{p3}text: {','.join(cells)}\n"
+            f"{p2}value: {value}\n"
         )
 
-    return entry
+    return _EntryText(
+        head=lambda head: start + ", ".join([*map(str, head), ""]),
+        cell=_Memo(lambda x: exacts[x, 1]).__getitem__,
+        value=lambda value: exacts[value.numerator, value.denominator],
+        entry=entry,
+    )
 
 
-def _stream(node: EntriesNode, entry: Callable[[tuple], str], lead: str, sep: str,
+def _stream(node: EntriesNode, writer: _EntryText, lead: str, sep: str,
             parts: list[str], out: TextIO) -> bool:
-    """Append each entry of node to parts, as entry renders its row, after
-    lead for the first and sep for the others. The text held is written to
-    out after each entry that brings it to CHUNK characters. The same loop
-    sets node.count and node.least. Returns whether node had any entry."""
+    """Append each entry of node to parts, as writer writes it, after lead
+    for the first and sep for the others. The text held is written to out
+    after each entry that brings it to CHUNK characters.
+
+    The text of a run's entries up to their last coefficient is made once
+    per run. From one entry of a run to the next only the coordinates where
+    node.step is nonzero change, and only their cells are made again. The
+    text of each value is made once per call, in a memo keyed by the integer
+    rest. The same loop sets node.count, the sum of the runs' lengths, and
+    node.least, the row of the first entry with the largest rest, whose one
+    Fraction it makes at the end. Returns whether node had any entry."""
+    head_text, cell, entry = writer.head, writer.cell, writer.entry
+    values = _Memo(lambda rest: writer.value(node.value(rest)))
+    step = node.step
+    moves = [(j, x) for j, x in enumerate(step) if x]
     append = parts.append
     size = sum(map(len, parts))
-    count, least = 0, None
-    for row in node.rows():
-        count += 1
-        # rows come sorted by coefficients, so the first least value wins;
-        # equal values are often the same object
-        if least is None or row[2] is not least[2] and row[2] < least[2]:
-            least = row
-        text = lead + entry(row)
-        append(text)
-        lead = sep
-        size += len(text)
-        if size >= CHUNK:
-            out.write("".join(parts))
-            parts.clear()
-            size = 0
+    count, best, least = 0, 0, None
+    for run in node.runs():
+        head, first, coords, rests = run
+        count += len(rests)
+        # runs come sorted by coefficients, so the first largest rest wins
+        most = max(rests)
+        if least is None or most > best:
+            best, least = most, (run, rests.index(most))
+        head = head_text(head)
+        coords = list(coords)
+        cells = list(map(cell, coords))
+        for v, rest in enumerate(rests, first):
+            if v != first:
+                for j, x in moves:
+                    coords[j] += x
+                    cells[j] = cell(coords[j])
+            text = lead + entry(head, v, coords, cells, values[rest])
+            append(text)
+            lead = sep
+            size += len(text)
+            if size >= CHUNK:
+                out.write("".join(parts))
+                parts.clear()
+                size = 0
+    if least is not None:
+        (head, first, coords, _), i = least
+        least = (*head, first + i), tuple(c + i * x for c, x in zip(coords, step)), node.value(best)
     node.count, node.least = count, least
     return count > 0
 

@@ -4,23 +4,32 @@ An obstruction set is the set of nonzero n >= 0 with n'Qn + linear.n / m <=
 bound, for Q = -G and G the Gram block of the curves orthogonal to A: the
 integers linear_i = m (T - K).C_i carry the one denominator m of T - K.
 Each value times m is an integer, so the condition reads m n'Qn + linear.n
-<= top for the integer top = floor(m bound), and each function takes m and
-top. Each also takes the (det, rows) that lattice.negated_elimination makes
-of G: bounds.Analysis eliminates its support once, reversed, for every search
-on it, linear reversed to match. This module finds those points by the
-short-vector search of Fincke and Pohst in integers, counts them without
-keeping them, and finds their least value, all by the one descent of
-_intervals, with a floor on the budget that a leaf keeps: 0 for the points
-and their count, and for the least value a floor that rises with each better
-leaf. Every step is exact, and no Fraction is made but the values reported.
+<= top for the integer top = floor(m bound).
+
+The search is set up once per analysis: search_form takes the (det, rows)
+that lattice.negated_elimination makes of G, with linear and m, and gives
+the SearchForm that every level shares, its budget at a top being one
+product and one sum. bounds.Analysis keeps one, on its support reversed,
+linear reversed to match. count_points, least_value and fincke_pohst take
+it together with top. They find the points by the short-vector search of
+Fincke and Pohst in integers, count them without keeping them, and find
+their least value, all by the one descent of _intervals, with a floor on
+the budget that a leaf keeps: 0 for the points and their count, and for the
+least value a floor that rises with each better leaf.
+
+fincke_pohst gives the points in runs of integer budgets: a leaf that keeps
+the budget `rest` has the value top / m - rest / den (SearchForm.value), so
+a larger rest is a smaller value. divisor_runs adds the divisor of each
+run's first point, and expand turns runs into rows with their values.
+Every step is exact, and no Fraction is made but the values asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lattice
 
@@ -28,8 +37,8 @@ Q = Fraction
 Eliminated = tuple[int, list[list[int]]]  # (det(Q), rows) of lattice.negated_elimination(G)
 
 
-class _SearchForm(NamedTuple):
-    """The search for m n'Qn + linear.n <= top in integers, Q = -G.
+class SearchForm(NamedTuple):
+    """The search for m n'Qn + linear.n <= top in integers, Q = -G, at every top.
 
     The elimination of the Gram block G gives the column
     numerators of Q = L D L' and, on their diagonal, the leading minors
@@ -39,45 +48,48 @@ class _SearchForm(NamedTuple):
     W_j = D_j g y_j for the coordinates y of L'(n + c), it becomes sum_j e_j
     W_j^2 <= P B, where P = lcm(D_j D_{j-1}) and e_j = P / (D_j D_{j-1}).
     W_j = D_j g n_j + sh_j, and sh_j depends only on the coordinates after
-    j."""
+    j. Only P B depends on top, and the set is empty when it is negative."""
 
-    budget: int  # P B
+    slope: int  # 4 P D_r^2 m
+    offset: int  # P D_r linear.C: the budget P B at top is slope * top + offset
     weight: list[int]  # e_j
     scale: list[int]  # D_j g
     base: list[int]  # the part of sh_j that does not depend on n
     tails: list[list[int]]  # g L_ij D_j for i > j: sh_j = base_j + tails_j . n_{j+1..}
-    den: int  # P g^2: a leaf with budget `rest` left has value top / m - rest / den
+    m: int
+    den: int  # P g^2
+
+    def value(self, top: int, rest: int) -> Fraction:
+        """The value (linear.n - m n'Gn) / m of a point of the set at top
+        whose leaf keeps the budget rest: top / m - rest / den."""
+        return Q(top * self.den - self.m * rest, self.m * self.den)
 
 
-def _search_form(
-    eliminated: Eliminated, linear: Sequence[int], m: int, top: int
-) -> Optional[_SearchForm]:
-    """The integer set-up of the search on the eliminated Gram block, or
-    None when the sublevel set is empty (B < 0)."""
+def search_form(eliminated: Eliminated, linear: Sequence[int], m: int) -> SearchForm:
+    """The integer set-up of the search on the eliminated Gram block."""
     r = len(linear)
     det, rows = eliminated
     minors = [rows[k][k] for k in range(r)]
     g = 2 * det * m
     centre = lattice.adjugate_solve(rows, linear)
-    budget = 4 * det * det * m * top + det * sum(map(mul, linear, centre))
-    if budget < 0:
-        return None
     pairs = [low * high for low, high in zip([1, *minors], minors)]
     p = lcm(*pairs)
-    return _SearchForm(
-        budget=p * budget,
+    return SearchForm(
+        slope=4 * p * det * det * m,
+        offset=p * det * sum(map(mul, linear, centre)),
         weight=[p // x for x in pairs],
         scale=[x * g for x in minors],
         base=[sum(map(mul, rows[j][j:], centre[j:])) for j in range(r)],
         tails=[[g * x for x in rows[j][j + 1:]] for j in range(r)],
+        m=m,
         den=p * g * g,
     )
 
 
 def _intervals(
-    form: _SearchForm, point: list[int], floor: Sequence[int] = (0,)
+    form: SearchForm, top: int, point: list[int], floor: Sequence[int] = (0,)
 ) -> Iterator[tuple[int, int, int, int]]:
-    """The depth-first descent of the search, without its last level.
+    """The depth-first descent of the search at top, without its last level.
 
     Coordinates are fixed from last to first, each over a rising interval.
     Once n_{j+1..r-1} are fixed, the budget left above the floor, floor[0],
@@ -88,10 +100,10 @@ def _intervals(
     point[1:]: each n_0 in [low, high] is a point of the set whose leaf keeps
     left - e_0 W_0^2 >= floor[0]. The loop resumes one frame per interval,
     and a consumer may raise the floor between intervals, as least_value
-    does."""
-    budget, weight, scale, base, tails, _ = form
+    does. A negative budget yields nothing."""
+    slope, offset, weight, scale, base, tails, _, _ = form
     r = len(weight)
-    lefts = [0] * r + [budget]  # lefts[j + 1]: the budget left for n_0..n_j
+    lefts = [0] * r + [slope * top + offset]  # lefts[j + 1]: the budget left for n_0..n_j
     highs = [0] * r
     shifts = [0] * r
     j = r - 1
@@ -117,60 +129,76 @@ def _intervals(
         j -= 1
 
 
-def count_points(eliminated: Eliminated, linear: Sequence[int], m: int, top: int) -> int:
+def count_points(form: SearchForm, top: int) -> int:
     """The number of n >= 0, zero included, with linear.n - m n'Gn <= top:
     the descent adds the length of each interval of n_0 and keeps no point."""
-    form = _search_form(eliminated, linear, m, top)
-    if form is None:
-        return 0
-    return sum(high - low + 1 for low, high, _, _ in _intervals(form, [0] * len(form.weight)))
+    return sum(high - low + 1 for low, high, _, _ in _intervals(form, top, [0] * len(form.weight)))
 
 
-def fincke_pohst(
-    eliminated: Eliminated, linear: Sequence[int], m: int, top: int
-) -> Iterator[tuple[tuple[int, ...], int, list[Fraction]]]:
-    """All nonzero n >= 0 with linear.n - m n'Gn <= top, with their values
-    (linear.n - m n'Gn) / m, by the depth-first short-vector search of
-    Fincke and Pohst (Math. Comp. 44, 1985), in integers, on the set-up of
-    _SearchForm and the descent of _intervals.
+def fincke_pohst(form: SearchForm, top: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """All nonzero n >= 0 with linear.n - m n'Gn <= top, by the depth-first
+    short-vector search of Fincke and Pohst (Math. Comp. 44, 1985), in
+    integers, on the descent of _intervals.
 
-    The hits come run by run, as (tail, first, values): the points (v,
-    *tail) for v = first, first + 1, ... have these values, in this order.
-    So the search meets points in the lexicographic order of their reversed
-    coordinate tuples. Every condition is exact, so every leaf is a hit, and
-    the budget `rest` left at a leaf gives its value top / m - rest / (P
-    g^2), one Fraction per distinct value. This is a generator: set-up and
-    search both run as it is read."""
-    form = _search_form(eliminated, linear, m, top)
-    if form is None:
-        return
-    e, a, den = form.weight[0], form.scale[0], form.den
-    # One Fraction per distinct value, by the budget left at the leaf: the
-    # values repeat, as they lie between tau and the bound with a bounded
-    # denominator. The cap keeps the memory flat whatever the input.
-    values: dict[int, Fraction] = {}
-    point = [0] * len(linear)
-    for low, high, shift, left in _intervals(form, point):
+    The hits come run by run, as (tail, first, rests): the points (v, *tail)
+    for v = first, first + 1, ... keep these budgets at their leaves, in
+    this order, and form.value(top, rest) is the value of each. So the
+    search meets points in the lexicographic order of their reversed
+    coordinate tuples. Every condition is exact, so every leaf is a hit.
+    This is a generator: the search runs as it is read."""
+    e, a = form.weight[0], form.scale[0]
+    point = [0] * len(form.weight)
+    for low, high, shift, left in _intervals(form, top, point):
         tail = tuple(point[1:])
         if not low and not any(tail):
             low = 1  # the zero point
-        run = []
-        for v in range(low, high + 1):
-            w = a * v + shift
-            rest = left - e * w * w
-            value = values.get(rest)
-            if value is None:
-                if len(values) > 4096:
-                    values.clear()
-                value = values[rest] = Q(top * den - m * rest, m * den)
-            run.append(value)
-        if run:
-            yield tail, low, run
+            if high < 1:
+                continue
+        yield tail, low, [left - e * (w := a * v + shift) * w for v in range(low, high + 1)]
 
 
-def least_value(
-    eliminated: Eliminated, linear: Sequence[int], m: int, top: int
-) -> Optional[Fraction]:
+# (head, first, divisor coordinates at first, rests): the entries (*head, v),
+# v = first, first + 1, ..., whose leaves keep the budgets rests
+Run = tuple[tuple[int, ...], int, tuple[int, ...], list[int]]
+
+
+def divisor_runs(
+    found: Iterable[tuple[tuple[int, ...], int, list[int]]],
+    terms: Sequence[Sequence[tuple[int, int]]],
+    step: Sequence[int],
+) -> Iterator[Run]:
+    """The runs of fincke_pohst on the reversed support of curves whose
+    sparse coordinates (index, coefficient) are terms, in the support's
+    order, and the last of which has the coordinates step: each as (head,
+    first, coords, rests), for head the tail reversed and coords the
+    divisor first step + sum head_i C_i. The search meets the points in the
+    lexicographic order of their reversed coordinates, so the heads come
+    sorted. Along a run only the last coefficient rises, so each entry is
+    one step more than the one before."""
+    for tail, first, rests in found:
+        head = tail[::-1]
+        coords = [first * x for x in step]
+        for coeff, curve in zip(head, terms):
+            if coeff:
+                for j, x in curve:
+                    coords[j] += coeff * x
+        yield head, first, tuple(coords), rests
+
+
+def expand(
+    runs: Iterable[Run], step: Sequence[int], value: Callable[[int], Fraction]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """The (coefficients, coordinates, value) of each entry of runs, in
+    order: the entry (*head, v) of the run (head, first, coords, rests) has
+    the coordinates coords + (v - first) step and the value value(rest) of
+    its rest, one Fraction each."""
+    for head, first, coords, rests in runs:
+        for v, rest in enumerate(rests, first):
+            yield (*head, v), coords, value(rest)
+            coords = tuple(map(add, coords, step))
+
+
+def least_value(form: SearchForm, top: int) -> Optional[Fraction]:
     """The least value (linear.n - m n'Gn) / m over nonzero n >= 0 in the
     sublevel set at top, or None when that set is empty.
 
@@ -179,17 +207,14 @@ def least_value(
     each better leaf. The best leaf of each interval of n_0 is the n_0
     nearest -sh_0 / (D_0 g) but the zero point, and it raises the floor to
     one above its budget."""
-    form = _search_form(eliminated, linear, m, top)
-    if form is None:
-        return None
-    e, a, den = form.weight[0], form.scale[0], form.den
-    point, floor = [0] * len(linear), [0]
+    e, a = form.weight[0], form.scale[0]
+    point, floor = [0] * len(form.weight), [0]
     best = -1
-    for low, high, shift, left in _intervals(form, point, floor):
+    for low, high, shift, left in _intervals(form, top, point, floor):
         lowest = 0 if any(point[1:]) else 1  # the zero point is no leaf
         v = min(max((a - 2 * shift) // (2 * a), low, lowest), high)
         if v >= lowest:
             w = a * v + shift
             best = left - e * w * w
             floor[0] = best + 1
-    return None if best < 0 else Q(top * den - m * best, m * den)
+    return None if best < 0 else form.value(top, best)

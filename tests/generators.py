@@ -193,10 +193,11 @@ def least_value_reference(eliminated, linear, m, top):
     value is the leaf with the largest budget left. Each interval is tried
     from its centre outward, so the budget falls along it; a node whose
     budget is no larger than the best leaf's ends the interval."""
-    form = search._search_form(eliminated, linear, m, top)
-    if form is None:
+    form = search.search_form(eliminated, linear, m)
+    slope, offset, weight, scale, base, tails, _, den = form
+    budget = slope * top + offset
+    if budget < 0:
         return None
-    budget, weight, scale, base, tails, den = form
     point = [0] * len(linear)
     best = -1
 

@@ -108,12 +108,11 @@ def forward_hits(analysis: Analysis, k) -> list:
         return []
     linear, m = analysis.obstruction_form
     eliminated = lattice.negated_elimination(analysis.model.curve_gram(analysis.support))
+    form, top = search.search_form(eliminated, linear[::-1], m), math.floor(m * k)
     return [
-        ((v, *tail), value)
-        for tail, first, values in search.fincke_pohst(
-            eliminated, linear[::-1], m, math.floor(m * k)
-        )
-        for v, value in enumerate(values, first)
+        ((v, *tail), form.value(top, rest))
+        for tail, first, rests in search.fincke_pohst(form, top)
+        for v, rest in enumerate(rests, first)
     ]
 
 
@@ -629,9 +628,10 @@ class TestObstructionMinimum:
             linear, m = analysis.obstruction_form
             top = int(m * single_curve_value(analysis))  # m times a value is an integer
             args = analysis.elimination, linear, m, top
-            tau = search.least_value(*args)
+            form = search.search_form(*args[:3])
+            tau = search.least_value(form, top)
             assert tau == least_value_reference(*args)
-            assert search.least_value(*args[:3], int(m * tau) - 1) is None
+            assert search.least_value(form, int(m * tau) - 1) is None
             order = analysis.support[::-1]  # the order of the elimination
             gram = [[analysis.model.curve_pairings[i][j] for j in order] for i in order]
             outside += min(solve_linear(gram, linear)) < 0  # the centre, times 2m
@@ -1163,8 +1163,9 @@ class TestAnalysis:
         # with the model cache warm and the analysis cache empty, the calls
         # left are the analysis' own: one elimination of the support, plus
         # one of each component that a correction solves on when there are
-        # several; one set of pairings (K - T).C_i per twist; and the
-        # components found once. The limits are the counts this design reaches
+        # several; one set of pairings (K - T).C_i per twist; the components
+        # found once; and at most one set-up of the search, which every level
+        # shares. The limits are the counts this design reaches
         argv = command.split()
         assert run_subcommand(argv) == 0
         bounds.analysis_of.cache_clear()
@@ -1174,11 +1175,13 @@ class TestAnalysis:
         count_calls(monkeypatch, calls, SurfaceModel, "intersect")
         count_calls(monkeypatch, calls, SurfaceModel, "connected_components")
         count_calls(monkeypatch, calls, SurfaceModel, "exceptional_curves")
+        count_calls(monkeypatch, calls, search, "search_form")
         assert run_subcommand(argv) == 0
         assert capsys.readouterr().out
         names = ("negated_elimination", "scaled_curve_pairings", "intersect",
                  "connected_components")
         assert all(calls[name] <= limit for name, limit in zip(names, limits)), calls
+        assert calls["search_form"] <= 1, calls
         # a third run finds the analysis in the cache and derives none of it;
         # zariski and fundcycle build no analysis
         calls.clear()
@@ -1186,6 +1189,19 @@ class TestAnalysis:
         assert capsys.readouterr().out
         if argv[0] not in ("zariski", "fundcycle"):
             assert calls["negated_elimination"] == calls["exceptional_curves"] == 0, calls
+            assert calls["search_form"] == 0, calls
+
+    def test_the_commands_on_one_system_set_the_search_up_once(self, monkeypatch, capsys):
+        # report, obstructions, thresholds and tau search at several levels
+        # and bounds: all on the one set-up of their analysis
+        calls = Counter()
+        count_calls(monkeypatch, calls, search, "search_form")
+        system = "--surface ade_e6 --divisor h --twist=K".split()
+        for command in ("report -k 2 -n 5", "obstructions -k 2", "obstructions -k 3 --json",
+                        "thresholds -k 1", "tau"):
+            assert run_subcommand([*command.split(), *system]) == 0
+            assert capsys.readouterr().out
+        assert calls == {"search_form": 1}
 
     def test_rejects_a_class_that_is_not_nef_and_big(self, f2):
         with pytest.raises(NotNefBig):

@@ -720,12 +720,13 @@ class TestCommandLine:
         assert all(e["value"]["exact"] == "2" for e in obs["entries"])
 
     def test_oracle_catches_a_wrong_value(self, capsys, monkeypatch):
-        # the search keeps every point but reports each value one too high
+        # the search keeps every point but reports each value one too high:
+        # den less budget at each leaf
         found = search.fincke_pohst
 
-        def shifted(*args):
-            for tail, first, values in found(*args):
-                yield tail, first, [v + 1 for v in values]
+        def shifted(form, top):
+            for tail, first, rests in found(form, top):
+                yield tail, first, [rest - form.den for rest in rests]
 
         monkeypatch.setattr(search, "fincke_pohst", shifted)
         argv = ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "-k", "2"]
@@ -738,13 +739,13 @@ class TestCommandLine:
 
     def test_oracle_catches_a_wrong_divisor(self, capsys, monkeypatch):
         # the search keeps every point and value but moves the first divisor
-        rows = ObstructionEntries.rows
+        runs = ObstructionEntries.runs
 
         def shifted(self):
-            for i, (coefficients, coords, value) in enumerate(rows(self)):
-                yield coefficients, (coords[0] + (i == 0), *coords[1:]), value
+            for i, (head, first, coords, rests) in enumerate(runs(self)):
+                yield head, first, (coords[0] + (i == 0), *coords[1:]), rests
 
-        monkeypatch.setattr(ObstructionEntries, "rows", shifted)
+        monkeypatch.setattr(ObstructionEntries, "runs", shifted)
         argv = ["obstructions", "--surface", "a2_resolution", "--divisor", "1,0,0", "-k", "2"]
         assert run_subcommand(argv) == 0  # nothing checks a divisor without the oracle
         capsys.readouterr()

@@ -23,26 +23,40 @@ from typing import Optional
 
 import pytest
 
-from surfbound import cli, reporting, search, surface_io
+from surfbound import bounds, cli, reporting, search, surface_io
 from surfbound.errors import CalculatorError, ModelInconsistent
 from surfbound.reporting import EntriesNode, dump_json, render_text, to_payload
 from surfbound.surface import DivisorClass
 
-from generators import block_model
+from generators import (
+    block_model,
+    blown_up_plane,
+    mat_vec,
+    matrix_inverse,
+    model_in_basis,
+    random_unimodular,
+)
+from test_surface import MOVED, moved_fixture
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def materialize(value):
+def expanded(node: EntriesNode) -> list:
+    """The rows of the entries of node: the expansion of its runs."""
+    return list(search.expand(node.runs(), node.step, node.value))
+
+
+def materialize(value, rows_of=expanded):
     """The payload of a result as the generic writers see it, made in
     payload order: each value that is not a payload value becomes its
     to_payload, as the writers convert it, and an EntriesNode the list of the
-    payloads of its entries. Only plain dicts and sequences are copied, so an
-    exact value stays the leaf type that render_text knows."""
+    payloads of the rows that rows_of gives for it. Only plain dicts and
+    sequences are copied, so an exact value stays the leaf type that
+    render_text knows."""
     while type(value) not in reporting._NODES:
         value = to_payload(value)
     if isinstance(value, EntriesNode):
-        rows = list(value.rows())
+        rows = rows_of(value)
         # what the writers' loop counts and keeps for the Later values after it
         value.count = len(rows)
         value.least = min(rows, key=lambda row: (row[2], row[0]), default=None)
@@ -51,10 +65,20 @@ def materialize(value):
             for c, coords, v in rows
         ]
     if type(value) is dict:
-        return {key: materialize(item) for key, item in value.items()}
+        return {key: materialize(item, rows_of) for key, item in value.items()}
     if type(value) in (list, tuple):
-        return [materialize(item) for item in value]
+        return [materialize(item, rows_of) for item in value]
     return value
+
+
+def written(payload, json_mode: bool) -> str:
+    """`json.dumps(payload, indent=2)` and a newline, or the lines that
+    render_text writes of payload."""
+    if json_mode:
+        return json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    render_text(payload, out)
+    return out.getvalue()
 
 
 def assert_streamed_as_materialized(capsys, argv: list[str]) -> Optional[dict]:
@@ -68,12 +92,7 @@ def assert_streamed_as_materialized(capsys, argv: list[str]) -> Optional[dict]:
         assert cli.run_subcommand(argv) == 1
         assert capsys.readouterr().out == ""
         return None
-    if "--json" in argv:
-        expected = json.dumps(payload, indent=2) + "\n"
-    else:
-        out = io.StringIO()
-        render_text(payload, out)
-        expected = out.getvalue()
+    expected = written(payload, "--json" in argv)
     assert cli.run_subcommand(argv) == 0
     assert capsys.readouterr().out == expected
     obs = payload.get("obstructions")
@@ -122,6 +141,50 @@ def test_random_models_stream_as_materialized(capsys, rng, tmp_path):
     assert reports >= 12
 
 
+def test_stream_matches_the_box_oracle(capsys, rng, tmp_path):
+    # Bundled fixtures and blown-up planes in random unimodular bases, so
+    # that the last support curve, which one entry of a run adds to the one
+    # before, has several nonzero coordinates. The twists are small sums of
+    # curves, and E8 stays at k = 0, as its box takes seconds at k = 2. The
+    # reference writes the rows of the box oracle, which knows nothing of
+    # runs and rests.
+    systems = [(moved_fixture(rng, name), "h") for name in MOVED]
+    for points in (2, 3, 4):
+        plane = blown_up_plane(points)
+        u = random_unimodular(rng, plane.rank)
+        inverse = matrix_inverse(u)
+        line = ",".join(str(x) for x in mat_vec(inverse, [1] + [0] * points))
+        systems.append((surface_io.surface_from_data(model_in_basis(plane, u, inverse)), line))
+    checked = moving = ties = 0
+    for trial, (model, a) in enumerate(systems):
+        path = tmp_path / f"moved{trial}.json"
+        path.write_text(json.dumps(surface_io.surface_to_data(model)))
+        names = [curve.name for curve in model.curves if curve.name != "h"]
+        for _ in range(6):
+            twist = "".join(f"{rng.choice('+-')}{rng.choice(names)}" for _ in range(rng.randint(0, 3)))
+            k = 0 if model.rank > 8 else rng.randint(0, 2)
+            system = ["--surface", str(path), f"--divisor={a}", f"--twist={twist or 0}", "-k", str(k)]
+            analysis = cli._analysis(cli._parser().parse_args(["obstructions", *system]))
+            rows = bounds.obstruction_oracle(analysis, k)
+            for argv in (["obstructions", *system], ["report", *system, "-n", "5"]):
+                args = cli._parser().parse_args(argv)
+                try:
+                    result = args.handler(args)  # A is nef: report reads the same analysis
+                except CalculatorError:
+                    assert cli.run_subcommand(argv) == 1
+                    assert capsys.readouterr().out == ""
+                    continue
+                for mode in (["--json"], []):
+                    payload = materialize(result, lambda _: rows)
+                    assert cli.run_subcommand([*argv, *mode]) == 0
+                    assert capsys.readouterr().out == written(payload, bool(mode)), argv
+            least = min((value for _, _, value in rows), default=None)
+            checked += bool(rows)
+            moving += bool(rows) and sum(map(bool, model.curves[analysis.support[-1]].coords)) >= 2
+            ties += sum(value == least for _, _, value in rows) >= 2
+    assert checked >= 25 and moving >= 20 and ties >= 8, (checked, moving, ties)
+
+
 class _Pieces:
     def __init__(self) -> None:
         self.pieces: list[str] = []
@@ -163,32 +226,33 @@ def test_failure_while_entries_are_made_leaves_stdout_empty(capsys, monkeypatch,
 
 
 def test_stream_writes_fresh_value_objects_as_a_reference_does():
-    # Every row carries a new Fraction object, of 6000 values: 2000 come
-    # once and 4000 twice, the least (-2498/3) first at row 358 and again
-    # at row 5358, so the first least row must win by value, not by object.
-    n = 10_000
+    # 10,000 entries in 100 runs, each value a new Fraction object made
+    # from its rest: 8000 entries share 4000 rests two by two, the largest
+    # (4999, the least value -4999/3) first at entry 2321 and again at entry
+    # 7321, so the first least entry must win, in its own run.
+    def rest(i: int) -> int:
+        return i * 7919 % 5000 if i % 5 else i % 11
 
-    def value(i: int) -> Q:
-        return Q(i * 7919 % 5000 - 2500, 3 + i % 2 * 4) if i % 5 else Q(i, 11)
+    def runs():
+        for h in range(100):
+            yield (h,), 0, (h % 7, -100 * h, 1), [rest(100 * h + v) for v in range(100)]
 
-    def rows():
-        for i in range(n):
-            yield (i // 100, i % 100), (i % 7, -i, 1), value(i)
+    def value(rest: int) -> Q:
+        return Q(-rest, 3)
 
-    plain = list(rows())
-    least = min(range(n), key=lambda i: (plain[i][2], i))
-    expected = materialize({"entries": EntriesNode(plain.__iter__)})
+    step = (0, -1, 2)
+    plain = [((i // 100, i % 100), (i // 100 % 7, -i, 1 + 2 * (i % 100)), value(rest(i)))
+             for i in range(10_000)]
+    assert expanded(EntriesNode(runs, value, step)) == plain
+    least = min(range(10_000), key=lambda i: (plain[i][2], i))
+    assert least == 2321 and plain[least][2] == plain[7321][2]
     for write in (dump_json, render_text):
-        node = EntriesNode(rows)
+        node = EntriesNode(runs, value, step)
         out = io.StringIO()
         write({"entries": node}, out)
-        if write is dump_json:
-            assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
-        else:
-            text = io.StringIO()
-            render_text(expected, text)
-            assert out.getvalue() == text.getvalue()
-        assert node.count == n and node.least == plain[least]
+        expected = materialize({"entries": EntriesNode(runs, value, step)}, lambda _: plain)
+        assert out.getvalue() == written(expected, write is dump_json)
+        assert node.count == 10_000 and node.least == plain[least]
         assert node.witness_minimum() == {"coefficients": plain[least][0], "value": plain[least][2],
                                           "divisor": DivisorClass.from_integers(plain[least][1])}
 
